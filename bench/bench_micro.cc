@@ -74,21 +74,34 @@ void BM_OptimizerBuildPlan(benchmark::State& state) {
 BENCHMARK(BM_OptimizerBuildPlan);
 
 void BM_EngineTickWithQueries(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
+  const size_t n = static_cast<size_t>(state.range(0));
   Simulation sim;
   EngineConfig config;
   config.tick_seconds = 0.05;
   DatabaseEngine engine(&sim, config);
   WorkloadGenerator gen(3);
   BiWorkloadConfig shape;
-  shape.cpu_mu = 6.0;  // long enough to stay running
-  for (int i = 0; i < n; ++i) {
-    (void)engine.Dispatch(gen.NextBi(shape), {});
-  }
+  // Every timed tick must see exactly n active queries. Demands stretched
+  // a millionfold keep each query's resource mix but outlast any
+  // iteration count; one that still finishes is replaced off the clock.
+  auto top_up = [&] {
+    while (engine.running_count() < n) {
+      QuerySpec spec = gen.NextBi(shape);
+      spec.cpu_seconds *= 1e6;
+      spec.io_ops *= 1e6;
+      (void)engine.Dispatch(spec, {});
+    }
+  };
+  top_up();
   for (auto _ : state) {
     sim.RunFor(0.05);  // one tick
+    if (engine.running_count() < n) {
+      state.PauseTiming();
+      top_up();
+      state.ResumeTiming();
+    }
   }
-  state.SetItemsProcessed(state.iterations() * n);
+  state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_EngineTickWithQueries)->Arg(8)->Arg(64)->Arg(256);
 
@@ -140,6 +153,7 @@ BENCHMARK(BM_PercentilesAddQuery);
 // whole pipeline processes (submit -> classify -> schedule -> engine ->
 // complete).
 void BM_PipelineSimulatedOltp(benchmark::State& state) {
+  int64_t completed = 0;
   for (auto _ : state) {
     wlm_bench::BenchRig rig;
     wlm_bench::DefineStandardWorkloads(&rig.wlm);
@@ -152,11 +166,12 @@ void BM_PipelineSimulatedOltp(benchmark::State& state) {
         [&](QuerySpec spec) { (void)rig.wlm.Submit(std::move(spec)); });
     driver.Start(10.0);
     rig.sim.RunUntil(20.0);
-    state.counters["sim_txns"] = static_cast<double>(
-        rig.monitor.tag_stats("oltp").completed);
+    const int64_t txns = rig.monitor.tag_stats("oltp").completed;
+    completed += txns;
+    state.counters["sim_txns"] = static_cast<double>(txns);
     benchmark::DoNotOptimize(rig.engine.counters().completed);
   }
-  state.SetItemsProcessed(state.iterations() * 1000);
+  state.SetItemsProcessed(completed);
 }
 BENCHMARK(BM_PipelineSimulatedOltp)->Unit(benchmark::kMillisecond);
 

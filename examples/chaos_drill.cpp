@@ -11,10 +11,12 @@
 //
 // Build & run:  ./build/examples/chaos_drill
 
+#include <array>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <vector>
 
 #include "characterization/static_classifier.h"
 #include "core/workload_manager.h"
@@ -23,6 +25,7 @@
 #include "faults/fault_plan.h"
 #include "scheduling/queue_schedulers.h"
 #include "telemetry/exporters.h"
+#include "telemetry/profile.h"
 #include "workloads/generators.h"
 
 int main() {
@@ -151,19 +154,25 @@ int main() {
   }
 
   // Per-workload latency decomposition: where each service class's
-  // seconds went, from the manager's per-phase percentile rollups.
-  std::printf("\n%-10s %-14s %9s %9s %9s\n", "workload", "phase", "p50(s)",
+  // seconds went, from the telemetry profile store.
+  std::printf("\n%-10s %-15s %9s %9s %9s\n", "workload", "phase", "p50(s)",
               "p90(s)", "max(s)");
+  const std::vector<const QueryProfile*> profiles =
+      manager.telemetry().profiles().Profiles();
   for (const auto& [name, def] : manager.workloads()) {
-    const WorkloadCounters& c = manager.counters(name);
-    for (const std::string& phase : WorkloadPhaseNames()) {
-      auto it = c.phase_seconds.find(phase);
-      if (it == c.phase_seconds.end() || it->second.count() == 0) continue;
-      const Percentiles& dist = it->second;
+    std::array<Percentiles, kPhaseCount> dists;
+    for (const QueryProfile* p : profiles) {
+      if (!p->terminal() || p->workload != name) continue;
+      for (size_t i = 0; i < kPhaseCount; ++i) {
+        dists[i].Add(p->phase_seconds[i]);
+      }
+    }
+    for (size_t i = 0; i < kPhaseCount; ++i) {
+      const Percentiles& dist = dists[i];
       if (dist.max() <= 0.0) continue;  // phase never occurred here
-      std::printf("%-10s %-14s %9.3f %9.3f %9.3f\n", name.c_str(),
-                  phase.c_str(), dist.Percentile(50), dist.Percentile(90),
-                  dist.max());
+      std::printf("%-10s %-15s %9.3f %9.3f %9.3f\n", name.c_str(),
+                  PhaseToString(static_cast<Phase>(i)), dist.Percentile(50),
+                  dist.Percentile(90), dist.max());
     }
   }
 

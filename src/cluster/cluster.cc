@@ -144,28 +144,26 @@ ClusterDispatcher::ClusterDispatcher(Simulation* sim, ClusterOptions options,
     shards_.push_back(std::make_unique<ClusterShard>(
         i, sim_, options_.engine, options_.monitor_interval, options_.wlm,
         options_.health));
-    routed_counters_.push_back(
-        &metrics_.GetCounter("wlm_cluster_routed_total", ShardLabels(i)));
-    refused_counters_.push_back(
-        &metrics_.GetCounter("wlm_cluster_refused_total", ShardLabels(i)));
-    redispatched_counters_.push_back(
-        &metrics_.GetCounter("wlm_cluster_redispatched_total", ShardLabels(i)));
-    heartbeat_counters_.push_back(&metrics_.GetCounter(
-        "wlm_cluster_health_heartbeats_total", ShardLabels(i)));
-    heartbeat_dropped_counters_.push_back(&metrics_.GetCounter(
-        "wlm_cluster_health_heartbeats_dropped_total", ShardLabels(i)));
-    down_counters_.push_back(
-        &metrics_.GetCounter("wlm_cluster_health_down_total", ShardLabels(i)));
-    drained_counters_.push_back(&metrics_.GetCounter(
-        "wlm_cluster_health_drained_total", ShardLabels(i)));
-    lost_counters_.push_back(
-        &metrics_.GetCounter("wlm_cluster_health_lost_total", ShardLabels(i)));
-    blackholed_counters_.push_back(&metrics_.GetCounter(
-        "wlm_cluster_health_blackholed_total", ShardLabels(i)));
-    hedge_won_counters_.push_back(
-        &metrics_.GetCounter("wlm_cluster_hedge_won_total", ShardLabels(i)));
-    if (configure) configure(i, shards_.back()->wlm());
-    shards_.back()->wlm().AddCompletionListener(
+    ClusterShard& shard = *shards_.back();
+    const MetricLabels labels = ShardLabels(i);
+    shard.routed_ = &metrics_.GetCounter("wlm_cluster_routed_total", labels);
+    shard.refused_ = &metrics_.GetCounter("wlm_cluster_refused_total", labels);
+    shard.redispatched_ =
+        &metrics_.GetCounter("wlm_cluster_redispatched_total", labels);
+    shard.heartbeats_ =
+        &metrics_.GetCounter("wlm_cluster_health_heartbeats_total", labels);
+    shard.heartbeats_dropped_ = &metrics_.GetCounter(
+        "wlm_cluster_health_heartbeats_dropped_total", labels);
+    shard.down_ = &metrics_.GetCounter("wlm_cluster_health_down_total", labels);
+    shard.drained_ =
+        &metrics_.GetCounter("wlm_cluster_health_drained_total", labels);
+    shard.lost_ = &metrics_.GetCounter("wlm_cluster_health_lost_total", labels);
+    shard.blackholed_ =
+        &metrics_.GetCounter("wlm_cluster_health_blackholed_total", labels);
+    shard.hedge_won_ =
+        &metrics_.GetCounter("wlm_cluster_hedge_won_total", labels);
+    if (configure) configure(i, shard.wlm());
+    shard.wlm().AddCompletionListener(
         [this, i](const Request& request) { OnShardCompletion(i, request); });
   }
   StartHealthLoop();
@@ -246,7 +244,6 @@ Status ClusterDispatcher::SubmitToShards(QuerySpec spec, bool is_redispatch,
   while (true) {
     std::vector<int> eligible = EligibleShards(tried);
     if (eligible.empty()) {
-      ++rejected_total_;
       metrics_.GetCounter("wlm_cluster_rejected_total").Increment();
       break;
     }
@@ -262,18 +259,12 @@ Status ClusterDispatcher::SubmitToShards(QuerySpec spec, bool is_redispatch,
       // declared down: nothing refuses, nothing answers. The query is
       // stranded until a drain grants it a second life (health on) or
       // forever (health off — the undefended baseline).
-      ++shard.routed_;
-      routed_counters_[static_cast<size_t>(pick)]->Increment();
-      ++shard.blackholed_;
-      blackholed_counters_[static_cast<size_t>(pick)]->Increment();
+      shard.routed_->Increment();
+      shard.blackholed_->Increment();
       orphans_[static_cast<size_t>(pick)].push_back({spec, std::string()});
       journeys_.CloseLife(spec.id, pick, sim_->Now(), "blackholed");
       if (options_.redispatch) shards_tried_[spec.id].insert(pick);
-      if (is_redispatch) {
-        ++shard.redispatched_in_;
-        redispatched_counters_[static_cast<size_t>(pick)]->Increment();
-        ++redispatched_total_;
-      }
+      if (is_redispatch) shard.redispatched_->Increment();
       landed = pick;
       result = Status::OK();
       break;
@@ -283,8 +274,7 @@ Status ClusterDispatcher::SubmitToShards(QuerySpec spec, bool is_redispatch,
       // Capacity refusal: fail over to the next-best shard in the same
       // instant. (Admission-policy rejects are final — a cost threshold
       // on one shard would reject on every identically configured shard.)
-      ++shard.refused_;
-      refused_counters_[static_cast<size_t>(pick)]->Increment();
+      shard.refused_->Increment();
       // The arrival-time shed already closed this life through the
       // completion listener; relabel it as a placement refusal.
       journeys_.MarkOutcome(spec.id, pick, sim_->Now(), "refused");
@@ -296,14 +286,9 @@ Status ClusterDispatcher::SubmitToShards(QuerySpec spec, bool is_redispatch,
       ++attempt;
       continue;
     }
-    ++shard.routed_;
-    routed_counters_[static_cast<size_t>(pick)]->Increment();
+    shard.routed_->Increment();
     if (options_.redispatch) shards_tried_[spec.id].insert(pick);
-    if (is_redispatch) {
-      ++shard.redispatched_in_;
-      redispatched_counters_[static_cast<size_t>(pick)]->Increment();
-      ++redispatched_total_;
-    }
+    if (is_redispatch) shard.redispatched_->Increment();
     if (status.ok()) landed = pick;
     result = status;
     if (!status.ok()) {
@@ -359,17 +344,14 @@ void ClusterDispatcher::MaybeHedge(const QuerySpec& spec, int primary) {
     // The trusted alternate just died undetected: the duplicate
     // black-holes like any other dispatch, and the primary copy (or the
     // eventual drain) decides the query's fate.
-    ++shard.routed_;
-    routed_counters_[static_cast<size_t>(alt)]->Increment();
-    ++shard.blackholed_;
-    blackholed_counters_[static_cast<size_t>(alt)]->Increment();
+    shard.routed_->Increment();
+    shard.blackholed_->Increment();
     orphans_[static_cast<size_t>(alt)].push_back({spec, std::string()});
     journeys_.CloseLife(spec.id, alt, sim_->Now(), "blackholed");
   } else {
     const Status status = shard.wlm().Submit(spec);
     if (status.IsOverloaded()) {
-      ++shard.refused_;
-      refused_counters_[static_cast<size_t>(alt)]->Increment();
+      shard.refused_->Increment();
       journeys_.MarkOutcome(spec.id, alt, sim_->Now(), "refused");
       // The alternate holds the shed record now; keep re-dispatch and
       // drains away from it.
@@ -383,12 +365,10 @@ void ClusterDispatcher::MaybeHedge(const QuerySpec& spec, int primary) {
       if (options_.redispatch) shards_tried_[spec.id].insert(alt);
       return;
     }
-    ++shard.routed_;
-    routed_counters_[static_cast<size_t>(alt)]->Increment();
+    shard.routed_->Increment();
   }
   if (options_.redispatch) shards_tried_[spec.id].insert(alt);
   hedges_[spec.id] = Hedge{primary, alt, false, 2};
-  ++hedges_started_;
   metrics_.GetCounter("wlm_cluster_hedge_started_total").Increment();
   LogClusterEvent(WlmEventType::kHedged, spec.id,
                   "primary=" + std::to_string(primary) +
@@ -404,7 +384,6 @@ void ClusterDispatcher::CancelHedgeLoser(int loser, QueryId id) {
     for (auto it = orphans.begin(); it != orphans.end(); ++it) {
       if (it->spec.id == id) {
         orphans.erase(it);
-        ++hedges_cancelled_;
         metrics_.GetCounter("wlm_cluster_hedge_cancelled_total").Increment();
         // The life already closed as "blackholed" when the copy hit the
         // dead shard — that label stays; only the orphan record dies.
@@ -418,7 +397,6 @@ void ClusterDispatcher::CancelHedgeLoser(int loser, QueryId id) {
     return;
   }
   if (shard.wlm().KillRequest(id, /*resubmit=*/false).ok()) {
-    ++hedges_cancelled_;
     metrics_.GetCounter("wlm_cluster_hedge_cancelled_total").Increment();
     // The kill's terminal closed the life as "killed"; what it means
     // here is that the race was already won elsewhere.
@@ -443,7 +421,7 @@ void ClusterDispatcher::OnShardCompletion(int shard_index,
     const bool last = --hedge.outstanding <= 0;
     if (request.state == RequestState::kCompleted && !hedge.done) {
       hedge.done = true;
-      hedge_won_counters_[static_cast<size_t>(shard_index)]->Increment();
+      shard.hedge_won_->Increment();
       const int loser =
           shard_index == hedge.primary ? hedge.alternate : hedge.primary;
       const QueryId id = request.spec.id;
@@ -610,10 +588,10 @@ void ClusterDispatcher::HealthTick() {
     ClusterShard& shard = *shards_[static_cast<size_t>(i)];
     if (shard.crashed_) continue;  // dead processes do not beat
     if (link_.DropHeartbeat(i)) {
-      heartbeat_dropped_counters_[static_cast<size_t>(i)]->Increment();
+      shard.heartbeats_dropped_->Increment();
       continue;
     }
-    heartbeat_counters_[static_cast<size_t>(i)]->Increment();
+    shard.heartbeats_->Increment();
     const double delay = link_.Delay(i);
     if (delay <= 0.0) {
       DeliverHeartbeat(i);
@@ -681,8 +659,7 @@ void ClusterDispatcher::MarkShardDown(int shard_index,
   ClusterShard& shard = *shards_[static_cast<size_t>(shard_index)];
   if (shard.lifecycle_ == ShardLifecycle::kDown) return;
   shard.lifecycle_ = ShardLifecycle::kDown;
-  ++shard.down_transitions_;
-  down_counters_[static_cast<size_t>(shard_index)]->Increment();
+  shard.down_->Increment();
   LogClusterEvent(WlmEventType::kShardDown, 0,
                   "shard=" + std::to_string(shard_index) + " cause=" + why);
   // Cluster-level post-mortem: what the federated series looked like
@@ -715,6 +692,7 @@ void ClusterDispatcher::DrainOrphans(int shard_index) {
   std::vector<Orphan> orphans;
   orphans.swap(orphans_[static_cast<size_t>(shard_index)]);
   if (orphans.empty()) return;
+  ClusterShard& source = *shards_[static_cast<size_t>(shard_index)];
   const double now = sim_->Now();
   for (Orphan& orphan : orphans) {
     auto hit = hedges_.find(orphan.spec.id);
@@ -739,8 +717,7 @@ void ClusterDispatcher::DrainOrphans(int shard_index) {
     exclude.insert(shard_index);
     std::vector<int> eligible = EligibleShards(exclude);
     if (eligible.empty()) {
-      ++orphans_lost_;
-      lost_counters_[static_cast<size_t>(shard_index)]->Increment();
+      source.lost_->Increment();
       continue;
     }
     std::vector<ShardSnapshot> snaps = Snapshots(eligible);
@@ -756,8 +733,7 @@ void ClusterDispatcher::DrainOrphans(int shard_index) {
       // budget line to charge — so they skip the gate.)
       OverloadController* overload = target.wlm().overload();
       if (overload != nullptr && !overload->AllowRetry(orphan.workload, now)) {
-        ++orphans_lost_;
-        lost_counters_[static_cast<size_t>(shard_index)]->Increment();
+        source.lost_->Increment();
         continue;
       }
     }
@@ -770,10 +746,9 @@ void ClusterDispatcher::DrainOrphans(int shard_index) {
         RouteCause::kCrashDrain,
         journeys_.LatestLifeOnShard(orphan.spec.id, shard_index));
     if (status.ok()) {
-      drained_counters_[static_cast<size_t>(shard_index)]->Increment();
+      source.drained_->Increment();
     } else {
-      ++orphans_lost_;
-      lost_counters_[static_cast<size_t>(shard_index)]->Increment();
+      source.lost_->Increment();
     }
   }
 }
@@ -807,22 +782,16 @@ std::string ClusterDispatcher::FormatRouteLog() const {
 
 double ClusterDispatcher::ImbalanceCoefficient() const {
   double mean = 0.0;
-  for (const auto& shard : shards_) mean += static_cast<double>(shard->routed_);
+  for (const auto& shard : shards_) mean += shard->routed_->value();
   mean /= static_cast<double>(shards_.size());
   if (mean <= 0.0) return 0.0;
   double variance = 0.0;
   for (const auto& shard : shards_) {
-    const double d = static_cast<double>(shard->routed_) - mean;
+    const double d = shard->routed_->value() - mean;
     variance += d * d;
   }
   variance /= static_cast<double>(shards_.size());
   return std::sqrt(variance) / mean;
-}
-
-int64_t ClusterDispatcher::routed_total() const {
-  int64_t total = 0;
-  for (const auto& shard : shards_) total += shard->routed_;
-  return total;
 }
 
 void ClusterDispatcher::RefreshGauges() {
@@ -870,8 +839,9 @@ void ClusterDispatcher::ObservabilityTick() {
   // consume. Only the handful of families the tick needs are summed
   // directly off the shard registries — a full Federate() per tick costs
   // an order of magnitude more and is only built on demand for export.
-  double submitted = static_cast<double>(rejected_total_);
-  double bad = static_cast<double>(rejected_total_);
+  const double rejected = static_cast<double>(rejected_total());
+  double submitted = rejected;
+  double bad = rejected;
   double completed = 0.0;
   double queued = 0.0;
   double running = 0.0;

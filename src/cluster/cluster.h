@@ -133,16 +133,22 @@ class ClusterShard {
   /// Smoothed response time of recent completions, seconds.
   double ewma_latency_seconds() const { return ewma_latency_; }
   /// Queries routed here (initial placements + failovers that landed).
-  int64_t routed() const { return routed_; }
+  int64_t routed() const { return static_cast<int64_t>(routed_->value()); }
   /// Placement attempts this shard's overload gate refused.
-  int64_t refused() const { return refused_; }
+  int64_t refused() const { return static_cast<int64_t>(refused_->value()); }
   /// Queries re-dispatched *to* this shard after a shed/abort elsewhere.
-  int64_t redispatched_in() const { return redispatched_in_; }
+  int64_t redispatched_in() const {
+    return static_cast<int64_t>(redispatched_->value());
+  }
   /// Queries dispatched into this shard while its process was dead —
   /// lost until (unless) a drain grants them second lives.
-  int64_t blackholed() const { return blackholed_; }
+  int64_t blackholed() const {
+    return static_cast<int64_t>(blackholed_->value());
+  }
   /// Times the dispatcher declared this shard down.
-  int64_t down_transitions() const { return down_transitions_; }
+  int64_t down_transitions() const {
+    return static_cast<int64_t>(down_->value());
+  }
 
   /// P99 arrival-to-finish seconds over the shard's completed query
   /// profiles (0 when none completed yet).
@@ -164,11 +170,19 @@ class ClusterShard {
   PhiAccrualDetector detector_;
   WarmupGovernor warmup_;
   double ewma_latency_ = 0.0;
-  int64_t routed_ = 0;
-  int64_t refused_ = 0;
-  int64_t redispatched_in_ = 0;
-  int64_t blackholed_ = 0;
-  int64_t down_transitions_ = 0;
+  // This shard's series in the dispatcher's `wlm_cluster_*` registry, the
+  // only record of these counts. Bound by the dispatcher right after
+  // construction; registry series are pointer-stable.
+  Counter* routed_ = nullptr;
+  Counter* refused_ = nullptr;
+  Counter* redispatched_ = nullptr;
+  Counter* blackholed_ = nullptr;
+  Counter* down_ = nullptr;
+  Counter* heartbeats_ = nullptr;
+  Counter* heartbeats_dropped_ = nullptr;
+  Counter* drained_ = nullptr;
+  Counter* lost_ = nullptr;
+  Counter* hedge_won_ = nullptr;
 };
 
 /// Routes each arriving query to a shard via the configured placement
@@ -254,16 +268,22 @@ class ClusterDispatcher {
   /// counts: 0 = perfectly balanced.
   double ImbalanceCoefficient() const;
 
-  int64_t routed_total() const;
+  int64_t routed_total() const { return Total("wlm_cluster_routed_total"); }
   /// Queries refused by every eligible shard (cluster-level rejects).
-  int64_t rejected_total() const { return rejected_total_; }
+  int64_t rejected_total() const { return Total("wlm_cluster_rejected_total"); }
   /// Successful re-dispatches of shed/aborted queries to another shard.
-  int64_t redispatched_total() const { return redispatched_total_; }
+  int64_t redispatched_total() const {
+    return Total("wlm_cluster_redispatched_total");
+  }
   /// Hedged duplicates submitted / cancelled after the race resolved.
-  int64_t hedges_started() const { return hedges_started_; }
-  int64_t hedges_cancelled() const { return hedges_cancelled_; }
+  int64_t hedges_started() const {
+    return Total("wlm_cluster_hedge_started_total");
+  }
+  int64_t hedges_cancelled() const {
+    return Total("wlm_cluster_hedge_cancelled_total");
+  }
   /// Orphans denied a second life (retry budget or no eligible shard).
-  int64_t orphans_lost() const { return orphans_lost_; }
+  int64_t orphans_lost() const { return Total("wlm_cluster_health_lost_total"); }
 
   /// Cluster-level metrics registry (`wlm_cluster_*` families).
   MetricsRegistry& metrics() { return metrics_; }
@@ -305,6 +325,11 @@ class ClusterDispatcher {
   }
 
  private:
+  /// A `wlm_cluster_*` counter family's total: the sum over the shards of
+  /// a per-shard family, the single series of a cluster-scope one.
+  int64_t Total(const char* family) const {
+    return static_cast<int64_t>(metrics_.FamilyValueSum(family));
+  }
   /// Snapshots of `eligible` (shard indexes, ascending).
   std::vector<ShardSnapshot> Snapshots(const std::vector<int>& eligible) const;
   /// Shard indexes eligible for a placement, in three widening passes:
@@ -372,18 +397,6 @@ class ClusterDispatcher {
   MetricsRegistry metrics_;
   DispatchLinkModel link_;
   EventLog event_log_;
-  /// Pointer-stable cached counter handles, one per shard (label-set
-  /// construction is off the submit path).
-  std::vector<Counter*> routed_counters_;
-  std::vector<Counter*> refused_counters_;
-  std::vector<Counter*> redispatched_counters_;
-  std::vector<Counter*> heartbeat_counters_;
-  std::vector<Counter*> heartbeat_dropped_counters_;
-  std::vector<Counter*> down_counters_;
-  std::vector<Counter*> drained_counters_;
-  std::vector<Counter*> lost_counters_;
-  std::vector<Counter*> blackholed_counters_;
-  std::vector<Counter*> hedge_won_counters_;
   std::vector<RouteDecision> route_log_;
   /// Work stranded on each dead shard, awaiting detection (or lost for
   /// good when health is disabled).
@@ -396,11 +409,6 @@ class ClusterDispatcher {
   /// Query currently inside SubmitToShards: its arrival-time sheds are
   /// handled by the failover loop, not the re-dispatch listener.
   QueryId in_submit_query_ = 0;
-  int64_t rejected_total_ = 0;
-  int64_t redispatched_total_ = 0;
-  int64_t hedges_started_ = 0;
-  int64_t hedges_cancelled_ = 0;
-  int64_t orphans_lost_ = 0;
   // --- observability state (never read by a control decision) -------------
   JourneyLog journeys_;
   MetricsFederator federator_;

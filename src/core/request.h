@@ -59,7 +59,6 @@ struct Request {
   ResourceShares shares;
 
   RequestState state = RequestState::kArrived;
-  OutcomeKind outcome = OutcomeKind::kCompleted;
   double dispatch_time = -1.0;
   double finish_time = -1.0;
   /// Absolute sim-clock deadline by which the request must finish to
@@ -73,23 +72,6 @@ struct Request {
   int suspend_count = 0;
   /// Why admission rejected the request (empty otherwise).
   std::string reject_reason;
-
-  // --- cross-run phase accounting (latency decomposition) -----------------
-  /// In-engine phase totals accumulated over every run segment (initial
-  /// dispatch, post-suspend resumes, post-kill/deadlock reruns).
-  ExecPhaseTotals engine_phases;
-  /// Wall time spent in the wait queue across all queue passes (excludes
-  /// suspended waits and retry backoff, counted separately below).
-  double queue_wait_total_seconds = 0.0;
-  /// Wall time parked as a suspended query awaiting re-dispatch.
-  double suspended_wait_seconds = 0.0;
-  /// Wall time in fault-retry backoff limbo before requeue.
-  double retry_backoff_seconds = 0.0;
-  /// When the request last entered the wait queue or backoff limbo; the
-  /// manager rolls the waiting interval into the buckets above at
-  /// dispatch. Unlike `enqueued_time` (CoDel sojourn), this is also reset
-  /// on the suspend-requeue path.
-  double wait_segment_start = 0.0;
 
   [[nodiscard]] bool terminal() const {
     return state == RequestState::kRejected ||

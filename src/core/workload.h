@@ -1,7 +1,6 @@
 #ifndef WLM_CORE_WORKLOAD_H_
 #define WLM_CORE_WORKLOAD_H_
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -45,23 +44,7 @@ struct WorkloadCounters {
   /// Retries denied by the retry budget or deadline-aware retry check.
   int64_t retries_denied = 0;
   Percentiles queue_waits;
-  /// Per-phase wall-time distributions across this workload's terminal
-  /// requests, keyed by phase name ("queue", "lock_wait", "cpu_run",
-  /// "io_stall", "memory_stall", "throttled", "suspend_flush",
-  /// "suspended_wait", "retry_backoff"). Every terminal request
-  /// contributes a sample to every key, so distributions are comparable;
-  /// std::map keeps report iteration deterministic.
-  std::map<std::string, Percentiles> phase_seconds;
 };
-
-/// Canonical phase-name order for reports and rollups.
-inline const std::vector<std::string>& WorkloadPhaseNames() {
-  static const std::vector<std::string> kNames = {
-      "queue",       "lock_wait",      "cpu_run",
-      "io_stall",    "memory_stall",   "throttled",
-      "suspend_flush", "suspended_wait", "retry_backoff"};
-  return kNames;
-}
 
 }  // namespace wlm
 

@@ -130,7 +130,6 @@ Status WorkloadManager::SubmitWithPlan(QuerySpec spec, Plan plan) {
       LogEvent(WlmEventType::kRejected, *raw, decision.message());
       telemetry_->OnRejected(raw->spec.id, raw->workload, ac->info().name,
                              decision.message());
-      RecordPhaseSamples(*raw);
       for (const auto& fn : completion_listeners_) fn(*raw);
       return Status::Rejected(decision.message());
     }
@@ -152,7 +151,6 @@ Status WorkloadManager::SubmitWithPlan(QuerySpec spec, Plan plan) {
   // 3. Enter the wait queue; scheduling decides when it runs.
   raw->state = RequestState::kQueued;
   raw->enqueued_time = sim_->Now();
-  raw->wait_segment_start = sim_->Now();
   queue_.push_back(raw->spec.id);
   telemetry_->OnAdmitted(raw->spec.id, raw->workload);
   TryDispatch();
@@ -183,53 +181,14 @@ double WorkloadManager::DeriveDeadline(const Request& request) const {
 void WorkloadManager::ShedRequest(Request* request,
                                   const std::string& reason) {
   resumable_.erase(request->spec.id);
-  RollWaitSegment(request, sim_->Now());
   request->state = RequestState::kShed;
   request->finish_time = sim_->Now();
   request->reject_reason = reason;
   ++counters_[request->workload].shed;
-  RecordPhaseSamples(*request);
   if (overload_) overload_->CountShed();
   LogEvent(WlmEventType::kShed, *request, reason);
   telemetry_->OnShed(request->spec.id, request->workload, reason);
   for (const auto& fn : completion_listeners_) fn(*request);
-}
-
-void WorkloadManager::RollWaitSegment(Request* request, double now) {
-  // Only queued and suspended requests have an open wait segment;
-  // arrival-time sheds/rejects never started one.
-  if (request->state != RequestState::kQueued &&
-      request->state != RequestState::kSuspended) {
-    return;
-  }
-  double waited = std::max(0.0, now - request->wait_segment_start);
-  if (request->state == RequestState::kSuspended) {
-    request->suspended_wait_seconds += waited;
-  } else {
-    request->queue_wait_total_seconds += waited;
-  }
-  request->wait_segment_start = now;
-}
-
-void WorkloadManager::RecordPhaseSamples(const Request& request) {
-  WorkloadCounters& counters = counters_[request.workload];
-  const ExecPhaseTotals& engine = request.engine_phases;
-  // Every terminal request samples every phase key (zeros included) so
-  // the per-workload distributions stay comparable across phases.
-  const std::pair<const char*, double> samples[] = {
-      {"queue", request.queue_wait_total_seconds},
-      {"lock_wait", engine.lock_wait_seconds},
-      {"cpu_run", engine.cpu_run_seconds},
-      {"io_stall", engine.io_stall_seconds},
-      {"memory_stall", engine.memory_stall_seconds},
-      {"throttled", engine.throttled_seconds},
-      {"suspend_flush", engine.suspend_flush_seconds},
-      {"suspended_wait", request.suspended_wait_seconds},
-      {"retry_backoff", request.retry_backoff_seconds},
-  };
-  for (const auto& [name, seconds] : samples) {
-    counters.phase_seconds[name].Add(seconds);
-  }
 }
 
 void WorkloadManager::RunQueueShedding() {
@@ -345,7 +304,6 @@ void WorkloadManager::TryDispatch() {
 
 void WorkloadManager::DispatchRequest(Request* request) {
   QueryId id = request->spec.id;
-  RollWaitSegment(request, sim_->Now());
   if (request->dispatch_time < 0.0) {
     request->dispatch_time = sim_->Now();
     counters_[request->workload].queue_waits.Add(sim_->Now() -
@@ -404,7 +362,6 @@ void WorkloadManager::LogEvent(WlmEventType type, const Request& request,
 void WorkloadManager::Requeue(Request* request) {
   request->state = RequestState::kQueued;
   request->enqueued_time = sim_->Now();
-  request->wait_segment_start = sim_->Now();
   queue_.push_back(request->spec.id);
   telemetry_->OnRequeued(request->spec.id, request->workload);
 }
@@ -444,7 +401,6 @@ void WorkloadManager::FinishTerminal(Request* request, RequestState state,
   telemetry_->OnTerminal(request->spec.id, request->workload, outcome_name,
                          request->ResponseTime(), request->QueueWait(),
                          outcome);
-  RecordPhaseSamples(*request);
   if (overload_) {
     // Feed the workload's breaker and the brownout window. Shed requests
     // never reach here: counting our own sheds as violations would latch
@@ -468,9 +424,6 @@ void WorkloadManager::OnFinish(const QueryOutcome& outcome) {
   Request* request = it->second.get();
   running_.erase(outcome.id);
   degraded_throttled_.erase(outcome.id);
-  // Fold the segment's in-engine phase decomposition into the request's
-  // cross-run totals before the outcome-specific handling below.
-  request->engine_phases.Accumulate(outcome.phases);
   telemetry_->OnRunSegment(outcome.id, request->workload, outcome);
   WorkloadCounters& counters = counters_[request->workload];
 
@@ -522,7 +475,6 @@ void WorkloadManager::OnFinish(const QueryOutcome& outcome) {
       ++request->suspend_count;
       ++counters.suspended;
       request->state = RequestState::kSuspended;
-      request->wait_segment_start = sim_->Now();
       LogEvent(WlmEventType::kSuspended, *request);
       telemetry_->OnSuspended(outcome.id, request->workload);
       queue_.push_back(outcome.id);
@@ -628,15 +580,14 @@ Status WorkloadManager::KillRequest(QueryId id, bool resubmit) {
   if (it == requests_.end()) return Status::NotFound("unknown request");
   Request* request = it->second.get();
   // A queued (or suspended) victim never reached the engine, so the
-  // engine can't kill it; retire it here instead: close the open wait
-  // segment and drive the same kKilled terminal bookkeeping the engine's
-  // finish callback would have produced for a running victim.
+  // engine can't kill it; retire it here instead: drive the same kKilled
+  // terminal bookkeeping the engine's finish callback would have produced
+  // for a running victim.
   if (request->state == RequestState::kQueued ||
       request->state == RequestState::kSuspended) {
     auto queued = std::find(queue_.begin(), queue_.end(), id);
     if (queued != queue_.end()) queue_.erase(queued);
     resumable_.erase(id);
-    RollWaitSegment(request, sim_->Now());
     if (resubmit && request->resubmits < config_.max_resubmits) {
       ++request->resubmits;
       ++counters_[request->workload].resubmitted;
@@ -815,10 +766,7 @@ void WorkloadManager::ScheduleFaultRetry(Request* request, double delay) {
   LogEvent(WlmEventType::kResubmitted, *request, buf);
   telemetry_->OnFaultRetry(request->spec.id, request->workload, delay);
   // Backoff limbo: queued state but not yet in the wait queue, so the
-  // scheduler cannot dispatch it before the backoff elapses. The whole
-  // delay is backoff time by construction (the requeue fires exactly
-  // `delay` seconds from now).
-  request->retry_backoff_seconds += delay;
+  // scheduler cannot dispatch it before the backoff elapses.
   request->state = RequestState::kQueued;
   QueryId id = request->spec.id;
   sim_->Schedule(delay, [this, id] {

@@ -236,12 +236,6 @@ class WorkloadManager : public FaultSink {
                                        std::string* reason);
   /// Marks a request shed (terminal), with counters/log/telemetry.
   void ShedRequest(Request* request, const std::string& reason);
-  /// Rolls the open wait segment (queue / suspended / backoff limbo)
-  /// into the request's wait buckets at `now`.
-  void RollWaitSegment(Request* request, double now);
-  /// Samples every phase bucket of a terminal request into its
-  /// workload's per-phase percentile distributions.
-  void RecordPhaseSamples(const Request& request);
   /// Deadline-unreachable + CoDel shedding over the wait queue; flips
   /// the FIFO/LIFO discipline flag. Runs at the top of TryDispatch.
   void RunQueueShedding();

@@ -1,7 +1,6 @@
 #include "telemetry/event_log.h"
 
 #include <algorithm>
-#include <cassert>
 
 namespace wlm {
 
@@ -62,48 +61,34 @@ const char* WlmEventTypeToString(WlmEventType type) {
 EventLog::EventLog(size_t max_events) : max_events_(max_events) {}
 
 void EventLog::Append(WlmEvent event) {
-  const int64_t seq = total_++;
-  by_type_[static_cast<size_t>(event.type)].push_back(seq);
-  by_query_[event.query].push_back(seq);
+  ++total_;
+  ++retained_by_type_[static_cast<size_t>(event.type)];
   events_.push_back(std::move(event));
   while (events_.size() > max_events_) {
-    const WlmEvent& oldest = events_.front();
-    // The evicted event holds the globally smallest sequence number, so it
-    // must sit at the front of both of its index deques.
-    auto& type_index = by_type_[static_cast<size_t>(oldest.type)];
-    assert(!type_index.empty() && type_index.front() == first_seq_);
-    type_index.pop_front();
-    auto query_it = by_query_.find(oldest.query);
-    assert(query_it != by_query_.end() &&
-           query_it->second.front() == first_seq_);
-    query_it->second.pop_front();
-    if (query_it->second.empty()) by_query_.erase(query_it);
+    --retained_by_type_[static_cast<size_t>(events_.front().type)];
     events_.pop_front();
-    ++first_seq_;
   }
 }
 
 void EventLog::Clear() {
   events_.clear();
-  for (auto& index : by_type_) index.clear();
-  by_query_.clear();
-  first_seq_ = total_;
+  retained_by_type_.fill(0);
 }
 
 std::vector<WlmEvent> EventLog::OfType(WlmEventType type) const {
-  const auto& index = by_type_[static_cast<size_t>(type)];
   std::vector<WlmEvent> out;
-  out.reserve(index.size());
-  for (int64_t seq : index) out.push_back(AtSeq(seq));
+  out.reserve(static_cast<size_t>(CountOf(type)));
+  for (const WlmEvent& event : events_) {
+    if (event.type == type) out.push_back(event);
+  }
   return out;
 }
 
 std::vector<WlmEvent> EventLog::ForQuery(QueryId id) const {
-  auto it = by_query_.find(id);
-  if (it == by_query_.end()) return {};
   std::vector<WlmEvent> out;
-  out.reserve(it->second.size());
-  for (int64_t seq : it->second) out.push_back(AtSeq(seq));
+  for (const WlmEvent& event : events_) {
+    if (event.query == id) out.push_back(event);
+  }
   return out;
 }
 
@@ -115,10 +100,6 @@ std::vector<WlmEvent> EventLog::InWindow(double begin, double end) const {
       lo, events_.end(), end,
       [](const WlmEvent& e, double t) { return e.time < t; });
   return std::vector<WlmEvent>(lo, hi);
-}
-
-int64_t EventLog::CountOf(WlmEventType type) const {
-  return static_cast<int64_t>(by_type_[static_cast<size_t>(type)].size());
 }
 
 }  // namespace wlm

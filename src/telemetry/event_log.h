@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <deque>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "engine/types.h"
@@ -59,9 +58,9 @@ struct WlmEvent {
 };
 
 /// Bounded, append-only event log. Oldest events are evicted past
-/// `max_events` (the total count keeps counting). Per-type and per-query
-/// secondary indexes keep OfType/ForQuery/CountOf proportional to the
-/// result size instead of the retained window, and InWindow binary
+/// `max_events` (the total count keeps counting). The retained window is
+/// the only record: OfType/ForQuery scan it, CountOf reads a per-type
+/// count kept in step with appends and evictions, and InWindow binary
 /// searches the (nondecreasing) event times.
 class EventLog {
  public:
@@ -81,21 +80,15 @@ class EventLog {
   /// Events with time in [begin, end).
   std::vector<WlmEvent> InWindow(double begin, double end) const;
   /// Count of events of `type` (within the retained window). O(1).
-  int64_t CountOf(WlmEventType type) const;
-
- private:
-  const WlmEvent& AtSeq(int64_t seq) const {
-    return events_[static_cast<size_t>(seq - first_seq_)];
+  int64_t CountOf(WlmEventType type) const {
+    return retained_by_type_[static_cast<size_t>(type)];
   }
 
+ private:
   size_t max_events_;
-  int64_t total_ = 0;      // sequence number of the next append
-  int64_t first_seq_ = 0;  // sequence number of events_.front()
+  int64_t total_ = 0;
   std::deque<WlmEvent> events_;
-  // Secondary indexes hold sequence numbers (append order == time order),
-  // so eviction only ever pops their fronts.
-  std::array<std::deque<int64_t>, kWlmEventTypeCount> by_type_;
-  std::unordered_map<QueryId, std::deque<int64_t>> by_query_;
+  std::array<int64_t, kWlmEventTypeCount> retained_by_type_{};
 };
 
 }  // namespace wlm

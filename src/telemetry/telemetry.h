@@ -82,7 +82,6 @@ class Telemetry {
             TelemetryOptions options = TelemetryOptions());
 
   bool enabled() const { return enabled_; }
-  void set_enabled(bool enabled) { enabled_ = enabled; }
 
   Tracer& tracer() { return tracer_; }
   const Tracer& tracer() const { return tracer_; }
@@ -202,7 +201,7 @@ class Telemetry {
   Simulation* sim_;
   Monitor* monitor_;
   EventLog* event_log_;
-  bool enabled_;
+  const bool enabled_;
   bool profiling_;
   bool flight_recorder_enabled_;
   Tracer tracer_;

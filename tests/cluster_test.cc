@@ -23,6 +23,41 @@ std::vector<ShardSnapshot> Snaps(std::vector<ShardSnapshot> snaps) {
   return snaps;
 }
 
+// Every shard getter and dispatcher total reads back exactly the
+// `wlm_cluster_*` series the registry exports.
+void ExpectCountersMatchMetrics(ClusterDispatcher& cluster) {
+  const MetricsRegistry& metrics = cluster.metrics();
+  auto series = [&](const char* family, int shard) -> int64_t {
+    const Counter* counter =
+        metrics.FindCounter(family, {{"shard", std::to_string(shard)}});
+    return counter == nullptr ? -1 : static_cast<int64_t>(counter->value());
+  };
+  auto family = [&](const char* name) {
+    return static_cast<int64_t>(FamilyValueSum(metrics, name));
+  };
+  for (int s = 0; s < cluster.num_shards(); ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    const ClusterShard& shard = cluster.shard(s);
+    EXPECT_EQ(shard.routed(), series("wlm_cluster_routed_total", s));
+    EXPECT_EQ(shard.refused(), series("wlm_cluster_refused_total", s));
+    EXPECT_EQ(shard.redispatched_in(),
+              series("wlm_cluster_redispatched_total", s));
+    EXPECT_EQ(shard.blackholed(),
+              series("wlm_cluster_health_blackholed_total", s));
+    EXPECT_EQ(shard.down_transitions(),
+              series("wlm_cluster_health_down_total", s));
+  }
+  EXPECT_EQ(cluster.routed_total(), family("wlm_cluster_routed_total"));
+  EXPECT_EQ(cluster.rejected_total(), family("wlm_cluster_rejected_total"));
+  EXPECT_EQ(cluster.redispatched_total(),
+            family("wlm_cluster_redispatched_total"));
+  EXPECT_EQ(cluster.hedges_started(),
+            family("wlm_cluster_hedge_started_total"));
+  EXPECT_EQ(cluster.hedges_cancelled(),
+            family("wlm_cluster_hedge_cancelled_total"));
+  EXPECT_EQ(cluster.orphans_lost(), family("wlm_cluster_health_lost_total"));
+}
+
 // ------------------------------------------------- placement policies
 
 TEST(PlacementTest, RoundRobinCyclesEligibleShards) {
@@ -192,6 +227,7 @@ TEST(ClusterDispatcherTest, FailsOverWhenOneShardRefuses) {
   EXPECT_TRUE(saw_failover);
   EXPECT_GT(cluster.rejected_total(), 0);
   EXPECT_GT(cluster.shard(0).refused() + cluster.shard(1).refused(), 0);
+  ExpectCountersMatchMetrics(cluster);
 }
 
 TEST(ClusterDispatcherTest, RejectsOnlyWhenEveryShardRefuses) {
@@ -414,6 +450,9 @@ TEST(ClusterHealthTest, CrashDrainGrantsSecondLivesAndConservesWork) {
     EXPECT_EQ(journey.OpenLives(), 0);
   }
   EXPECT_TRUE(saw_drain_chain);
+  EXPECT_EQ(cluster.shard(0).down_transitions(), 1);
+  EXPECT_GT(cluster.redispatched_total(), 0);
+  ExpectCountersMatchMetrics(cluster);
 }
 
 TEST(ClusterHealthTest, FederatedExportMergesShardRegistries) {
@@ -473,6 +512,7 @@ TEST(ClusterHealthTest, BlackholedArrivalsDrainOnceDetected) {
   EXPECT_EQ(cluster.shard(1).wlm().event_log().CountOf(WlmEventType::kCompleted),
             4);
   EXPECT_EQ(cluster.orphans_lost(), 0);
+  ExpectCountersMatchMetrics(cluster);
 }
 
 TEST(ClusterHealthTest, UndefendedCrashLosesBlackholedQueriesForever) {
@@ -662,6 +702,7 @@ TEST(ClusterHealthTest, HedgeLoserIsCancelledWhenBothCopiesRun) {
   EXPECT_EQ(journey->lives[1].cause, RouteCause::kHedge);
   EXPECT_EQ(journey->lives[1].outcome, "completed");
   EXPECT_EQ(journey->OpenLives(), 0);
+  ExpectCountersMatchMetrics(cluster);
 }
 
 TEST(ClusterHealthTest, AnnouncedRestartDrainsWithoutDetectionLatency) {

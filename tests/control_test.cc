@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "control/capacity.h"
 #include "control/controllers.h"
 #include "control/queueing.h"
 #include "control/utility.h"
@@ -263,50 +262,6 @@ TEST(QueueingTest, ClosedMvaThinkTimeReducesLoad) {
   EXPECT_GT(busy, thinky);
   // With long think time, throughput ~ n / (think + service).
   EXPECT_NEAR(thinky, 4.0 / 11.0, 0.05);
-}
-
-// ------------------------------------------------------ CapacityEstimator
-
-TEST(CapacityEstimatorTest, NoObservationsAssumesFullHeadroom) {
-  CapacityEstimator estimator;
-  CapacityEstimate est = estimator.Estimate(4, 2000.0);
-  EXPECT_TRUE(est.can_accept_more);
-  EXPECT_NEAR(est.cpu_seconds_per_second, 0.9 * 4, 1e-9);
-}
-
-TEST(CapacityEstimatorTest, HeadroomShrinksWithUtilization) {
-  CapacityEstimator estimator;
-  for (int i = 0; i < 50; ++i) estimator.Observe(0.45, 0.3, 0.2, 1.0);
-  CapacityEstimate est = estimator.Estimate(4, 2000.0);
-  EXPECT_NEAR(est.cpu_headroom, 0.5, 0.02);
-  EXPECT_TRUE(est.can_accept_more);
-  // Saturated system: zero headroom.
-  for (int i = 0; i < 100; ++i) estimator.Observe(1.0, 1.0, 0.2, 1.0);
-  est = estimator.Estimate(4, 2000.0);
-  EXPECT_LT(est.headroom, 0.05);
-  EXPECT_FALSE(est.can_accept_more);
-}
-
-TEST(CapacityEstimatorTest, MemoryAndLockPressureVeto) {
-  CapacityEstimator estimator;
-  for (int i = 0; i < 50; ++i) estimator.Observe(0.2, 0.2, 0.99, 1.0);
-  EXPECT_TRUE(estimator.Estimate(4, 2000.0).memory_pressure);
-  EXPECT_FALSE(estimator.Estimate(4, 2000.0).can_accept_more);
-
-  CapacityEstimator locky;
-  for (int i = 0; i < 50; ++i) locky.Observe(0.2, 0.2, 0.2, 2.5);
-  EXPECT_TRUE(locky.Estimate(4, 2000.0).lock_pressure);
-  EXPECT_FALSE(locky.Estimate(4, 2000.0).can_accept_more);
-}
-
-TEST(CapacityEstimatorTest, HeadroomBoundsAdmissibleRates) {
-  CapacityEstimator estimator;
-  for (int i = 0; i < 50; ++i) estimator.Observe(0.0, 0.45, 0.1, 1.0);
-  CapacityEstimate est = estimator.Estimate(2, 1000.0);
-  EXPECT_NEAR(est.cpu_headroom, 1.0, 1e-9);
-  EXPECT_NEAR(est.io_headroom, 0.5, 0.02);
-  EXPECT_NEAR(est.headroom, est.io_headroom, 1e-9);
-  EXPECT_NEAR(est.io_ops_per_second, 0.5 * 0.9 * 1000.0, 20.0);
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 #include "admission/threshold_admission.h"
 #include "characterization/static_classifier.h"
 #include "common/table_printer.h"
-#include "control/capacity.h"
 #include "core/workload_manager.h"
 #include "execution/fuzzy_controller.h"
 #include "scheduling/queue_schedulers.h"
@@ -159,24 +158,6 @@ TEST(FuzzyControllerTest, WorkloadFilterSkipsOthers) {
   EXPECT_EQ(raw->kills(), 0);
   EXPECT_EQ(raw->resubmit_kills(), 0);
   EXPECT_EQ(raw->reprioritizations(), 0);
-}
-
-// ---------------------------------------------- capacity + WLM integration
-
-TEST(CapacityIntegrationTest, EstimatorFedFromMonitorSamples) {
-  TestRig rig;
-  CapacityEstimator estimator;
-  rig.monitor.AddSampleListener([&](const SystemIndicators& ind) {
-    estimator.Observe(ind.cpu_utilization, ind.io_utilization,
-                      ind.memory_utilization, ind.conflict_ratio);
-  });
-  // Saturate both CPUs for a while.
-  ASSERT_TRUE(rig.wlm.Submit(BiSpec(1, 30.0, 10.0, 8.0)).ok());
-  ASSERT_TRUE(rig.wlm.Submit(BiSpec(2, 30.0, 10.0, 8.0)).ok());
-  rig.sim.RunUntil(10.0);
-  CapacityEstimate est = estimator.Estimate(2, 1000.0);
-  EXPECT_LT(est.cpu_headroom, 0.2);
-  EXPECT_FALSE(est.can_accept_more);
 }
 
 // ------------------------------------------------------ formatting corners

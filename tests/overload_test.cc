@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "admission/deadline_admission.h"
 #include "characterization/static_classifier.h"
 #include "execution/timeout_escalation.h"
 #include "faults/fault_injector.h"
@@ -634,28 +633,6 @@ TEST(ManagerOverloadTest, BrownoutShedsBackgroundClassesFirst) {
     if (event.type == WlmEventType::kBrownoutStepped) stepped_logged = true;
   }
   EXPECT_TRUE(stepped_logged);
-}
-
-// -------------------------------------- DeadlineFeasibilityAdmission
-
-TEST(DeadlineAdmissionTest, RejectsArrivalsThatCannotMeetTheirDeadline) {
-  WlmConfig config;
-  config.overload.enabled = true;
-  TestRig rig(TestEngineConfig(), 0.5, config);
-  rig.wlm.AddAdmissionController(
-      std::make_unique<DeadlineFeasibilityAdmission>());
-  QuerySpec hopeless = BiSpec(1, 4.0);  // ~4s of CPU alone
-  hopeless.deadline_seconds = 0.5;
-  Status status = rig.wlm.Submit(hopeless);
-  EXPECT_EQ(status.code(), StatusCode::kRejected);
-  EXPECT_EQ(rig.wlm.Find(1)->state, RequestState::kRejected);
-  EXPECT_EQ(rig.wlm.counters("default").rejected, 1);
-
-  QuerySpec feasible = BiSpec(2, 0.1, 10.0, 8.0);
-  feasible.deadline_seconds = 30.0;
-  EXPECT_TRUE(rig.wlm.Submit(feasible).ok());
-  QuerySpec no_deadline = BiSpec(3, 4.0);
-  EXPECT_TRUE(rig.wlm.Submit(no_deadline).ok());
 }
 
 // ------------------------------------------------ Timeout escalation
