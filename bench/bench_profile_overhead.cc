@@ -68,7 +68,6 @@ double RunOnce(Mode mode, ArmResult* out) {
   WlmConfig config;
   config.telemetry.enabled = mode != Mode::kTelemetryOff;
   config.telemetry.profiling = mode == Mode::kProfilingOn;
-  config.telemetry.flight_recorder = mode == Mode::kProfilingOn;
   WorkloadManager manager(&sim, &engine, &monitor, config);
   wlm_bench::DefineStandardWorkloads(&manager);
   manager.set_scheduler(std::make_unique<PriorityScheduler>(/*mpl=*/10));

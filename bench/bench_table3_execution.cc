@@ -5,8 +5,10 @@
 // Columns report the action evidence and the OLTP p95 with / without the
 // technique.
 
+#include <functional>
 #include <iostream>
 #include <memory>
+#include <string>
 
 #include "bench/bench_util.h"
 #include "execution/kill.h"
@@ -37,8 +39,11 @@ EngineConfig SmallServer() {
   return config;
 }
 
-// Common interference scenario; `install` adds the technique under test.
-Outcome Run(const std::function<std::string(BenchRig*)>& install) {
+// Common interference scenario; `install` adds the technique under test
+// and `evidence` reports what it did. Both run while the rig, which owns
+// the technique, is alive.
+Outcome Run(const std::function<void(BenchRig*)>& install,
+            const std::function<std::string()>& evidence) {
   BenchRig rig(SmallServer());
   wlm_bench::DefineStandardWorkloads(&rig.wlm);
   // Flat engine weights: the *business* priorities still mark who matters
@@ -46,8 +51,7 @@ Outcome Run(const std::function<std::string(BenchRig*)>& install) {
   // same — protection must come from the execution-control technique.
   rig.wlm.SetWorkloadShares("oltp", {2.0, 2.0});
   rig.wlm.SetWorkloadShares("bi", {2.0, 2.0});
-  std::string static_evidence;
-  if (install) static_evidence = install(&rig);
+  if (install) install(&rig);
 
   // Interference: 3 big BI queries at t=0 plus an OLTP stream.
   WorkloadGenerator gen(1234);
@@ -69,7 +73,7 @@ Outcome Run(const std::function<std::string(BenchRig*)>& install) {
   outcome.oltp_p95 =
       rig.monitor.tag_stats("oltp").response_times.Percentile(95);
   outcome.bi_completed = rig.monitor.tag_stats("bi").completed;
-  outcome.evidence = static_evidence;
+  outcome.evidence = evidence ? evidence() : "-";
   return outcome;
 }
 
@@ -86,10 +90,10 @@ int main() {
 
   // Baseline.
   {
-    Outcome o = Run(nullptr);
+    Outcome o = Run(nullptr, nullptr);
     table.AddRow({"(no execution control)", "-",
                   TablePrinter::Num(o.oltp_p95, 3),
-                  TablePrinter::Int(o.bi_completed), "-"});
+                  TablePrinter::Int(o.bi_completed), o.evidence});
   }
 
   // Row 1: priority aging.
@@ -103,12 +107,10 @@ int main() {
       auto controller = std::make_unique<PriorityAgingController>(config);
       aging = controller.get();
       rig->wlm.AddExecutionController(std::move(controller));
-      return "";
-    });
+    }, [&] { return TablePrinter::Int(aging->demotions()) + " demotions"; });
     table.AddRow({"Priority Aging [9]", "Reprioritization",
                   TablePrinter::Num(o.oltp_p95, 3),
-                  TablePrinter::Int(o.bi_completed),
-                  TablePrinter::Int(aging->demotions()) + " demotions"});
+                  TablePrinter::Int(o.bi_completed), o.evidence});
   }
 
   // Row 2: policy-driven (economic) resource allocation.
@@ -122,14 +124,14 @@ int main() {
           std::make_unique<EconomicReallocationController>(config);
       econ = controller.get();
       rig->wlm.AddExecutionController(std::move(controller));
-      return "";
+    }, [&] {
+      return "oltp cpu share " +
+             TablePrinter::Pct(econ->LastAllocation("oltp").cpu_share);
     });
     table.AddRow(
         {"Policy-Driven Resource Allocation [4][78]", "Reprioritization",
          TablePrinter::Num(o.oltp_p95, 3),
-         TablePrinter::Int(o.bi_completed),
-         "oltp cpu share " +
-             TablePrinter::Pct(econ->LastAllocation("oltp").cpu_share)});
+         TablePrinter::Int(o.bi_completed), o.evidence});
   }
 
   // Row 3: query kill.
@@ -142,12 +144,10 @@ int main() {
       auto controller = std::make_unique<QueryKillController>(config);
       killer = controller.get();
       rig->wlm.AddExecutionController(std::move(controller));
-      return "";
-    });
+    }, [&] { return TablePrinter::Int(killer->kills()) + " kills"; });
     table.AddRow({"Query Kill [30][50][61][72]", "Cancellation",
                   TablePrinter::Num(o.oltp_p95, 3),
-                  TablePrinter::Int(o.bi_completed),
-                  TablePrinter::Int(killer->kills()) + " kills"});
+                  TablePrinter::Int(o.bi_completed), o.evidence});
   }
 
   // Row 4: query stop-and-restart (suspend & resume).
@@ -165,13 +165,13 @@ int main() {
       gate.min_cpu_utilization = 0.3;
       rig->wlm.AddAdmissionController(
           std::make_unique<SuspendedResumeGate>(gate));
-      return "";
+    }, [&] {
+      return TablePrinter::Int(suspender->suspensions()) +
+             " suspensions (resumed later)";
     });
     table.AddRow({"Query Stop-and-Restart [10][12]", "Suspend & Resume",
                   TablePrinter::Num(o.oltp_p95, 3),
-                  TablePrinter::Int(o.bi_completed),
-                  TablePrinter::Int(suspender->suspensions()) +
-                      " suspensions (resumed later)"});
+                  TablePrinter::Int(o.bi_completed), o.evidence});
   }
 
   // Row 5: request throttling.
@@ -185,13 +185,12 @@ int main() {
       auto controller = std::make_unique<QueryThrottleController>(config);
       throttler = controller.get();
       rig->wlm.AddExecutionController(std::move(controller));
-      return "";
+    }, [&] {
+      return "final throttle " + TablePrinter::Pct(throttler->throttle_level());
     });
-    table.AddRow(
-        {"Request Throttling [64][65][66]", "Throttling",
-         TablePrinter::Num(o.oltp_p95, 3),
-         TablePrinter::Int(o.bi_completed),
-         "final throttle " + TablePrinter::Pct(throttler->throttle_level())});
+    table.AddRow({"Request Throttling [64][65][66]", "Throttling",
+                  TablePrinter::Num(o.oltp_p95, 3),
+                  TablePrinter::Int(o.bi_completed), o.evidence});
   }
 
   table.Print(std::cout);

@@ -61,16 +61,21 @@ class AdmissionController {
 /// managers) how many may enter the engine.
 class Scheduler {
  public:
+  /// `mpl` is the concurrency limit ConcurrencyLimit reports by default;
+  /// <= 0 leaves concurrency uncapped.
+  explicit Scheduler(int mpl = 0) : mpl_(mpl) {}
   virtual ~Scheduler() = default;
   /// Orders the given queued requests by dispatch preference (front first).
-  /// The manager dispatches from the front while gates allow.
+  /// Returns ids from `queued`; the manager dispatches from the front while
+  /// free slots and gates allow, skipping unknown and repeated ids.
   virtual std::vector<QueryId> Order(const std::vector<const Request*>& queued,
                                      const WorkloadManager& manager) = 0;
   /// Upper bound on engine concurrency this round; the manager dispatches
-  /// at most (limit - running) new requests. Return <= 0 for "no limit".
+  /// at most (limit - running) new requests and does not call Order while
+  /// none may go. Return <= 0 for "no limit". Defaults to the MPL.
   virtual int ConcurrencyLimit(const WorkloadManager& manager) {
     (void)manager;
-    return 0;
+    return mpl_;
   }
   virtual void OnSample(const SystemIndicators& indicators,
                         WorkloadManager& manager) {
@@ -78,6 +83,13 @@ class Scheduler {
     (void)manager;
   }
   virtual TechniqueInfo info() const = 0;
+
+ protected:
+  int mpl() const { return mpl_; }
+  void set_mpl(int mpl) { mpl_ = mpl; }
+
+ private:
+  int mpl_;
 };
 
 /// Execution control: inspects running queries at each monitor sample and

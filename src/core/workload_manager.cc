@@ -151,7 +151,7 @@ Status WorkloadManager::SubmitWithPlan(QuerySpec spec, Plan plan) {
   // 3. Enter the wait queue; scheduling decides when it runs.
   raw->state = RequestState::kQueued;
   raw->enqueued_time = sim_->Now();
-  queue_.push_back(raw->spec.id);
+  queue_.push_back(raw);
   telemetry_->OnAdmitted(raw->spec.id, raw->workload);
   TryDispatch();
   return Status::OK();
@@ -199,12 +199,12 @@ void WorkloadManager::RunQueueShedding() {
   // it now instead of burning engine capacity on a guaranteed miss.
   if (config_.overload.deadline_shedding) {
     for (size_t i = 0; i < queue_.size();) {
-      Request* request = requests_.at(queue_[i]).get();
-      if (request->HasDeadline() &&
-          now + request->plan.est_elapsed_seconds > request->deadline) {
+      const Request* queued = queue_[i];
+      if (queued->HasDeadline() &&
+          now + queued->plan.est_elapsed_seconds > queued->deadline) {
         queue_.erase(queue_.begin() +
                      static_cast<std::ptrdiff_t>(i));
-        ShedRequest(request, "deadline");
+        ShedRequest(requests_.at(queued->spec.id).get(), "deadline");
         continue;
       }
       ++i;
@@ -214,13 +214,13 @@ void WorkloadManager::RunQueueShedding() {
   if (config_.overload.shedding) {
     bool lifo = queue_lifo_;
     while (!queue_.empty()) {
-      Request* head = requests_.at(queue_.front()).get();
+      const Request* head = queue_.front();
       CodelQueuePolicy::Decision decision = overload_->ObserveQueue(
           now, now - head->enqueued_time, static_cast<int>(queue_.size()));
       lifo = decision.lifo;
       if (!decision.shed) break;
       queue_.erase(queue_.begin());
-      ShedRequest(head, "codel");
+      ShedRequest(requests_.at(head->spec.id).get(), "codel");
     }
     if (queue_.empty()) lifo = overload_->lifo();
     if (lifo != queue_lifo_) {
@@ -234,55 +234,23 @@ void WorkloadManager::TryDispatch() {
   if (in_try_dispatch_) return;  // re-entrancy guard (finish callbacks)
   in_try_dispatch_ = true;
   RunQueueShedding();
-  while (true) {
-    if (queue_.empty()) break;
-
-    std::vector<const Request*> queued;
-    queued.reserve(queue_.size());
-    for (QueryId id : queue_) queued.push_back(requests_.at(id).get());
-
-    std::vector<QueryId> order;
-    if (queue_lifo_) {
-      // Sustained-overload discipline: serve newest first — the freshest
-      // request is the only one whose deadline is still reachable, while
-      // a stale FIFO backlog would miss every SLO it drains into.
-      order = queue_;
-      std::sort(order.begin(), order.end(), [this](QueryId a, QueryId b) {
-        const Request* ra = requests_.at(a).get();
-        const Request* rb = requests_.at(b).get();
-        if (ra->enqueued_time != rb->enqueued_time) {
-          return ra->enqueued_time > rb->enqueued_time;
-        }
-        return a > b;
-      });
-    } else if (scheduler_) {
-      order = scheduler_->Order(queued, *this);
-    } else {
-      order.reserve(queue_.size());
-      for (QueryId id : queue_) order.push_back(id);
-    }
-
-    int allowed = static_cast<int>(queue_.size());
-    if (scheduler_) {
-      int limit = scheduler_->ConcurrencyLimit(*this);
-      if (limit > 0) {
-        // Graceful degradation sheds MPL while a fault window is active:
-        // the shrunken engine thrashes at the healthy concurrency level.
-        if (degraded()) {
-          limit = std::max(
-              1, static_cast<int>(std::floor(
-                     limit * config_.resilience.degraded_mpl_factor)));
-        }
-        allowed = limit - static_cast<int>(running_.size());
-      }
-    }
-
+  // One round per pass: count the free slots, order the queue once,
+  // dispatch from the front while gates allow, compact the queue once.
+  // Another round follows only if this one dispatched something.
+  while (!queue_.empty()) {
+    const int slots = FreeSlots();
+    if (slots <= 0) break;  // concurrency limit reached: nothing to order
     int dispatched = 0;
-    for (QueryId id : order) {
-      if (dispatched >= allowed) break;
-      auto queue_it = std::find(queue_.begin(), queue_.end(), id);
-      if (queue_it == queue_.end()) continue;  // scheduler returned junk
-      Request* request = requests_.at(id).get();
+    for (QueryId id : DispatchOrder()) {
+      if (dispatched >= slots) break;
+      auto it = requests_.find(id);
+      if (it == requests_.end()) continue;  // scheduler returned junk
+      Request* request = it->second.get();
+      // Not waiting: the scheduler repeated an id dispatched this round.
+      if (request->state != RequestState::kQueued &&
+          request->state != RequestState::kSuspended) {
+        continue;
+      }
       bool gated = false;
       for (const auto& ac : admission_) {
         if (!ac->AllowDispatch(*request, *this)) {
@@ -293,13 +261,50 @@ void WorkloadManager::TryDispatch() {
         }
       }
       if (gated) continue;
-      queue_.erase(queue_it);
       DispatchRequest(request);
       ++dispatched;
     }
     if (dispatched == 0) break;  // nothing else can go this round
+    // Dispatch only starts an execution, never finishes one, so the
+    // running entries are exactly this round's dispatches.
+    std::erase_if(queue_, [](const Request* queued) {
+      return queued->state == RequestState::kRunning;
+    });
   }
   in_try_dispatch_ = false;
+}
+
+int WorkloadManager::FreeSlots() {
+  int limit = scheduler_ ? scheduler_->ConcurrencyLimit(*this) : 0;
+  if (limit <= 0) return static_cast<int>(queue_.size());
+  // Graceful degradation sheds MPL while a fault window is active: the
+  // shrunken engine thrashes at the healthy concurrency level.
+  if (degraded()) {
+    limit = std::max(1, static_cast<int>(std::floor(
+                            limit * config_.resilience.degraded_mpl_factor)));
+  }
+  return limit - static_cast<int>(running_.size());
+}
+
+std::vector<QueryId> WorkloadManager::DispatchOrder() {
+  if (scheduler_ && !queue_lifo_) return scheduler_->Order(queue_, *this);
+  std::vector<const Request*> order = queue_;
+  if (queue_lifo_) {
+    // Sustained-overload discipline: serve newest first — the freshest
+    // request is the only one whose deadline is still reachable, while
+    // a stale FIFO backlog would miss every SLO it drains into.
+    std::sort(order.begin(), order.end(),
+              [](const Request* a, const Request* b) {
+                if (a->enqueued_time != b->enqueued_time) {
+                  return a->enqueued_time > b->enqueued_time;
+                }
+                return a->spec.id > b->spec.id;
+              });
+  }
+  std::vector<QueryId> ids;
+  ids.reserve(order.size());
+  for (const Request* queued : order) ids.push_back(queued->spec.id);
+  return ids;
 }
 
 void WorkloadManager::DispatchRequest(Request* request) {
@@ -362,8 +367,17 @@ void WorkloadManager::LogEvent(WlmEventType type, const Request& request,
 void WorkloadManager::Requeue(Request* request) {
   request->state = RequestState::kQueued;
   request->enqueued_time = sim_->Now();
-  queue_.push_back(request->spec.id);
+  queue_.push_back(request);
   telemetry_->OnRequeued(request->spec.id, request->workload);
+}
+
+bool WorkloadManager::Resubmit(Request* request, const char* reason) {
+  if (request->resubmits >= config_.max_resubmits) return false;
+  ++request->resubmits;
+  ++counters_[request->workload].resubmitted;
+  LogEvent(WlmEventType::kResubmitted, *request, reason);
+  Requeue(request);
+  return true;
 }
 
 void WorkloadManager::FinishTerminal(Request* request, RequestState state,
@@ -447,24 +461,14 @@ void WorkloadManager::OnFinish(const QueryOutcome& outcome) {
                                     deny_reason);
           FinishTerminal(request, RequestState::kKilled, outcome);
         }
-      } else if (resubmit && request->resubmits < config_.max_resubmits) {
-        ++request->resubmits;
-        ++counters.resubmitted;
-        LogEvent(WlmEventType::kResubmitted, *request, "after kill");
-        Requeue(request);
-      } else {
+      } else if (!resubmit || !Resubmit(request, "after kill")) {
         FinishTerminal(request, RequestState::kKilled, outcome);
       }
       break;
     }
     case OutcomeKind::kAbortedDeadlock:
-      if (config_.resubmit_deadlock_victims &&
-          request->resubmits < config_.max_resubmits) {
-        ++request->resubmits;
-        ++counters.resubmitted;
-        LogEvent(WlmEventType::kResubmitted, *request, "after deadlock");
-        Requeue(request);
-      } else {
+      if (!config_.resubmit_deadlock_victims ||
+          !Resubmit(request, "after deadlock")) {
         FinishTerminal(request, RequestState::kAborted, outcome);
       }
       break;
@@ -477,7 +481,7 @@ void WorkloadManager::OnFinish(const QueryOutcome& outcome) {
       request->state = RequestState::kSuspended;
       LogEvent(WlmEventType::kSuspended, *request);
       telemetry_->OnSuspended(outcome.id, request->workload);
-      queue_.push_back(outcome.id);
+      queue_.push_back(request);
       break;
     }
   }
@@ -506,19 +510,10 @@ const Request* WorkloadManager::Find(QueryId id) const {
   return it == requests_.end() ? nullptr : it->second.get();
 }
 
-std::vector<const Request*> WorkloadManager::Queued() const {
-  std::vector<const Request*> out;
-  out.reserve(queue_.size());
-  for (QueryId id : queue_) out.push_back(requests_.at(id).get());
-  return out;
-}
-
 std::vector<const Request*> WorkloadManager::Running() const {
-  std::vector<QueryId> ids(running_.begin(), running_.end());
-  std::sort(ids.begin(), ids.end());
   std::vector<const Request*> out;
-  out.reserve(ids.size());
-  for (QueryId id : ids) out.push_back(requests_.at(id).get());
+  out.reserve(running_.size());
+  for (QueryId id : running_) out.push_back(requests_.at(id).get());
   return out;
 }
 
@@ -532,8 +527,8 @@ int WorkloadManager::RunningInWorkload(const std::string& name) const {
 
 int WorkloadManager::QueuedInWorkload(const std::string& name) const {
   int count = 0;
-  for (QueryId id : queue_) {
-    if (requests_.at(id)->workload == name) ++count;
+  for (const Request* queued : queue_) {
+    if (queued->workload == name) ++count;
   }
   return count;
 }
@@ -558,15 +553,14 @@ std::vector<WorkloadManager::DrainedQuery> WorkloadManager::CrashDrain(
   // Shed the whole wait queue before killing anything: the kill pass's
   // finish callbacks re-enter TryDispatch, which must find an empty queue
   // rather than promote doomed requests into the freed slots.
-  std::vector<QueryId> waiting;
+  std::vector<const Request*> waiting;
   waiting.swap(queue_);
-  for (QueryId id : waiting) {
-    Request* request = requests_.at(id).get();
-    drained.push_back({request->spec, request->workload});
-    ShedRequest(request, reason);
+  for (const Request* queued : waiting) {
+    drained.push_back({queued->spec, queued->workload});
+    ShedRequest(requests_.at(queued->spec.id).get(), reason);
   }
+  // Each kill's finish callback erases from running_: walk a copy.
   std::vector<QueryId> running(running_.begin(), running_.end());
-  std::sort(running.begin(), running.end());
   for (QueryId id : running) {
     Request* request = requests_.at(id).get();
     drained.push_back({request->spec, request->workload});
@@ -585,15 +579,9 @@ Status WorkloadManager::KillRequest(QueryId id, bool resubmit) {
   // for a running victim.
   if (request->state == RequestState::kQueued ||
       request->state == RequestState::kSuspended) {
-    auto queued = std::find(queue_.begin(), queue_.end(), id);
-    if (queued != queue_.end()) queue_.erase(queued);
+    std::erase(queue_, request);
     resumable_.erase(id);
-    if (resubmit && request->resubmits < config_.max_resubmits) {
-      ++request->resubmits;
-      ++counters_[request->workload].resubmitted;
-      LogEvent(WlmEventType::kResubmitted, *request, "after kill");
-      Requeue(request);
-    } else {
+    if (!resubmit || !Resubmit(request, "after kill")) {
       QueryOutcome outcome;
       outcome.id = id;
       outcome.kind = OutcomeKind::kKilled;
@@ -681,9 +669,10 @@ void WorkloadManager::SetWorkloadShares(const std::string& workload,
     }
   }
   // Queued requests pick the new shares up at dispatch.
-  for (QueryId id : queue_) {
-    Request* request = requests_.at(id).get();
-    if (request->workload == workload) request->shares = shares;
+  for (const Request* queued : queue_) {
+    if (queued->workload == workload) {
+      requests_.at(queued->spec.id)->shares = shares;
+    }
   }
 }
 
@@ -774,7 +763,7 @@ void WorkloadManager::ScheduleFaultRetry(Request* request, double delay) {
     if (it == requests_.end()) return;
     Request* r = it->second.get();
     if (r->state != RequestState::kQueued) return;
-    if (std::find(queue_.begin(), queue_.end(), id) != queue_.end()) return;
+    if (std::find(queue_.begin(), queue_.end(), r) != queue_.end()) return;
     Requeue(r);
     TryDispatch();
   });
@@ -855,10 +844,8 @@ void WorkloadManager::OnOverloadTransition(
 
 void WorkloadManager::ExitDegraded() {
   telemetry_->SetDegraded(false);
-  std::vector<QueryId> throttled(degraded_throttled_.begin(),
-                                 degraded_throttled_.end());
-  std::sort(throttled.begin(), throttled.end());
-  degraded_throttled_.clear();
+  std::set<QueryId> throttled;
+  throttled.swap(degraded_throttled_);
   for (QueryId id : throttled) {
     if (running_.count(id) > 0) (void)ThrottleRequest(id, 1.0);
   }

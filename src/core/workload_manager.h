@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -128,7 +129,8 @@ class WorkloadManager : public FaultSink {
   const WlmConfig& config() const { return config_; }
 
   const Request* Find(QueryId id) const;
-  std::vector<const Request*> Queued() const;
+  /// The wait queue, in the order requests entered it.
+  std::vector<const Request*> Queued() const { return queue_; }
   /// Currently running requests, ordered by query id.
   std::vector<const Request*> Running() const;
   size_t queue_depth() const { return queue_.size(); }
@@ -212,10 +214,20 @@ class WorkloadManager : public FaultSink {
  private:
   void OnSample(const SystemIndicators& indicators);
   void OnFinish(const QueryOutcome& outcome);
+  /// Dispatch slots open this round: the scheduler's concurrency limit
+  /// (scaled down while degraded) minus running, or the whole queue when
+  /// nothing caps concurrency.
+  int FreeSlots();
+  /// Dispatch preference for this round: newest first under CoDel LIFO,
+  /// else the scheduler's order, else arrival order.
+  std::vector<QueryId> DispatchOrder();
   void DispatchRequest(Request* request);
   void LogEvent(WlmEventType type, const Request& request,
                 std::string detail = "");
   void Requeue(Request* request);
+  /// Kill-and-resubmit / deadlock-victim requeue, counted against
+  /// `max_resubmits`; returns false (doing nothing) once that is spent.
+  [[nodiscard]] bool Resubmit(Request* request, const char* reason);
   void FinishTerminal(Request* request, RequestState state,
                       const QueryOutcome& outcome);
   void LogFaultEvent(WlmEventType type, const std::string& kind,
@@ -256,16 +268,17 @@ class WorkloadManager : public FaultSink {
 
   std::unordered_map<QueryId, std::unique_ptr<Request>> requests_;
   std::vector<QueryId> submission_order_;
-  // Waiting requests in arrival order. Bounded by
-  // OverloadOptions::codel.queue_capacity when overload protection is
-  // enabled; the seed's unbounded behavior is kept when it is off.
+  // Waiting requests (owned by requests_) in arrival order; handed to
+  // Scheduler::Order as is. Bounded by OverloadOptions::codel.queue_capacity
+  // when overload protection is enabled; the seed's unbounded behavior is
+  // kept when it is off.
   // wlm-lint: allow(Q1) capacity enforced by OverloadController when enabled
-  std::vector<QueryId> queue_;
-  std::unordered_set<QueryId> running_;
+  std::vector<const Request*> queue_;
+  std::set<QueryId> running_;  // ordered: Running() is by query id
   std::unordered_map<QueryId, SuspendedQuery> resumable_;
   std::unordered_set<QueryId> resubmit_on_kill_;
   std::unordered_set<QueryId> fault_aborted_;
-  std::unordered_set<QueryId> degraded_throttled_;
+  std::set<QueryId> degraded_throttled_;
   int active_faults_ = 0;
   std::vector<std::function<void(const Request&)>> completion_listeners_;
   mutable std::map<std::string, WorkloadCounters> counters_;

@@ -67,7 +67,7 @@ void LockManager::GrantWaiters(LockKey key) {
   LockState& state = it->second;
   std::vector<Waiter> granted;
   while (!state.queue.empty()) {
-    const Waiter& w = state.queue.front();
+    const Waiter w = state.queue.front();  // a copy: pop_front frees it
     if (!Compatible(state, w.txn, w.mode)) break;
     state.holders[w.txn] = w.mode;
     RecordGrant(w.txn, key);

@@ -9,7 +9,8 @@ namespace wlm {
 
 BatchScheduler::BatchScheduler() : BatchScheduler(Config()) {}
 
-BatchScheduler::BatchScheduler(Config config) : config_(config) {}
+BatchScheduler::BatchScheduler(Config config)
+    : Scheduler(config.mpl), interaction_aware_(config.interaction_aware) {}
 
 double BatchScheduler::WeightOf(const Request& request) {
   // Business priority as the completion-time weight.
@@ -25,7 +26,7 @@ std::vector<size_t> BatchScheduler::OrderBatch(
   std::vector<size_t> order(requests.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
 
-  if (!config_.interaction_aware) {
+  if (!interaction_aware_) {
     // WSPT: descending weight/time ratio.
     std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
       return WeightOf(*requests[a]) / TimeOf(*requests[a]) >
@@ -79,11 +80,6 @@ std::vector<QueryId> BatchScheduler::Order(
   ids.reserve(indices.size());
   for (size_t index : indices) ids.push_back(queued[index]->spec.id);
   return ids;
-}
-
-int BatchScheduler::ConcurrencyLimit(const WorkloadManager& manager) {
-  (void)manager;
-  return config_.mpl;
 }
 
 TechniqueInfo BatchScheduler::info() const {

@@ -42,14 +42,13 @@ class BatchScheduler : public Scheduler {
 
   std::vector<QueryId> Order(const std::vector<const Request*>& queued,
                              const WorkloadManager& manager) override;
-  int ConcurrencyLimit(const WorkloadManager& manager) override;
   TechniqueInfo info() const override;
 
  private:
   static double WeightOf(const Request& request);
   static double TimeOf(const Request& request);
 
-  Config config_;
+  bool interaction_aware_;
 };
 
 }  // namespace wlm

@@ -10,26 +10,7 @@ FeedbackMplScheduler::FeedbackMplScheduler()
     : FeedbackMplScheduler(Config()) {}
 
 FeedbackMplScheduler::FeedbackMplScheduler(Config config)
-    : config_(config), mpl_(config.initial_mpl) {}
-
-std::vector<QueryId> FeedbackMplScheduler::Order(
-    const std::vector<const Request*>& queued, const WorkloadManager& manager) {
-  (void)manager;
-  std::vector<const Request*> sorted = queued;
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const Request* a, const Request* b) {
-                     return a->priority > b->priority;
-                   });
-  std::vector<QueryId> ids;
-  ids.reserve(sorted.size());
-  for (const Request* r : sorted) ids.push_back(r->spec.id);
-  return ids;
-}
-
-int FeedbackMplScheduler::ConcurrencyLimit(const WorkloadManager& manager) {
-  (void)manager;
-  return mpl_;
-}
+    : PriorityScheduler(config.initial_mpl), config_(config) {}
 
 void FeedbackMplScheduler::OnSample(const SystemIndicators& indicators,
                                     WorkloadManager& manager) {
@@ -50,9 +31,9 @@ void FeedbackMplScheduler::OnSample(const SystemIndicators& indicators,
     double hi = config_.target_response_seconds * (1.0 + config_.band);
     double lo = config_.target_response_seconds * (1.0 - config_.band);
     if (response > hi) {
-      mpl_ = std::max(config_.min_mpl, mpl_ - 1);
+      set_mpl(std::max(config_.min_mpl, mpl() - 1));
     } else if (response < lo) {
-      mpl_ = std::min(config_.max_mpl, mpl_ + 1);
+      set_mpl(std::min(config_.max_mpl, mpl() + 1));
     }
     return;
   }
@@ -61,7 +42,7 @@ void FeedbackMplScheduler::OnSample(const SystemIndicators& indicators,
   double throughput = smoothed_throughput_.value();
   if (last_throughput_ >= 0.0) {
     if (throughput < last_throughput_ * 0.98) direction_ = -direction_;
-    mpl_ = std::clamp(mpl_ + direction_, config_.min_mpl, config_.max_mpl);
+    set_mpl(std::clamp(mpl() + direction_, config_.min_mpl, config_.max_mpl));
   }
   last_throughput_ = throughput;
 }

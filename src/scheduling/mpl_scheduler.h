@@ -2,16 +2,16 @@
 #define WLM_SCHEDULING_MPL_SCHEDULER_H_
 
 #include "common/stats.h"
-#include "core/interfaces.h"
+#include "scheduling/queue_schedulers.h"
 
 namespace wlm {
 
 /// Feedback MPL scheduler in the spirit of Schroeder et al. [69]: instead
 /// of a manually set, static MPL, the concurrency level is adjusted by a
 /// feedback controller to the lowest value that keeps throughput near its
-/// peak while holding response times near a target. Requests dispatch in
-/// priority order within the adapted MPL.
-class FeedbackMplScheduler : public Scheduler {
+/// peak while holding response times near a target: a PriorityScheduler
+/// whose MPL adapts.
+class FeedbackMplScheduler : public PriorityScheduler {
  public:
   struct Config {
     int initial_mpl = 8;
@@ -27,18 +27,14 @@ class FeedbackMplScheduler : public Scheduler {
   FeedbackMplScheduler();
   explicit FeedbackMplScheduler(Config config);
 
-  std::vector<QueryId> Order(const std::vector<const Request*>& queued,
-                             const WorkloadManager& manager) override;
-  int ConcurrencyLimit(const WorkloadManager& manager) override;
   void OnSample(const SystemIndicators& indicators,
                 WorkloadManager& manager) override;
   TechniqueInfo info() const override;
 
-  int current_mpl() const { return mpl_; }
+  int current_mpl() const { return mpl(); }
 
  private:
   Config config_;
-  int mpl_;
   int direction_ = 1;
   double last_throughput_ = -1.0;
   Ewma smoothed_throughput_{0.5};

@@ -23,11 +23,6 @@ std::vector<QueryId> FifoScheduler::Order(
   return IdsOf(queued);  // the manager's queue is already in arrival order
 }
 
-int FifoScheduler::ConcurrencyLimit(const WorkloadManager& manager) {
-  (void)manager;
-  return mpl_;
-}
-
 TechniqueInfo FifoScheduler::info() const {
   TechniqueInfo info;
   info.name = "FIFO wait queue";
@@ -50,11 +45,6 @@ std::vector<QueryId> PriorityScheduler::Order(
   return IdsOf(sorted);
 }
 
-int PriorityScheduler::ConcurrencyLimit(const WorkloadManager& manager) {
-  (void)manager;
-  return mpl_;
-}
-
 TechniqueInfo PriorityScheduler::info() const {
   TechniqueInfo info;
   info.name = "Priority wait queues";
@@ -69,7 +59,7 @@ TechniqueInfo PriorityScheduler::info() const {
 RankScheduler::RankScheduler() : RankScheduler(0, Weights()) {}
 
 RankScheduler::RankScheduler(int mpl, Weights weights)
-    : mpl_(mpl), weights_(weights) {}
+    : Scheduler(mpl), weights_(weights) {}
 
 double RankScheduler::RankOf(const Request& request, double now) const {
   double wait = std::max(0.0, now - request.arrival_time);
@@ -96,11 +86,6 @@ std::vector<QueryId> RankScheduler::Order(
     ids.push_back(r->spec.id);
   }
   return ids;
-}
-
-int RankScheduler::ConcurrencyLimit(const WorkloadManager& manager) {
-  (void)manager;
-  return mpl_;
 }
 
 TechniqueInfo RankScheduler::info() const {

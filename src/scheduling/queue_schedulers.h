@@ -10,33 +10,22 @@ namespace wlm {
 class FifoScheduler : public Scheduler {
  public:
   /// `mpl` <= 0 leaves concurrency uncapped.
-  explicit FifoScheduler(int mpl = 0) : mpl_(mpl) {}
+  explicit FifoScheduler(int mpl = 0) : Scheduler(mpl) {}
 
   std::vector<QueryId> Order(const std::vector<const Request*>& queued,
                              const WorkloadManager& manager) override;
-  int ConcurrencyLimit(const WorkloadManager& manager) override;
   TechniqueInfo info() const override;
-
-  void set_mpl(int mpl) { mpl_ = mpl; }
-  int mpl() const { return mpl_; }
-
- private:
-  int mpl_;
 };
 
 /// Strict business-priority scheduling: higher priority first, FIFO within
 /// a priority level.
 class PriorityScheduler : public Scheduler {
  public:
-  explicit PriorityScheduler(int mpl = 0) : mpl_(mpl) {}
+  explicit PriorityScheduler(int mpl = 0) : Scheduler(mpl) {}
 
   std::vector<QueryId> Order(const std::vector<const Request*>& queued,
                              const WorkloadManager& manager) override;
-  int ConcurrencyLimit(const WorkloadManager& manager) override;
   TechniqueInfo info() const override;
-
- private:
-  int mpl_;
 };
 
 /// Rank-function scheduling in the style of Gupta et al.'s enterprise
@@ -61,11 +50,9 @@ class RankScheduler : public Scheduler {
 
   std::vector<QueryId> Order(const std::vector<const Request*>& queued,
                              const WorkloadManager& manager) override;
-  int ConcurrencyLimit(const WorkloadManager& manager) override;
   TechniqueInfo info() const override;
 
  private:
-  int mpl_;
   Weights weights_;
 };
 

@@ -24,11 +24,7 @@ Telemetry::Telemetry(Simulation* sim, Monitor* monitor, EventLog* event_log,
       event_log_(event_log),
       enabled_(options.enabled),
       profiling_(options.profiling),
-      flight_recorder_enabled_(options.flight_recorder),
-      tracer_(options.max_traces),
-      watchdog_(monitor, event_log, &metrics_),
-      profiles_(options.max_profiles),
-      recorder_(options.flight_recorder_options) {
+      watchdog_(monitor, event_log, &metrics_) {
   if (!enabled_) return;
   metrics_.SetHelp("wlm_requests_submitted_total",
                    "Requests entering the workload manager");
@@ -533,7 +529,7 @@ void Telemetry::FinalizeProfile(QueryId id, const std::string& outcome,
     }
     slot->second[i]->Increment(profile->phase_seconds[i]);
   }
-  if (flight_recorder_enabled_) recorder_.RecordProfile(*profile);
+  recorder_.RecordProfile(*profile);
 }
 
 void Telemetry::AddPhaseTiles(QueryId id, double start,
@@ -565,7 +561,7 @@ void Telemetry::AddPhaseTiles(QueryId id, double start,
 }
 
 void Telemetry::TriggerFlightRecorder(const std::string& reason) {
-  if (!flight_recorder_enabled_ || !profiling_) return;
+  if (!profiling_) return;
   size_t before = recorder_.postmortems().size();
   recorder_.Trigger(reason, ControllerState(), event_log_);
   if (recorder_.postmortems().size() > before) {

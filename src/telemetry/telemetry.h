@@ -50,22 +50,19 @@ constexpr bool IsSyntheticQueryId(QueryId id) {
 /// "overload", "cluster").
 const char* SyntheticTrackName(SyntheticTrack track);
 
+/// The tracer and profile store keep their default bounds (8192 queries
+/// each, oldest finished evicted first) and the flight recorder its
+/// default ring, cooldown and dump budget.
 struct TelemetryOptions {
   /// When false every hook returns immediately (one predictable branch on
   /// the hot path) and nothing is recorded.
   bool enabled = true;
-  /// Bound on retained per-query traces; oldest finished evicted first.
-  size_t max_traces = 8192;
   /// Per-query latency decomposition + resource attribution (QueryProfile
   /// store, wlm_phase_seconds_total metrics, phase tiles in the Chrome
-  /// trace). Ignored while `enabled` is false.
+  /// trace) and the black-box flight recorder fed from it (post-mortem
+  /// dumps on SLO violations, breaker trips and fault windows). Ignored
+  /// while `enabled` is false.
   bool profiling = true;
-  /// Bound on retained profiles; oldest terminal evicted first.
-  size_t max_profiles = 8192;
-  /// Black-box flight recorder (needs `profiling`): post-mortem dumps on
-  /// SLO violations, breaker trips and fault windows.
-  bool flight_recorder = true;
-  FlightRecorder::Options flight_recorder_options;
 };
 
 /// The observability facade the WorkloadManager drives: per-query span
@@ -202,8 +199,7 @@ class Telemetry {
   Monitor* monitor_;
   EventLog* event_log_;
   const bool enabled_;
-  bool profiling_;
-  bool flight_recorder_enabled_;
+  const bool profiling_;
   Tracer tracer_;
   MetricsRegistry metrics_;
   SloWatchdog watchdog_;

@@ -222,6 +222,44 @@ TEST(WorkloadManagerTest, SchedulerMplQueuesExcess) {
   EXPECT_GT(last->QueueWait(), 0.0);
 }
 
+/// FIFO order under a fixed limit of one, counting the orderings asked for.
+class CountingScheduler : public Scheduler {
+ public:
+  std::vector<QueryId> Order(const std::vector<const Request*>& queued,
+                             const WorkloadManager&) override {
+    ++order_calls;
+    std::vector<QueryId> ids;
+    for (const Request* r : queued) ids.push_back(r->spec.id);
+    return ids;
+  }
+  int ConcurrencyLimit(const WorkloadManager&) override { return 1; }
+  TechniqueInfo info() const override { return TechniqueInfo{}; }
+
+  int order_calls = 0;
+};
+
+TEST(WorkloadManagerTest, OrderNotCalledWhileMplFull) {
+  TestRig rig;
+  auto scheduler = std::make_unique<CountingScheduler>();
+  CountingScheduler* counting = scheduler.get();
+  rig.wlm.set_scheduler(std::move(scheduler));
+  ASSERT_TRUE(rig.wlm.Submit(BiSpec(1, 5.0, 100.0, 16.0)).ok());
+  EXPECT_EQ(counting->order_calls, 1);  // the free slot: ordered, dispatched
+  // While query 1 holds the only slot, neither arrivals nor monitor
+  // samples order the queue.
+  for (QueryId id = 2; id <= 4; ++id) {
+    ASSERT_TRUE(rig.wlm.Submit(BiSpec(id, 0.5, 100.0, 16.0)).ok());
+  }
+  rig.sim.RunUntil(2.0);
+  EXPECT_EQ(rig.wlm.running_count(), 1u);
+  EXPECT_EQ(rig.wlm.queue_depth(), 3u);
+  EXPECT_EQ(counting->order_calls, 1);
+  rig.sim.RunUntil(60.0);
+  EXPECT_EQ(rig.wlm.counters("default").completed, 4);
+  // One ordering per slot freed while requests waited (1, 2 and 3).
+  EXPECT_EQ(counting->order_calls, 4);
+}
+
 TEST(WorkloadManagerTest, KillWithResubmitRequeues) {
   TestRig rig;
   ASSERT_TRUE(rig.wlm.Submit(BiSpec(1, 2.0, 100.0, 16.0)).ok());

@@ -218,12 +218,60 @@ class JunkScheduler : public Scheduler {
   TechniqueInfo info() const override { return TechniqueInfo{}; }
 };
 
+class RepeatingScheduler : public Scheduler {
+ public:
+  std::vector<QueryId> Order(const std::vector<const Request*>& queued,
+                             const WorkloadManager&) override {
+    std::vector<QueryId> ids;
+    for (const Request* r : queued) {
+      ids.push_back(r->spec.id);
+      ids.push_back(r->spec.id);  // every id listed twice
+    }
+    return ids;
+  }
+  TechniqueInfo info() const override { return TechniqueInfo{}; }
+};
+
+/// Holds every request in the queue until `open_at`.
+class OpenAtGate : public AdmissionController {
+ public:
+  explicit OpenAtGate(double open_at) : open_at_(open_at) {}
+  bool AllowDispatch(const Request&,
+                     const WorkloadManager& manager) override {
+    return manager.sim()->Now() >= open_at_;
+  }
+  TechniqueInfo info() const override { return TechniqueInfo{}; }
+
+ private:
+  double open_at_;
+};
+
 TEST(SchedulerRobustnessTest, JunkIdsIgnored) {
   TestRig rig;
   rig.wlm.set_scheduler(std::make_unique<JunkScheduler>());
   ASSERT_TRUE(rig.wlm.Submit(BiSpec(1, 0.2, 10.0, 4.0)).ok());
   rig.sim.RunUntil(30.0);
   EXPECT_EQ(rig.wlm.Find(1)->state, RequestState::kCompleted);
+
+  // Repeated ids: the gate holds three requests so one round orders them
+  // all; each is still dispatched exactly once.
+  TestRig repeated;
+  repeated.wlm.set_scheduler(std::make_unique<RepeatingScheduler>());
+  repeated.wlm.AddAdmissionController(std::make_unique<OpenAtGate>(0.5));
+  for (QueryId id = 1; id <= 3; ++id) {
+    ASSERT_TRUE(repeated.wlm.Submit(BiSpec(id, 0.2, 10.0, 4.0)).ok());
+  }
+  EXPECT_EQ(repeated.wlm.queue_depth(), 3u);
+  repeated.sim.RunUntil(30.0);
+  EXPECT_EQ(repeated.engine.counters().dispatched, 3u);
+  for (QueryId id = 1; id <= 3; ++id) {
+    EXPECT_EQ(repeated.wlm.Find(id)->state, RequestState::kCompleted);
+    int dispatches = 0;
+    for (const WlmEvent& event : repeated.wlm.event_log().ForQuery(id)) {
+      dispatches += event.type == WlmEventType::kDispatched;
+    }
+    EXPECT_EQ(dispatches, 1) << "query " << id;
+  }
 }
 
 // ---------------------------------- cost admission: rejected stays logged

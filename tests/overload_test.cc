@@ -411,6 +411,52 @@ TEST(ManagerOverloadTest, CodelShedsStaleBacklogAndFlipsToLifo) {
   EXPECT_DOUBLE_EQ(lifo->value(), 1.0);
 }
 
+/// Holds every queued request until opened, then records the order in
+/// which the manager offers them for dispatch.
+class RecordingGate : public AdmissionController {
+ public:
+  bool AllowDispatch(const Request& request,
+                     const WorkloadManager&) override {
+    if (!open) return false;
+    offered.push_back(request.spec.id);
+    return true;
+  }
+  TechniqueInfo info() const override { return TechniqueInfo{}; }
+
+  bool open = false;
+  std::vector<QueryId> offered;
+};
+
+TEST(ManagerOverloadTest, LifoDispatchesNewestFirstTiesToHigherId) {
+  WlmConfig config = OverloadedConfig();
+  config.overload.codel.queue_capacity = 64;
+  config.overload.codel.lifo_after_sheds = 1;  // LIFO from the first shed
+  TestRig rig(TestEngineConfig(), 0.25, config);
+  auto gate = std::make_unique<RecordingGate>();
+  RecordingGate* recording = gate.get();
+  rig.wlm.AddAdmissionController(std::move(gate));
+  // 1-3 enter the queue at t=0 and 4-5 at t=0.5; the gate holds them.
+  for (QueryId id = 1; id <= 3; ++id) {
+    ASSERT_TRUE(rig.wlm.Submit(BiSpec(id)).ok());
+  }
+  rig.sim.RunUntil(0.5);
+  for (QueryId id = 4; id <= 5; ++id) {
+    ASSERT_TRUE(rig.wlm.Submit(BiSpec(id)).ok());
+  }
+  // The oldest sojourn passed the target at t=0.25; a full interval later
+  // CoDel sheds the head (1) and flips the queue to LIFO. The next shed
+  // is not due before t=1.1.
+  rig.sim.RunUntil(1.0);
+  ASSERT_TRUE(rig.wlm.queue_lifo());
+  ASSERT_EQ(rig.wlm.Find(1)->state, RequestState::kShed);
+  ASSERT_EQ(rig.wlm.queue_depth(), 4u);
+  recording->open = true;
+  rig.wlm.TryDispatch();
+  // Newest first; 4/5 and 2/3 share an enqueue time, higher id first.
+  EXPECT_EQ(recording->offered, (std::vector<QueryId>{5, 4, 3, 2}));
+  EXPECT_EQ(rig.wlm.running_count(), 4u);
+}
+
 TEST(ManagerOverloadTest, DeadlineUnreachableQueuedWorkIsShed) {
   WlmConfig config = OverloadedConfig();
   config.overload.codel.queue_capacity = 64;
