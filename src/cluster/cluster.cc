@@ -667,10 +667,8 @@ void ClusterDispatcher::MarkShardDown(int shard_index,
   CapturePostMortem("shard_down shard=" + std::to_string(shard_index) +
                     " cause=" + why);
   // Post-mortem from the dead shard's own black box: what it was doing
-  // when the detector lost it (cooldown and dump budget apply inside).
-  Telemetry& telemetry = shard.wlm().telemetry();
-  telemetry.flight_recorder().Trigger("shard_down", telemetry.ControllerState(),
-                                      &shard.wlm().event_log());
+  // when the detector lost it (profiling, cooldown and dump budget apply).
+  shard.wlm().telemetry().TriggerFlightRecorder("shard_down");
   if (!shard.crashed_) {
     // Announced restart: the process is still up, drain it live. The
     // draining_ flag parks the completion listener so each victim

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <cstddef>
-#include <cstdio>
 #include <limits>
 
 namespace wlm {
@@ -12,15 +11,19 @@ namespace wlm {
 WorkloadManager::WorkloadManager(Simulation* sim, DatabaseEngine* engine,
                                  Monitor* monitor, WlmConfig config)
     : sim_(sim), engine_(engine), monitor_(monitor), config_(config) {
-  telemetry_ = std::make_unique<Telemetry>(sim_, monitor_, &event_log_,
-                                           config_.telemetry);
+  telemetry_ = std::make_unique<Telemetry>(sim_, monitor_, config_.telemetry);
   if (config_.overload.enabled) {
     overload_ = std::make_unique<OverloadController>(config_.overload);
+    // Breaker transitions carry the numeric breaker state as `level`.
     overload_->set_transition_listener(
         [this](OverloadController::TransitionKind kind,
                const std::string& workload, int level,
                const std::string& detail) {
-          OnOverloadTransition(kind, workload, level, detail);
+          if (kind == OverloadController::TransitionKind::kBrownoutStepped) {
+            telemetry_->OnBrownoutStep(level, detail);
+          } else {
+            telemetry_->OnBreakerTransition(workload, level, detail);
+          }
         });
   }
   WorkloadDefinition fallback;
@@ -115,7 +118,6 @@ Status WorkloadManager::SubmitWithPlan(QuerySpec spec, Plan plan) {
   Request* raw = request.get();
   requests_[raw->spec.id] = std::move(request);
   submission_order_.push_back(raw->spec.id);
-  LogEvent(WlmEventType::kSubmitted, *raw);
   telemetry_->OnSubmit(raw->spec.id, raw->workload, raw->spec.kind,
                        raw->spec.journey);
 
@@ -127,7 +129,6 @@ Status WorkloadManager::SubmitWithPlan(QuerySpec spec, Plan plan) {
       raw->finish_time = sim_->Now();
       raw->reject_reason = decision.message();
       ++counters.rejected;
-      LogEvent(WlmEventType::kRejected, *raw, decision.message());
       telemetry_->OnRejected(raw->spec.id, raw->workload, ac->info().name,
                              decision.message());
       for (const auto& fn : completion_listeners_) fn(*raw);
@@ -186,7 +187,6 @@ void WorkloadManager::ShedRequest(Request* request,
   request->reject_reason = reason;
   ++counters_[request->workload].shed;
   if (overload_) overload_->CountShed();
-  LogEvent(WlmEventType::kShed, *request, reason);
   telemetry_->OnShed(request->spec.id, request->workload, reason);
   for (const auto& fn : completion_listeners_) fn(*request);
 }
@@ -327,13 +327,12 @@ void WorkloadManager::DispatchRequest(Request* request) {
   if (resume_it != resumable_.end()) {
     SuspendedQuery bundle = std::move(resume_it->second);
     resumable_.erase(resume_it);
-    LogEvent(WlmEventType::kResumed, *request,
-             SuspendStrategyToString(bundle.strategy));
-    telemetry_->OnDispatch(id, request->workload, /*resumed=*/true);
+    telemetry_->OnDispatch(id, request->workload,
+                           SuspendStrategyToString(bundle.strategy));
     status = engine_->Resume(bundle, std::move(ctx));
   } else {
-    LogEvent(WlmEventType::kDispatched, *request);
-    telemetry_->OnDispatch(id, request->workload, /*resumed=*/false);
+    telemetry_->OnDispatch(id, request->workload,
+                           /*resumed_strategy=*/nullptr);
     status =
         engine_->DispatchWithPlan(request->spec, request->plan, std::move(ctx));
   }
@@ -353,30 +352,18 @@ void WorkloadManager::DispatchRequest(Request* request) {
   }
 }
 
-void WorkloadManager::LogEvent(WlmEventType type, const Request& request,
-                               std::string detail) {
-  WlmEvent event;
-  event.time = sim_->Now();
-  event.type = type;
-  event.query = request.spec.id;
-  event.workload = request.workload;
-  event.detail = std::move(detail);
-  event_log_.Append(std::move(event));
-}
-
-void WorkloadManager::Requeue(Request* request) {
+void WorkloadManager::Requeue(Request* request, const char* reason) {
   request->state = RequestState::kQueued;
   request->enqueued_time = sim_->Now();
   queue_.push_back(request);
-  telemetry_->OnRequeued(request->spec.id, request->workload);
+  telemetry_->OnRequeued(request->spec.id, request->workload, reason);
 }
 
 bool WorkloadManager::Resubmit(Request* request, const char* reason) {
   if (request->resubmits >= config_.max_resubmits) return false;
   ++request->resubmits;
   ++counters_[request->workload].resubmitted;
-  LogEvent(WlmEventType::kResubmitted, *request, reason);
-  Requeue(request);
+  Requeue(request, reason);
   return true;
 }
 
@@ -387,32 +374,26 @@ void WorkloadManager::FinishTerminal(Request* request, RequestState state,
   WorkloadCounters& counters = counters_[request->workload];
   double velocity = request->Velocity(engine_->config().num_cpus,
                                       engine_->config().io_ops_per_second);
-  const char* outcome_name = "completed";
+  WlmEventType terminal = WlmEventType::kCompleted;
   switch (state) {
     case RequestState::kCompleted:
       ++counters.completed;
-      LogEvent(WlmEventType::kCompleted, *request);
-      monitor_->RecordCompletion(request->workload, request->ResponseTime(),
-                                 velocity, OutcomeKind::kCompleted);
       break;
     case RequestState::kKilled:
       ++counters.killed;
-      outcome_name = "killed";
-      LogEvent(WlmEventType::kKilled, *request);
-      monitor_->RecordCompletion(request->workload, request->ResponseTime(),
-                                 velocity, OutcomeKind::kKilled);
+      terminal = WlmEventType::kKilled;
       break;
     case RequestState::kAborted:
       ++counters.aborted;
-      outcome_name = "aborted";
-      LogEvent(WlmEventType::kAborted, *request, "deadlock victim");
-      monitor_->RecordCompletion(request->workload, request->ResponseTime(),
-                                 velocity, OutcomeKind::kAbortedDeadlock);
+      terminal = WlmEventType::kAborted;
       break;
     default:
       assert(false && "not a terminal state");
   }
-  telemetry_->OnTerminal(request->spec.id, request->workload, outcome_name,
+  // outcome.kind matches `state`: kCompleted, kKilled or kAbortedDeadlock.
+  monitor_->RecordCompletion(request->workload, request->ResponseTime(),
+                             velocity, outcome.kind);
+  telemetry_->OnTerminal(request->spec.id, request->workload, terminal,
                          request->ResponseTime(), request->QueueWait(),
                          outcome);
   if (overload_) {
@@ -456,7 +437,6 @@ void WorkloadManager::OnFinish(const QueryOutcome& outcome) {
           ScheduleFaultRetry(request, delay);
         } else {
           ++counters.retries_denied;
-          LogEvent(WlmEventType::kRetryDenied, *request, deny_reason);
           telemetry_->OnRetryDenied(outcome.id, request->workload,
                                     deny_reason);
           FinishTerminal(request, RequestState::kKilled, outcome);
@@ -479,7 +459,6 @@ void WorkloadManager::OnFinish(const QueryOutcome& outcome) {
       ++request->suspend_count;
       ++counters.suspended;
       request->state = RequestState::kSuspended;
-      LogEvent(WlmEventType::kSuspended, *request);
       telemetry_->OnSuspended(outcome.id, request->workload);
       queue_.push_back(request);
       break;
@@ -602,8 +581,6 @@ Status WorkloadManager::ThrottleRequest(QueryId id, double duty) {
   if (status.ok()) {
     auto it = requests_.find(id);
     if (it != requests_.end()) {
-      LogEvent(WlmEventType::kThrottled, *it->second,
-               "duty=" + std::to_string(duty));
       telemetry_->OnThrottle(id, it->second->workload, duty);
     }
   }
@@ -615,8 +592,6 @@ Status WorkloadManager::PauseRequest(QueryId id, double seconds) {
   if (status.ok()) {
     auto it = requests_.find(id);
     if (it != requests_.end()) {
-      LogEvent(WlmEventType::kPaused, *it->second,
-               std::to_string(seconds) + "s");
       telemetry_->OnPause(id, it->second->workload, seconds);
     }
   }
@@ -637,8 +612,6 @@ Status WorkloadManager::SetRequestPriority(QueryId id,
   auto it = requests_.find(id);
   if (it == requests_.end()) return Status::NotFound("unknown request");
   it->second->priority = priority;
-  LogEvent(WlmEventType::kReprioritized, *it->second,
-           BusinessPriorityToString(priority));
   telemetry_->OnReprioritize(id, it->second->workload,
                              BusinessPriorityToString(priority));
   return SetRequestShares(id, SharesForPriority(priority));
@@ -676,25 +649,9 @@ void WorkloadManager::SetWorkloadShares(const std::string& workload,
   }
 }
 
-void WorkloadManager::LogFaultEvent(WlmEventType type, const std::string& kind,
-                                    std::string detail) {
-  WlmEvent event;
-  event.time = sim_->Now();
-  event.type = type;
-  event.query = SyntheticTrackId(SyntheticTrack::kFaults);
-  event.workload = SyntheticTrackName(SyntheticTrack::kFaults);
-  if (detail.empty()) {
-    event.detail = kind;
-  } else {
-    event.detail = kind + " " + std::move(detail);
-  }
-  event_log_.Append(std::move(event));
-}
-
 void WorkloadManager::NotifyFaultBegin(const std::string& kind,
                                        const std::string& detail) {
   ++active_faults_;
-  LogFaultEvent(WlmEventType::kFaultInjected, kind, detail);
   telemetry_->OnFaultBegin(kind, detail);
   if (config_.resilience.enabled && active_faults_ == 1) EnterDegraded();
 }
@@ -702,9 +659,6 @@ void WorkloadManager::NotifyFaultBegin(const std::string& kind,
 void WorkloadManager::NotifyFaultEnd(const std::string& kind,
                                      double started_at) {
   if (active_faults_ > 0) --active_faults_;
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "window=%.3fs", sim_->Now() - started_at);
-  LogFaultEvent(WlmEventType::kFaultRecovered, kind, buf);
   telemetry_->OnFaultEnd(kind, started_at);
   if (config_.resilience.enabled && active_faults_ == 0) ExitDegraded();
 }
@@ -750,9 +704,6 @@ bool WorkloadManager::FaultRetryAllowed(const Request& request, double delay,
 void WorkloadManager::ScheduleFaultRetry(Request* request, double delay) {
   ++request->resubmits;
   ++counters_[request->workload].resubmitted;
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "fault retry backoff=%.3fs", delay);
-  LogEvent(WlmEventType::kResubmitted, *request, buf);
   telemetry_->OnFaultRetry(request->spec.id, request->workload, delay);
   // Backoff limbo: queued state but not yet in the wait queue, so the
   // scheduler cannot dispatch it before the backoff elapses.
@@ -764,7 +715,7 @@ void WorkloadManager::ScheduleFaultRetry(Request* request, double delay) {
     Request* r = it->second.get();
     if (r->state != RequestState::kQueued) return;
     if (std::find(queue_.begin(), queue_.end(), r) != queue_.end()) return;
-    Requeue(r);
+    Requeue(r, /*reason=*/nullptr);
     TryDispatch();
   });
 }
@@ -780,64 +731,6 @@ void WorkloadManager::EnterDegraded() {
     }
     if (ThrottleRequest(request->spec.id, res.degraded_throttle_duty).ok()) {
       degraded_throttled_.insert(request->spec.id);
-    }
-  }
-}
-
-void WorkloadManager::OnOverloadTransition(
-    OverloadController::TransitionKind kind, const std::string& workload,
-    int level, const std::string& detail) {
-  const double now = sim_->Now();
-  WlmEvent event;
-  event.time = now;
-  event.query = SyntheticTrackId(SyntheticTrack::kOverload);
-  event.workload =
-      workload.empty() ? SyntheticTrackName(SyntheticTrack::kOverload)
-                       : workload;
-  switch (kind) {
-    case OverloadController::TransitionKind::kBreakerTripped: {
-      event.type = WlmEventType::kBreakerTripped;
-      event.detail = detail;
-      event_log_.Append(std::move(event));
-      breaker_opened_at_[workload] = now;
-      telemetry_->OnBreakerTransition(workload, level, "open", -1.0, detail);
-      break;
-    }
-    case OverloadController::TransitionKind::kBreakerHalfOpen: {
-      event.type = WlmEventType::kBreakerHalfOpen;
-      event.detail = detail;
-      event_log_.Append(std::move(event));
-      double opened_at = -1.0;
-      auto it = breaker_opened_at_.find(workload);
-      if (it != breaker_opened_at_.end()) {
-        opened_at = it->second;
-        breaker_opened_at_.erase(it);
-      }
-      telemetry_->OnBreakerTransition(workload, level, "half_open", opened_at,
-                                      detail);
-      break;
-    }
-    case OverloadController::TransitionKind::kBreakerClosed: {
-      event.type = WlmEventType::kBreakerClosed;
-      event.detail = detail;
-      event_log_.Append(std::move(event));
-      telemetry_->OnBreakerTransition(workload, level, "closed", -1.0,
-                                      detail);
-      break;
-    }
-    case OverloadController::TransitionKind::kBrownoutStepped: {
-      event.type = WlmEventType::kBrownoutStepped;
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "level=%d %s", level, detail.c_str());
-      event.detail = buf;
-      event_log_.Append(std::move(event));
-      if (level > 0 && brownout_entered_at_ < 0.0) {
-        brownout_entered_at_ = now;
-      }
-      double entered_at = level == 0 ? brownout_entered_at_ : -1.0;
-      if (level == 0) brownout_entered_at_ = -1.0;
-      telemetry_->OnBrownoutStep(level, entered_at, detail);
-      break;
     }
   }
 }

@@ -11,7 +11,6 @@
 
 #include "common/result.h"
 #include "common/status.h"
-#include "telemetry/event_log.h"
 #include "core/interfaces.h"
 #include "core/request.h"
 #include "core/taxonomy.h"
@@ -143,8 +142,8 @@ class WorkloadManager : public FaultSink {
 
   /// Control-plane event history (the library's "event monitors"):
   /// submissions, rejections, dispatches, kills, suspensions, throttle
-  /// changes, reprioritizations...
-  const EventLog& event_log() const { return event_log_; }
+  /// changes, reprioritizations... The telemetry facade writes it.
+  const EventLog& event_log() const { return telemetry_->event_log(); }
 
   /// Observability facade: span tracer, metrics registry, SLO watchdog.
   Telemetry& telemetry() { return *telemetry_; }
@@ -175,8 +174,8 @@ class WorkloadManager : public FaultSink {
                          const ResourceShares& shares);
 
   // --- fault plumbing (FaultSink; the FaultInjector drives these) ----------
-  /// A fault window opened: logs kFaultInjected, feeds telemetry, and —
-  /// with resilience enabled — engages graceful degradation (MPL shed,
+  /// A fault window opened: telemetry logs kFaultInjected, and — with
+  /// resilience enabled — the manager engages graceful degradation (MPL shed,
   /// low-priority throttling) until the matching NotifyFaultEnd.
   void NotifyFaultBegin(const std::string& kind,
                         const std::string& detail) override;
@@ -222,16 +221,13 @@ class WorkloadManager : public FaultSink {
   /// else the scheduler's order, else arrival order.
   std::vector<QueryId> DispatchOrder();
   void DispatchRequest(Request* request);
-  void LogEvent(WlmEventType type, const Request& request,
-                std::string detail = "");
-  void Requeue(Request* request);
+  /// Back into the wait queue; `reason` as for Telemetry::OnRequeued.
+  void Requeue(Request* request, const char* reason);
   /// Kill-and-resubmit / deadlock-victim requeue, counted against
   /// `max_resubmits`; returns false (doing nothing) once that is spent.
   [[nodiscard]] bool Resubmit(Request* request, const char* reason);
   void FinishTerminal(Request* request, RequestState state,
                       const QueryOutcome& outcome);
-  void LogFaultEvent(WlmEventType type, const std::string& kind,
-                     std::string detail);
   /// Schedules the backoff-delayed requeue of a fault-aborted request.
   void ScheduleFaultRetry(Request* request, double delay);
   void EnterDegraded();
@@ -251,9 +247,6 @@ class WorkloadManager : public FaultSink {
   /// Deadline-unreachable + CoDel shedding over the wait queue; flips
   /// the FIFO/LIFO discipline flag. Runs at the top of TryDispatch.
   void RunQueueShedding();
-  void OnOverloadTransition(OverloadController::TransitionKind kind,
-                            const std::string& workload, int level,
-                            const std::string& detail);
 
   Simulation* sim_;
   DatabaseEngine* engine_;
@@ -282,14 +275,9 @@ class WorkloadManager : public FaultSink {
   int active_faults_ = 0;
   std::vector<std::function<void(const Request&)>> completion_listeners_;
   mutable std::map<std::string, WorkloadCounters> counters_;
-  EventLog event_log_;
-  std::unique_ptr<Telemetry> telemetry_;  // after event_log_: sinks into it
+  std::unique_ptr<Telemetry> telemetry_;
   std::unique_ptr<OverloadController> overload_;  // null when disabled
   bool queue_lifo_ = false;
-  /// Sim time each workload's breaker last opened (for the open-window
-  /// span recorded when it leaves the open state).
-  std::map<std::string, double> breaker_opened_at_;
-  double brownout_entered_at_ = -1.0;
   bool in_try_dispatch_ = false;
 };
 

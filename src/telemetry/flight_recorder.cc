@@ -42,32 +42,12 @@ void WriteProfileJson(std::ostream& out, const QueryProfile& p) {
 
 FlightRecorder::FlightRecorder() : FlightRecorder(Options()) {}
 
-FlightRecorder::FlightRecorder(Options options) : options_(options) {
-  ring_.reserve(options_.max_profiles);
-}
-
-void FlightRecorder::RecordProfile(const QueryProfile& profile) {
-  if (options_.max_profiles == 0) return;
-  if (ring_.size() < options_.max_profiles) {
-    ring_.push_back(profile);
-  } else {
-    ring_[ring_head_] = profile;
-    ring_head_ = (ring_head_ + 1) % options_.max_profiles;
-  }
-}
-
-std::vector<QueryProfile> FlightRecorder::recent_profiles() const {
-  std::vector<QueryProfile> out;
-  out.reserve(ring_.size());
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(ring_head_ + i) % ring_.size()]);
-  }
-  return out;
-}
+FlightRecorder::FlightRecorder(Options options) : options_(options) {}
 
 void FlightRecorder::Trigger(const std::string& reason,
                              const ControllerStateSnapshot& state,
-                             const EventLog* log) {
+                             const ProfileStore& profiles,
+                             const EventLog& log) {
   ++triggers_seen_;
   if (postmortems_.size() >= options_.max_postmortems ||
       (last_dump_time_ >= 0.0 &&
@@ -80,13 +60,11 @@ void FlightRecorder::Trigger(const std::string& reason,
   dump.time = state.time;
   dump.reason = reason;
   dump.state = state;
-  dump.recent_profiles = recent_profiles();
-  if (log != nullptr) {
-    const std::deque<WlmEvent>& events = log->events();
-    size_t take = std::min(events.size(), options_.max_events);
-    dump.recent_events.assign(events.end() - static_cast<std::ptrdiff_t>(take),
-                              events.end());
-  }
+  dump.recent_profiles = profiles.RecentTerminal(options_.max_profiles);
+  const std::deque<WlmEvent>& events = log.events();
+  const size_t take = std::min(events.size(), options_.max_events);
+  dump.recent_events.assign(events.end() - static_cast<std::ptrdiff_t>(take),
+                            events.end());
   postmortems_.push_back(std::move(dump));
 }
 

@@ -13,8 +13,8 @@
 
 namespace wlm {
 
-/// Controller-plane state at the instant a post-mortem fires, assembled by
-/// the Telemetry facade from the hooks it has already seen.
+/// Controller-plane state at the instant a post-mortem fires, read by the
+/// Telemetry facade from the gauges its hooks already set.
 struct ControllerStateSnapshot {
   double time = 0.0;
   bool degraded = false;       // graceful degradation in force
@@ -40,16 +40,17 @@ struct PostMortem {
   std::vector<WlmEvent> recent_events;        // oldest first
 };
 
-/// The black-box flight recorder: a bounded ring of recently finished
-/// query profiles that, when an anomaly trigger fires (SLO watchdog
-/// violation, circuit breaker opening, fault window beginning), snapshots
-/// the ring + the recent event-log tail + the controller state into a
-/// deterministic post-mortem. Purely passive: it never schedules events
-/// and records only simulated time.
+/// The black-box flight recorder: when an anomaly trigger fires (SLO
+/// watchdog violation, circuit breaker opening, fault window beginning,
+/// shard declared dead), it copies the newest terminal profiles from the
+/// profile store, the event-log tail and the controller state into a
+/// deterministic post-mortem. It keeps nothing between dumps but the dumps
+/// themselves. Purely passive: it never schedules events and records only
+/// simulated time.
 class FlightRecorder {
  public:
   struct Options {
-    /// Terminal profiles retained in the ring.
+    /// Newest terminal profiles captured per dump.
     size_t max_profiles = 128;
     /// Event-log tail captured per dump.
     size_t max_events = 256;
@@ -63,17 +64,13 @@ class FlightRecorder {
   FlightRecorder();
   explicit FlightRecorder(Options options);
 
-  /// Feeds a finished profile into the ring (oldest evicted past bound).
-  void RecordProfile(const QueryProfile& profile);
-
   /// Anomaly trigger. Captures a post-mortem unless within the cooldown
   /// window of the previous dump or the dump budget is spent; every call
-  /// is counted either way. `log` may be nullptr.
+  /// is counted either way.
   void Trigger(const std::string& reason,
-               const ControllerStateSnapshot& state, const EventLog* log);
+               const ControllerStateSnapshot& state,
+               const ProfileStore& profiles, const EventLog& log);
 
-  /// Snapshot of the profile ring, oldest first.
-  std::vector<QueryProfile> recent_profiles() const;
   const std::vector<PostMortem>& postmortems() const { return postmortems_; }
   int64_t triggers_seen() const { return triggers_seen_; }
   int64_t triggers_suppressed() const { return triggers_suppressed_; }
@@ -87,12 +84,6 @@ class FlightRecorder {
 
  private:
   Options options_;
-  // Fixed circular buffer, slots overwritten in place: recording a
-  // profile in steady state costs one copy-assign (which reuses string
-  // capacity) and never allocates — a deque of ~300-byte profiles pays a
-  // chunk malloc/free per query at this element size.
-  std::vector<QueryProfile> ring_;
-  size_t ring_head_ = 0;  // next slot to overwrite once the ring is full
   std::vector<PostMortem> postmortems_;
   int64_t triggers_seen_ = 0;
   int64_t triggers_suppressed_ = 0;

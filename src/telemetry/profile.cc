@@ -230,6 +230,17 @@ std::pair<int, double> ProfileStore::OpenSegment(QueryId id) const {
   return {it->second.open_phase, it->second.open_start};
 }
 
+std::vector<QueryProfile> ProfileStore::RecentTerminal(size_t n) const {
+  const size_t take = std::min(n, finished_order_.size());
+  std::vector<QueryProfile> out;
+  out.reserve(take);
+  for (auto it = finished_order_.end() - static_cast<std::ptrdiff_t>(take);
+       it != finished_order_.end(); ++it) {
+    out.push_back(profiles_.at(*it).profile);
+  }
+  return out;
+}
+
 std::vector<const QueryProfile*> ProfileStore::Profiles() const {
   std::vector<std::pair<int64_t, const QueryProfile*>> ordered;
   ordered.reserve(profiles_.size());

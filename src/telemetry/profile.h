@@ -154,6 +154,9 @@ class ProfileStore {
   std::pair<int, double> OpenSegment(QueryId id) const;
   /// All retained profiles, in creation order.
   std::vector<const QueryProfile*> Profiles() const;
+  /// Copies of the newest `n` retained terminal profiles, oldest first
+  /// (finalize order).
+  std::vector<QueryProfile> RecentTerminal(size_t n) const;
   const std::map<std::string, ClassProfileRollup>& rollups() const {
     return rollups_;
   }

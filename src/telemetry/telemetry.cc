@@ -17,14 +17,13 @@ const char* SyntheticTrackName(SyntheticTrack track) {
   return "?";
 }
 
-Telemetry::Telemetry(Simulation* sim, Monitor* monitor, EventLog* event_log,
+Telemetry::Telemetry(Simulation* sim, Monitor* monitor,
                      TelemetryOptions options)
     : sim_(sim),
       monitor_(monitor),
-      event_log_(event_log),
       enabled_(options.enabled),
       profiling_(options.profiling),
-      watchdog_(monitor, event_log, &metrics_) {
+      watchdog_(monitor, &event_log_, &metrics_) {
   if (!enabled_) return;
   metrics_.SetHelp("wlm_requests_submitted_total",
                    "Requests entering the workload manager");
@@ -103,6 +102,25 @@ Telemetry::Telemetry(Simulation* sim, Monitor* monitor, EventLog* event_log,
 
 double Telemetry::Now() const { return sim_->Now(); }
 
+void Telemetry::Log(WlmEventType type, QueryId query,
+                    const std::string& workload, std::string detail) {
+  event_log_.Append({Now(), type, query, workload, std::move(detail)});
+}
+
+QueryId Telemetry::Track(SyntheticTrack track, double now) {
+  const QueryId id = SyntheticTrackId(track);
+  tracer_.GetOrCreate(id, SyntheticTrackName(track), QueryKind::kUtility, now);
+  return id;
+}
+
+void Telemetry::TileOpenWait(QueryId id, double now) {
+  auto [phase, start] = profiles_.OpenSegment(id);
+  if (phase >= 0 && now > start) {
+    tracer_.AddClosedSpan(id, SpanKind::kPhase, start, now,
+                          PhaseToString(static_cast<Phase>(phase)));
+  }
+}
+
 void Telemetry::WatchSlos(const std::string& workload,
                           const std::vector<ServiceLevelObjective>& slos) {
   if (!enabled_) return;
@@ -111,6 +129,7 @@ void Telemetry::WatchSlos(const std::string& workload,
 
 void Telemetry::OnSubmit(QueryId id, const std::string& workload,
                          QueryKind kind, uint64_t journey) {
+  Log(WlmEventType::kSubmitted, id, workload);
   if (!enabled_) return;
   tracer_.GetOrCreate(id, workload, kind, Now());
   if (profiling_) profiles_.Begin(id, workload, kind, Now(), journey);
@@ -130,6 +149,7 @@ void Telemetry::OnAdmitted(QueryId id, const std::string& workload) {
 void Telemetry::OnRejected(QueryId id, const std::string& workload,
                            const std::string& gate,
                            const std::string& reason) {
+  Log(WlmEventType::kRejected, id, workload, reason);
   if (!enabled_) return;
   const double now = Now();
   tracer_.AddClosedSpan(id, SpanKind::kAdmit, now, now,
@@ -142,7 +162,9 @@ void Telemetry::OnRejected(QueryId id, const std::string& workload,
       .Increment();
 }
 
-void Telemetry::OnRequeued(QueryId id, const std::string& workload) {
+void Telemetry::OnRequeued(QueryId id, const std::string& workload,
+                           const char* reason) {
+  if (reason != nullptr) Log(WlmEventType::kResubmitted, id, workload, reason);
   if (!enabled_) return;
   const double now = Now();
   // A kill/deadlock resubmission interrupts the running segment.
@@ -150,11 +172,7 @@ void Telemetry::OnRequeued(QueryId id, const std::string& workload) {
   tracer_.OpenSpan(id, SpanKind::kQueue, now, "resubmit");
   if (profiling_) {
     // A fault retry arrives here from backoff limbo: tile that wait.
-    auto [phase, start] = profiles_.OpenSegment(id);
-    if (phase >= 0 && now > start) {
-      tracer_.AddClosedSpan(id, SpanKind::kPhase, start, now,
-                            PhaseToString(static_cast<Phase>(phase)));
-    }
+    TileOpenWait(id, now);
     profiles_.CountRequeue(id);
     profiles_.OpenQueueWait(id, now);
   }
@@ -174,7 +192,10 @@ void Telemetry::OnDispatchGated(QueryId id, const std::string& workload,
 }
 
 void Telemetry::OnDispatch(QueryId id, const std::string& workload,
-                           bool resumed) {
+                           const char* resumed_strategy) {
+  const bool resumed = resumed_strategy != nullptr;
+  Log(resumed ? WlmEventType::kResumed : WlmEventType::kDispatched, id,
+      workload, resumed ? resumed_strategy : "");
   if (!enabled_) return;
   const double now = Now();
   tracer_.CloseSpan(id, resumed ? SpanKind::kSuspendedWait : SpanKind::kQueue,
@@ -183,11 +204,7 @@ void Telemetry::OnDispatch(QueryId id, const std::string& workload,
   if (profiling_) {
     // Tile the wait that just ended (admission/overload queue or
     // suspended wait), then settle it into the profile.
-    auto [phase, start] = profiles_.OpenSegment(id);
-    if (phase >= 0 && now > start) {
-      tracer_.AddClosedSpan(id, SpanKind::kPhase, start, now,
-                            PhaseToString(static_cast<Phase>(phase)));
-    }
+    TileOpenWait(id, now);
     profiles_.MarkDispatched(id, now);
   }
   metrics_
@@ -206,6 +223,7 @@ void Telemetry::OnSuspendStart(QueryId id, const std::string& workload,
 }
 
 void Telemetry::OnSuspended(QueryId id, const std::string& workload) {
+  Log(WlmEventType::kSuspended, id, workload);
   if (!enabled_) return;
   const double now = Now();
   tracer_.CloseSpan(id, SpanKind::kSuspendFlush, now);
@@ -229,10 +247,13 @@ void Telemetry::OnRunSegment(QueryId id, const std::string& workload,
 }
 
 void Telemetry::OnTerminal(QueryId id, const std::string& workload,
-                           const char* outcome_name, double response_seconds,
+                           WlmEventType terminal, double response_seconds,
                            double queue_wait_seconds,
                            const QueryOutcome& outcome) {
+  Log(terminal, id, workload,
+      terminal == WlmEventType::kAborted ? "deadlock victim" : "");
   if (!enabled_) return;
+  const char* outcome_name = WlmEventTypeToString(terminal);
   const double now = Now();
   if (outcome.lock_wait_seconds > 0.0) {
     tracer_.AddClosedSpan(
@@ -263,6 +284,7 @@ void Telemetry::OnTerminal(QueryId id, const std::string& workload,
 
 void Telemetry::OnThrottle(QueryId id, const std::string& workload,
                            double duty) {
+  Log(WlmEventType::kThrottled, id, workload, "duty=" + std::to_string(duty));
   if (!enabled_) return;
   const double now = Now();
   char detail[48];
@@ -280,6 +302,7 @@ void Telemetry::OnThrottle(QueryId id, const std::string& workload,
 
 void Telemetry::OnPause(QueryId id, const std::string& workload,
                         double seconds) {
+  Log(WlmEventType::kPaused, id, workload, std::to_string(seconds) + "s");
   if (!enabled_) return;
   const double now = Now();
   char detail[48];
@@ -293,6 +316,7 @@ void Telemetry::OnPause(QueryId id, const std::string& workload,
 
 void Telemetry::OnReprioritize(QueryId id, const std::string& workload,
                                const char* priority) {
+  Log(WlmEventType::kReprioritized, id, workload, priority);
   if (!enabled_) return;
   tracer_.Instant(id, "reprioritize", Now(),
                   std::string("priority=") + priority);
@@ -303,32 +327,32 @@ void Telemetry::OnReprioritize(QueryId id, const std::string& workload,
 
 void Telemetry::OnFaultBegin(const std::string& kind,
                              const std::string& detail) {
+  Log(WlmEventType::kFaultInjected, SyntheticTrackId(SyntheticTrack::kFaults),
+      SyntheticTrackName(SyntheticTrack::kFaults),
+      detail.empty() ? kind : kind + " " + detail);
   if (!enabled_) return;
   const double now = Now();
-  tracer_.GetOrCreate(SyntheticTrackId(SyntheticTrack::kFaults),
-                      SyntheticTrackName(SyntheticTrack::kFaults),
-                      QueryKind::kUtility, now);
-  tracer_.Instant(SyntheticTrackId(SyntheticTrack::kFaults), "fault_begin", now, kind + " " + detail);
+  const QueryId track = Track(SyntheticTrack::kFaults, now);
+  tracer_.Instant(track, "fault_begin", now, kind + " " + detail);
   metrics_.GetCounter("wlm_faults_injected_total", {{"kind", kind}})
       .Increment();
   metrics_.GetGauge("wlm_faults_active").Add(1.0);
-  ++active_faults_;
   TriggerFlightRecorder("fault:" + kind);
 }
 
 void Telemetry::OnFaultEnd(const std::string& kind, double started_at) {
-  if (!enabled_) return;
   const double now = Now();
-  tracer_.GetOrCreate(SyntheticTrackId(SyntheticTrack::kFaults),
-                      SyntheticTrackName(SyntheticTrack::kFaults),
-                      QueryKind::kUtility, now);
-  tracer_.AddClosedSpan(SyntheticTrackId(SyntheticTrack::kFaults), SpanKind::kFault, started_at, now,
-                        kind);
-  tracer_.Instant(SyntheticTrackId(SyntheticTrack::kFaults), "fault_end", now, kind);
+  char window[64];
+  std::snprintf(window, sizeof(window), "window=%.3fs", now - started_at);
+  Log(WlmEventType::kFaultRecovered, SyntheticTrackId(SyntheticTrack::kFaults),
+      SyntheticTrackName(SyntheticTrack::kFaults), kind + " " + window);
+  if (!enabled_) return;
+  const QueryId track = Track(SyntheticTrack::kFaults, now);
+  tracer_.AddClosedSpan(track, SpanKind::kFault, started_at, now, kind);
+  tracer_.Instant(track, "fault_end", now, kind);
   metrics_.GetCounter("wlm_faults_recovered_total", {{"kind", kind}})
       .Increment();
   metrics_.GetGauge("wlm_faults_active").Add(-1.0);
-  if (active_faults_ > 0) --active_faults_;
 }
 
 void Telemetry::OnFaultAbort(QueryId id, const std::string& workload,
@@ -343,9 +367,11 @@ void Telemetry::OnFaultAbort(QueryId id, const std::string& workload,
 
 void Telemetry::OnFaultRetry(QueryId id, const std::string& workload,
                              double delay_seconds) {
-  if (!enabled_) return;
   char detail[48];
   std::snprintf(detail, sizeof(detail), "backoff=%.3fs", delay_seconds);
+  Log(WlmEventType::kResubmitted, id, workload,
+      std::string("fault retry ") + detail);
+  if (!enabled_) return;
   tracer_.Instant(id, "fault_retry", Now(), detail);
   if (profiling_) profiles_.OpenWait(id, Phase::kRetryBackoff, Now());
   metrics_.GetCounter("wlm_faults_retries_total", {{"workload", workload}})
@@ -354,24 +380,18 @@ void Telemetry::OnFaultRetry(QueryId id, const std::string& workload,
 
 void Telemetry::SetDegraded(bool degraded) {
   if (!enabled_) return;
-  degraded_ = degraded;
   metrics_.GetGauge("wlm_faults_degraded").Set(degraded ? 1.0 : 0.0);
 }
 
 void Telemetry::OnShed(QueryId id, const std::string& workload,
                        const std::string& reason) {
+  Log(WlmEventType::kShed, id, workload, reason);
   if (!enabled_) return;
   const double now = Now();
   tracer_.CloseSpan(id, SpanKind::kQueue, now, " shed=" + reason);
   tracer_.Instant(id, "shed", now, reason);
   tracer_.FinishTrace(id, now);
-  if (profiling_) {
-    auto [phase, start] = profiles_.OpenSegment(id);
-    if (phase >= 0 && now > start) {
-      tracer_.AddClosedSpan(id, SpanKind::kPhase, start, now,
-                            PhaseToString(static_cast<Phase>(phase)));
-    }
-  }
+  if (profiling_) TileOpenWait(id, now);
   FinalizeProfile(id, "shed", reason);
   metrics_
       .GetCounter("wlm_overload_shed_total",
@@ -381,6 +401,7 @@ void Telemetry::OnShed(QueryId id, const std::string& workload,
 
 void Telemetry::OnRetryDenied(QueryId id, const std::string& workload,
                               const std::string& reason) {
+  Log(WlmEventType::kRetryDenied, id, workload, reason);
   if (!enabled_) return;
   tracer_.Instant(id, "retry_denied", Now(), reason);
   metrics_
@@ -390,62 +411,70 @@ void Telemetry::OnRetryDenied(QueryId id, const std::string& workload,
 }
 
 void Telemetry::OnBreakerTransition(const std::string& workload, int state,
-                                    const char* state_name, double opened_at,
                                     const std::string& detail) {
+  // Indexed by CircuitBreaker::State: closed, half-open, open.
+  static constexpr WlmEventType kEvents[] = {WlmEventType::kBreakerClosed,
+                                             WlmEventType::kBreakerHalfOpen,
+                                             WlmEventType::kBreakerTripped};
+  static constexpr const char* kNames[] = {"closed", "half_open", "open"};
+  constexpr int kOpen = 2;
+  Log(kEvents[state], SyntheticTrackId(SyntheticTrack::kOverload),
+      workload.empty() ? SyntheticTrackName(SyntheticTrack::kOverload)
+                       : workload,
+      detail);
   if (!enabled_) return;
   const double now = Now();
-  tracer_.GetOrCreate(SyntheticTrackId(SyntheticTrack::kOverload),
-                      SyntheticTrackName(SyntheticTrack::kOverload),
-                      QueryKind::kUtility, now);
-  tracer_.Instant(SyntheticTrackId(SyntheticTrack::kOverload), std::string("breaker_") + state_name, now,
+  const QueryId track = Track(SyntheticTrack::kOverload, now);
+  tracer_.Instant(track, std::string("breaker_") + kNames[state], now,
                   workload + " " + detail);
-  if (opened_at >= 0.0) {
+  if (state == kOpen) {
+    breaker_opened_at_[workload] = now;
+  } else if (auto it = breaker_opened_at_.find(workload);
+             it != breaker_opened_at_.end()) {
     // Leaving the open state: record the whole open window as one span.
-    tracer_.AddClosedSpan(SyntheticTrackId(SyntheticTrack::kOverload), SpanKind::kOverload, opened_at,
-                          now, "breaker_open " + workload);
+    tracer_.AddClosedSpan(track, SpanKind::kOverload, it->second, now,
+                          "breaker_open " + workload);
+    breaker_opened_at_.erase(it);
   }
   metrics_.GetGauge("wlm_overload_breaker_state", {{"workload", workload}})
       .Set(static_cast<double>(state));
   metrics_
       .GetCounter("wlm_overload_breaker_transitions_total",
-                  {{"workload", workload}, {"to", state_name}})
+                  {{"workload", workload}, {"to", kNames[state]}})
       .Increment();
-  breaker_states_[workload] = state;
-  if (std::string(state_name) == "open") {
-    TriggerFlightRecorder("breaker_open:" + workload);
-  }
+  if (state == kOpen) TriggerFlightRecorder("breaker_open:" + workload);
 }
 
-void Telemetry::OnBrownoutStep(int level, double entered_at,
-                               const std::string& detail) {
+void Telemetry::OnBrownoutStep(int level, const std::string& detail) {
+  char line[64];
+  std::snprintf(line, sizeof(line), "level=%d %s", level, detail.c_str());
+  Log(WlmEventType::kBrownoutStepped,
+      SyntheticTrackId(SyntheticTrack::kOverload),
+      SyntheticTrackName(SyntheticTrack::kOverload), line);
   if (!enabled_) return;
   const double now = Now();
-  tracer_.GetOrCreate(SyntheticTrackId(SyntheticTrack::kOverload),
-                      SyntheticTrackName(SyntheticTrack::kOverload),
-                      QueryKind::kUtility, now);
+  const QueryId track = Track(SyntheticTrack::kOverload, now);
   char name[48];
   std::snprintf(name, sizeof(name), "brownout_level_%d", level);
-  tracer_.Instant(SyntheticTrackId(SyntheticTrack::kOverload), name, now, detail);
-  if (level == 0 && entered_at >= 0.0) {
+  tracer_.Instant(track, name, now, detail);
+  if (level > 0 && brownout_entered_at_ < 0.0) brownout_entered_at_ = now;
+  if (level == 0 && brownout_entered_at_ >= 0.0) {
     // Episode over: record the whole brownout window as one span.
-    tracer_.AddClosedSpan(SyntheticTrackId(SyntheticTrack::kOverload), SpanKind::kOverload, entered_at,
+    tracer_.AddClosedSpan(track, SpanKind::kOverload, brownout_entered_at_,
                           now, "brownout");
+    brownout_entered_at_ = -1.0;
   }
   metrics_.GetGauge("wlm_overload_brownout_level")
       .Set(static_cast<double>(level));
   metrics_.GetCounter("wlm_overload_brownout_steps_total").Increment();
-  brownout_level_ = level;
 }
 
 void Telemetry::OnQueueDiscipline(bool lifo) {
   if (!enabled_) return;
   const double now = Now();
-  tracer_.GetOrCreate(SyntheticTrackId(SyntheticTrack::kOverload),
-                      SyntheticTrackName(SyntheticTrack::kOverload),
-                      QueryKind::kUtility, now);
-  tracer_.Instant(SyntheticTrackId(SyntheticTrack::kOverload), lifo ? "queue_lifo" : "queue_fifo", now);
+  tracer_.Instant(Track(SyntheticTrack::kOverload, now),
+                  lifo ? "queue_lifo" : "queue_fifo", now);
   metrics_.GetGauge("wlm_overload_queue_lifo").Set(lifo ? 1.0 : 0.0);
-  queue_lifo_ = lifo;
   if (profiling_) profiles_.SetQueueDiscipline(lifo, now);
 }
 
@@ -464,9 +493,6 @@ void Telemetry::OnMonitorSample(const SystemIndicators& indicators,
     metrics_.GetGauge("wlm_throughput", {{"workload", tag}})
         .Set(stats.last_interval_throughput);
   }
-  last_indicators_ = indicators;
-  last_queue_depth_ = queue_depth;
-  last_running_ = running_count;
   watchdog_.Check(indicators);
   // New watchdog violations arm the black box: dump while the anomaly is
   // fresh rather than asking questions after the run.
@@ -497,18 +523,29 @@ void Telemetry::OnEscalation(QueryId id, const std::string& workload,
 }
 
 ControllerStateSnapshot Telemetry::ControllerState() const {
+  auto gauge = [this](const char* name) {
+    const Gauge* series = metrics_.FindGauge(name);
+    return series == nullptr ? 0.0 : series->value();
+  };
   ControllerStateSnapshot state;
   state.time = Now();
-  state.degraded = degraded_;
-  state.active_faults = active_faults_;
-  state.brownout_level = brownout_level_;
-  state.queue_lifo = queue_lifo_;
-  state.queue_depth = last_queue_depth_;
-  state.running = last_running_;
-  state.cpu_utilization = last_indicators_.cpu_utilization;
-  state.io_utilization = last_indicators_.io_utilization;
-  state.memory_utilization = last_indicators_.memory_utilization;
-  state.breaker_states = breaker_states_;
+  state.degraded = gauge("wlm_faults_degraded") != 0.0;
+  state.active_faults = static_cast<int>(gauge("wlm_faults_active"));
+  state.brownout_level =
+      static_cast<int>(gauge("wlm_overload_brownout_level"));
+  state.queue_lifo = gauge("wlm_overload_queue_lifo") != 0.0;
+  state.queue_depth = static_cast<size_t>(gauge("wlm_queue_depth"));
+  state.running = static_cast<size_t>(gauge("wlm_running"));
+  state.cpu_utilization = gauge("wlm_cpu_utilization");
+  state.io_utilization = gauge("wlm_io_utilization");
+  state.memory_utilization = gauge("wlm_memory_utilization");
+  for (const MetricsRegistry::FamilyView& family : metrics_.Families()) {
+    if (family.name != "wlm_overload_breaker_state") continue;
+    for (const MetricsRegistry::SeriesView& series : family.series) {
+      state.breaker_states[series.labels->front().second] =
+          static_cast<int>(series.gauge->value());
+    }
+  }
   return state;
 }
 
@@ -529,7 +566,6 @@ void Telemetry::FinalizeProfile(QueryId id, const std::string& outcome,
     }
     slot->second[i]->Increment(profile->phase_seconds[i]);
   }
-  recorder_.RecordProfile(*profile);
 }
 
 void Telemetry::AddPhaseTiles(QueryId id, double start,
@@ -561,9 +597,9 @@ void Telemetry::AddPhaseTiles(QueryId id, double start,
 }
 
 void Telemetry::TriggerFlightRecorder(const std::string& reason) {
-  if (!profiling_) return;
-  size_t before = recorder_.postmortems().size();
-  recorder_.Trigger(reason, ControllerState(), event_log_);
+  if (!profiling()) return;
+  const size_t before = recorder_.postmortems().size();
+  recorder_.Trigger(reason, ControllerState(), profiles_, event_log_);
   if (recorder_.postmortems().size() > before) {
     metrics_.GetCounter("wlm_flight_recorder_dumps_total").Increment();
   }

@@ -52,34 +52,45 @@ const char* SyntheticTrackName(SyntheticTrack track);
 
 /// The tracer and profile store keep their default bounds (8192 queries
 /// each, oldest finished evicted first) and the flight recorder its
-/// default ring, cooldown and dump budget.
+/// default dump size, cooldown and dump budget. Neither switch touches the
+/// event log: the facade writes it either way.
 struct TelemetryOptions {
-  /// When false every hook returns immediately (one predictable branch on
-  /// the hot path) and nothing is recorded.
+  /// When false every hook returns right after appending its event-log
+  /// line, if it has one (one predictable branch on the hot path), and
+  /// nothing else is recorded.
   bool enabled = true;
   /// Per-query latency decomposition + resource attribution (QueryProfile
   /// store, wlm_phase_seconds_total metrics, phase tiles in the Chrome
-  /// trace) and the black-box flight recorder fed from it (post-mortem
-  /// dumps on SLO violations, breaker trips and fault windows). Ignored
-  /// while `enabled` is false.
+  /// trace) and the black-box flight recorder that reads it (post-mortem
+  /// dumps on SLO violations, breaker trips, fault windows and shard
+  /// deaths). Ignored while `enabled` is false.
   bool profiling = true;
 };
 
-/// The observability facade the WorkloadManager drives: per-query span
-/// traces, the labeled metrics registry, and the SLO watchdog, all fed
-/// from the manager's lifecycle hooks and the monitor's sampling loop.
+/// The observability facade the WorkloadManager drives, and the only
+/// recorder of a lifecycle fact on a node: the manager makes one hook call
+/// per fact. A hook whose fact has a WlmEventType first appends its line to
+/// the control-plane event log (always, even when disabled, so the log is
+/// the same with telemetry on or off); then every hook fans out to the
+/// span tracer, the labeled metrics registry, the profile store and the SLO
+/// watchdog. Post-mortems read what those already hold: the newest terminal
+/// profiles, the event-log tail and the controller-state gauges.
 /// Purely passive — it records simulated time but never schedules events
 /// or perturbs any control decision, so enabling/disabling it cannot
 /// change a run's outcome.
 class Telemetry {
  public:
-  /// `event_log` is the manager's control-plane log; the SLO watchdog
-  /// appends its violation events there. May be nullptr.
-  Telemetry(Simulation* sim, Monitor* monitor, EventLog* event_log,
+  Telemetry(Simulation* sim, Monitor* monitor,
             TelemetryOptions options = TelemetryOptions());
+  // The watchdog holds pointers to the event log and metrics members.
+  Telemetry(const Telemetry&) = delete;
+  Telemetry& operator=(const Telemetry&) = delete;
 
   bool enabled() const { return enabled_; }
 
+  /// Control-plane event history, written by the hooks below and by the
+  /// SLO watchdog (kSloViolation, only while enabled).
+  const EventLog& event_log() const { return event_log_; }
   Tracer& tracer() { return tracer_; }
   const Tracer& tracer() const { return tracer_; }
   MetricsRegistry& metrics() { return metrics_; }
@@ -89,19 +100,23 @@ class Telemetry {
   /// Per-query latency decomposition + resource attribution store.
   ProfileStore& profiles() { return profiles_; }
   const ProfileStore& profiles() const { return profiles_; }
-  /// Black-box flight recorder (post-mortem ring + dumps).
-  FlightRecorder& flight_recorder() { return recorder_; }
+  /// Black-box flight recorder (post-mortem dumps).
   const FlightRecorder& flight_recorder() const { return recorder_; }
   [[nodiscard]] bool profiling() const { return enabled_ && profiling_; }
-  /// Controller-plane state as the facade currently knows it (what a
+  /// Controller-plane state as the gauges currently read (what a
   /// post-mortem snapshot would capture right now).
   ControllerStateSnapshot ControllerState() const;
+  /// The one post-mortem trigger: dumps the flight recorder with the
+  /// current controller state (cooldown and dump budget apply) and counts
+  /// real captures in wlm_flight_recorder_dumps_total. A no-op unless
+  /// profiling.
+  void TriggerFlightRecorder(const std::string& reason);
 
   /// Replaces the watched SLOs of `workload` (on workload definition).
   void WatchSlos(const std::string& workload,
                  const std::vector<ServiceLevelObjective>& slos);
 
-  // --- lifecycle hooks (all no-ops when disabled) --------------------------
+  // --- lifecycle hooks (log only when disabled) ----------------------------
   /// `journey` is the cluster-assigned journey id carried on the spec
   /// (0 outside a cluster); it lands on the QueryProfile so per-shard
   /// profiles stitch into one cross-shard journey DAG.
@@ -112,13 +127,18 @@ class Telemetry {
   /// Admission refused by `gate`; the trace ends here.
   void OnRejected(QueryId id, const std::string& workload,
                   const std::string& gate, const std::string& reason);
-  /// Back in the queue after a kill/deadlock resubmission or suspension
-  /// has already been handled (opens a fresh queue span).
-  void OnRequeued(QueryId id, const std::string& workload);
+  /// Back in the queue (opens a fresh queue span). `reason` is the
+  /// kill/deadlock resubmission cause, logged as kResubmitted; nullptr when
+  /// a fault retry leaves backoff (OnFaultRetry logged it).
+  void OnRequeued(QueryId id, const std::string& workload,
+                  const char* reason);
   /// A dispatch-time admission gate held the request back this round.
   void OnDispatchGated(QueryId id, const std::string& workload,
                        const std::string& gate);
-  void OnDispatch(QueryId id, const std::string& workload, bool resumed);
+  /// Into the engine. `resumed_strategy` names the suspend strategy of a
+  /// resumed request (kResumed); nullptr for a fresh dispatch (kDispatched).
+  void OnDispatch(QueryId id, const std::string& workload,
+                  const char* resumed_strategy);
   void OnSuspendStart(QueryId id, const std::string& workload,
                       const char* strategy);
   /// State flush finished; the request waits for resume.
@@ -129,9 +149,10 @@ class Telemetry {
   /// outcome-specific hook (OnTerminal / OnSuspended / OnRequeued).
   void OnRunSegment(QueryId id, const std::string& workload,
                     const QueryOutcome& outcome);
-  /// Terminal outcome (completed / killed / aborted).
+  /// Terminal outcome: `terminal` is kCompleted, kKilled or kAborted (a
+  /// deadlock victim); its name labels the metrics and the profile.
   void OnTerminal(QueryId id, const std::string& workload,
-                  const char* outcome_name, double response_seconds,
+                  WlmEventType terminal, double response_seconds,
                   double queue_wait_seconds, const QueryOutcome& outcome);
   /// Timeout-escalation ladder stepped a request onto `rung`
   /// (throttle / suspend / kill / deadline_kill).
@@ -165,16 +186,14 @@ class Telemetry {
   void OnRetryDenied(QueryId id, const std::string& workload,
                      const std::string& reason);
   /// A workload's circuit breaker changed state. `state` is the numeric
-  /// CircuitBreaker::State (0 closed, 1 half-open, 2 open); when the
-  /// breaker leaves the open state, `opened_at >= 0` records the whole
-  /// open window as one kOverload span on the overload track.
+  /// CircuitBreaker::State (0 closed, 1 half-open, 2 open); leaving the
+  /// open state records the whole open window as one kOverload span on the
+  /// overload track.
   void OnBreakerTransition(const std::string& workload, int state,
-                           const char* state_name, double opened_at,
                            const std::string& detail);
-  /// The brownout shed level stepped; `entered_at >= 0` closes the
-  /// episode span when the level returns to zero.
-  void OnBrownoutStep(int level, double entered_at,
-                      const std::string& detail);
+  /// The brownout shed level stepped; returning to zero records the whole
+  /// episode as one kOverload span.
+  void OnBrownoutStep(int level, const std::string& detail);
   /// The wait queue flipped FIFO<->LIFO under the CoDel discipline.
   void OnQueueDiscipline(bool lifo);
 
@@ -187,33 +206,33 @@ class Telemetry {
 
  private:
   double Now() const;
-  /// Finalizes a profile: phase metrics, flight-recorder ring, rollups.
+  /// Appends one control-plane event at the current sim time.
+  void Log(WlmEventType type, QueryId query, const std::string& workload,
+           std::string detail = std::string());
+  /// The synthetic track's id, its trace created on first use.
+  QueryId Track(SyntheticTrack track, double now);
+  /// Tiles the request's open wait segment (queue, suspended wait, retry
+  /// backoff) up to `now` as a kPhase span; the profile settles it.
+  void TileOpenWait(QueryId id, double now);
+  /// Finalizes a profile: phase metrics and class rollups.
   void FinalizeProfile(QueryId id, const std::string& outcome,
                        const std::string& detail);
   /// Emits kPhase tile spans partitioning [start, start+sum(phases)).
   void AddPhaseTiles(QueryId id, double start, const ExecPhaseTotals& phases);
-  /// Fires the flight recorder with the current controller state.
-  void TriggerFlightRecorder(const std::string& reason);
 
   Simulation* sim_;
   Monitor* monitor_;
-  EventLog* event_log_;
   const bool enabled_;
   const bool profiling_;
+  EventLog event_log_;  // before watchdog_: it sinks into the log
   Tracer tracer_;
   MetricsRegistry metrics_;
   SloWatchdog watchdog_;
   ProfileStore profiles_;
   FlightRecorder recorder_;
-  // Controller-plane state mirrored from the hooks, for post-mortems.
-  bool degraded_ = false;
-  int active_faults_ = 0;
-  int brownout_level_ = 0;
-  bool queue_lifo_ = false;
-  size_t last_queue_depth_ = 0;
-  size_t last_running_ = 0;
-  SystemIndicators last_indicators_;
-  std::map<std::string, int> breaker_states_;
+  // Open-window starts for the overload track's breaker and brownout spans.
+  std::map<std::string, double> breaker_opened_at_;
+  double brownout_entered_at_ = -1.0;
   size_t violations_seen_ = 0;  // watchdog watermark for trigger edges
   // Per-workload cache of wlm_phase_seconds_total series: Counter objects
   // are heap-allocated and pointer-stable, so finalizing a query costs one

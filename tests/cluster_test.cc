@@ -405,6 +405,49 @@ TEST(ClusterHealthTest, DetectorDeclaresCrashedShardDownWithinBound) {
   EXPECT_EQ(postmortems.front().reason, "shard_down");
 }
 
+// The dead shard's shard_down post-mortem goes through the telemetry
+// facade's one trigger: it is counted like every other dump, and there is
+// none while profiling (or telemetry as a whole) is off.
+TEST(ClusterHealthTest, ShardDownPostMortemIsCountedAndFollowsProfiling) {
+  struct Case {
+    bool enabled;
+    bool profiling;
+  };
+  for (const Case& c : {Case{true, true}, Case{true, false},
+                        Case{false, true}}) {
+    SCOPED_TRACE(testing::Message() << "enabled=" << c.enabled
+                                    << " profiling=" << c.profiling);
+    Simulation sim;
+    ClusterOptions options = HealthClusterOptions(2);
+    options.wlm.telemetry.enabled = c.enabled;
+    options.wlm.telemetry.profiling = c.profiling;
+    ClusterDispatcher cluster(&sim, options, [](int, WorkloadManager& m) {
+      DefineTestWorkloads(m);
+    });
+    sim.RunUntil(2.0);
+    cluster.CrashShard(1);
+    sim.RunUntil(2.0 + 4.0 * cluster.options().health.heartbeat_interval +
+                 1e-9);
+    ASSERT_EQ(cluster.shard(1).lifecycle(), ShardLifecycle::kDown);
+
+    const Telemetry& telemetry = cluster.shard(1).wlm().telemetry();
+    const std::vector<PostMortem>& postmortems =
+        telemetry.flight_recorder().postmortems();
+    const Counter* dumps =
+        telemetry.metrics().FindCounter("wlm_flight_recorder_dumps_total");
+    if (c.enabled && c.profiling) {
+      ASSERT_EQ(postmortems.size(), 1u);
+      EXPECT_EQ(postmortems.front().reason, "shard_down");
+      ASSERT_NE(dumps, nullptr);
+      EXPECT_DOUBLE_EQ(dumps->value(),
+                       static_cast<double>(postmortems.size()));
+    } else {
+      EXPECT_TRUE(postmortems.empty());
+      EXPECT_EQ(dumps, nullptr);
+    }
+  }
+}
+
 TEST(ClusterHealthTest, CrashDrainGrantsSecondLivesAndConservesWork) {
   Simulation sim;
   ClusterDispatcher cluster(&sim, HealthClusterOptions(2),

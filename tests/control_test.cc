@@ -3,8 +3,8 @@
 #include <cmath>
 
 #include "control/controllers.h"
-#include "control/queueing.h"
 #include "control/utility.h"
+#include "tests/queueing.h"
 
 namespace wlm {
 namespace {

@@ -14,11 +14,11 @@
 #include <map>
 #include <memory>
 
-#include "control/queueing.h"
 #include "faults/fault_injector.h"
 #include "faults/fault_plan.h"
 #include "scheduling/queue_schedulers.h"
 #include "scheduling/restructuring.h"
+#include "tests/queueing.h"
 #include "tests/wlm_test_util.h"
 #include "workloads/generators.h"
 

@@ -722,15 +722,17 @@ TEST(FlightRecorder, CooldownAndDumpBudgetSuppressTriggers) {
   opts.max_postmortems = 2;
   opts.cooldown_seconds = 1.0;
   FlightRecorder recorder(opts);
+  const ProfileStore profiles;
+  const EventLog log;
   ControllerStateSnapshot state;
   state.time = 0.0;
-  recorder.Trigger("a", state, nullptr);
+  recorder.Trigger("a", state, profiles, log);
   state.time = 0.5;
-  recorder.Trigger("b", state, nullptr);  // within cooldown
+  recorder.Trigger("b", state, profiles, log);  // within cooldown
   state.time = 2.0;
-  recorder.Trigger("c", state, nullptr);
+  recorder.Trigger("c", state, profiles, log);
   state.time = 4.0;
-  recorder.Trigger("d", state, nullptr);  // dump budget spent
+  recorder.Trigger("d", state, profiles, log);  // dump budget spent
   ASSERT_EQ(recorder.postmortems().size(), 2u);
   EXPECT_EQ(recorder.triggers_seen(), 4);
   EXPECT_EQ(recorder.triggers_suppressed(), 2);
@@ -738,18 +740,38 @@ TEST(FlightRecorder, CooldownAndDumpBudgetSuppressTriggers) {
   EXPECT_EQ(recorder.postmortems()[1].reason, "c");
 }
 
-TEST(FlightRecorder, ProfileRingIsBounded) {
+TEST(FlightRecorder, DumpHoldsNewestTerminalProfilesInFinalizeOrder) {
   FlightRecorder::Options opts;
   opts.max_profiles = 3;
+  opts.cooldown_seconds = 0.0;
   FlightRecorder recorder(opts);
-  for (int i = 1; i <= 5; ++i) {
-    QueryProfile p;
-    p.id = static_cast<QueryId>(i);
-    recorder.RecordProfile(p);
+  ProfileStore profiles;
+  const EventLog log;
+  for (QueryId id = 1; id <= 6; ++id) {
+    profiles.Begin(id, "oltp", QueryKind::kOltpTransaction, 0.0);
   }
-  ASSERT_EQ(recorder.recent_profiles().size(), 3u);
-  EXPECT_EQ(recorder.recent_profiles().front().id, 3u);
-  EXPECT_EQ(recorder.recent_profiles().back().id, 5u);
+  ControllerStateSnapshot state;
+  recorder.Trigger("none_finished", state, profiles, log);
+  // Finalized out of creation order; query 6 stays live.
+  double now = 1.0;
+  for (QueryId id : {4, 1, 5, 2, 3}) {
+    ASSERT_NE(profiles.Finalize(id, now, "completed", ""), nullptr);
+    now += 1.0;
+  }
+  state.time = now;
+  recorder.Trigger("five_finished", state, profiles, log);
+
+  ASSERT_EQ(recorder.postmortems().size(), 2u);
+  EXPECT_TRUE(recorder.postmortems()[0].recent_profiles.empty());
+  const std::vector<QueryProfile>& dumped =
+      recorder.postmortems()[1].recent_profiles;
+  ASSERT_EQ(dumped.size(), 3u);
+  EXPECT_EQ(dumped[0].id, 5u);
+  EXPECT_EQ(dumped[1].id, 2u);
+  EXPECT_EQ(dumped[2].id, 3u);
+  for (const QueryProfile& p : dumped) {
+    EXPECT_TRUE(p.terminal()) << p.id;
+  }
 }
 
 TEST(TelemetryEndToEnd, PhaseDecompositionConservesWallTime) {
@@ -859,7 +881,7 @@ TEST(TelemetryEndToEnd, ProfilingOffKeepsTracesButRecordsNoProfiles) {
   Telemetry& telemetry = rig.wlm.telemetry();
   EXPECT_FALSE(telemetry.profiling());
   EXPECT_EQ(telemetry.profiles().size(), 0u);
-  EXPECT_EQ(telemetry.flight_recorder().recent_profiles().size(), 0u);
+  EXPECT_TRUE(telemetry.flight_recorder().postmortems().empty());
   EXPECT_EQ(telemetry.metrics().FindCounter(
                 "wlm_phase_seconds_total",
                 {{"phase", "cpu_run"}, {"workload", "default"}}),
@@ -908,6 +930,25 @@ TEST(TelemetryEndToEnd, ExportsAreByteStableAcrossIdenticalRuns) {
   }
 }
 
+/// The event log as JSONL, minus the SLO watchdog's kSloViolation lines:
+/// the watchdog runs only with telemetry on, and the facade writes every
+/// other line the same way on or off.
+std::string EventLogWithoutSloViolations(const WorkloadManager& wlm) {
+  std::ostringstream all;
+  WriteEventLogJsonl(wlm.event_log(), all);
+  std::istringstream lines(all.str());
+  std::string kept;
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.find("\"type\":\"slo_violation\"") != std::string::npos) {
+      continue;
+    }
+    kept += line;
+    kept += '\n';
+  }
+  return kept;
+}
+
 TEST(TelemetryEndToEnd, DisabledTelemetryChangesNoOutcome) {
   MixedRun on(/*telemetry_enabled=*/true);
   MixedRun off(/*telemetry_enabled=*/false);
@@ -919,11 +960,177 @@ TEST(TelemetryEndToEnd, DisabledTelemetryChangesNoOutcome) {
     EXPECT_EQ(a.completed, b.completed) << tag;
     EXPECT_DOUBLE_EQ(a.response_times.mean(), b.response_times.mean()) << tag;
   }
-  EXPECT_EQ(on.rig->wlm.event_log().CountOf(WlmEventType::kCompleted),
-            off.rig->wlm.event_log().CountOf(WlmEventType::kCompleted));
-  // And the disabled side recorded nothing.
+  // The event log is written either way, byte for byte the same.
+  EXPECT_GE(on.rig->wlm.event_log().CountOf(WlmEventType::kSloViolation), 1);
+  EXPECT_EQ(off.rig->wlm.event_log().CountOf(WlmEventType::kSloViolation), 0);
+  const std::string on_log = EventLogWithoutSloViolations(on.rig->wlm);
+  EXPECT_GT(on_log.size(), 0u);
+  EXPECT_EQ(on_log, EventLogWithoutSloViolations(off.rig->wlm));
+  // And the disabled side recorded nothing else.
   EXPECT_EQ(off.rig->wlm.telemetry().tracer().Traces().size(), 0u);
   EXPECT_EQ(off.rig->wlm.telemetry().metrics().family_count(), 0u);
+}
+
+/// Refuses utility statements at arrival (the run's kRejected source).
+class RejectUtilities : public AdmissionController {
+ public:
+  Status OnArrival(const Request& request,
+                   const WorkloadManager& manager) override {
+    (void)manager;
+    if (request.spec.kind != QueryKind::kUtility) return Status::OK();
+    return Status::Rejected("utilities refused");
+  }
+  TechniqueInfo info() const override {
+    TechniqueInfo info;
+    info.name = "reject_utilities";
+    return info;
+  }
+};
+
+/// One scripted run that makes the facade write every event type it owns:
+/// submit/dispatch/complete, a rejection, a kill-and-resubmit, a suspend
+/// and resume, throttle/pause/reprioritize, a deadlock victim, a fault
+/// window with a fault retry and a deadline-denied retry, and overload
+/// protection (breaker trip, half-open and close, brownout steps, sheds).
+struct EveryEventRun {
+  std::unique_ptr<TestRig> rig;
+
+  explicit EveryEventRun(bool telemetry_enabled) {
+    EngineConfig engine = TestEngineConfig();
+    engine.deadlock_check_period = 0.1;
+    WlmConfig config;
+    config.telemetry.enabled = telemetry_enabled;
+    config.resubmit_deadlock_victims = false;
+    config.resilience.enabled = true;
+    config.overload.enabled = true;
+    config.overload.codel.target_seconds = 100.0;  // no CoDel sheds
+    config.overload.deadline_shedding = false;
+    config.overload.deadline_slack = 0.0;  // explicit deadlines only
+    config.overload.breaker_options.window_seconds = 10.0;
+    config.overload.breaker_options.min_samples = 4;
+    config.overload.breaker_options.open_seconds = 2.0;
+    config.overload.breaker_options.half_open_probes = 2;
+    config.overload.breaker_options.close_rate = 0.0;
+    config.overload.brownout_options.max_level = 1;  // sheds background only
+    rig = std::make_unique<TestRig>(engine, /*interval=*/0.25, config);
+    WorkloadManager& wlm = rig->wlm;
+
+    WorkloadDefinition bi;
+    bi.name = "bi";
+    bi.priority = BusinessPriority::kLow;
+    bi.slos.push_back(ServiceLevelObjective::AvgResponse(0.5));
+    wlm.DefineWorkload(bi);
+    WorkloadDefinition oltp;
+    oltp.name = "oltp";
+    oltp.priority = BusinessPriority::kHigh;
+    wlm.DefineWorkload(oltp);
+    auto classifier = std::make_unique<StaticClassifier>();
+    ClassificationRule bi_rule;
+    bi_rule.workload = "bi";
+    bi_rule.kind = QueryKind::kBiQuery;
+    classifier->AddRule(bi_rule);
+    ClassificationRule oltp_rule;
+    oltp_rule.workload = "oltp";
+    oltp_rule.kind = QueryKind::kOltpTransaction;
+    classifier->AddRule(oltp_rule);
+    wlm.set_classifier(std::move(classifier));
+    wlm.AddAdmissionController(std::make_unique<RejectUtilities>());
+
+    auto at = [this](double time, std::function<void()> fn) {
+      rig->sim.Schedule(time, std::move(fn));
+    };
+    // Execution control on a long BI query and a long OLTP transaction.
+    at(0.0, [&wlm] { (void)wlm.Submit(BiSpec(1, /*cpu=*/3.0, /*io=*/100.0)); });
+    at(0.0, [&wlm] { (void)wlm.Submit(OltpSpec(2, /*cpu=*/2.0)); });
+    at(0.0, [&wlm] {
+      QuerySpec utility = OltpSpec(3);
+      utility.kind = QueryKind::kUtility;
+      (void)wlm.Submit(utility);
+    });
+    at(0.2, [&wlm] { (void)wlm.ThrottleRequest(1, 0.5); });
+    at(0.3, [&wlm] { (void)wlm.PauseRequest(1, 0.1); });
+    at(0.4, [&wlm] {
+      (void)wlm.SetRequestPriority(1, BusinessPriority::kMedium);
+    });
+    at(0.5, [&wlm] { (void)wlm.KillRequest(2, /*resubmit=*/true); });
+    at(0.6, [&wlm] {
+      (void)wlm.SuspendRequest(1, SuspendStrategy::kDumpState);
+    });
+    // A lock-order cycle: the youngest member is the deadlock victim.
+    at(0.0, [&wlm] {
+      QuerySpec blocker = OltpSpec(20, /*cpu=*/0.3);
+      blocker.locks = {{1, true}, {2, true}};
+      QuerySpec a = OltpSpec(21, /*cpu=*/3.0);
+      a.locks = {{1, true}, {2, true}};
+      QuerySpec b = OltpSpec(22, /*cpu=*/3.0);
+      b.locks = {{2, true}, {1, true}};
+      (void)wlm.Submit(blocker);
+      (void)wlm.Submit(a);
+      (void)wlm.Submit(b);
+    });
+    // A fault window: one abort retries after backoff, one is denied
+    // because its deadline is out of reach.
+    at(1.0, [&wlm] { wlm.NotifyFaultBegin("cpu_slowdown", "factor=2"); });
+    at(1.1, [&wlm] {
+      (void)wlm.Submit(OltpSpec(10, /*cpu=*/1.0));
+      QuerySpec doomed = OltpSpec(11, /*cpu=*/1.0);
+      doomed.deadline_seconds = 0.3;
+      (void)wlm.Submit(doomed);
+    });
+    at(1.2, [&wlm] {
+      (void)wlm.AbortRequestByFault(10, "injected");
+      (void)wlm.AbortRequestByFault(11, "injected");
+    });
+    at(2.0, [&wlm] { wlm.NotifyFaultEnd("cpu_slowdown", 1.0); });
+    // Overload: four missed deadlines trip the BI breaker and step the
+    // brownout up; arrivals while it is open are shed; healthy probes
+    // after the cool-down close it again.
+    for (QueryId id = 30; id < 34; ++id) {
+      at(3.0, [&wlm, id] {
+        QuerySpec late = BiSpec(id, /*cpu=*/0.05, /*io=*/10.0);
+        late.deadline_seconds = 0.001;
+        (void)wlm.Submit(late);
+      });
+    }
+    at(4.0, [&wlm] { (void)wlm.Submit(BiSpec(40, 0.05, 10.0)); });
+    for (QueryId id = 41; id < 43; ++id) {
+      at(6.0, [&wlm, id] { (void)wlm.Submit(BiSpec(id, 0.05, 10.0)); });
+    }
+    rig->sim.RunUntil(20.0);
+  }
+};
+
+TEST(TelemetryEndToEnd, EveryFacadeEventIsLoggedTheSameWithTelemetryOff) {
+  EveryEventRun on(/*telemetry_enabled=*/true);
+  EveryEventRun off(/*telemetry_enabled=*/false);
+
+  // With telemetry off the facade still writes every event type it owns.
+  const EventLog& log = off.rig->wlm.event_log();
+  for (WlmEventType type :
+       {WlmEventType::kSubmitted, WlmEventType::kRejected,
+        WlmEventType::kDispatched, WlmEventType::kCompleted,
+        WlmEventType::kKilled, WlmEventType::kAborted,
+        WlmEventType::kResubmitted, WlmEventType::kSuspended,
+        WlmEventType::kResumed, WlmEventType::kThrottled,
+        WlmEventType::kPaused, WlmEventType::kReprioritized,
+        WlmEventType::kFaultInjected, WlmEventType::kFaultRecovered,
+        WlmEventType::kShed, WlmEventType::kRetryDenied,
+        WlmEventType::kBreakerTripped, WlmEventType::kBreakerHalfOpen,
+        WlmEventType::kBreakerClosed, WlmEventType::kBrownoutStepped}) {
+    EXPECT_GE(log.CountOf(type), 1) << WlmEventTypeToString(type);
+  }
+  // Both resubmission paths: kill-and-resubmit and fault retry.
+  int after_kill = 0;
+  int fault_retry = 0;
+  for (const WlmEvent& event : log.OfType(WlmEventType::kResubmitted)) {
+    after_kill += event.detail == "after kill";
+    fault_retry += event.detail.rfind("fault retry", 0) == 0;
+  }
+  EXPECT_EQ(after_kill, 1);
+  EXPECT_EQ(fault_retry, 1);
+
+  EXPECT_EQ(EventLogWithoutSloViolations(on.rig->wlm),
+            EventLogWithoutSloViolations(off.rig->wlm));
 }
 
 }  // namespace
