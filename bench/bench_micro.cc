@@ -1,8 +1,8 @@
 // S6 — google-benchmark microbenchmarks of the substrate hot paths: the
 // simulation event queue, the lock manager, the optimizer, the ML
-// predictors, the monitor statistics, and an end-to-end simulated
-// queries-per-wall-second figure for the whole workload-management
-// pipeline.
+// predictors, the monitor statistics, dispatch from a deep wait queue,
+// and an end-to-end simulated queries-per-wall-second figure for the
+// whole workload-management pipeline.
 
 #include <benchmark/benchmark.h>
 
@@ -148,6 +148,77 @@ void BM_PercentilesAddQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PercentilesAddQuery);
+
+// Dispatch from a deep wait queue: host ns per dispatched query with the
+// queue held at depth n behind one busy slot (MPL 1). Each iteration kills
+// the running query, which dispatches one waiting request, and submits one
+// more to restore the depth. FIFO and priority declare a queue discipline,
+// so the manager dispatches from its index; RankScheduler has no fixed
+// preference, so the manager calls its Order, a sort, every round.
+std::unique_ptr<Scheduler> MakeFifo() {
+  return std::make_unique<FifoScheduler>(/*mpl=*/1);
+}
+std::unique_ptr<Scheduler> MakePriority() {
+  return std::make_unique<PriorityScheduler>(/*mpl=*/1);
+}
+std::unique_ptr<Scheduler> MakeRank() {
+  return std::make_unique<RankScheduler>(/*mpl=*/1, RankScheduler::Weights());
+}
+
+struct DispatchRig {
+  Simulation sim;
+  DatabaseEngine engine;
+  Monitor monitor;
+  WorkloadManager wlm;
+  WorkloadGenerator gen{8};
+
+  static WlmConfig Config() {
+    WlmConfig config;
+    config.telemetry.enabled = false;
+    return config;
+  }
+
+  DispatchRig(std::unique_ptr<Scheduler> scheduler, int depth)
+      : engine(&sim, wlm_bench::DefaultEngine()),
+        monitor(&sim, &engine, 1.0),
+        wlm(&sim, &engine, &monitor, Config()) {
+    wlm.set_scheduler(std::move(scheduler));
+    for (int i = 0; i <= depth; ++i) Submit();  // one runs, `depth` wait
+  }
+
+  void Submit() { (void)wlm.Submit(gen.NextOltp(OltpWorkloadConfig())); }
+};
+
+void BM_DispatchDeepQueue(benchmark::State& state,
+                          std::unique_ptr<Scheduler> (*make)()) {
+  const int depth = static_cast<int>(state.range(0));
+  // The manager keeps every request it was given, so a fresh rig is built
+  // off the clock every kCyclesPerRig dispatches to bound memory.
+  constexpr int kCyclesPerRig = 4096;
+  std::unique_ptr<DispatchRig> rig;
+  int cycles = kCyclesPerRig;
+  for (auto _ : state) {
+    if (cycles == kCyclesPerRig) {
+      state.PauseTiming();
+      rig.reset();
+      rig = std::make_unique<DispatchRig>(make(), depth);
+      cycles = 0;
+      state.ResumeTiming();
+    }
+    (void)rig->wlm.KillRequest(rig->wlm.Running().front()->spec.id,
+                               /*resubmit=*/false);
+    rig->Submit();
+    benchmark::DoNotOptimize(rig->wlm.queue_depth());
+    ++cycles;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_DispatchDeepQueue, fifo, MakeFifo)
+    ->Arg(256)->Arg(1024)->Arg(4096);
+BENCHMARK_CAPTURE(BM_DispatchDeepQueue, priority, MakePriority)
+    ->Arg(256)->Arg(1024)->Arg(4096);
+BENCHMARK_CAPTURE(BM_DispatchDeepQueue, rank, MakeRank)
+    ->Arg(256)->Arg(1024)->Arg(4096);
 
 // End-to-end: how many simulated OLTP transactions per wall-second the
 // whole pipeline processes (submit -> classify -> schedule -> engine ->

@@ -57,8 +57,21 @@ class AdmissionController {
   virtual TechniqueInfo info() const = 0;
 };
 
+/// A scheduler's preference between two waiting requests, when that
+/// preference never changes while they wait. The manager serves a declared
+/// discipline from an index it updates as the queue changes; kOrder makes
+/// it call Scheduler::Order every dispatch round instead.
+enum class QueueDiscipline {
+  kOrder,     // no fixed preference: ask Order each round
+  kArrival,   // the wait queue's order (FIFO)
+  kPriority,  // higher business priority first, the queue's order within
+};
+
 /// Scheduling: decides the dispatch order of queued requests and (for MPL
-/// managers) how many may enter the engine.
+/// managers) how many may enter the engine. A scheduler whose preference
+/// is fixed declares it through discipline(), and the manager then
+/// dispatches without calling Order; every other scheduler, and any
+/// wrapper that forwards Order, is asked for a fresh Order each round.
 class Scheduler {
  public:
   /// `mpl` is the concurrency limit ConcurrencyLimit reports by default;
@@ -67,9 +80,13 @@ class Scheduler {
   virtual ~Scheduler() = default;
   /// Orders the given queued requests by dispatch preference (front first).
   /// Returns ids from `queued`; the manager dispatches from the front while
-  /// free slots and gates allow, skipping unknown and repeated ids.
+  /// free slots and gates allow, skipping unknown and repeated ids. For a
+  /// declared discipline it is the reference the manager's index matches.
   virtual std::vector<QueryId> Order(const std::vector<const Request*>& queued,
                                      const WorkloadManager& manager) = 0;
+  /// The fixed preference Order implements, if any. A property of the
+  /// class: the manager reads it once, when the scheduler is installed.
+  virtual QueueDiscipline discipline() const { return QueueDiscipline::kOrder; }
   /// Upper bound on engine concurrency this round; the manager dispatches
   /// at most (limit - running) new requests and does not call Order while
   /// none may go. Return <= 0 for "no limit". Defaults to the MPL.

@@ -20,6 +20,8 @@ enum class BusinessPriority {
   kCritical = 4,
 };
 
+inline constexpr int kBusinessPriorityCount = 5;
+
 const char* BusinessPriorityToString(BusinessPriority p);
 
 /// Default engine resource weights for a priority level (the "resource

@@ -7,6 +7,15 @@
 #include <limits>
 
 namespace wlm {
+namespace {
+
+// Only queued and suspended requests wait in the queue.
+bool Waiting(const Request& request) {
+  return request.state == RequestState::kQueued ||
+         request.state == RequestState::kSuspended;
+}
+
+}  // namespace
 
 WorkloadManager::WorkloadManager(Simulation* sim, DatabaseEngine* engine,
                                  Monitor* monitor, WlmConfig config)
@@ -58,6 +67,8 @@ void WorkloadManager::AddAdmissionController(
 
 void WorkloadManager::set_scheduler(std::unique_ptr<Scheduler> scheduler) {
   scheduler_ = std::move(scheduler);
+  discipline_ =
+      scheduler_ ? scheduler_->discipline() : QueueDiscipline::kArrival;
 }
 
 void WorkloadManager::AddExecutionController(
@@ -152,7 +163,7 @@ Status WorkloadManager::SubmitWithPlan(QuerySpec spec, Plan plan) {
   // 3. Enter the wait queue; scheduling decides when it runs.
   raw->state = RequestState::kQueued;
   raw->enqueued_time = sim_->Now();
-  queue_.push_back(raw);
+  Enqueue(raw);
   telemetry_->OnAdmitted(raw->spec.id, raw->workload);
   TryDispatch();
   return Status::OK();
@@ -202,8 +213,7 @@ void WorkloadManager::RunQueueShedding() {
       const Request* queued = queue_[i];
       if (queued->HasDeadline() &&
           now + queued->plan.est_elapsed_seconds > queued->deadline) {
-        queue_.erase(queue_.begin() +
-                     static_cast<std::ptrdiff_t>(i));
+        Unqueue(queued);
         ShedRequest(requests_.at(queued->spec.id).get(), "deadline");
         continue;
       }
@@ -219,7 +229,7 @@ void WorkloadManager::RunQueueShedding() {
           now, now - head->enqueued_time, static_cast<int>(queue_.size()));
       lifo = decision.lifo;
       if (!decision.shed) break;
-      queue_.erase(queue_.begin());
+      Unqueue(head);
       ShedRequest(requests_.at(head->spec.id).get(), "codel");
     }
     if (queue_.empty()) lifo = overload_->lifo();
@@ -230,46 +240,71 @@ void WorkloadManager::RunQueueShedding() {
   }
 }
 
+void WorkloadManager::PriorityLevel::Insert(Entry entry) {
+  const auto first = entries.begin() + static_cast<std::ptrdiff_t>(head);
+  entries.insert(std::upper_bound(first, entries.end(), entry.seq,
+                                  [](uint64_t seq, const Entry& e) {
+                                    return seq < e.seq;
+                                  }),
+                 entry);
+}
+
+std::optional<WorkloadManager::PriorityLevel::Entry>
+WorkloadManager::PriorityLevel::Erase(const Request* request) {
+  const auto first = entries.begin() + static_cast<std::ptrdiff_t>(head);
+  const auto pos = std::find_if(
+      first, entries.end(), [request](const Entry& e) {
+        return e.request == request;
+      });
+  if (pos == entries.end()) return std::nullopt;
+  const Entry entry = *pos;
+  if (pos != first) {
+    entries.erase(pos);
+    return entry;
+  }
+  ++head;
+  // Reclaim the departed prefix once it outnumbers the waiting entries, so
+  // a level that never empties stays bounded by the queue depth.
+  if (2 * head >= entries.size()) {
+    entries.erase(entries.begin(),
+                  entries.begin() + static_cast<std::ptrdiff_t>(head));
+    head = 0;
+  }
+  return entry;
+}
+
+WorkloadManager::PriorityLevel& WorkloadManager::LevelOf(
+    BusinessPriority priority) {
+  return levels_[static_cast<size_t>(
+      std::clamp(static_cast<int>(priority), 0, kBusinessPriorityCount - 1))];
+}
+
+void WorkloadManager::Enqueue(Request* request) {
+  queue_.push_back(request);
+  LevelOf(request->priority).Insert({next_seq_++, request});
+}
+
+void WorkloadManager::Unqueue(const Request* request) {
+  const auto pos = std::ranges::find(queue_, request);
+  if (pos == queue_.end()) return;
+  queue_.erase(pos);
+  (void)LevelOf(request->priority).Erase(request);
+}
+
 void WorkloadManager::TryDispatch() {
   if (in_try_dispatch_) return;  // re-entrancy guard (finish callbacks)
   in_try_dispatch_ = true;
   RunQueueShedding();
-  // One round per pass: count the free slots, order the queue once,
-  // dispatch from the front while gates allow, compact the queue once.
-  // Another round follows only if this one dispatched something.
+  // One round per pass: count the free slots, offer waiting requests in
+  // preference order while slots remain, then take the round's dispatches
+  // out of the queue. Another round follows only if this one dispatched
+  // something.
   while (!queue_.empty()) {
     const int slots = FreeSlots();
     if (slots <= 0) break;  // concurrency limit reached: nothing to order
-    int dispatched = 0;
-    for (QueryId id : DispatchOrder()) {
-      if (dispatched >= slots) break;
-      auto it = requests_.find(id);
-      if (it == requests_.end()) continue;  // scheduler returned junk
-      Request* request = it->second.get();
-      // Not waiting: the scheduler repeated an id dispatched this round.
-      if (request->state != RequestState::kQueued &&
-          request->state != RequestState::kSuspended) {
-        continue;
-      }
-      bool gated = false;
-      for (const auto& ac : admission_) {
-        if (!ac->AllowDispatch(*request, *this)) {
-          telemetry_->OnDispatchGated(id, request->workload,
-                                      ac->info().name);
-          gated = true;
-          break;
-        }
-      }
-      if (gated) continue;
-      DispatchRequest(request);
-      ++dispatched;
-    }
-    if (dispatched == 0) break;  // nothing else can go this round
-    // Dispatch only starts an execution, never finishes one, so the
-    // running entries are exactly this round's dispatches.
-    std::erase_if(queue_, [](const Request* queued) {
-      return queued->state == RequestState::kRunning;
-    });
+    DispatchRound(static_cast<size_t>(slots));
+    if (round_.empty()) break;  // nothing else can go this round
+    RemoveDispatched();
   }
   in_try_dispatch_ = false;
 }
@@ -286,25 +321,83 @@ int WorkloadManager::FreeSlots() {
   return limit - static_cast<int>(running_.size());
 }
 
-std::vector<QueryId> WorkloadManager::DispatchOrder() {
-  if (scheduler_ && !queue_lifo_) return scheduler_->Order(queue_, *this);
-  std::vector<const Request*> order = queue_;
-  if (queue_lifo_) {
-    // Sustained-overload discipline: serve newest first — the freshest
-    // request is the only one whose deadline is still reachable, while
-    // a stale FIFO backlog would miss every SLO it drains into.
-    std::sort(order.begin(), order.end(),
-              [](const Request* a, const Request* b) {
-                if (a->enqueued_time != b->enqueued_time) {
-                  return a->enqueued_time > b->enqueued_time;
-                }
-                return a->spec.id > b->spec.id;
-              });
+void WorkloadManager::DispatchRound(size_t slots) {
+  round_.clear();
+  // The queue and its levels stay as they are until the round ends:
+  // dispatch only starts an execution, and gates cannot change the queue.
+  switch (queue_lifo_ ? QueueDiscipline::kOrder : discipline_) {
+    case QueueDiscipline::kArrival:
+      for (size_t i = 0; i < queue_.size() && round_.size() < slots; ++i) {
+        Offer(requests_.at(queue_[i]->spec.id).get());
+      }
+      break;
+    case QueueDiscipline::kPriority:
+      for (auto level = levels_.rbegin();
+           level != levels_.rend() && round_.size() < slots; ++level) {
+        for (size_t i = level->head;
+             i < level->entries.size() && round_.size() < slots; ++i) {
+          Offer(level->entries[i].request);
+        }
+      }
+      break;
+    case QueueDiscipline::kOrder:
+      for (QueryId id : DispatchOrder()) {
+        if (round_.size() >= slots) break;
+        auto it = requests_.find(id);
+        if (it == requests_.end()) continue;  // scheduler returned junk
+        // Not waiting: the scheduler repeated an id dispatched this round.
+        if (!Waiting(*it->second)) continue;
+        Offer(it->second.get());
+      }
+      break;
   }
+}
+
+std::vector<QueryId> WorkloadManager::DispatchOrder() {
+  if (!queue_lifo_) return scheduler_->Order(queue_, *this);
+  // Sustained-overload discipline: serve newest first — the freshest
+  // request is the only one whose deadline is still reachable, while a
+  // stale FIFO backlog would miss every SLO it drains into.
+  std::vector<const Request*> order = queue_;
+  std::sort(order.begin(), order.end(),
+            [](const Request* a, const Request* b) {
+              if (a->enqueued_time != b->enqueued_time) {
+                return a->enqueued_time > b->enqueued_time;
+              }
+              return a->spec.id > b->spec.id;
+            });
   std::vector<QueryId> ids;
   ids.reserve(order.size());
   for (const Request* queued : order) ids.push_back(queued->spec.id);
   return ids;
+}
+
+void WorkloadManager::Offer(Request* request) {
+  for (const auto& ac : admission_) {
+    if (!ac->AllowDispatch(*request, *this)) {
+      telemetry_->OnDispatchGated(request->spec.id, request->workload,
+                                  ac->info().name);
+      return;
+    }
+  }
+  DispatchRequest(request);
+  round_.push_back(request);
+}
+
+void WorkloadManager::RemoveDispatched() {
+  // By pointer, so no waiting request's state is read. Most rounds
+  // dispatch one request: one completion frees one slot.
+  if (round_.size() == 1) {
+    Unqueue(round_.front());
+    return;
+  }
+  for (const Request* request : round_) {
+    (void)LevelOf(request->priority).Erase(request);
+  }
+  std::ranges::sort(round_);
+  std::erase_if(queue_, [this](const Request* queued) {
+    return std::ranges::binary_search(round_, queued);
+  });
 }
 
 void WorkloadManager::DispatchRequest(Request* request) {
@@ -355,7 +448,7 @@ void WorkloadManager::DispatchRequest(Request* request) {
 void WorkloadManager::Requeue(Request* request, const char* reason) {
   request->state = RequestState::kQueued;
   request->enqueued_time = sim_->Now();
-  queue_.push_back(request);
+  Enqueue(request);
   telemetry_->OnRequeued(request->spec.id, request->workload, reason);
 }
 
@@ -460,7 +553,7 @@ void WorkloadManager::OnFinish(const QueryOutcome& outcome) {
       ++counters.suspended;
       request->state = RequestState::kSuspended;
       telemetry_->OnSuspended(outcome.id, request->workload);
-      queue_.push_back(request);
+      Enqueue(request);
       break;
     }
   }
@@ -534,6 +627,10 @@ std::vector<WorkloadManager::DrainedQuery> WorkloadManager::CrashDrain(
   // rather than promote doomed requests into the freed slots.
   std::vector<const Request*> waiting;
   waiting.swap(queue_);
+  for (PriorityLevel& level : levels_) {
+    level.entries.clear();
+    level.head = 0;
+  }
   for (const Request* queued : waiting) {
     drained.push_back({queued->spec, queued->workload});
     ShedRequest(requests_.at(queued->spec.id).get(), reason);
@@ -556,9 +653,8 @@ Status WorkloadManager::KillRequest(QueryId id, bool resubmit) {
   // engine can't kill it; retire it here instead: drive the same kKilled
   // terminal bookkeeping the engine's finish callback would have produced
   // for a running victim.
-  if (request->state == RequestState::kQueued ||
-      request->state == RequestState::kSuspended) {
-    std::erase(queue_, request);
+  if (Waiting(*request)) {
+    Unqueue(request);
     resumable_.erase(id);
     if (!resubmit || !Resubmit(request, "after kill")) {
       QueryOutcome outcome;
@@ -611,7 +707,19 @@ Status WorkloadManager::SetRequestPriority(QueryId id,
                                            BusinessPriority priority) {
   auto it = requests_.find(id);
   if (it == requests_.end()) return Status::NotFound("unknown request");
-  it->second->priority = priority;
+  if (static_cast<int>(priority) < 0 ||
+      static_cast<int>(priority) >= kBusinessPriorityCount) {
+    return Status::InvalidArgument("unknown business priority");
+  }
+  Request* request = it->second.get();
+  // A waiting request keeps its place in the queue: its entry moves to the
+  // new level at its sequence position.
+  if (Waiting(*request)) {
+    if (auto entry = LevelOf(request->priority).Erase(request)) {
+      LevelOf(priority).Insert(*entry);
+    }
+  }
+  request->priority = priority;
   telemetry_->OnReprioritize(id, it->second->workload,
                              BusinessPriorityToString(priority));
   return SetRequestShares(id, SharesForPriority(priority));

@@ -1,8 +1,12 @@
 #ifndef WLM_CORE_WORKLOAD_MANAGER_H_
 #define WLM_CORE_WORKLOAD_MANAGER_H_
 
+#include <array>
+#include <cstddef>
+#include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -213,13 +217,44 @@ class WorkloadManager : public FaultSink {
  private:
   void OnSample(const SystemIndicators& indicators);
   void OnFinish(const QueryOutcome& outcome);
+  /// The waiting requests of one business priority, in queue_ order, each
+  /// tagged with the sequence number it entered the queue with. Entries
+  /// before `head` have left the queue.
+  struct PriorityLevel {
+    struct Entry {
+      uint64_t seq;
+      Request* request;
+    };
+    std::vector<Entry> entries;
+    size_t head = 0;
+
+    /// Places `entry` at its sequence position (a new one at the back).
+    void Insert(Entry entry);
+    /// Removes and returns `request`'s entry; nullopt when it is absent.
+    std::optional<Entry> Erase(const Request* request);
+  };
+  PriorityLevel& LevelOf(BusinessPriority priority);
+
+  /// Appends a request to the wait queue and to its priority level.
+  void Enqueue(Request* request);
+  /// Takes a request out of the wait queue and its level; a no-op for a
+  /// request that is not in the queue (a fault retry in backoff).
+  void Unqueue(const Request* request);
   /// Dispatch slots open this round: the scheduler's concurrency limit
   /// (scaled down while degraded) minus running, or the whole queue when
   /// nothing caps concurrency.
   int FreeSlots();
-  /// Dispatch preference for this round: newest first under CoDel LIFO,
-  /// else the scheduler's order, else arrival order.
+  /// Offers waiting requests in preference order until `slots` of them
+  /// are dispatched or every one was offered; fills round_.
+  void DispatchRound(size_t slots);
+  /// Preference for a round without a declared discipline: newest first
+  /// under CoDel LIFO, else the scheduler's Order.
   std::vector<QueryId> DispatchOrder();
+  /// Runs the dispatch gates on one waiting request and dispatches it
+  /// into round_ if every gate allows.
+  void Offer(Request* request);
+  /// Removes round_'s dispatches from queue_ and their levels.
+  void RemoveDispatched();
   void DispatchRequest(Request* request);
   /// Back into the wait queue; `reason` as for Telemetry::OnRequeued.
   void Requeue(Request* request, const char* reason);
@@ -267,6 +302,14 @@ class WorkloadManager : public FaultSink {
   // kept when it is off.
   // wlm-lint: allow(Q1) capacity enforced by OverloadController when enabled
   std::vector<const Request*> queue_;
+  // The dispatch index beside queue_: its entries partitioned by priority
+  // (index = BusinessPriority value), each level in queue_ order. Every
+  // site that changes queue_ updates it.
+  std::array<PriorityLevel, kBusinessPriorityCount> levels_;
+  uint64_t next_seq_ = 0;
+  // The installed scheduler's discipline; kArrival without a scheduler.
+  QueueDiscipline discipline_ = QueueDiscipline::kArrival;
+  std::vector<Request*> round_;  // dispatched this round, still in queue_
   std::set<QueryId> running_;  // ordered: Running() is by query id
   std::unordered_map<QueryId, SuspendedQuery> resumable_;
   std::unordered_set<QueryId> resubmit_on_kill_;

@@ -14,6 +14,9 @@ class FifoScheduler : public Scheduler {
 
   std::vector<QueryId> Order(const std::vector<const Request*>& queued,
                              const WorkloadManager& manager) override;
+  QueueDiscipline discipline() const override {
+    return QueueDiscipline::kArrival;
+  }
   TechniqueInfo info() const override;
 };
 
@@ -25,6 +28,9 @@ class PriorityScheduler : public Scheduler {
 
   std::vector<QueryId> Order(const std::vector<const Request*>& queued,
                              const WorkloadManager& manager) override;
+  QueueDiscipline discipline() const override {
+    return QueueDiscipline::kPriority;
+  }
   TechniqueInfo info() const override;
 };
 

@@ -335,6 +335,22 @@ TEST(WorkloadManagerTest, PriorityChangePropagatesToEngine) {
   EXPECT_EQ(rig.wlm.Find(1)->priority, BusinessPriority::kBackground);
 }
 
+TEST(WorkloadManagerTest, UnknownPriorityRejected) {
+  TestRig rig;
+  rig.wlm.set_scheduler(std::make_unique<PriorityScheduler>(/*mpl=*/1));
+  ASSERT_TRUE(rig.wlm.Submit(BiSpec(1, 5.0, 100.0, 16.0)).ok());
+  ASSERT_TRUE(rig.wlm.Submit(BiSpec(2, 5.0, 100.0, 16.0)).ok());
+  // Priorities index the dispatch levels: one outside the enum is refused
+  // for a waiting and for a running request alike, changing nothing.
+  for (QueryId id : {QueryId{1}, QueryId{2}}) {
+    const Status status =
+        rig.wlm.SetRequestPriority(id, static_cast<BusinessPriority>(9));
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(rig.wlm.Find(id)->priority, BusinessPriority::kMedium);
+  }
+  EXPECT_EQ(rig.wlm.event_log().CountOf(WlmEventType::kReprioritized), 0);
+}
+
 TEST(WorkloadManagerTest, SetWorkloadSharesAppliesToRunningAndQueued) {
   TestRig rig;
   rig.wlm.set_scheduler(std::make_unique<FifoScheduler>(1));

@@ -6,19 +6,28 @@
 //   - plan slicing: lossless decomposition for arbitrary plans
 //   - queueing formulas vs the simulated engine (model cross-validation)
 //   - deterministic replay: identical seeds -> identical outcomes
+//   - dispatch index vs Order: the manager's index for a declared queue
+//     discipline dispatches exactly as the scheduler's Order would
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <map>
 #include <memory>
+#include <sstream>
+#include <string>
+#include <tuple>
 
+#include "admission/threshold_admission.h"
 #include "faults/fault_injector.h"
 #include "faults/fault_plan.h"
+#include "scheduling/mpl_scheduler.h"
 #include "scheduling/queue_schedulers.h"
 #include "scheduling/restructuring.h"
 #include "tests/queueing.h"
+#include "telemetry/exporters.h"
 #include "tests/wlm_test_util.h"
 #include "workloads/generators.h"
 
@@ -776,6 +785,276 @@ TEST_P(ClusterMetamorphicSweep, JourneyDagIsAcyclicAndPhasesConserve) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ClusterMetamorphicSweep,
                          ::testing::Values(11, 23, 42));
+
+// ------------------------------------------------- dispatch index vs Order
+
+// A pass-through wrapper like an instrumenting harness installs: it
+// forwards Order, ConcurrencyLimit, OnSample and info only, so the manager
+// asks it for an Order every round even when the wrapped scheduler
+// declares a discipline the manager would otherwise serve from its index.
+class OrderPathScheduler final : public Scheduler {
+ public:
+  explicit OrderPathScheduler(std::unique_ptr<Scheduler> inner)
+      : inner_(std::move(inner)) {}
+
+  std::vector<QueryId> Order(const std::vector<const Request*>& queued,
+                             const WorkloadManager& manager) override {
+    return inner_->Order(queued, manager);
+  }
+  int ConcurrencyLimit(const WorkloadManager& manager) override {
+    return inner_->ConcurrencyLimit(manager);
+  }
+  void OnSample(const SystemIndicators& indicators,
+                WorkloadManager& manager) override {
+    inner_->OnSample(indicators, manager);
+  }
+  TechniqueInfo info() const override { return inner_->info(); }
+
+ private:
+  std::unique_ptr<Scheduler> inner_;
+};
+
+enum class IndexedScheduler { kFifo, kPriority, kFeedbackMpl };
+
+std::unique_ptr<Scheduler> MakeIndexedScheduler(IndexedScheduler kind) {
+  switch (kind) {
+    case IndexedScheduler::kFifo:
+      return std::make_unique<FifoScheduler>(/*mpl=*/4);
+    case IndexedScheduler::kPriority:
+      return std::make_unique<PriorityScheduler>(/*mpl=*/4);
+    case IndexedScheduler::kFeedbackMpl: {
+      FeedbackMplScheduler::Config config;
+      config.initial_mpl = 4;
+      config.min_mpl = 2;
+      config.max_mpl = 8;
+      return std::make_unique<FeedbackMplScheduler>(config);
+    }
+  }
+  return nullptr;
+}
+
+/// What one run of the dispatch scenario leaves behind, as text.
+struct DispatchTranscript {
+  std::string events;    // event-log JSONL
+  std::string metrics;   // Prometheus exposition
+  std::string counters;  // per-workload counters, then every request's fate
+  bool lifo_seen = false;
+};
+
+std::string Hex(double value) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%a", value);
+  return buf;
+}
+
+/// One seeded run over five priority levels: a per-workload MPL cap,
+/// reprioritized, killed (with and without resubmit) and suspended
+/// requests, lock-order deadlocks with resubmits, a fault window with
+/// fault retries, an arrival burst that makes CoDel shed and flip the
+/// queue LIFO, deadline shedding, and a crash drain.
+DispatchTranscript RunDispatchScenario(uint64_t seed, IndexedScheduler kind,
+                                       bool order_path) {
+  EngineConfig engine = TestEngineConfig();
+  engine.deadlock_check_period = 0.1;
+  WlmConfig config;
+  config.resilience.enabled = true;
+  config.resilience.retry_backoff_seconds = 0.1;
+  config.overload.enabled = true;
+  config.overload.codel.target_seconds = 0.3;
+  config.overload.codel.interval_seconds = 0.5;
+  config.overload.codel.lifo_after_sheds = 2;
+  config.overload.deadline_slack = 0.0;  // explicit deadlines only
+  config.overload.breaker = false;
+  config.overload.brownout = false;
+  TestRig rig(engine, /*monitor_interval=*/0.25, config);
+  WorkloadManager& wlm = rig.wlm;
+
+  const std::vector<std::pair<std::string, BusinessPriority>> levels = {
+      {"critical", BusinessPriority::kCritical},
+      {"high", BusinessPriority::kHigh},
+      {"medium", BusinessPriority::kMedium},
+      {"low", BusinessPriority::kLow},
+      {"background", BusinessPriority::kBackground}};
+  auto classifier = std::make_unique<StaticClassifier>();
+  for (const auto& [name, priority] : levels) {
+    WorkloadDefinition def;
+    def.name = name;
+    def.priority = priority;
+    wlm.DefineWorkload(def);
+    ClassificationRule rule;
+    rule.workload = name;
+    rule.application = name;
+    classifier->AddRule(rule);
+  }
+  wlm.set_classifier(std::move(classifier));
+  MplAdmission::Config cap;
+  cap.per_workload_mpl = {{"low", 1}};
+  wlm.AddAdmissionController(std::make_unique<MplAdmission>(cap));
+  std::unique_ptr<Scheduler> scheduler = MakeIndexedScheduler(kind);
+  if (order_path) {
+    scheduler = std::make_unique<OrderPathScheduler>(std::move(scheduler));
+  }
+  wlm.set_scheduler(std::move(scheduler));
+
+  // Arrivals: steady, a burst at 10-12 s that a crash cuts into, and a
+  // steady tail.
+  Rng arrivals(seed);
+  QueryId next_id = 1;
+  auto arrive = [&](double from, double to, double rate) {
+    for (double t = from + arrivals.Exponential(1.0 / rate); t < to;
+         t += arrivals.Exponential(1.0 / rate)) {
+      QuerySpec spec = OltpSpec(next_id++, arrivals.Exponential(0.15));
+      spec.session.application =
+          levels[static_cast<size_t>(arrivals.UniformInt(0, 4))].first;
+      if (arrivals.Bernoulli(0.4)) {  // two keys in either order: deadlocks
+        spec.locks = {{1, true}, {2, true}};
+        if (arrivals.Bernoulli(0.5)) std::swap(spec.locks[0], spec.locks[1]);
+      }
+      if (arrivals.Bernoulli(0.3)) {
+        spec.deadline_seconds = arrivals.Uniform(0.5, 3.0);
+      }
+      rig.sim.ScheduleAt(t, [&wlm, spec] { (void)wlm.Submit(spec); });
+    }
+  };
+  arrive(0.0, 10.0, 12.0);
+  arrive(10.0, 12.0, 60.0);
+  arrive(16.0, 20.0, 12.0);
+
+  // Execution control every 50 ms on waiting and running requests.
+  DispatchTranscript transcript;
+  Rng actions(seed ^ 0x3c3c3c3cULL);
+  for (double t = 0.05; t < 20.0; t += 0.05) {
+    rig.sim.ScheduleAt(t, [&] {
+      transcript.lifo_seen |= wlm.queue_lifo();
+      const std::vector<const Request*> queued = wlm.Queued();
+      const std::vector<const Request*> running = wlm.Running();
+      auto pick = [&actions](const std::vector<const Request*>& from) {
+        return from[static_cast<size_t>(actions.UniformInt(
+                        0, static_cast<int64_t>(from.size()) - 1))]
+            ->spec.id;
+      };
+      const double roll = actions.Uniform01();
+      if (!queued.empty() && roll < 0.3) {
+        const auto priority =
+            static_cast<BusinessPriority>(actions.UniformInt(0, 4));
+        (void)wlm.SetRequestPriority(pick(queued), priority);
+      } else if (!queued.empty() && roll < 0.4) {
+        (void)wlm.KillRequest(pick(queued), actions.Bernoulli(0.5));
+      } else if (!running.empty() && roll < 0.5) {
+        (void)wlm.SuspendRequest(pick(running),
+                                 actions.Bernoulli(0.5)
+                                     ? SuspendStrategy::kDumpState
+                                     : SuspendStrategy::kGoBack);
+      }
+    });
+  }
+  // A fault window with fault aborts of running requests (retried).
+  rig.sim.ScheduleAt(6.0, [&wlm] {
+    wlm.NotifyFaultBegin("cpu_slowdown", "factor=2");
+  });
+  for (double t = 6.2; t < 8.0; t += 0.4) {
+    rig.sim.ScheduleAt(t, [&wlm] {
+      const std::vector<const Request*> running = wlm.Running();
+      if (!running.empty()) {
+        (void)wlm.AbortRequestByFault(running.front()->spec.id, "injected");
+      }
+    });
+  }
+  rig.sim.ScheduleAt(8.0, [&wlm] { wlm.NotifyFaultEnd("cpu_slowdown", 6.0); });
+  rig.sim.ScheduleAt(11.5, [&wlm] { (void)wlm.CrashDrain("crash"); });
+  rig.sim.RunUntil(60.0);
+
+  std::ostringstream events;
+  WriteEventLogJsonl(wlm.event_log(), events);
+  transcript.events = events.str();
+  std::ostringstream metrics;
+  WritePrometheus(wlm.telemetry().metrics(), metrics);
+  transcript.metrics = metrics.str();
+  std::ostringstream counters;
+  for (const auto& [name, def] : wlm.workloads()) {
+    const WorkloadCounters& c = wlm.counters(name);
+    counters << name << ' ' << c.submitted << ' ' << c.rejected << ' '
+             << c.completed << ' ' << c.killed << ' ' << c.aborted << ' '
+             << c.resubmitted << ' ' << c.suspended << ' ' << c.shed << ' '
+             << c.retries_denied << ' ' << c.queue_waits.count() << ' '
+             << Hex(c.queue_waits.mean()) << '\n';
+  }
+  for (const Request* r : wlm.AllRequests()) {
+    counters << r->spec.id << ' ' << RequestStateToString(r->state) << ' '
+             << BusinessPriorityToString(r->priority) << ' '
+             << Hex(r->dispatch_time) << ' ' << Hex(r->finish_time) << ' '
+             << r->resubmits << ' ' << r->suspend_count << '\n';
+  }
+  transcript.counters = counters.str();
+  return transcript;
+}
+
+/// The first line where two transcripts differ, for a readable failure.
+std::string FirstDifference(const std::string& a, const std::string& b) {
+  std::istringstream sa(a);
+  std::istringstream sb(b);
+  std::string la;
+  std::string lb;
+  for (int line = 1;; ++line) {
+    const bool more_a = static_cast<bool>(std::getline(sa, la));
+    const bool more_b = static_cast<bool>(std::getline(sb, lb));
+    if (!more_a && !more_b) return "identical";
+    if (!more_a || !more_b || la != lb) {
+      return "line " + std::to_string(line) + ":\n  index: " +
+             (more_a ? la : "<end>") + "\n  Order: " +
+             (more_b ? lb : "<end>");
+    }
+  }
+}
+
+class DispatchIndexSweep
+    : public ::testing::TestWithParam<std::tuple<IndexedScheduler, uint64_t>> {
+};
+
+// The manager's index must dispatch exactly as the scheduler's Order:
+// the same gate calls, dispatches, sheds and outcomes, byte for byte.
+TEST_P(DispatchIndexSweep, IndexDispatchesExactlyAsOrder) {
+  const auto [kind, seed] = GetParam();
+  const DispatchTranscript index = RunDispatchScenario(seed, kind, false);
+  const DispatchTranscript order = RunDispatchScenario(seed, kind, true);
+  EXPECT_TRUE(index.events == order.events)
+      << FirstDifference(index.events, order.events);
+  EXPECT_TRUE(index.metrics == order.metrics)
+      << FirstDifference(index.metrics, order.metrics);
+  EXPECT_TRUE(index.counters == order.counters)
+      << FirstDifference(index.counters, order.counters);
+
+  // The scenario reaches every queue-changing site it is meant to.
+  auto has = [&index](const std::string& needle) {
+    return index.events.find(needle) != std::string::npos;
+  };
+  EXPECT_TRUE(has("\"type\":\"reprioritized\""));
+  EXPECT_TRUE(has("\"detail\":\"after kill\""));
+  EXPECT_TRUE(has("\"type\":\"killed\""));
+  EXPECT_TRUE(has("\"type\":\"resumed\""));
+  EXPECT_TRUE(has("\"detail\":\"after deadlock\""));
+  EXPECT_TRUE(has("\"detail\":\"fault retry"));
+  EXPECT_TRUE(has("\"detail\":\"codel\""));
+  EXPECT_TRUE(has("\"detail\":\"deadline\""));
+  EXPECT_TRUE(has("\"detail\":\"crash\""));
+  EXPECT_TRUE(index.lifo_seen) << "CoDel never flipped the queue LIFO";
+  EXPECT_NE(index.metrics.find("wlm_dispatch_gated_total"), std::string::npos);
+}
+
+std::string DispatchIndexCaseName(
+    const ::testing::TestParamInfo<DispatchIndexSweep::ParamType>& info) {
+  static const char* const kNames[] = {"fifo", "priority", "feedback_mpl"};
+  return std::string(kNames[static_cast<int>(std::get<0>(info.param))]) +
+         "_" + std::to_string(std::get<1>(info.param));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, DispatchIndexSweep,
+    ::testing::Combine(::testing::Values(IndexedScheduler::kFifo,
+                                         IndexedScheduler::kPriority,
+                                         IndexedScheduler::kFeedbackMpl),
+                       ::testing::Values(1, 2, 3, 4, 5, 6)),
+    DispatchIndexCaseName);
 
 }  // namespace
 }  // namespace wlm
