@@ -73,14 +73,22 @@ void BM_OptimizerBuildPlan(benchmark::State& state) {
 }
 BENCHMARK(BM_OptimizerBuildPlan);
 
-void BM_EngineTickWithQueries(benchmark::State& state) {
+/// Host time of one engine tick with exactly range(0) active queries.
+/// `grouped` tags them alternately with two tags pooled under
+/// SetGroupShares, so every tick runs the two-level water-fill.
+void RunEngineTicks(benchmark::State& state, bool grouped) {
   const size_t n = static_cast<size_t>(state.range(0));
   Simulation sim;
   EngineConfig config;
   config.tick_seconds = 0.05;
   DatabaseEngine engine(&sim, config);
+  if (grouped) {
+    engine.SetGroupShares("etl", {3.0, 3.0});
+    engine.SetGroupShares("reports", {1.0, 1.0});
+  }
   WorkloadGenerator gen(3);
   BiWorkloadConfig shape;
+  size_t dispatched = 0;
   // Every timed tick must see exactly n active queries. Demands stretched
   // a millionfold keep each query's resource mix but outlast any
   // iteration count; one that still finishes is replaced off the clock.
@@ -89,7 +97,10 @@ void BM_EngineTickWithQueries(benchmark::State& state) {
       QuerySpec spec = gen.NextBi(shape);
       spec.cpu_seconds *= 1e6;
       spec.io_ops *= 1e6;
-      (void)engine.Dispatch(spec, {});
+      ExecutionContext ctx;
+      if (grouped) ctx.tag = dispatched % 2 == 0 ? "etl" : "reports";
+      ++dispatched;
+      (void)engine.Dispatch(spec, std::move(ctx));
     }
   };
   top_up();
@@ -103,7 +114,16 @@ void BM_EngineTickWithQueries(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
+
+void BM_EngineTickWithQueries(benchmark::State& state) {
+  RunEngineTicks(state, /*grouped=*/false);
+}
 BENCHMARK(BM_EngineTickWithQueries)->Arg(8)->Arg(64)->Arg(256);
+
+void BM_EngineTickGrouped(benchmark::State& state) {
+  RunEngineTicks(state, /*grouped=*/true);
+}
+BENCHMARK(BM_EngineTickGrouped)->Arg(8)->Arg(64)->Arg(256);
 
 void BM_DecisionTreePredict(benchmark::State& state) {
   Dataset data({"a", "b", "c"});

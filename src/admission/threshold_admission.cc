@@ -70,7 +70,7 @@ bool MplAdmission::AllowDispatch(const Request& request,
   }
   auto it = config_.per_workload_mpl.find(request.workload);
   if (it != config_.per_workload_mpl.end() && it->second > 0 &&
-      manager.RunningInWorkload(request.workload) >= it->second) {
+      manager.RunningInWorkload(request.workload_id) >= it->second) {
     return false;
   }
   return true;

@@ -54,6 +54,9 @@ class AdmissionController {
     (void)indicators;
     (void)manager;
   }
+  /// A property of the class, not of its state: the manager reads
+  /// info().name once, when the controller is added, and labels every
+  /// refusal with it.
   virtual TechniqueInfo info() const = 0;
 };
 

@@ -57,6 +57,9 @@ struct Request {
 
   double arrival_time = 0.0;
   std::string workload;  // assigned workload name
+  /// The assigned workload's id, resolved from `workload` once at submit;
+  /// per-workload state and telemetry handles are indexed by it.
+  WorkloadId workload_id = 0;
   BusinessPriority priority = BusinessPriority::kMedium;
   ResourceShares shares;
 

@@ -46,7 +46,12 @@ WorkloadManager::~WorkloadManager() = default;
 
 void WorkloadManager::DefineWorkload(WorkloadDefinition def) {
   telemetry_->WatchSlos(def.name, def.slos);
-  workloads_[def.name] = std::move(def);
+  const bool inserted =
+      ids_.try_emplace(def.name, static_cast<WorkloadId>(by_id_.size()))
+          .second;
+  WorkloadDefinition& stored = workloads_[def.name];
+  stored = std::move(def);
+  if (inserted) by_id_.emplace_back().def = &stored;
 }
 
 const WorkloadDefinition* WorkloadManager::workload(
@@ -62,7 +67,8 @@ void WorkloadManager::set_classifier(
 
 void WorkloadManager::AddAdmissionController(
     std::unique_ptr<AdmissionController> ac) {
-  admission_.push_back(std::move(ac));
+  std::string name = ac->info().name;
+  admission_.push_back({std::move(ac), std::move(name)});
 }
 
 void WorkloadManager::set_scheduler(std::unique_ptr<Scheduler> scheduler) {
@@ -79,7 +85,7 @@ void WorkloadManager::AddExecutionController(
 std::vector<TechniqueInfo> WorkloadManager::EmployedTechniques() const {
   std::vector<TechniqueInfo> out;
   if (classifier_) out.push_back(classifier_->info());
-  for (const auto& ac : admission_) out.push_back(ac->info());
+  for (const Gate& gate : admission_) out.push_back(gate.controller->info());
   if (scheduler_) out.push_back(scheduler_->info());
   for (const auto& ec : execution_) out.push_back(ec->info());
   return out;
@@ -109,39 +115,39 @@ Status WorkloadManager::SubmitWithPlan(QuerySpec spec, Plan plan) {
   request->plan = std::move(plan);
   request->arrival_time = sim_->Now();
 
-  // 1. Identification (workload characterization).
-  std::string workload_name = config_.default_workload;
+  // 1. Identification (workload characterization): the name resolves to
+  // the workload's id once, here; every later step indexes by the id.
+  WorkloadId workload_id = 0;  // the default workload
   if (classifier_) {
-    workload_name = classifier_->Classify(*request, *this);
-    if (workloads_.count(workload_name) == 0) {
-      workload_name = config_.default_workload;
-    }
+    auto it = ids_.find(classifier_->Classify(*request, *this));
+    if (it != ids_.end()) workload_id = it->second;
   }
-  request->workload = workload_name;
-  const WorkloadDefinition& def = workloads_.at(workload_name);
-  request->priority = def.priority;
-  request->shares = def.EffectiveShares();
+  WorkloadState& state = by_id_[workload_id];
+  request->workload = state.def->name;
+  request->workload_id = workload_id;
+  request->priority = state.def->priority;
+  request->shares = state.def->EffectiveShares();
   request->deadline = DeriveDeadline(*request);
 
-  WorkloadCounters& counters = counters_[workload_name];
+  WorkloadCounters& counters = state.counters;
   ++counters.submitted;
 
   Request* raw = request.get();
   requests_[raw->spec.id] = std::move(request);
   submission_order_.push_back(raw->spec.id);
-  telemetry_->OnSubmit(raw->spec.id, raw->workload, raw->spec.kind,
-                       raw->spec.journey);
+  telemetry_->OnSubmit(raw->spec.id, workload_id, raw->workload,
+                       raw->spec.kind, raw->spec.journey);
 
   // 2. Admission control at arrival.
-  for (const auto& ac : admission_) {
-    Status decision = ac->OnArrival(*raw, *this);
+  for (const Gate& gate : admission_) {
+    Status decision = gate.controller->OnArrival(*raw, *this);
     if (!decision.ok()) {
       raw->state = RequestState::kRejected;
       raw->finish_time = sim_->Now();
       raw->reject_reason = decision.message();
       ++counters.rejected;
-      telemetry_->OnRejected(raw->spec.id, raw->workload, ac->info().name,
-                             decision.message());
+      telemetry_->OnRejected(raw->spec.id, workload_id, raw->workload,
+                             gate.name, decision.message());
       for (const auto& fn : completion_listeners_) fn(*raw);
       return Status::Rejected(decision.message());
     }
@@ -164,7 +170,7 @@ Status WorkloadManager::SubmitWithPlan(QuerySpec spec, Plan plan) {
   raw->state = RequestState::kQueued;
   raw->enqueued_time = sim_->Now();
   Enqueue(raw);
-  telemetry_->OnAdmitted(raw->spec.id, raw->workload);
+  telemetry_->OnAdmitted(raw->spec.id);
   TryDispatch();
   return Status::OK();
 }
@@ -176,15 +182,12 @@ double WorkloadManager::DeriveDeadline(const Request& request) const {
   if (!overload_ || config_.overload.deadline_slack <= 0.0) {
     return std::numeric_limits<double>::infinity();
   }
-  const WorkloadDefinition* def = workload(request.workload);
-  if (def != nullptr) {
-    for (const ServiceLevelObjective& slo : def->slos) {
-      if (slo.metric == ServiceLevelObjective::Metric::kAvgResponseTime ||
-          slo.metric ==
-              ServiceLevelObjective::Metric::kPercentileResponseTime) {
-        return request.arrival_time +
-               slo.target * config_.overload.deadline_slack;
-      }
+  for (const ServiceLevelObjective& slo :
+       by_id_[request.workload_id].def->slos) {
+    if (slo.metric == ServiceLevelObjective::Metric::kAvgResponseTime ||
+        slo.metric == ServiceLevelObjective::Metric::kPercentileResponseTime) {
+      return request.arrival_time +
+             slo.target * config_.overload.deadline_slack;
     }
   }
   return std::numeric_limits<double>::infinity();
@@ -196,9 +199,10 @@ void WorkloadManager::ShedRequest(Request* request,
   request->state = RequestState::kShed;
   request->finish_time = sim_->Now();
   request->reject_reason = reason;
-  ++counters_[request->workload].shed;
+  ++StateOf(*request).counters.shed;
   if (overload_) overload_->CountShed();
-  telemetry_->OnShed(request->spec.id, request->workload, reason);
+  telemetry_->OnShed(request->spec.id, request->workload_id, request->workload,
+                     reason);
   for (const auto& fn : completion_listeners_) fn(*request);
 }
 
@@ -282,6 +286,7 @@ WorkloadManager::PriorityLevel& WorkloadManager::LevelOf(
 void WorkloadManager::Enqueue(Request* request) {
   queue_.push_back(request);
   LevelOf(request->priority).Insert({next_seq_++, request});
+  ++StateOf(*request).queued;
 }
 
 void WorkloadManager::Unqueue(const Request* request) {
@@ -289,6 +294,7 @@ void WorkloadManager::Unqueue(const Request* request) {
   if (pos == queue_.end()) return;
   queue_.erase(pos);
   (void)LevelOf(request->priority).Erase(request);
+  --StateOf(*request).queued;
 }
 
 void WorkloadManager::TryDispatch() {
@@ -373,10 +379,10 @@ std::vector<QueryId> WorkloadManager::DispatchOrder() {
 }
 
 void WorkloadManager::Offer(Request* request) {
-  for (const auto& ac : admission_) {
-    if (!ac->AllowDispatch(*request, *this)) {
-      telemetry_->OnDispatchGated(request->spec.id, request->workload,
-                                  ac->info().name);
+  for (const Gate& gate : admission_) {
+    if (!gate.controller->AllowDispatch(*request, *this)) {
+      telemetry_->OnDispatchGated(request->spec.id, request->workload_id,
+                                  request->workload, gate.name);
       return;
     }
   }
@@ -393,6 +399,7 @@ void WorkloadManager::RemoveDispatched() {
   }
   for (const Request* request : round_) {
     (void)LevelOf(request->priority).Erase(request);
+    --StateOf(*request).queued;
   }
   std::ranges::sort(round_);
   std::erase_if(queue_, [this](const Request* queued) {
@@ -402,13 +409,14 @@ void WorkloadManager::RemoveDispatched() {
 
 void WorkloadManager::DispatchRequest(Request* request) {
   QueryId id = request->spec.id;
+  WorkloadState& state = StateOf(*request);
   if (request->dispatch_time < 0.0) {
     request->dispatch_time = sim_->Now();
-    counters_[request->workload].queue_waits.Add(sim_->Now() -
-                                                 request->arrival_time);
+    state.counters.queue_waits.Add(sim_->Now() - request->arrival_time);
   }
   request->state = RequestState::kRunning;
   running_.insert(id);
+  ++state.running;
 
   ExecutionContext ctx;
   ctx.tag = request->workload;
@@ -420,11 +428,11 @@ void WorkloadManager::DispatchRequest(Request* request) {
   if (resume_it != resumable_.end()) {
     SuspendedQuery bundle = std::move(resume_it->second);
     resumable_.erase(resume_it);
-    telemetry_->OnDispatch(id, request->workload,
+    telemetry_->OnDispatch(id, request->workload_id, request->workload,
                            SuspendStrategyToString(bundle.strategy));
     status = engine_->Resume(bundle, std::move(ctx));
   } else {
-    telemetry_->OnDispatch(id, request->workload,
+    telemetry_->OnDispatch(id, request->workload_id, request->workload,
                            /*resumed_strategy=*/nullptr);
     status =
         engine_->DispatchWithPlan(request->spec, request->plan, std::move(ctx));
@@ -449,13 +457,14 @@ void WorkloadManager::Requeue(Request* request, const char* reason) {
   request->state = RequestState::kQueued;
   request->enqueued_time = sim_->Now();
   Enqueue(request);
-  telemetry_->OnRequeued(request->spec.id, request->workload, reason);
+  telemetry_->OnRequeued(request->spec.id, request->workload_id,
+                         request->workload, reason);
 }
 
 bool WorkloadManager::Resubmit(Request* request, const char* reason) {
   if (request->resubmits >= config_.max_resubmits) return false;
   ++request->resubmits;
-  ++counters_[request->workload].resubmitted;
+  ++StateOf(*request).counters.resubmitted;
   Requeue(request, reason);
   return true;
 }
@@ -464,7 +473,7 @@ void WorkloadManager::FinishTerminal(Request* request, RequestState state,
                                      const QueryOutcome& outcome) {
   request->state = state;
   request->finish_time = outcome.finish_time;
-  WorkloadCounters& counters = counters_[request->workload];
+  WorkloadCounters& counters = StateOf(*request).counters;
   double velocity = request->Velocity(engine_->config().num_cpus,
                                       engine_->config().io_ops_per_second);
   WlmEventType terminal = WlmEventType::kCompleted;
@@ -486,9 +495,9 @@ void WorkloadManager::FinishTerminal(Request* request, RequestState state,
   // outcome.kind matches `state`: kCompleted, kKilled or kAbortedDeadlock.
   monitor_->RecordCompletion(request->workload, request->ResponseTime(),
                              velocity, outcome.kind);
-  telemetry_->OnTerminal(request->spec.id, request->workload, terminal,
-                         request->ResponseTime(), request->QueueWait(),
-                         outcome);
+  telemetry_->OnTerminal(request->spec.id, request->workload_id,
+                         request->workload, terminal, request->ResponseTime(),
+                         request->QueueWait(), outcome);
   if (overload_) {
     // Feed the workload's breaker and the brownout window. Shed requests
     // never reach here: counting our own sheds as violations would latch
@@ -510,10 +519,12 @@ void WorkloadManager::OnFinish(const QueryOutcome& outcome) {
   auto it = requests_.find(outcome.id);
   if (it == requests_.end()) return;  // not ours (engine used directly)
   Request* request = it->second.get();
+  WorkloadState& state = StateOf(*request);
   running_.erase(outcome.id);
+  --state.running;
   degraded_throttled_.erase(outcome.id);
-  telemetry_->OnRunSegment(outcome.id, request->workload, outcome);
-  WorkloadCounters& counters = counters_[request->workload];
+  telemetry_->OnRunSegment(outcome.id, outcome);
+  WorkloadCounters& counters = state.counters;
 
   switch (outcome.kind) {
     case OutcomeKind::kCompleted:
@@ -530,8 +541,8 @@ void WorkloadManager::OnFinish(const QueryOutcome& outcome) {
           ScheduleFaultRetry(request, delay);
         } else {
           ++counters.retries_denied;
-          telemetry_->OnRetryDenied(outcome.id, request->workload,
-                                    deny_reason);
+          telemetry_->OnRetryDenied(outcome.id, request->workload_id,
+                                    request->workload, deny_reason);
           FinishTerminal(request, RequestState::kKilled, outcome);
         }
       } else if (!resubmit || !Resubmit(request, "after kill")) {
@@ -552,7 +563,8 @@ void WorkloadManager::OnFinish(const QueryOutcome& outcome) {
       ++request->suspend_count;
       ++counters.suspended;
       request->state = RequestState::kSuspended;
-      telemetry_->OnSuspended(outcome.id, request->workload);
+      telemetry_->OnSuspended(outcome.id, request->workload_id,
+                              request->workload);
       Enqueue(request);
       break;
     }
@@ -564,14 +576,17 @@ void WorkloadManager::OnSample(const SystemIndicators& indicators) {
   if (overload_) {
     overload_->OnSample(sim_->Now(), static_cast<int>(queue_.size()));
   }
-  for (const auto& ac : admission_) ac->OnSample(indicators, *this);
+  for (const Gate& gate : admission_) {
+    gate.controller->OnSample(indicators, *this);
+  }
   if (scheduler_) scheduler_->OnSample(indicators, *this);
   for (const auto& ec : execution_) ec->OnSample(indicators, *this);
   if (telemetry_->enabled()) {
     telemetry_->OnMonitorSample(indicators, queue_.size(), running_.size());
-    for (const auto& [name, def] : workloads_) {
-      telemetry_->SetWorkloadOccupancy(name, QueuedInWorkload(name),
-                                       RunningInWorkload(name));
+    for (WorkloadId id = 0; id < by_id_.size(); ++id) {
+      const WorkloadState& state = by_id_[id];
+      telemetry_->SetWorkloadOccupancy(id, state.def->name, state.queued,
+                                       state.running);
     }
   }
   TryDispatch();
@@ -590,24 +605,27 @@ std::vector<const Request*> WorkloadManager::Running() const {
 }
 
 int WorkloadManager::RunningInWorkload(const std::string& name) const {
-  int count = 0;
-  for (QueryId id : running_) {
-    if (requests_.at(id)->workload == name) ++count;
-  }
-  return count;
+  auto it = ids_.find(name);
+  return it == ids_.end() ? 0 : by_id_[it->second].running;
+}
+
+int WorkloadManager::RunningInWorkload(WorkloadId id) const {
+  return id < by_id_.size() ? by_id_[id].running : 0;
 }
 
 int WorkloadManager::QueuedInWorkload(const std::string& name) const {
-  int count = 0;
-  for (const Request* queued : queue_) {
-    if (queued->workload == name) ++count;
-  }
-  return count;
+  auto it = ids_.find(name);
+  return it == ids_.end() ? 0 : by_id_[it->second].queued;
+}
+
+int WorkloadManager::QueuedInWorkload(WorkloadId id) const {
+  return id < by_id_.size() ? by_id_[id].queued : 0;
 }
 
 const WorkloadCounters& WorkloadManager::counters(
     const std::string& workload) const {
-  return counters_[workload];
+  auto it = ids_.find(workload);
+  return it == ids_.end() ? no_counters_ : by_id_[it->second].counters;
 }
 
 std::vector<const Request*> WorkloadManager::AllRequests() const {
@@ -631,6 +649,7 @@ std::vector<WorkloadManager::DrainedQuery> WorkloadManager::CrashDrain(
     level.entries.clear();
     level.head = 0;
   }
+  for (WorkloadState& state : by_id_) state.queued = 0;
   for (const Request* queued : waiting) {
     drained.push_back({queued->spec, queued->workload});
     ShedRequest(requests_.at(queued->spec.id).get(), reason);
@@ -677,7 +696,8 @@ Status WorkloadManager::ThrottleRequest(QueryId id, double duty) {
   if (status.ok()) {
     auto it = requests_.find(id);
     if (it != requests_.end()) {
-      telemetry_->OnThrottle(id, it->second->workload, duty);
+      telemetry_->OnThrottle(id, it->second->workload_id,
+                             it->second->workload, duty);
     }
   }
   return status;
@@ -688,7 +708,8 @@ Status WorkloadManager::PauseRequest(QueryId id, double seconds) {
   if (status.ok()) {
     auto it = requests_.find(id);
     if (it != requests_.end()) {
-      telemetry_->OnPause(id, it->second->workload, seconds);
+      telemetry_->OnPause(id, it->second->workload_id, it->second->workload,
+                          seconds);
     }
   }
   return status;
@@ -720,7 +741,7 @@ Status WorkloadManager::SetRequestPriority(QueryId id,
     }
   }
   request->priority = priority;
-  telemetry_->OnReprioritize(id, it->second->workload,
+  telemetry_->OnReprioritize(id, request->workload_id, request->workload,
                              BusinessPriorityToString(priority));
   return SetRequestShares(id, SharesForPriority(priority));
 }
@@ -730,8 +751,7 @@ Status WorkloadManager::SuspendRequest(QueryId id, SuspendStrategy strategy) {
   if (it == requests_.end()) return Status::NotFound("unknown request");
   Status status = engine_->Suspend(id, strategy);
   if (status.ok()) {
-    telemetry_->OnSuspendStart(id, it->second->workload,
-                               SuspendStrategyToString(strategy));
+    telemetry_->OnSuspendStart(id, SuspendStrategyToString(strategy));
   }
   return status;
 }
@@ -779,7 +799,8 @@ Status WorkloadManager::AbortRequestByFault(QueryId id,
     return Status::FailedPrecondition("request not running");
   }
   fault_aborted_.insert(id);
-  telemetry_->OnFaultAbort(id, it->second->workload, reason);
+  telemetry_->OnFaultAbort(id, it->second->workload_id, it->second->workload,
+                           reason);
   Status status = engine_->Kill(id);  // OnFinish fires synchronously
   if (!status.ok()) fault_aborted_.erase(id);
   return status;
@@ -811,8 +832,9 @@ bool WorkloadManager::FaultRetryAllowed(const Request& request, double delay,
 
 void WorkloadManager::ScheduleFaultRetry(Request* request, double delay) {
   ++request->resubmits;
-  ++counters_[request->workload].resubmitted;
-  telemetry_->OnFaultRetry(request->spec.id, request->workload, delay);
+  ++StateOf(*request).counters.resubmitted;
+  telemetry_->OnFaultRetry(request->spec.id, request->workload_id,
+                           request->workload, delay);
   // Backoff limbo: queued state but not yet in the wait queue, so the
   // scheduler cannot dispatch it before the backoff elapses.
   request->state = RequestState::kQueued;

@@ -93,6 +93,9 @@ class WorkloadManager : public FaultSink {
   WorkloadManager& operator=(const WorkloadManager&) = delete;
 
   // --- setup ---------------------------------------------------------------
+  /// Defines (or redefines) a workload. A new name gets the next
+  /// WorkloadId in definition order — the default workload, defined by the
+  /// constructor, is 0 — and a redefined name keeps its id.
   void DefineWorkload(WorkloadDefinition def);
   const WorkloadDefinition* workload(const std::string& name) const;
   const std::map<std::string, WorkloadDefinition>& workloads() const {
@@ -138,8 +141,14 @@ class WorkloadManager : public FaultSink {
   std::vector<const Request*> Running() const;
   size_t queue_depth() const { return queue_.size(); }
   size_t running_count() const { return running_.size(); }
+  /// Requests of one workload in Running() / Queued(), kept incrementally:
+  /// O(1). An unknown name or id reads 0.
   int RunningInWorkload(const std::string& name) const;
+  int RunningInWorkload(WorkloadId id) const;
   int QueuedInWorkload(const std::string& name) const;
+  int QueuedInWorkload(WorkloadId id) const;
+  /// Lifecycle counters of a workload; all zeros for an unknown name. The
+  /// reference holds until a new name is defined.
   const WorkloadCounters& counters(const std::string& workload) const;
   /// Every request ever submitted, in submission order.
   std::vector<const Request*> AllRequests() const;
@@ -235,6 +244,19 @@ class WorkloadManager : public FaultSink {
   };
   PriorityLevel& LevelOf(BusinessPriority priority);
 
+  /// Per-workload state, indexed by WorkloadId. `running` and `queued`
+  /// count the workload's requests in running_ and queue_: every site that
+  /// changes either container updates them.
+  struct WorkloadState {
+    const WorkloadDefinition* def = nullptr;  // its node in workloads_
+    WorkloadCounters counters;
+    int running = 0;
+    int queued = 0;
+  };
+  WorkloadState& StateOf(const Request& request) {
+    return by_id_[request.workload_id];
+  }
+
   /// Appends a request to the wait queue and to its priority level.
   void Enqueue(Request* request);
   /// Takes a request out of the wait queue and its level; a no-op for a
@@ -289,8 +311,18 @@ class WorkloadManager : public FaultSink {
   WlmConfig config_;
 
   std::map<std::string, WorkloadDefinition> workloads_;
+  // Name -> id, consulted once per request (at submit) and by the
+  // name-keyed accessors; everything per request after that is by id.
+  std::unordered_map<std::string, WorkloadId> ids_;
+  std::vector<WorkloadState> by_id_;
+  WorkloadCounters no_counters_;  // counters() of an unknown name
   std::unique_ptr<RequestClassifier> classifier_;
-  std::vector<std::unique_ptr<AdmissionController>> admission_;
+  /// An admission controller and its info().name, read once when added.
+  struct Gate {
+    std::unique_ptr<AdmissionController> controller;
+    std::string name;
+  };
+  std::vector<Gate> admission_;
   std::unique_ptr<Scheduler> scheduler_;
   std::vector<std::unique_ptr<ExecutionController>> execution_;
 
@@ -317,7 +349,6 @@ class WorkloadManager : public FaultSink {
   std::set<QueryId> degraded_throttled_;
   int active_faults_ = 0;
   std::vector<std::function<void(const Request&)>> completion_listeners_;
-  mutable std::map<std::string, WorkloadCounters> counters_;
   std::unique_ptr<Telemetry> telemetry_;
   std::unique_ptr<OverloadController> overload_;  // null when disabled
   bool queue_lifo_ = false;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <span>
 
 namespace wlm {
 namespace {
@@ -11,15 +12,17 @@ constexpr double kEps = 1e-12;
 
 /// Weighted max-min fair allocation (water-filling): distributes `capacity`
 /// across users with `demands` in proportion to `weights`, never granting
-/// more than demanded, re-distributing slack from saturated users.
-std::vector<double> WeightedWaterFill(const std::vector<double>& demands,
-                                      const std::vector<double>& weights,
-                                      double capacity) {
+/// more than demanded, re-distributing slack from saturated users. Writes
+/// one grant per user into `grants`.
+void WeightedWaterFill(std::span<const double> demands,
+                       std::span<const double> weights, double capacity,
+                       std::span<double> grants, std::vector<char>* scratch) {
   size_t n = demands.size();
-  std::vector<double> grants(n, 0.0);
-  std::vector<bool> open(n, true);
+  std::vector<char>& open = *scratch;  // user still below its demand
+  open.assign(n, 1);
   for (size_t i = 0; i < n; ++i) {
-    if (demands[i] <= kEps || weights[i] <= kEps) open[i] = false;
+    grants[i] = 0.0;
+    if (demands[i] <= kEps || weights[i] <= kEps) open[i] = 0;
   }
   while (capacity > kEps) {
     double weight_sum = 0.0;
@@ -36,7 +39,7 @@ std::vector<double> WeightedWaterFill(const std::vector<double>& demands,
       if (share >= want - kEps) {
         grants[i] += want;
         capacity -= want;
-        open[i] = false;
+        open[i] = 0;
         any_saturated = true;
       }
     }
@@ -49,7 +52,6 @@ std::vector<double> WeightedWaterFill(const std::vector<double>& demands,
       break;
     }
   }
-  return grants;
 }
 
 }  // namespace
@@ -126,52 +128,28 @@ void DatabaseEngine::EnsureTicking() {
 void DatabaseEngine::Tick() {
   const double dt = config_.tick_seconds;
   const double now = sim_->Now();
+  TickScratch& s = scratch_;
 
-  std::vector<QueryId> ids;
-  std::vector<QueryExecution*> execs;
+  s.ids.clear();
+  s.execs.clear();
   for (auto& [id, aq] : active_) {
     aq.exec->MaybeWake(now);
-    ids.push_back(id);
-    execs.push_back(aq.exec.get());
+    s.ids.push_back(id);
+    s.execs.push_back(aq.exec.get());
   }
 
-  std::vector<double> cpu_demand(execs.size());
-  std::vector<double> io_demand(execs.size());
-  std::vector<double> cpu_weight(execs.size());
-  std::vector<double> io_weight(execs.size());
-  for (size_t i = 0; i < execs.size(); ++i) {
-    cpu_demand[i] = execs[i]->CpuDemand(dt);
-    io_demand[i] = execs[i]->IoDemand(dt, config_.io_ops_per_second);
-    cpu_weight[i] = execs[i]->shares().cpu_weight;
-    io_weight[i] = execs[i]->shares().io_weight;
+  const size_t n = s.execs.size();
+  s.cpu_demand.resize(n);
+  s.io_demand.resize(n);
+  s.cpu_weight.resize(n);
+  s.io_weight.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    s.cpu_demand[i] = s.execs[i]->CpuDemand(dt);
+    s.io_demand[i] = s.execs[i]->IoDemand(dt, config_.io_ops_per_second);
+    s.cpu_weight[i] = s.execs[i]->shares().cpu_weight;
+    s.io_weight[i] = s.execs[i]->shares().io_weight;
   }
-
-  // Two-level fair sharing: capacity is divided across *groups* first
-  // (grouped tags use their group weights; an ungrouped query is its own
-  // group), then within each group across its member queries.
-  std::vector<std::vector<size_t>> groups;
-  std::vector<double> group_cpu_weight;
-  std::vector<double> group_io_weight;
-  {
-    std::unordered_map<std::string, size_t> tag_group;
-    for (size_t i = 0; i < execs.size(); ++i) {
-      const std::string& tag = execs[i]->context().tag;
-      auto shares_it = group_shares_.find(tag);
-      if (shares_it == group_shares_.end()) {
-        groups.push_back({i});
-        group_cpu_weight.push_back(cpu_weight[i]);
-        group_io_weight.push_back(io_weight[i]);
-        continue;
-      }
-      auto [group_it, inserted] = tag_group.try_emplace(tag, groups.size());
-      if (inserted) {
-        groups.push_back({});
-        group_cpu_weight.push_back(shares_it->second.cpu_weight);
-        group_io_weight.push_back(shares_it->second.io_weight);
-      }
-      groups[group_it->second].push_back(i);
-    }
-  }
+  GroupActive();
 
   // Injected degradation shrinks delivered capacity; utilization is
   // reported against the *degraded* capacity so controllers see the
@@ -179,57 +157,27 @@ void DatabaseEngine::Tick() {
   double cpu_capacity =
       static_cast<double>(config_.num_cpus - cpus_offline_) * dt;
   double io_capacity = config_.io_ops_per_second * io_rate_factor_ * dt;
-
-  auto two_level = [&](const std::vector<double>& demands,
-                       const std::vector<double>& weights,
-                       const std::vector<double>& group_weights,
-                       double capacity) {
-    std::vector<double> group_demand(groups.size(), 0.0);
-    for (size_t g = 0; g < groups.size(); ++g) {
-      for (size_t i : groups[g]) group_demand[g] += demands[i];
-    }
-    std::vector<double> group_grant =
-        WeightedWaterFill(group_demand, group_weights, capacity);
-    std::vector<double> grants(demands.size(), 0.0);
-    for (size_t g = 0; g < groups.size(); ++g) {
-      if (groups[g].size() == 1) {
-        grants[groups[g][0]] = group_grant[g];
-        continue;
-      }
-      std::vector<double> member_demand, member_weight;
-      for (size_t i : groups[g]) {
-        member_demand.push_back(demands[i]);
-        member_weight.push_back(weights[i]);
-      }
-      std::vector<double> member_grant =
-          WeightedWaterFill(member_demand, member_weight, group_grant[g]);
-      for (size_t k = 0; k < groups[g].size(); ++k) {
-        grants[groups[g][k]] = member_grant[k];
-      }
-    }
-    return grants;
-  };
-
-  std::vector<double> cpu_grant =
-      two_level(cpu_demand, cpu_weight, group_cpu_weight, cpu_capacity);
-  std::vector<double> io_grant =
-      two_level(io_demand, io_weight, group_io_weight, io_capacity);
+  TwoLevelFill(s.cpu_demand, s.cpu_weight, s.group_cpu_weight, cpu_capacity,
+               &s.cpu_grant);
+  TwoLevelFill(s.io_demand, s.io_weight, s.group_io_weight, io_capacity,
+               &s.io_grant);
 
   // Account *consumed* work, not grants: a pipeline-stalled query may
   // leave part of a grant unused (its CPU idles while it waits for I/O in
   // the same operator), and that slack must not count as usage.
   double cpu_used_total = 0.0;
   double io_used_total = 0.0;
-  std::vector<QueryId> done;
-  for (size_t i = 0; i < execs.size(); ++i) {
-    double cpu_before = execs[i]->cpu_used();
-    double io_before = execs[i]->io_used();
-    bool finished = execs[i]->Advance(cpu_grant[i], io_grant[i]);
-    double cpu_delta = execs[i]->cpu_used() - cpu_before;
+  s.done.clear();
+  for (size_t i = 0; i < n; ++i) {
+    QueryExecution* exec = s.execs[i];
+    double cpu_before = exec->cpu_used();
+    double io_before = exec->io_used();
+    bool finished = exec->Advance(s.cpu_grant[i], s.io_grant[i]);
+    double cpu_delta = exec->cpu_used() - cpu_before;
     cpu_used_total += cpu_delta;
-    io_used_total += execs[i]->io_used() - io_before;
-    execs[i]->SettlePhases(now, cpu_delta);
-    if (finished) done.push_back(ids[i]);
+    io_used_total += exec->io_used() - io_before;
+    exec->SettlePhases(now, cpu_delta);
+    if (finished) s.done.push_back(s.ids[i]);
   }
   counters_.cpu_used_seconds += cpu_used_total;
   counters_.io_ops_done += io_used_total;
@@ -240,7 +188,8 @@ void DatabaseEngine::Tick() {
   smoothed_cpu_ += alpha * (cpu_utilization_ - smoothed_cpu_);
   smoothed_io_ += alpha * (io_utilization_ - smoothed_io_);
 
-  for (QueryId id : done) {
+  // Finish callbacks dispatch and kill, but never tick: `done` holds.
+  for (QueryId id : s.done) {
     auto it = active_.find(id);
     if (it == active_.end()) continue;  // a callback already removed it
     if (it->second.exec->state() == QueryExecution::State::kSuspending) {
@@ -256,6 +205,85 @@ void DatabaseEngine::Tick() {
     // Idle engine: report truthfully instead of leaving stale values.
     cpu_utilization_ = 0.0;
     io_utilization_ = 0.0;
+  }
+}
+
+void DatabaseEngine::GroupActive() {
+  // Two-level fair sharing: capacity is divided across *groups* first
+  // (grouped tags use their group weights; an ungrouped query is its own
+  // group), then within each group across its member queries.
+  TickScratch& s = scratch_;
+  const size_t n = s.execs.size();
+  s.group_of.resize(n);
+  s.group_cpu_weight.clear();
+  s.group_io_weight.clear();
+  s.tag_groups.clear();
+  for (size_t i = 0; i < n; ++i) {
+    auto shares_it = group_shares_.find(s.execs[i]->context().tag);
+    if (shares_it == group_shares_.end()) {
+      s.group_of[i] = s.group_cpu_weight.size();
+      s.group_cpu_weight.push_back(s.cpu_weight[i]);
+      s.group_io_weight.push_back(s.io_weight[i]);
+      continue;
+    }
+    const ResourceShares* shares = &shares_it->second;
+    auto seen =
+        std::ranges::find(s.tag_groups, shares, &TickScratch::TagGroup::first);
+    if (seen == s.tag_groups.end()) {
+      seen = s.tag_groups.insert(seen, {shares, s.group_cpu_weight.size()});
+      s.group_cpu_weight.push_back(shares->cpu_weight);
+      s.group_io_weight.push_back(shares->io_weight);
+    }
+    s.group_of[i] = seen->second;
+  }
+  // Counting sort by group; each group's members stay in index order.
+  const size_t groups = s.group_cpu_weight.size();
+  s.group_begin.assign(groups + 1, 0);
+  for (size_t g : s.group_of) ++s.group_begin[g + 1];
+  for (size_t g = 0; g < groups; ++g) s.group_begin[g + 1] += s.group_begin[g];
+  s.members.resize(n);
+  for (size_t i = 0; i < n; ++i) s.members[s.group_begin[s.group_of[i]]++] = i;
+  // Placing advanced each group's begin to the next group's: shift back.
+  std::shift_right(s.group_begin.begin(), s.group_begin.end(), 1);
+  s.group_begin[0] = 0;
+}
+
+void DatabaseEngine::TwoLevelFill(const std::vector<double>& demands,
+                                  const std::vector<double>& weights,
+                                  const std::vector<double>& group_weights,
+                                  double capacity,
+                                  std::vector<double>* grants) {
+  TickScratch& s = scratch_;
+  const size_t groups = group_weights.size();
+  s.group_demand.assign(groups, 0.0);
+  for (size_t g = 0; g < groups; ++g) {
+    for (size_t k = s.group_begin[g]; k < s.group_begin[g + 1]; ++k) {
+      s.group_demand[g] += demands[s.members[k]];
+    }
+  }
+  s.group_grant.resize(groups);
+  WeightedWaterFill(s.group_demand, group_weights, capacity, s.group_grant,
+                    &s.open);
+  grants->assign(demands.size(), 0.0);
+  for (size_t g = 0; g < groups; ++g) {
+    const size_t begin = s.group_begin[g];
+    const size_t end = s.group_begin[g + 1];
+    if (end - begin == 1) {
+      (*grants)[s.members[begin]] = s.group_grant[g];
+      continue;
+    }
+    s.member_demand.clear();
+    s.member_weight.clear();
+    for (size_t k = begin; k < end; ++k) {
+      s.member_demand.push_back(demands[s.members[k]]);
+      s.member_weight.push_back(weights[s.members[k]]);
+    }
+    s.member_grant.resize(end - begin);
+    WeightedWaterFill(s.member_demand, s.member_weight, s.group_grant[g],
+                      s.member_grant, &s.open);
+    for (size_t k = begin; k < end; ++k) {
+      (*grants)[s.members[k]] = s.member_grant[k - begin];
+    }
   }
 }
 

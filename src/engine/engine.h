@@ -160,8 +160,40 @@ class DatabaseEngine {
     std::unique_ptr<QueryExecution> exec;
   };
 
+  /// Buffers the tick fills and the water-fill reads, owned by the engine
+  /// so that a tick whose active set has not grown allocates nothing.
+  /// Index i is the i-th active query in id order; a group is one grouped
+  /// tag or one ungrouped query, numbered in order of first appearance.
+  struct TickScratch {
+    std::vector<QueryId> ids;
+    std::vector<QueryExecution*> execs;
+    std::vector<double> cpu_demand, io_demand, cpu_weight, io_weight;
+    /// Group of each query, then the queries of each group in index order:
+    /// group g's members are members[group_begin[g] .. group_begin[g+1]).
+    std::vector<size_t> group_of, group_begin, members;
+    std::vector<double> group_cpu_weight, group_io_weight;
+    /// A grouped tag seen this tick: its shares entry and group number.
+    using TagGroup = std::pair<const ResourceShares*, size_t>;
+    std::vector<TagGroup> tag_groups;
+    std::vector<double> group_demand, group_grant;
+    std::vector<double> member_demand, member_weight, member_grant;
+    std::vector<double> cpu_grant, io_grant;
+    std::vector<char> open;  // water-fill: user still below its demand
+    std::vector<QueryId> done;
+  };
+
   void EnsureTicking();
   void Tick();
+  /// Assigns every active query to its fair-share group (fills the group
+  /// fields of scratch_ from execs and the per-query weights).
+  void GroupActive();
+  /// Two-level water-fill of `capacity` into `grants`: across groups by
+  /// `group_weights`, then within each group by the per-query `weights`.
+  /// A group's demand sums its members in index order.
+  void TwoLevelFill(const std::vector<double>& demands,
+                    const std::vector<double>& weights,
+                    const std::vector<double>& group_weights, double capacity,
+                    std::vector<double>* grants);
   void CheckDeadlocks();
   void ContinueAcquiringLocks(QueryExecution* exec);
   void OnLockGranted(TxnId txn, LockKey key);
@@ -185,6 +217,7 @@ class DatabaseEngine {
   std::unordered_map<QueryId, SuspendedQuery> pending_suspend_;
   std::unordered_map<QueryId, SuspendedQuery> suspended_;
   FinishCallback observer_;
+  TickScratch scratch_;
   EngineCounters counters_;
   double cpu_utilization_ = 0.0;
   double io_utilization_ = 0.0;

@@ -8,6 +8,10 @@
 namespace wlm {
 
 using QueryId = uint64_t;
+/// Dense index of a defined workload (service class), assigned by the
+/// workload manager in definition order. Lower layers index per-workload
+/// state by it without seeing the manager.
+using WorkloadId = uint32_t;
 using TxnId = uint64_t;
 using LockKey = uint64_t;
 

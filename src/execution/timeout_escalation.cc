@@ -24,6 +24,7 @@ void TimeoutEscalationController::OnSample(const SystemIndicators& indicators,
   // and kills fire completion callbacks that mutate the running set.
   struct Action {
     QueryId id;
+    const Request* request;  // owned by the manager for the whole run
     Stage stage;
     const Policy* policy;
     double dispatch_time;
@@ -62,7 +63,7 @@ void TimeoutEscalationController::OnSample(const SystemIndicators& indicators,
       target = Stage::kThrottled;
     }
     if (target > current) {
-      actions.push_back({p.id, target, &policy, p.dispatch_time,
+      actions.push_back({p.id, request, target, &policy, p.dispatch_time,
                          past_deadline});
     }
   }
@@ -78,16 +79,16 @@ void TimeoutEscalationController::OnSample(const SystemIndicators& indicators,
   }
 
   for (const Action& action : actions) {
-    const Request* request = manager.Find(action.id);
-    const std::string workload =
-        request != nullptr ? request->workload : std::string();
+    const WorkloadId workload_id = action.request->workload_id;
+    const std::string& workload = action.request->workload;
     switch (action.stage) {
       case Stage::kThrottled:
         if (manager.ThrottleRequest(action.id, action.policy->throttle_duty)
                 .ok()) {
           stages_[action.id] = {Stage::kThrottled, action.dispatch_time};
           ++throttles_;
-          manager.telemetry().OnEscalation(action.id, workload, "throttle");
+          manager.telemetry().OnEscalation(action.id, workload_id, workload,
+                                           "throttle");
         }
         break;
       case Stage::kSuspending:
@@ -96,7 +97,8 @@ void TimeoutEscalationController::OnSample(const SystemIndicators& indicators,
                 .ok()) {
           stages_[action.id] = {Stage::kSuspending, action.dispatch_time};
           ++suspends_;
-          manager.telemetry().OnEscalation(action.id, workload, "suspend");
+          manager.telemetry().OnEscalation(action.id, workload_id, workload,
+                                           "suspend");
         }
         break;
       case Stage::kKilled: {
@@ -109,7 +111,7 @@ void TimeoutEscalationController::OnSample(const SystemIndicators& indicators,
           if (action.past_deadline) ++deadline_kills_;
           stages_.erase(action.id);
           manager.telemetry().OnEscalation(
-              action.id, workload,
+              action.id, workload_id, workload,
               action.past_deadline ? "deadline_kill" : "kill");
         }
         break;

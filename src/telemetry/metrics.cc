@@ -136,6 +136,7 @@ const std::vector<double>& HistogramMetric::DefaultLatencyBuckets() {
 
 MetricsRegistry::Family& MetricsRegistry::FamilyFor(const std::string& name,
                                                     MetricType type) {
+  ++lookups_;  // once per Get*
   auto it = families_.find(name);
   if (it == families_.end()) it = families_.emplace(name, Family{}).first;
   if (!it->second.type_fixed) {
@@ -193,6 +194,7 @@ void MetricsRegistry::SetHelp(const std::string& name, std::string help) {
 
 const MetricsRegistry::Series* MetricsRegistry::FindSeries(
     const std::string& name, const MetricLabels& labels) const {
+  ++lookups_;  // once per Find*
   auto it = families_.find(name);
   if (it == families_.end()) return nullptr;
   MetricLabels sorted = labels;

@@ -107,6 +107,10 @@ class MetricsRegistry {
   /// per-tick sampling loops.
   double FamilyValueSum(const std::string& name) const;
 
+  /// Get* and Find* calls so far: the registry's own work counter. Not
+  /// part of any exposition.
+  int64_t lookups() const { return lookups_; }
+
   size_t family_count() const { return families_.size(); }
   size_t series_count() const;
   std::vector<std::string> FamilyNames() const;
@@ -157,6 +161,7 @@ class MetricsRegistry {
                            const MetricLabels& labels) const;
 
   std::map<std::string, Family> families_;
+  mutable int64_t lookups_ = 0;
 };
 
 }  // namespace wlm

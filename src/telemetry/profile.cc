@@ -76,11 +76,9 @@ std::string ExplainOutcome(const QueryProfile& profile) {
 }
 
 ProfileStore::ProfileStore(size_t max_profiles)
-    : max_profiles_(max_profiles) {
-  // The store's population is bounded, so pre-sizing the hash table once
-  // avoids every rehash (each of which would move all live entries).
-  profiles_.reserve(max_profiles_);
-}
+    : max_profiles_(max_profiles) {}
+
+void ProfileStore::Reserve() { profiles_.reserve(max_profiles_); }
 
 ProfileStore::Entry* ProfileStore::FindEntry(QueryId id) {
   auto it = profiles_.find(id);
@@ -171,13 +169,16 @@ void ProfileStore::AccumulateSegment(QueryId id, const QueryOutcome& outcome) {
   ++p.run_segments;
 }
 
-void ProfileStore::MarkDispatched(QueryId id, double now) {
+ProfileStore::WaitSegment ProfileStore::MarkDispatched(QueryId id,
+                                                       double now) {
   Entry* entry = FindEntry(id);
-  if (entry == nullptr) return;
+  if (entry == nullptr) return {};
+  const WaitSegment settled{entry->open_phase, entry->open_start};
   SettleEntry(entry, now);
   if (entry->profile.first_dispatch_time < 0.0) {
     entry->profile.first_dispatch_time = now;
   }
+  return settled;
 }
 
 void ProfileStore::CountRequeue(QueryId id) {
@@ -224,9 +225,9 @@ const QueryProfile* ProfileStore::Find(QueryId id) const {
   return it == profiles_.end() ? nullptr : &it->second.profile;
 }
 
-std::pair<int, double> ProfileStore::OpenSegment(QueryId id) const {
+ProfileStore::WaitSegment ProfileStore::OpenSegment(QueryId id) const {
   auto it = profiles_.find(id);
-  if (it == profiles_.end() || it->second.open_phase < 0) return {-1, 0.0};
+  if (it == profiles_.end() || it->second.open_phase < 0) return {};
   return {it->second.open_phase, it->second.open_start};
 }
 

@@ -118,7 +118,18 @@ std::string ExplainOutcome(const QueryProfile& profile);
 /// leaks iteration nondeterminism.
 class ProfileStore {
  public:
+  /// A wait segment (admission/overload queue, suspended wait, retry
+  /// backoff) as phase index and start time; phase -1 means none.
+  struct WaitSegment {
+    int phase = -1;
+    double start = 0.0;
+  };
+
   explicit ProfileStore(size_t max_profiles = 8192);
+  /// Sizes the hash table for `max_profiles` entries. The population is
+  /// bounded, so sizing once avoids every rehash (each would move all
+  /// live entries); a store that never profiles need not pay for it.
+  void Reserve();
 
   /// Creates the profile of `id` at submission (no-op if present).
   /// `journey` is the cluster journey id from the spec (0 standalone).
@@ -138,7 +149,9 @@ class ProfileStore {
   /// One engine run segment ended (any OutcomeKind): folds its phase
   /// decomposition and resource usage into the profile.
   void AccumulateSegment(QueryId id, const QueryOutcome& outcome);
-  void MarkDispatched(QueryId id, double now);
+  /// Settles the open wait segment at dispatch and returns it as it was
+  /// (phase -1 when none was open or `id` is unknown).
+  WaitSegment MarkDispatched(QueryId id, double now);
   void CountRequeue(QueryId id);
   void CountSuspend(QueryId id);
   /// Terminal: settles any open segment, stamps the outcome and rolls the
@@ -149,9 +162,9 @@ class ProfileStore {
                                const std::string& detail);
 
   const QueryProfile* Find(QueryId id) const;
-  /// Open wait segment of `id` as (phase index, start time); (-1, 0) when
-  /// none is open. Lets the facade emit a trace tile before settling.
-  std::pair<int, double> OpenSegment(QueryId id) const;
+  /// Open wait segment of `id`; phase -1 when none is open. Lets the
+  /// facade emit a trace tile before settling.
+  WaitSegment OpenSegment(QueryId id) const;
   /// All retained profiles, in creation order.
   std::vector<const QueryProfile*> Profiles() const;
   /// Copies of the newest `n` retained terminal profiles, oldest first

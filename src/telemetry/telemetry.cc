@@ -25,6 +25,7 @@ Telemetry::Telemetry(Simulation* sim, Monitor* monitor,
       profiling_(options.profiling),
       watchdog_(monitor, &event_log_, &metrics_) {
   if (!enabled_) return;
+  if (profiling_) profiles_.Reserve();
   metrics_.SetHelp("wlm_requests_submitted_total",
                    "Requests entering the workload manager");
   metrics_.SetHelp("wlm_requests_rejected_total",
@@ -100,6 +101,18 @@ Telemetry::Telemetry(Simulation* sim, Monitor* monitor,
                    "Post-mortems captured by the flight recorder");
 }
 
+Counter*& Telemetry::LabeledCounters::For(std::string_view label) {
+  for (auto& [value, counter] : entries_) {
+    if (value == label) return counter;
+  }
+  return entries_.emplace_back(label, nullptr).second;
+}
+
+Telemetry::WorkloadHandles& Telemetry::Handles(WorkloadId workload_id) {
+  if (workload_id >= handles_.size()) handles_.resize(workload_id + 1);
+  return handles_[workload_id];
+}
+
 double Telemetry::Now() const { return sim_->Now(); }
 
 void Telemetry::Log(WlmEventType type, QueryId query,
@@ -113,12 +126,16 @@ QueryId Telemetry::Track(SyntheticTrack track, double now) {
   return id;
 }
 
-void Telemetry::TileOpenWait(QueryId id, double now) {
-  auto [phase, start] = profiles_.OpenSegment(id);
-  if (phase >= 0 && now > start) {
-    tracer_.AddClosedSpan(id, SpanKind::kPhase, start, now,
-                          PhaseToString(static_cast<Phase>(phase)));
+void Telemetry::TileWait(QueryId id, ProfileStore::WaitSegment segment,
+                         double now) {
+  if (segment.phase >= 0 && now > segment.start) {
+    tracer_.AddClosedSpan(id, SpanKind::kPhase, segment.start, now,
+                          PhaseToString(static_cast<Phase>(segment.phase)));
   }
+}
+
+void Telemetry::TileOpenWait(QueryId id, double now) {
+  TileWait(id, profiles_.OpenSegment(id), now);
 }
 
 void Telemetry::WatchSlos(const std::string& workload,
@@ -127,26 +144,31 @@ void Telemetry::WatchSlos(const std::string& workload,
   watchdog_.SetSlos(workload, slos);
 }
 
-void Telemetry::OnSubmit(QueryId id, const std::string& workload,
-                         QueryKind kind, uint64_t journey) {
+void Telemetry::OnSubmit(QueryId id, WorkloadId workload_id,
+                         const std::string& workload, QueryKind kind,
+                         uint64_t journey) {
   Log(WlmEventType::kSubmitted, id, workload);
   if (!enabled_) return;
   tracer_.GetOrCreate(id, workload, kind, Now());
   if (profiling_) profiles_.Begin(id, workload, kind, Now(), journey);
-  metrics_.GetCounter("wlm_requests_submitted_total", {{"workload", workload}})
-      .Increment();
+  Counter*& submitted = Handles(workload_id).submitted;
+  if (submitted == nullptr) {
+    submitted = &metrics_.GetCounter("wlm_requests_submitted_total",
+                                     {{"workload", workload}});
+  }
+  submitted->Increment();
 }
 
-void Telemetry::OnAdmitted(QueryId id, const std::string& workload) {
+void Telemetry::OnAdmitted(QueryId id) {
   if (!enabled_) return;
-  (void)workload;
   const double now = Now();
   tracer_.AddClosedSpan(id, SpanKind::kAdmit, now, now, "admitted");
   tracer_.OpenSpan(id, SpanKind::kQueue, now);
   if (profiling_) profiles_.OpenQueueWait(id, now);
 }
 
-void Telemetry::OnRejected(QueryId id, const std::string& workload,
+void Telemetry::OnRejected(QueryId id, WorkloadId workload_id,
+                           const std::string& workload,
                            const std::string& gate,
                            const std::string& reason) {
   Log(WlmEventType::kRejected, id, workload, reason);
@@ -155,15 +177,18 @@ void Telemetry::OnRejected(QueryId id, const std::string& workload,
   tracer_.AddClosedSpan(id, SpanKind::kAdmit, now, now,
                         "rejected gate=" + gate + " reason=" + reason);
   tracer_.FinishTrace(id, now);
-  FinalizeProfile(id, "rejected", reason + " (gate=" + gate + ")");
-  metrics_
-      .GetCounter("wlm_requests_rejected_total",
-                  {{"workload", workload}, {"gate", gate}})
-      .Increment();
+  FinalizeProfile(id, workload_id, workload, "rejected",
+                  reason + " (gate=" + gate + ")");
+  Counter*& rejected = Handles(workload_id).rejected.For(gate);
+  if (rejected == nullptr) {
+    rejected = &metrics_.GetCounter("wlm_requests_rejected_total",
+                                    {{"workload", workload}, {"gate", gate}});
+  }
+  rejected->Increment();
 }
 
-void Telemetry::OnRequeued(QueryId id, const std::string& workload,
-                           const char* reason) {
+void Telemetry::OnRequeued(QueryId id, WorkloadId workload_id,
+                           const std::string& workload, const char* reason) {
   if (reason != nullptr) Log(WlmEventType::kResubmitted, id, workload, reason);
   if (!enabled_) return;
   const double now = Now();
@@ -176,22 +201,29 @@ void Telemetry::OnRequeued(QueryId id, const std::string& workload,
     profiles_.CountRequeue(id);
     profiles_.OpenQueueWait(id, now);
   }
-  metrics_
-      .GetCounter("wlm_requests_resubmitted_total", {{"workload", workload}})
-      .Increment();
+  Counter*& resubmitted = Handles(workload_id).resubmitted;
+  if (resubmitted == nullptr) {
+    resubmitted = &metrics_.GetCounter("wlm_requests_resubmitted_total",
+                                       {{"workload", workload}});
+  }
+  resubmitted->Increment();
 }
 
-void Telemetry::OnDispatchGated(QueryId id, const std::string& workload,
+void Telemetry::OnDispatchGated(QueryId id, WorkloadId workload_id,
+                                const std::string& workload,
                                 const std::string& gate) {
   if (!enabled_) return;
   (void)id;
-  metrics_
-      .GetCounter("wlm_dispatch_gated_total",
-                  {{"workload", workload}, {"gate", gate}})
-      .Increment();
+  Counter*& gated = Handles(workload_id).gated.For(gate);
+  if (gated == nullptr) {
+    gated = &metrics_.GetCounter("wlm_dispatch_gated_total",
+                                 {{"workload", workload}, {"gate", gate}});
+  }
+  gated->Increment();
 }
 
-void Telemetry::OnDispatch(QueryId id, const std::string& workload,
+void Telemetry::OnDispatch(QueryId id, WorkloadId workload_id,
+                           const std::string& workload,
                            const char* resumed_strategy) {
   const bool resumed = resumed_strategy != nullptr;
   Log(resumed ? WlmEventType::kResumed : WlmEventType::kDispatched, id,
@@ -202,27 +234,27 @@ void Telemetry::OnDispatch(QueryId id, const std::string& workload,
                     now);
   tracer_.OpenSpan(id, SpanKind::kExecute, now, resumed ? "resumed" : "");
   if (profiling_) {
-    // Tile the wait that just ended (admission/overload queue or
-    // suspended wait), then settle it into the profile.
-    TileOpenWait(id, now);
-    profiles_.MarkDispatched(id, now);
+    // Settle the wait that just ended (admission/overload queue or
+    // suspended wait) into the profile, then tile it.
+    TileWait(id, profiles_.MarkDispatched(id, now), now);
   }
-  metrics_
-      .GetCounter("wlm_dispatches_total",
-                  {{"workload", workload},
-                   {"resumed", resumed ? "true" : "false"}})
-      .Increment();
+  Counter*& dispatches = Handles(workload_id).dispatches[resumed ? 1 : 0];
+  if (dispatches == nullptr) {
+    dispatches = &metrics_.GetCounter(
+        "wlm_dispatches_total",
+        {{"workload", workload}, {"resumed", resumed ? "true" : "false"}});
+  }
+  dispatches->Increment();
 }
 
-void Telemetry::OnSuspendStart(QueryId id, const std::string& workload,
-                               const char* strategy) {
+void Telemetry::OnSuspendStart(QueryId id, const char* strategy) {
   if (!enabled_) return;
-  (void)workload;
   tracer_.OpenSpan(id, SpanKind::kSuspendFlush, Now(),
                    std::string("strategy=") + strategy);
 }
 
-void Telemetry::OnSuspended(QueryId id, const std::string& workload) {
+void Telemetry::OnSuspended(QueryId id, WorkloadId workload_id,
+                            const std::string& workload) {
   Log(WlmEventType::kSuspended, id, workload);
   if (!enabled_) return;
   const double now = Now();
@@ -233,22 +265,23 @@ void Telemetry::OnSuspended(QueryId id, const std::string& workload) {
     profiles_.CountSuspend(id);
     profiles_.OpenWait(id, Phase::kSuspendedWait, now);
   }
-  metrics_
-      .GetCounter("wlm_requests_suspended_total", {{"workload", workload}})
-      .Increment();
+  Counter*& suspended = Handles(workload_id).suspended;
+  if (suspended == nullptr) {
+    suspended = &metrics_.GetCounter("wlm_requests_suspended_total",
+                                     {{"workload", workload}});
+  }
+  suspended->Increment();
 }
 
-void Telemetry::OnRunSegment(QueryId id, const std::string& workload,
-                             const QueryOutcome& outcome) {
+void Telemetry::OnRunSegment(QueryId id, const QueryOutcome& outcome) {
   if (!enabled_ || !profiling_) return;
-  (void)workload;
   profiles_.AccumulateSegment(id, outcome);
   AddPhaseTiles(id, outcome.dispatch_time, outcome.phases);
 }
 
-void Telemetry::OnTerminal(QueryId id, const std::string& workload,
-                           WlmEventType terminal, double response_seconds,
-                           double queue_wait_seconds,
+void Telemetry::OnTerminal(QueryId id, WorkloadId workload_id,
+                           const std::string& workload, WlmEventType terminal,
+                           double response_seconds, double queue_wait_seconds,
                            const QueryOutcome& outcome) {
   Log(terminal, id, workload,
       terminal == WlmEventType::kAborted ? "deadlock victim" : "");
@@ -259,9 +292,12 @@ void Telemetry::OnTerminal(QueryId id, const std::string& workload,
     tracer_.AddClosedSpan(
         id, SpanKind::kLockWait, outcome.dispatch_time,
         std::min(outcome.dispatch_time + outcome.lock_wait_seconds, now));
-    metrics_
-        .GetHistogram("wlm_lock_wait_seconds", {{"workload", workload}})
-        .Observe(outcome.lock_wait_seconds);
+    HistogramMetric*& lock_wait = Handles(workload_id).lock_wait;
+    if (lock_wait == nullptr) {
+      lock_wait = &metrics_.GetHistogram("wlm_lock_wait_seconds",
+                                         {{"workload", workload}});
+    }
+    lock_wait->Observe(outcome.lock_wait_seconds);
   }
   char detail[160];
   std::snprintf(detail, sizeof(detail),
@@ -270,20 +306,31 @@ void Telemetry::OnTerminal(QueryId id, const std::string& workload,
                 outcome.spill_factor, outcome.buffer_hit_ratio);
   tracer_.CloseExecutionSegment(id, now, detail);
   tracer_.FinishTrace(id, now);
-  FinalizeProfile(id, outcome_name, "");
+  FinalizeProfile(id, workload_id, workload, outcome_name, "");
 
-  metrics_
-      .GetCounter(std::string("wlm_requests_") + outcome_name + "_total",
-                  {{"workload", workload}})
-      .Increment();
-  metrics_.GetHistogram("wlm_response_seconds", {{"workload", workload}})
-      .Observe(response_seconds);
-  metrics_.GetHistogram("wlm_queue_wait_seconds", {{"workload", workload}})
-      .Observe(queue_wait_seconds);
+  WorkloadHandles& handles = Handles(workload_id);
+  const size_t slot = terminal == WlmEventType::kCompleted ? 0
+                      : terminal == WlmEventType::kKilled  ? 1
+                                                           : 2;
+  Counter*& outcomes = handles.terminal[slot];
+  if (outcomes == nullptr) {
+    outcomes = &metrics_.GetCounter(
+        std::string("wlm_requests_") + outcome_name + "_total",
+        {{"workload", workload}});
+  }
+  outcomes->Increment();
+  if (handles.response == nullptr) {
+    handles.response = &metrics_.GetHistogram("wlm_response_seconds",
+                                              {{"workload", workload}});
+    handles.queue_wait = &metrics_.GetHistogram("wlm_queue_wait_seconds",
+                                                {{"workload", workload}});
+  }
+  handles.response->Observe(response_seconds);
+  handles.queue_wait->Observe(queue_wait_seconds);
 }
 
-void Telemetry::OnThrottle(QueryId id, const std::string& workload,
-                           double duty) {
+void Telemetry::OnThrottle(QueryId id, WorkloadId workload_id,
+                           const std::string& workload, double duty) {
   Log(WlmEventType::kThrottled, id, workload, "duty=" + std::to_string(duty));
   if (!enabled_) return;
   const double now = Now();
@@ -295,13 +342,16 @@ void Telemetry::OnThrottle(QueryId id, const std::string& workload,
     tracer_.OpenSpan(id, SpanKind::kThrottle, now, detail);
   }
   tracer_.Instant(id, "throttle", now, detail);
-  metrics_
-      .GetCounter("wlm_throttle_changes_total", {{"workload", workload}})
-      .Increment();
+  Counter*& throttles = Handles(workload_id).throttles;
+  if (throttles == nullptr) {
+    throttles = &metrics_.GetCounter("wlm_throttle_changes_total",
+                                     {{"workload", workload}});
+  }
+  throttles->Increment();
 }
 
-void Telemetry::OnPause(QueryId id, const std::string& workload,
-                        double seconds) {
+void Telemetry::OnPause(QueryId id, WorkloadId workload_id,
+                        const std::string& workload, double seconds) {
   Log(WlmEventType::kPaused, id, workload, std::to_string(seconds) + "s");
   if (!enabled_) return;
   const double now = Now();
@@ -310,19 +360,27 @@ void Telemetry::OnPause(QueryId id, const std::string& workload,
   // Recorded closed up-front; segment close clamps it if the query leaves
   // the engine before the pause elapses.
   tracer_.AddClosedSpan(id, SpanKind::kPause, now, now + seconds, detail);
-  metrics_.GetCounter("wlm_pauses_total", {{"workload", workload}})
-      .Increment();
+  Counter*& pauses = Handles(workload_id).pauses;
+  if (pauses == nullptr) {
+    pauses =
+        &metrics_.GetCounter("wlm_pauses_total", {{"workload", workload}});
+  }
+  pauses->Increment();
 }
 
-void Telemetry::OnReprioritize(QueryId id, const std::string& workload,
+void Telemetry::OnReprioritize(QueryId id, WorkloadId workload_id,
+                               const std::string& workload,
                                const char* priority) {
   Log(WlmEventType::kReprioritized, id, workload, priority);
   if (!enabled_) return;
   tracer_.Instant(id, "reprioritize", Now(),
                   std::string("priority=") + priority);
-  metrics_
-      .GetCounter("wlm_reprioritizations_total", {{"workload", workload}})
-      .Increment();
+  Counter*& reprioritizations = Handles(workload_id).reprioritizations;
+  if (reprioritizations == nullptr) {
+    reprioritizations = &metrics_.GetCounter("wlm_reprioritizations_total",
+                                             {{"workload", workload}});
+  }
+  reprioritizations->Increment();
 }
 
 void Telemetry::OnFaultBegin(const std::string& kind,
@@ -355,17 +413,23 @@ void Telemetry::OnFaultEnd(const std::string& kind, double started_at) {
   metrics_.GetGauge("wlm_faults_active").Add(-1.0);
 }
 
-void Telemetry::OnFaultAbort(QueryId id, const std::string& workload,
+void Telemetry::OnFaultAbort(QueryId id, WorkloadId workload_id,
+                             const std::string& workload,
                              const std::string& reason) {
   if (!enabled_) return;
   const double now = Now();
   tracer_.Instant(id, "fault_abort", now, reason);
   tracer_.CloseExecutionSegment(id, now, "outcome=fault_abort");
-  metrics_.GetCounter("wlm_faults_aborts_total", {{"workload", workload}})
-      .Increment();
+  Counter*& aborts = Handles(workload_id).fault_aborts;
+  if (aborts == nullptr) {
+    aborts = &metrics_.GetCounter("wlm_faults_aborts_total",
+                                  {{"workload", workload}});
+  }
+  aborts->Increment();
 }
 
-void Telemetry::OnFaultRetry(QueryId id, const std::string& workload,
+void Telemetry::OnFaultRetry(QueryId id, WorkloadId workload_id,
+                             const std::string& workload,
                              double delay_seconds) {
   char detail[48];
   std::snprintf(detail, sizeof(detail), "backoff=%.3fs", delay_seconds);
@@ -374,8 +438,12 @@ void Telemetry::OnFaultRetry(QueryId id, const std::string& workload,
   if (!enabled_) return;
   tracer_.Instant(id, "fault_retry", Now(), detail);
   if (profiling_) profiles_.OpenWait(id, Phase::kRetryBackoff, Now());
-  metrics_.GetCounter("wlm_faults_retries_total", {{"workload", workload}})
-      .Increment();
+  Counter*& retries = Handles(workload_id).fault_retries;
+  if (retries == nullptr) {
+    retries = &metrics_.GetCounter("wlm_faults_retries_total",
+                                   {{"workload", workload}});
+  }
+  retries->Increment();
 }
 
 void Telemetry::SetDegraded(bool degraded) {
@@ -383,7 +451,8 @@ void Telemetry::SetDegraded(bool degraded) {
   metrics_.GetGauge("wlm_faults_degraded").Set(degraded ? 1.0 : 0.0);
 }
 
-void Telemetry::OnShed(QueryId id, const std::string& workload,
+void Telemetry::OnShed(QueryId id, WorkloadId workload_id,
+                       const std::string& workload,
                        const std::string& reason) {
   Log(WlmEventType::kShed, id, workload, reason);
   if (!enabled_) return;
@@ -392,22 +461,28 @@ void Telemetry::OnShed(QueryId id, const std::string& workload,
   tracer_.Instant(id, "shed", now, reason);
   tracer_.FinishTrace(id, now);
   if (profiling_) TileOpenWait(id, now);
-  FinalizeProfile(id, "shed", reason);
-  metrics_
-      .GetCounter("wlm_overload_shed_total",
-                  {{"workload", workload}, {"reason", reason}})
-      .Increment();
+  FinalizeProfile(id, workload_id, workload, "shed", reason);
+  Counter*& shed = Handles(workload_id).shed.For(reason);
+  if (shed == nullptr) {
+    shed = &metrics_.GetCounter("wlm_overload_shed_total",
+                                {{"workload", workload}, {"reason", reason}});
+  }
+  shed->Increment();
 }
 
-void Telemetry::OnRetryDenied(QueryId id, const std::string& workload,
+void Telemetry::OnRetryDenied(QueryId id, WorkloadId workload_id,
+                              const std::string& workload,
                               const std::string& reason) {
   Log(WlmEventType::kRetryDenied, id, workload, reason);
   if (!enabled_) return;
   tracer_.Instant(id, "retry_denied", Now(), reason);
-  metrics_
-      .GetCounter("wlm_overload_retry_denied_total",
-                  {{"workload", workload}, {"reason", reason}})
-      .Increment();
+  Counter*& denied = Handles(workload_id).retry_denied.For(reason);
+  if (denied == nullptr) {
+    denied = &metrics_.GetCounter(
+        "wlm_overload_retry_denied_total",
+        {{"workload", workload}, {"reason", reason}});
+  }
+  denied->Increment();
 }
 
 void Telemetry::OnBreakerTransition(const std::string& workload, int state,
@@ -503,23 +578,31 @@ void Telemetry::OnMonitorSample(const SystemIndicators& indicators,
   }
 }
 
-void Telemetry::SetWorkloadOccupancy(const std::string& workload, int queued,
+void Telemetry::SetWorkloadOccupancy(WorkloadId workload_id,
+                                     const std::string& workload, int queued,
                                      int running) {
   if (!enabled_) return;
-  metrics_.GetGauge("wlm_queue_depth", {{"workload", workload}})
-      .Set(static_cast<double>(queued));
-  metrics_.GetGauge("wlm_running", {{"workload", workload}})
-      .Set(static_cast<double>(running));
+  WorkloadHandles& handles = Handles(workload_id);
+  if (handles.queued == nullptr) {
+    handles.queued =
+        &metrics_.GetGauge("wlm_queue_depth", {{"workload", workload}});
+    handles.running =
+        &metrics_.GetGauge("wlm_running", {{"workload", workload}});
+  }
+  handles.queued->Set(static_cast<double>(queued));
+  handles.running->Set(static_cast<double>(running));
 }
 
-void Telemetry::OnEscalation(QueryId id, const std::string& workload,
-                             const char* rung) {
+void Telemetry::OnEscalation(QueryId id, WorkloadId workload_id,
+                             const std::string& workload, const char* rung) {
   if (!enabled_) return;
   tracer_.Instant(id, "escalate", Now(), std::string("rung=") + rung);
-  metrics_
-      .GetCounter("wlm_escalations_total",
-                  {{"workload", workload}, {"rung", rung}})
-      .Increment();
+  Counter*& escalations = Handles(workload_id).escalations.For(rung);
+  if (escalations == nullptr) {
+    escalations = &metrics_.GetCounter(
+        "wlm_escalations_total", {{"workload", workload}, {"rung", rung}});
+  }
+  escalations->Increment();
 }
 
 ControllerStateSnapshot Telemetry::ControllerState() const {
@@ -549,22 +632,23 @@ ControllerStateSnapshot Telemetry::ControllerState() const {
   return state;
 }
 
-void Telemetry::FinalizeProfile(QueryId id, const std::string& outcome,
+void Telemetry::FinalizeProfile(QueryId id, WorkloadId workload_id,
+                                const std::string& workload,
+                                const std::string& outcome,
                                 const std::string& detail) {
   if (!profiling_) return;
   const QueryProfile* profile = profiles_.Finalize(id, Now(), outcome, detail);
   if (profile == nullptr) return;
-  auto [slot, inserted] = phase_counters_.try_emplace(profile->workload);
-  if (inserted) slot->second.fill(nullptr);
+  std::array<Counter*, kPhaseCount>& phases = Handles(workload_id).phases;
   for (size_t i = 0; i < kPhaseCount; ++i) {
     if (profile->phase_seconds[i] <= 0.0) continue;
-    if (slot->second[i] == nullptr) {
-      slot->second[i] = &metrics_.GetCounter(
+    if (phases[i] == nullptr) {
+      phases[i] = &metrics_.GetCounter(
           "wlm_phase_seconds_total",
           {{"phase", PhaseToString(static_cast<Phase>(i))},
-           {"workload", profile->workload}});
+           {"workload", workload}});
     }
-    slot->second[i]->Increment(profile->phase_seconds[i]);
+    phases[i]->Increment(profile->phase_seconds[i]);
   }
 }
 

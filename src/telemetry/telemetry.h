@@ -5,7 +5,8 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "engine/monitor.h"
@@ -117,51 +118,59 @@ class Telemetry {
                  const std::vector<ServiceLevelObjective>& slos);
 
   // --- lifecycle hooks (log only when disabled) ----------------------------
+  // A hook that labels a series by workload takes the workload's id, which
+  // picks its handle slot, and its name, which the event log, the tracer,
+  // the profile store and a handle's first resolution read.
+
   /// `journey` is the cluster-assigned journey id carried on the spec
   /// (0 outside a cluster); it lands on the QueryProfile so per-shard
   /// profiles stitch into one cross-shard journey DAG.
-  void OnSubmit(QueryId id, const std::string& workload, QueryKind kind,
+  void OnSubmit(QueryId id, WorkloadId workload_id,
+                const std::string& workload, QueryKind kind,
                 uint64_t journey = 0);
   /// Admission accepted: zero-length admit span + queue span opens.
-  void OnAdmitted(QueryId id, const std::string& workload);
+  void OnAdmitted(QueryId id);
   /// Admission refused by `gate`; the trace ends here.
-  void OnRejected(QueryId id, const std::string& workload,
-                  const std::string& gate, const std::string& reason);
+  void OnRejected(QueryId id, WorkloadId workload_id,
+                  const std::string& workload, const std::string& gate,
+                  const std::string& reason);
   /// Back in the queue (opens a fresh queue span). `reason` is the
   /// kill/deadlock resubmission cause, logged as kResubmitted; nullptr when
   /// a fault retry leaves backoff (OnFaultRetry logged it).
-  void OnRequeued(QueryId id, const std::string& workload,
-                  const char* reason);
+  void OnRequeued(QueryId id, WorkloadId workload_id,
+                  const std::string& workload, const char* reason);
   /// A dispatch-time admission gate held the request back this round.
-  void OnDispatchGated(QueryId id, const std::string& workload,
-                       const std::string& gate);
+  void OnDispatchGated(QueryId id, WorkloadId workload_id,
+                       const std::string& workload, const std::string& gate);
   /// Into the engine. `resumed_strategy` names the suspend strategy of a
   /// resumed request (kResumed); nullptr for a fresh dispatch (kDispatched).
-  void OnDispatch(QueryId id, const std::string& workload,
-                  const char* resumed_strategy);
-  void OnSuspendStart(QueryId id, const std::string& workload,
-                      const char* strategy);
+  void OnDispatch(QueryId id, WorkloadId workload_id,
+                  const std::string& workload, const char* resumed_strategy);
+  void OnSuspendStart(QueryId id, const char* strategy);
   /// State flush finished; the request waits for resume.
-  void OnSuspended(QueryId id, const std::string& workload);
+  void OnSuspended(QueryId id, WorkloadId workload_id,
+                   const std::string& workload);
   /// One engine run segment ended with any OutcomeKind (terminal or not):
   /// folds the segment's phase decomposition and resource usage into the
   /// query's profile and adds phase tiles to its trace. Fired before the
   /// outcome-specific hook (OnTerminal / OnSuspended / OnRequeued).
-  void OnRunSegment(QueryId id, const std::string& workload,
-                    const QueryOutcome& outcome);
+  void OnRunSegment(QueryId id, const QueryOutcome& outcome);
   /// Terminal outcome: `terminal` is kCompleted, kKilled or kAborted (a
   /// deadlock victim); its name labels the metrics and the profile.
-  void OnTerminal(QueryId id, const std::string& workload,
-                  WlmEventType terminal, double response_seconds,
-                  double queue_wait_seconds, const QueryOutcome& outcome);
+  void OnTerminal(QueryId id, WorkloadId workload_id,
+                  const std::string& workload, WlmEventType terminal,
+                  double response_seconds, double queue_wait_seconds,
+                  const QueryOutcome& outcome);
   /// Timeout-escalation ladder stepped a request onto `rung`
   /// (throttle / suspend / kill / deadline_kill).
-  void OnEscalation(QueryId id, const std::string& workload,
-                    const char* rung);
-  void OnThrottle(QueryId id, const std::string& workload, double duty);
-  void OnPause(QueryId id, const std::string& workload, double seconds);
-  void OnReprioritize(QueryId id, const std::string& workload,
-                      const char* priority);
+  void OnEscalation(QueryId id, WorkloadId workload_id,
+                    const std::string& workload, const char* rung);
+  void OnThrottle(QueryId id, WorkloadId workload_id,
+                  const std::string& workload, double duty);
+  void OnPause(QueryId id, WorkloadId workload_id, const std::string& workload,
+               double seconds);
+  void OnReprioritize(QueryId id, WorkloadId workload_id,
+                      const std::string& workload, const char* priority);
   // --- fault & resilience hooks --------------------------------------------
   /// A fault window opened (`kind` is the FaultKind name).
   void OnFaultBegin(const std::string& kind, const std::string& detail);
@@ -169,22 +178,22 @@ class Telemetry {
   /// window as one kFault span on the fault track.
   void OnFaultEnd(const std::string& kind, double started_at);
   /// The injector spontaneously aborted a running request.
-  void OnFaultAbort(QueryId id, const std::string& workload,
-                    const std::string& reason);
+  void OnFaultAbort(QueryId id, WorkloadId workload_id,
+                    const std::string& workload, const std::string& reason);
   /// The resilience policy scheduled a retry after `delay_seconds`.
-  void OnFaultRetry(QueryId id, const std::string& workload,
-                    double delay_seconds);
+  void OnFaultRetry(QueryId id, WorkloadId workload_id,
+                    const std::string& workload, double delay_seconds);
   /// Graceful-degradation state flipped (MPL shed / low-priority throttle).
   void SetDegraded(bool degraded);
   // --- overload-protection hooks -------------------------------------------
   /// Overload protection dropped the request (`reason` is the shed cause:
   /// queue_full / brownout / breaker_open / codel / deadline). Ends the
   /// trace.
-  void OnShed(QueryId id, const std::string& workload,
+  void OnShed(QueryId id, WorkloadId workload_id, const std::string& workload,
               const std::string& reason);
   /// A resilience retry was blocked (`reason`: budget / deadline).
-  void OnRetryDenied(QueryId id, const std::string& workload,
-                     const std::string& reason);
+  void OnRetryDenied(QueryId id, WorkloadId workload_id,
+                     const std::string& workload, const std::string& reason);
   /// A workload's circuit breaker changed state. `state` is the numeric
   /// CircuitBreaker::State (0 closed, 1 half-open, 2 open); leaving the
   /// open state records the whole open window as one kOverload span on the
@@ -201,21 +210,65 @@ class Telemetry {
   /// `queue_depth` and per-workload occupancy come from the manager.
   void OnMonitorSample(const SystemIndicators& indicators, size_t queue_depth,
                        size_t running_count);
-  void SetWorkloadOccupancy(const std::string& workload, int queued,
-                            int running);
+  void SetWorkloadOccupancy(WorkloadId workload_id, const std::string& workload,
+                            int queued, int running);
 
  private:
+  /// Handles of one family's series for one workload whose second label
+  /// comes from a small closed set (a gate, a reason or a rung).
+  class LabeledCounters {
+   public:
+    /// The handle for `label`: nullptr until resolved.
+    Counter*& For(std::string_view label);
+
+   private:
+    std::vector<std::pair<std::string, Counter*>> entries_;
+  };
+  /// One workload's handles on the series its lifecycle hooks touch. Each
+  /// resolves through the registry on its first use, the moment the series
+  /// would first exist anyway: resolving eagerly would add zero-valued
+  /// series to the exposition.
+  struct WorkloadHandles {
+    Counter* submitted = nullptr;
+    std::array<Counter*, 2> dispatches{};  // by resumed
+    std::array<Counter*, 3> terminal{};    // completed, killed, aborted
+    Counter* resubmitted = nullptr;
+    Counter* suspended = nullptr;
+    HistogramMetric* response = nullptr;
+    HistogramMetric* queue_wait = nullptr;
+    HistogramMetric* lock_wait = nullptr;
+    std::array<Counter*, kPhaseCount> phases{};  // wlm_phase_seconds_total
+    Counter* throttles = nullptr;
+    Counter* pauses = nullptr;
+    Counter* reprioritizations = nullptr;
+    Counter* fault_aborts = nullptr;
+    Counter* fault_retries = nullptr;
+    Gauge* queued = nullptr;
+    Gauge* running = nullptr;
+    LabeledCounters rejected;      // by gate
+    LabeledCounters gated;         // by gate
+    LabeledCounters shed;          // by reason
+    LabeledCounters retry_denied;  // by reason
+    LabeledCounters escalations;   // by rung
+  };
+  /// The handle slot of `workload_id`; the table grows on the first
+  /// enabled hook for an id, so a disabled facade allocates nothing.
+  WorkloadHandles& Handles(WorkloadId workload_id);
+
   double Now() const;
   /// Appends one control-plane event at the current sim time.
   void Log(WlmEventType type, QueryId query, const std::string& workload,
            std::string detail = std::string());
   /// The synthetic track's id, its trace created on first use.
   QueryId Track(SyntheticTrack track, double now);
-  /// Tiles the request's open wait segment (queue, suspended wait, retry
-  /// backoff) up to `now` as a kPhase span; the profile settles it.
+  /// Tiles a wait segment (queue, suspended wait, retry backoff) up to
+  /// `now` as a kPhase span; nothing when no segment was open.
+  void TileWait(QueryId id, ProfileStore::WaitSegment segment, double now);
+  /// TileWait on the request's open segment; the profile settles it later.
   void TileOpenWait(QueryId id, double now);
   /// Finalizes a profile: phase metrics and class rollups.
-  void FinalizeProfile(QueryId id, const std::string& outcome,
+  void FinalizeProfile(QueryId id, WorkloadId workload_id,
+                       const std::string& workload, const std::string& outcome,
                        const std::string& detail);
   /// Emits kPhase tile spans partitioning [start, start+sum(phases)).
   void AddPhaseTiles(QueryId id, double start, const ExecPhaseTotals& phases);
@@ -234,12 +287,9 @@ class Telemetry {
   std::map<std::string, double> breaker_opened_at_;
   double brownout_entered_at_ = -1.0;
   size_t violations_seen_ = 0;  // watchdog watermark for trigger edges
-  // Per-workload cache of wlm_phase_seconds_total series: Counter objects
-  // are heap-allocated and pointer-stable, so finalizing a query costs one
-  // hash lookup instead of building + sorting + serializing a label set
-  // per nonzero phase.
-  std::unordered_map<std::string, std::array<Counter*, kPhaseCount>>
-      phase_counters_;
+  // Indexed by WorkloadId. Counter objects are heap-allocated and
+  // pointer-stable, so a handle outlives every later registry insert.
+  std::vector<WorkloadHandles> handles_;
 };
 
 }  // namespace wlm

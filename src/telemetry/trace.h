@@ -3,8 +3,8 @@
 
 #include <cstddef>
 #include <deque>
-#include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "engine/types.h"
@@ -127,7 +127,8 @@ class Tracer {
   size_t max_traces_;
   int next_tid_ = 1;
   int64_t evicted_ = 0;
-  std::map<QueryId, QueryTrace> traces_;
+  // Hashed: every hook finds its trace here. Traces() restores tid order.
+  std::unordered_map<QueryId, QueryTrace> traces_;
   std::deque<QueryId> finished_order_;
 };
 

@@ -839,6 +839,10 @@ struct DispatchTranscript {
   std::string metrics;   // Prometheus exposition
   std::string counters;  // per-workload counters, then every request's fate
   bool lifo_seen = false;
+  /// Monitor samples at which the per-workload counts were compared with
+  /// a scan, and the first sample where they disagreed (empty if none).
+  int count_samples = 0;
+  std::string count_mismatch;
 };
 
 std::string Hex(double value) {
@@ -920,8 +924,42 @@ DispatchTranscript RunDispatchScenario(uint64_t seed, IndexedScheduler kind,
   arrive(10.0, 12.0, 60.0);
   arrive(16.0, 20.0, 12.0);
 
-  // Execution control every 50 ms on waiting and running requests.
   DispatchTranscript transcript;
+  // At every monitor sample, the incremental per-workload counts equal a
+  // scan of Running() and Queued(), read by name and by id.
+  rig.monitor.AddSampleListener([&](const SystemIndicators&) {
+    ++transcript.count_samples;
+    const std::vector<const Request*> running = wlm.Running();
+    const std::vector<const Request*> queued = wlm.Queued();
+    auto scan = [](const std::vector<const Request*>& requests, auto match) {
+      return static_cast<int>(std::ranges::count_if(requests, match));
+    };
+    auto check = [&](const std::string& what, int running_count,
+                     int queued_count, auto match) {
+      const int running_scan = scan(running, match);
+      const int queued_scan = scan(queued, match);
+      if (transcript.count_mismatch.empty() &&
+          (running_count != running_scan || queued_count != queued_scan)) {
+        transcript.count_mismatch =
+            what + " at t=" + std::to_string(rig.sim.Now()) + ": running " +
+            std::to_string(running_count) + " vs " +
+            std::to_string(running_scan) + ", queued " +
+            std::to_string(queued_count) + " vs " + std::to_string(queued_scan);
+      }
+    };
+    for (const auto& [name, def] : wlm.workloads()) {
+      check(name, wlm.RunningInWorkload(name), wlm.QueuedInWorkload(name),
+            [&name](const Request* r) { return r->workload == name; });
+    }
+    // Ids are dense; one past the last reads zero like an unknown name.
+    for (WorkloadId id = 0; id <= wlm.workloads().size(); ++id) {
+      check("id " + std::to_string(id), wlm.RunningInWorkload(id),
+            wlm.QueuedInWorkload(id),
+            [id](const Request* r) { return r->workload_id == id; });
+    }
+  });
+
+  // Execution control every 50 ms on waiting and running requests.
   Rng actions(seed ^ 0x3c3c3c3cULL);
   for (double t = 0.05; t < 20.0; t += 0.05) {
     rig.sim.ScheduleAt(t, [&] {
@@ -963,6 +1001,17 @@ DispatchTranscript RunDispatchScenario(uint64_t seed, IndexedScheduler kind,
   rig.sim.ScheduleAt(8.0, [&wlm] { wlm.NotifyFaultEnd("cpu_slowdown", 6.0); });
   rig.sim.ScheduleAt(11.5, [&wlm] { (void)wlm.CrashDrain("crash"); });
   rig.sim.RunUntil(60.0);
+
+  // Unknown names read zero and create nothing.
+  const size_t defined = wlm.workloads().size();
+  EXPECT_EQ(wlm.RunningInWorkload("never_defined"), 0);
+  EXPECT_EQ(wlm.QueuedInWorkload("never_defined"), 0);
+  const WorkloadCounters& none = wlm.counters("never_defined");
+  EXPECT_EQ(none.submitted + none.rejected + none.completed + none.killed +
+                none.aborted + none.resubmitted + none.suspended + none.shed +
+                none.retries_denied + none.queue_waits.count(),
+            0);
+  EXPECT_EQ(wlm.workloads().size(), defined);
 
   std::ostringstream events;
   WriteEventLogJsonl(wlm.event_log(), events);
@@ -1023,6 +1072,10 @@ TEST_P(DispatchIndexSweep, IndexDispatchesExactlyAsOrder) {
       << FirstDifference(index.metrics, order.metrics);
   EXPECT_TRUE(index.counters == order.counters)
       << FirstDifference(index.counters, order.counters);
+  // RunningInWorkload / QueuedInWorkload match a scan at every sample.
+  EXPECT_GT(index.count_samples, 200);
+  EXPECT_EQ(index.count_mismatch, "");
+  EXPECT_EQ(order.count_mismatch, "");
 
   // The scenario reaches every queue-changing site it is meant to.
   auto has = [&index](const std::string& needle) {

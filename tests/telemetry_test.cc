@@ -1133,5 +1133,104 @@ TEST(TelemetryEndToEnd, EveryFacadeEventIsLoggedTheSameWithTelemetryOff) {
             EventLogWithoutSloViolations(off.rig->wlm));
 }
 
+// ---------------------------------------------------------------------------
+// Metric handles: each series is looked up once, on its first use
+// ---------------------------------------------------------------------------
+
+/// The series a registry exposes: exposition lines without their values.
+std::vector<std::string> SeriesOf(const MetricsRegistry& metrics) {
+  std::ostringstream out;
+  WritePrometheus(metrics, out);
+  std::vector<std::string> series;
+  std::istringstream lines(out.str());
+  for (std::string line; std::getline(lines, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    series.push_back(line.substr(0, line.rfind(' ')));
+  }
+  return series;
+}
+
+/// OLTP transactions on one workload, evenly spaced over 10 s, then a
+/// drain to 15 s. The arrival count is the only input that varies.
+struct OltpRun {
+  std::unique_ptr<TestRig> rig;
+
+  explicit OltpRun(int queries) {
+    rig = std::make_unique<TestRig>();
+    WorkloadManager& wlm = rig->wlm;
+    WorkloadDefinition oltp;
+    oltp.name = "oltp";
+    wlm.DefineWorkload(oltp);
+    auto classifier = std::make_unique<StaticClassifier>();
+    ClassificationRule rule;
+    rule.workload = "oltp";
+    rule.kind = QueryKind::kOltpTransaction;
+    classifier->AddRule(rule);
+    wlm.set_classifier(std::move(classifier));
+    wlm.set_scheduler(std::make_unique<FifoScheduler>(/*mpl=*/4));
+    for (int i = 0; i < queries; ++i) {
+      rig->sim.ScheduleAt(10.0 * i / queries, [&wlm, i] {
+        (void)wlm.Submit(OltpSpec(static_cast<QueryId>(i + 1)));
+      });
+    }
+    rig->sim.RunUntil(15.0);
+  }
+};
+
+TEST(TelemetryHandles, RegistryLookupsDoNotGrowWithQueries) {
+  OltpRun light(500);
+  OltpRun heavy(1000);
+  ASSERT_EQ(light.rig->wlm.counters("oltp").completed, 500);
+  ASSERT_EQ(heavy.rig->wlm.counters("oltp").completed, 1000);
+  const MetricsRegistry& a = light.rig->wlm.telemetry().metrics();
+  const MetricsRegistry& b = heavy.rig->wlm.telemetry().metrics();
+  EXPECT_EQ(SeriesOf(a), SeriesOf(b));
+  // Twice the queries, the same registry work: every per-query series is
+  // resolved once and then reached through its handle.
+  EXPECT_GT(a.lookups(), 0);
+  EXPECT_EQ(a.lookups(), b.lookups());
+}
+
+TEST(TelemetryHandles, SeriesAppearOnlyOnFirstUse) {
+  TestRig rig;
+  WorkloadManager& wlm = rig.wlm;
+  for (const char* name : {"oltp", "idle"}) {
+    WorkloadDefinition def;
+    def.name = name;
+    wlm.DefineWorkload(def);
+  }
+  auto classifier = std::make_unique<StaticClassifier>();
+  ClassificationRule rule;
+  rule.workload = "oltp";
+  rule.kind = QueryKind::kOltpTransaction;
+  classifier->AddRule(rule);
+  wlm.set_classifier(std::move(classifier));
+  wlm.set_scheduler(std::make_unique<FifoScheduler>(/*mpl=*/1));
+  rig.sim.Schedule(0.0, [&wlm] { (void)wlm.Submit(OltpSpec(1, /*cpu=*/1.0)); });
+  rig.sim.Schedule(0.0, [&wlm] { (void)wlm.Submit(OltpSpec(2)); });
+  rig.sim.RunUntil(0.2);
+
+  const MetricsRegistry& metrics = wlm.telemetry().metrics();
+  const MetricLabels oltp = {{"workload", "oltp"}};
+  EXPECT_NE(metrics.FindCounter("wlm_requests_submitted_total", oltp),
+            nullptr);
+  EXPECT_EQ(metrics.FindCounter("wlm_requests_killed_total", oltp), nullptr);
+  ASSERT_TRUE(wlm.KillRequest(1, /*resubmit=*/false).ok());
+  const Counter* killed =
+      metrics.FindCounter("wlm_requests_killed_total", oltp);
+  ASSERT_NE(killed, nullptr);
+  EXPECT_EQ(killed->value(), 1.0);
+  rig.sim.RunUntil(2.0);
+
+  // The defined workload that no query reached has only the occupancy
+  // gauges every monitor sample sets; no lifecycle series.
+  for (const std::string& series : SeriesOf(metrics)) {
+    if (series.find("workload=\"idle\"") == std::string::npos) continue;
+    EXPECT_TRUE(series.rfind("wlm_queue_depth{", 0) == 0 ||
+                series.rfind("wlm_running{", 0) == 0)
+        << series;
+  }
+}
+
 }  // namespace
 }  // namespace wlm
