@@ -320,9 +320,8 @@ void DatabaseEngine::FinishExecution(QueryId id, OutcomeKind kind) {
   active_.erase(it);
   pending_suspend_.erase(id);
   exec->SettlePhases(sim_->Now(), 0.0);
-  double lock_hold = lock_manager_.HeldSeconds(id, sim_->Now());
   exec->MarkFinished();
-  lock_manager_.ReleaseAll(id);
+  double lock_hold = lock_manager_.ReleaseAll(id);
   memory_.Release(exec->context().tag, exec->granted_mb());
   buffer_pool_.Unregister(id);
   switch (kind) {
@@ -358,9 +357,8 @@ void DatabaseEngine::FinalizeSuspend(QueryId id) {
   bundle.cpu_used_before = exec->cpu_used();
   bundle.io_used_before = exec->io_used();
   exec->SettlePhases(sim_->Now(), 0.0);
-  double lock_hold = lock_manager_.HeldSeconds(id, sim_->Now());
   exec->MarkFinished();
-  lock_manager_.ReleaseAll(id);
+  double lock_hold = lock_manager_.ReleaseAll(id);
   memory_.Release(exec->context().tag, exec->granted_mb());
   buffer_pool_.Unregister(id);
   ++counters_.suspends;

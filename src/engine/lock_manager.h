@@ -1,10 +1,10 @@
 #ifndef WLM_ENGINE_LOCK_MANAGER_H_
 #define WLM_ENGINE_LOCK_MANAGER_H_
 
-#include <deque>
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -18,6 +18,11 @@ enum class LockMode { kShared, kExclusive };
 /// Strict two-phase locking lock table with FIFO grant queues, wait-for
 /// graph deadlock detection and the Moenkeberg & Weikum conflict-ratio
 /// metric [56] that the conflict-ratio admission controller thresholds on.
+///
+/// Storage is recycled: requests come from one pool with a free list, and
+/// a key or transaction that leaves the table parks its hash node on a
+/// spare list for the next one. A warm table acquires, waits, grants and
+/// releases without allocating.
 class LockManager {
  public:
   /// Called when a previously queued request is granted.
@@ -30,7 +35,7 @@ class LockManager {
   void set_grant_callback(GrantCallback cb) { grant_cb_ = std::move(cb); }
 
   /// Clock used to timestamp grants for hold-time attribution. Without
-  /// one (direct unit-test usage) grants are untimed and HeldSeconds
+  /// one (direct unit-test usage) grants are untimed and ReleaseAll
   /// reports 0.
   void set_time_source(std::function<double()> now) {
     time_source_ = std::move(now);
@@ -44,8 +49,10 @@ class LockManager {
   [[nodiscard]] bool Acquire(TxnId txn, LockKey key, LockMode mode);
 
   /// Releases everything `txn` holds and cancels its queued requests,
-  /// granting any newly compatible waiters.
-  void ReleaseAll(TxnId txn);
+  /// granting any newly compatible waiters. Returns the lock-hold
+  /// footprint released: the sum over `txn`'s held locks of (now - grant
+  /// time), 0 without a time source.
+  double ReleaseAll(TxnId txn);
 
   /// True if `txn` currently waits on some key.
   [[nodiscard]] bool IsBlocked(TxnId txn) const;
@@ -60,49 +67,75 @@ class LockManager {
   /// is blocked; rising past ~1.3 signals lock thrashing.
   double ConflictRatio() const;
 
-  /// Sum over `txn`'s held locks of (now - grant time): the lock-hold
-  /// footprint it currently imposes. 0 without a time source.
-  double HeldSeconds(TxnId txn, double now) const;
-
   /// Counters for the monitor.
   size_t total_locks_held() const;
   size_t blocked_txn_count() const;
   size_t txn_count() const { return txn_locks_.size(); }
-  uint64_t deadlocks_detected() const { return deadlocks_detected_; }
-  uint64_t waits() const { return waits_; }
-  /// Cumulative hold seconds of every lock released so far.
-  double hold_seconds_released() const { return hold_seconds_released_; }
 
  private:
-  struct Waiter {
+  static constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
+
+  // A holder or a waiter of one key. Every request lives in requests_,
+  // linked by index into its key's holder or waiter list; a holder is also
+  // linked into its transaction's list of held keys. Freed requests are
+  // reused, so the pool only grows when more requests are live at once
+  // than ever before.
+  struct Request {
     TxnId txn;
+    LockKey key;
     LockMode mode;
+    double granted_at;   // holders: when first granted (0 when untimed)
+    uint32_t next;       // the key's next holder or waiter
+    uint32_t next_held;  // holders: the txn's next held key, in grant order
   };
   struct LockState {
-    // Current holders; if exclusive, exactly one entry.
-    std::unordered_map<TxnId, LockMode> holders;
-    std::deque<Waiter> queue;
-    [[nodiscard]] bool HeldExclusive() const;
+    uint32_t holders = kNone;  // in no particular order
+    uint32_t waiters = kNone;  // granted from the front
+    uint32_t last_waiter = kNone;
   };
+  struct HeldKeys {
+    uint32_t first = kNone;  // in grant order
+    uint32_t last = kNone;
+    uint32_t count = 0;
+  };
+  using Table = std::unordered_map<LockKey, LockState>;
+  using TxnLocks = std::unordered_map<TxnId, HeldKeys>;
+  using WaitsOn = std::unordered_map<TxnId, LockKey>;
 
-  // Grants from the head of `key`'s queue while compatible.
-  void GrantWaiters(LockKey key);
-  static bool Compatible(const LockState& state, TxnId txn, LockMode mode);
+  uint32_t NewRequest(TxnId txn, LockKey key, LockMode mode);
+  void FreeRequest(uint32_t i);
+  // Unlinks and frees `txn`'s requests from the list that starts at
+  // `*head`. Returns the list's last remaining request, or kNone.
+  uint32_t RemoveRequests(uint32_t* head, TxnId txn);
+  uint32_t FindHolder(const LockState& state, TxnId txn) const;
+  bool Compatible(const LockState& state, TxnId txn, LockMode mode) const;
+  // Makes request `i` a holder of `state`, granted now.
+  void AddHolder(LockState& state, uint32_t i);
+  // Grants from the front of the entry's queue while compatible, parks
+  // the entry if nothing holds or waits on it any more, then fires the
+  // grant callbacks.
+  void GrantWaiters(Table::iterator it);
 
-  // Records when `txn` first held `key`, for hold-time attribution.
-  void RecordGrant(TxnId txn, LockKey key);
-
-  std::unordered_map<LockKey, LockState> table_;
-  // txn -> keys held, each with its grant time (0 when untimed)
-  std::unordered_map<TxnId, std::unordered_map<LockKey, double>> txn_locks_;
+  std::vector<Request> requests_;
+  uint32_t free_requests_ = kNone;  // linked through Request::next
+  Table table_;
+  // txn -> the keys it holds
+  TxnLocks txn_locks_;
   // txn -> key it waits for (each txn waits on at most one key because
-  // acquisition is sequential)
-  std::unordered_map<TxnId, LockKey> waiting_on_;
+  // acquisition is sequential). FindDeadlockVictims walks it, and its hash
+  // order decides which victims are found first.
+  WaitsOn waiting_on_;
+  // Nodes that left the maps above, parked for reuse: a list never holds
+  // more nodes than its map has held at one time.
+  std::vector<Table::node_type> spare_states_;
+  std::vector<TxnLocks::node_type> spare_txns_;
+  std::vector<WaitsOn::node_type> spare_waits_;
+  // Kept for their capacity: GrantWaiters' granted transactions and
+  // ReleaseAll's sorted keys.
+  std::vector<TxnId> granted_;
+  std::vector<LockKey> release_keys_;
   GrantCallback grant_cb_;
   std::function<double()> time_source_;
-  uint64_t deadlocks_detected_ = 0;
-  uint64_t waits_ = 0;
-  double hold_seconds_released_ = 0.0;
 };
 
 }  // namespace wlm

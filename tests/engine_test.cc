@@ -256,6 +256,29 @@ TEST(LockManagerTest, ReleaseCancelsPendingWait) {
   EXPECT_EQ(lm.total_locks_held(), 0u);
 }
 
+TEST(LockManagerTest, ReleaseAllReturnsHoldSecondsFromFirstGrant) {
+  LockManager lm;
+  double now = 1.0;
+  lm.set_time_source([&now] { return now; });
+  ASSERT_TRUE(lm.Acquire(1, 10, LockMode::kShared));
+  now = 2.0;
+  ASSERT_TRUE(lm.Acquire(1, 20, LockMode::kExclusive));
+  ASSERT_TRUE(lm.Acquire(2, 10, LockMode::kShared));
+  now = 3.0;
+  // The upgrade queues behind txn 2's shared lock and is granted when txn
+  // 2 leaves; it keeps key 10's first grant time.
+  EXPECT_FALSE(lm.Acquire(1, 10, LockMode::kExclusive));
+  EXPECT_DOUBLE_EQ(lm.ReleaseAll(2), 1.0);
+  EXPECT_FALSE(lm.IsBlocked(1));
+  now = 5.0;
+  EXPECT_DOUBLE_EQ(lm.ReleaseAll(1), (5.0 - 1.0) + (5.0 - 2.0));
+  EXPECT_DOUBLE_EQ(lm.ReleaseAll(1), 0.0);  // nothing left to release
+
+  LockManager untimed;
+  ASSERT_TRUE(untimed.Acquire(1, 10, LockMode::kExclusive));
+  EXPECT_DOUBLE_EQ(untimed.ReleaseAll(1), 0.0);
+}
+
 // ----------------------------------------------------------- MemoryGovernor
 
 TEST(MemoryGovernorTest, FullGrantNoSpill) {

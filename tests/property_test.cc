@@ -3,6 +3,7 @@
 // the per-module unit tests with cross-cutting guarantees:
 //   - engine conservation: work in == work out, capacity never exceeded
 //   - lock manager safety: no conflicting grants, ever
+//   - lock table vs its reference: same answers, grants and victims
 //   - plan slicing: lossless decomposition for arbitrary plans
 //   - queueing formulas vs the simulated engine (model cross-validation)
 //   - deterministic replay: identical seeds -> identical outcomes
@@ -27,6 +28,7 @@
 #include "scheduling/queue_schedulers.h"
 #include "scheduling/restructuring.h"
 #include "tests/queueing.h"
+#include "tests/reference_lock_manager.h"
 #include "telemetry/exporters.h"
 #include "tests/wlm_test_util.h"
 #include "workloads/generators.h"
@@ -154,6 +156,112 @@ TEST_P(LockSafetySweep, NoConflictingGrantsUnderRandomTraffic) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LockSafetySweep,
                          ::testing::Values(7, 11, 23, 41, 59, 97));
+
+// ------------------------------------- lock-table differential sweep
+
+class LockTableDifferentialSweep
+    : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(LockTableDifferentialSweep, MatchesReferenceUnderRandomTraffic) {
+  // Random acquire/upgrade/release traffic, with deadlocks resolved
+  // through FindDeadlockVictims, runs through LockManager and through the
+  // reference table it replaced (tests/reference_lock_manager.h). Every
+  // answer, grant callback and counter must agree; hold seconds are summed
+  // in another order, so they agree to a relative 1e-12.
+  Rng rng(GetParam());
+  double now = 0.0;
+  LockManager lm;
+  ReferenceLockManager ref;
+  using Grants = std::vector<std::pair<TxnId, LockKey>>;
+  Grants grants;
+  Grants ref_grants;
+  std::map<TxnId, std::map<LockKey, LockMode>> held;
+  std::map<TxnId, std::map<LockKey, LockMode>> wanted;
+  lm.set_grant_callback([&](TxnId txn, LockKey key) {
+    grants.emplace_back(txn, key);
+    held[txn][key] = wanted[txn][key];
+  });
+  ref.set_grant_callback(
+      [&](TxnId txn, LockKey key) { ref_grants.emplace_back(txn, key); });
+  lm.set_time_source([&] { return now; });
+  ref.set_time_source([&] { return now; });
+  constexpr TxnId kTxns = 24;
+  constexpr int64_t kKeys = 12;
+  int waits = 0;
+  int upgrades = 0;
+  int deadlocks = 0;
+
+  auto release = [&](TxnId txn) {
+    const double expected = ref.HeldSeconds(txn, now);
+    ref.ReleaseAll(txn);
+    const double released = lm.ReleaseAll(txn);
+    EXPECT_LE(std::abs(released - expected), 1e-12 * std::abs(expected))
+        << "txn " << txn << " released " << released << ", reference "
+        << expected;
+    held.erase(txn);
+    wanted.erase(txn);
+  };
+  auto compare = [&](int op) {
+    ASSERT_EQ(grants, ref_grants) << "grant callbacks differ at op " << op;
+    grants.clear();
+    ref_grants.clear();
+    for (TxnId txn = 1; txn <= kTxns; ++txn) {
+      ASSERT_EQ(lm.IsBlocked(txn), ref.IsBlocked(txn))
+          << "txn " << txn << " at op " << op;
+    }
+    ASSERT_EQ(lm.blocked_txn_count(), ref.blocked_txn_count()) << op;
+    ASSERT_EQ(lm.total_locks_held(), ref.total_locks_held()) << op;
+    ASSERT_EQ(lm.txn_count(), ref.txn_count()) << op;
+    ASSERT_EQ(lm.ConflictRatio(), ref.ConflictRatio()) << op;
+  };
+
+  for (int op = 0; op < 3000; ++op) {
+    now += rng.Exponential(0.5);
+    TxnId txn = static_cast<TxnId>(rng.UniformInt(1, kTxns));
+    if (rng.Bernoulli(0.75)) {
+      // Sequential acquisition discipline: a blocked txn issues nothing.
+      if (lm.IsBlocked(txn)) continue;
+      LockKey key = static_cast<LockKey>(rng.Zipf(kKeys, 0.7) + 1);
+      LockMode mode =
+          rng.Bernoulli(0.35) ? LockMode::kExclusive : LockMode::kShared;
+      auto& mine = held[txn];
+      if (!mine.empty() && rng.Bernoulli(0.3)) {
+        // Upgrade (or re-acquire) one of the keys it holds.
+        auto it = mine.begin();
+        std::advance(it, rng.UniformInt(0, std::ssize(mine) - 1));
+        key = it->first;
+        mode = LockMode::kExclusive;
+        if (it->second == LockMode::kShared) ++upgrades;
+      }
+      wanted[txn][key] = mode;
+      const bool granted = lm.Acquire(txn, key, mode);
+      ASSERT_EQ(granted, ref.Acquire(txn, key, mode))
+          << "txn " << txn << " key " << key << " at op " << op;
+      if (granted) {
+        held[txn][key] = mode;
+      } else {
+        ++waits;
+      }
+    } else {
+      release(txn);
+    }
+    ASSERT_NO_FATAL_FAILURE(compare(op));
+    const std::vector<TxnId> victims = lm.FindDeadlockVictims();
+    ASSERT_EQ(victims, ref.FindDeadlockVictims()) << "at op " << op;
+    for (TxnId victim : victims) {
+      ++deadlocks;
+      release(victim);
+    }
+    ASSERT_NO_FATAL_FAILURE(compare(op));
+  }
+  // The traffic exercised what the sweep claims to compare.
+  EXPECT_GT(waits, 100);
+  EXPECT_GT(upgrades, 20);
+  EXPECT_GT(deadlocks, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LockTableDifferentialSweep,
+                         ::testing::Values(4, 9, 16, 25, 36, 49, 64, 81));
 
 // ----------------------------------------------------- SlicePlan sweep
 
