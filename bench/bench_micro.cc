@@ -302,6 +302,43 @@ BENCHMARK_CAPTURE(BM_DispatchDeepQueue, priority, MakePriority)
 BENCHMARK_CAPTURE(BM_DispatchDeepQueue, rank, MakeRank)
     ->Arg(256)->Arg(1024)->Arg(4096);
 
+// One query's telemetry: host ns for the five hooks a healthy query fires
+// (submit, admit, dispatch, run segment, terminal) on one warm facade. The
+// warm-up fills the tracer and profile store to their bound of 8192 and
+// the event log to its bound, so every measured query evicts the oldest
+// finished record from each. Sim time stays at 0.
+void BM_TelemetryQueryLifecycle(benchmark::State& state) {
+  Simulation sim;
+  DatabaseEngine engine(&sim, wlm_bench::DefaultEngine());
+  Monitor monitor(&sim, &engine, 1.0);
+  Telemetry telemetry(&sim, &monitor);
+  QueryOutcome outcome;
+  outcome.kind = OutcomeKind::kCompleted;
+  outcome.cpu_used = 0.0125;
+  outcome.io_used = 40.0;
+  outcome.spill_factor = 1.0;
+  outcome.buffer_hit_ratio = 0.85;
+  outcome.phases.lock_wait_seconds = 0.001;
+  outcome.phases.cpu_run_seconds = 0.0125;
+  outcome.phases.io_stall_seconds = 0.004;
+  const std::string workload = "oltp";
+  QueryId id = 0;
+  auto query = [&] {
+    outcome.id = ++id;
+    telemetry.OnSubmit(id, 0, workload, QueryKind::kOltpTransaction);
+    telemetry.OnAdmitted(id);
+    telemetry.OnDispatch(id, 0, workload, nullptr);
+    telemetry.OnRunSegment(id, outcome);
+    telemetry.OnTerminal(id, 0, workload, WlmEventType::kCompleted, 0.02,
+                         0.001, outcome);
+  };
+  for (int i = 0; i < 25000; ++i) query();
+  for (auto _ : state) query();
+  benchmark::DoNotOptimize(telemetry.tracer().size());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TelemetryQueryLifecycle);
+
 // End-to-end: how many simulated OLTP transactions per wall-second the
 // whole pipeline processes (submit -> classify -> schedule -> engine ->
 // complete).

@@ -761,7 +761,7 @@ void ClusterDispatcher::LogClusterEvent(WlmEventType type, QueryId query,
   event.query = query != 0 ? query : SyntheticTrackId(SyntheticTrack::kCluster);
   event.workload = SyntheticTrackName(SyntheticTrack::kCluster);
   event.detail = std::move(detail);
-  event_log_.Append(std::move(event));
+  event_log_.Append(event);
 }
 
 std::string ClusterDispatcher::FormatRouteLog() const {

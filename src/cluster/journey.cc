@@ -4,16 +4,13 @@
 #include <cstdio>
 
 #include "cluster/cluster.h"
+#include "common/format.h"
 
 namespace wlm {
 
 namespace {
 
-std::string F6(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6f", value);
-  return buf;
-}
+std::string F6(double value) { return FormatFixed(value, 6); }
 
 }  // namespace
 
@@ -44,9 +41,8 @@ JourneyLog::JourneyLog(size_t max_journeys)
 
 uint64_t JourneyLog::Begin(QueryId query, const std::string& workload,
                            double now) {
-  auto existing = by_query_.find(query);
-  if (existing != by_query_.end()) {
-    return journeys_[existing->second].id;  // duplicate submit attempt
+  if (const Journey* existing = Find(query)) {
+    return existing->id;  // duplicate submit attempt
   }
   if (journeys_.size() >= max_journeys_) {
     ++dropped_;
@@ -57,19 +53,19 @@ uint64_t JourneyLog::Begin(QueryId query, const std::string& workload,
   journey.query = query;
   journey.workload = workload;
   journey.arrival = now;
-  by_query_[query] = journeys_.size();
+  by_query_.Insert(query, static_cast<uint32_t>(journeys_.size()));
   journeys_.push_back(std::move(journey));
   return journeys_.back().id;
 }
 
 Journey* JourneyLog::FindMutable(QueryId query) {
-  auto it = by_query_.find(query);
-  return it == by_query_.end() ? nullptr : &journeys_[it->second];
+  const uint32_t index = by_query_.Find(query);
+  return index == IdIndex::kNone ? nullptr : &journeys_[index];
 }
 
 const Journey* JourneyLog::Find(QueryId query) const {
-  auto it = by_query_.find(query);
-  return it == by_query_.end() ? nullptr : &journeys_[it->second];
+  const uint32_t index = by_query_.Find(query);
+  return index == IdIndex::kNone ? nullptr : &journeys_[index];
 }
 
 int JourneyLog::OpenLife(QueryId query, int shard, RouteCause cause,

@@ -5,9 +5,9 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/id_index.h"
 #include "engine/types.h"
 #include "telemetry/profile.h"
 
@@ -111,9 +111,9 @@ class JourneyLog {
  private:
   size_t max_journeys_;
   std::vector<Journey> journeys_;
-  // Lookup only (never iterated), so hash order cannot leak into any
-  // exported byte stream.
-  std::unordered_map<QueryId, size_t> by_query_;
+  // Index into journeys_. Lookup only (an IdIndex cannot be iterated), so
+  // hash order cannot leak into any exported byte stream.
+  IdIndex by_query_;
   uint64_t next_id_ = 1;
   int64_t dropped_ = 0;
 };

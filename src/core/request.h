@@ -88,10 +88,6 @@ struct Request {
   [[nodiscard]] bool HasDeadline() const {
     return deadline != std::numeric_limits<double>::infinity();
   }
-  /// Sim-seconds left before the deadline (negative = already missed;
-  /// +inf when no deadline is set).
-  double RemainingBudget(double now) const { return deadline - now; }
-
   /// Arrival-to-finish time (the user-visible response time). Only valid
   /// in terminal states with finish_time set.
   double ResponseTime() const { return finish_time - arrival_time; }

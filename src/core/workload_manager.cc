@@ -103,7 +103,7 @@ Status WorkloadManager::Submit(QuerySpec spec) {
 }
 
 Status WorkloadManager::SubmitWithPlan(QuerySpec spec, Plan plan) {
-  if (requests_.count(spec.id) > 0) {
+  if (Lookup(spec.id) != nullptr) {
     return Status::AlreadyExists("request id already submitted");
   }
   if (IsSyntheticQueryId(spec.id)) {
@@ -133,8 +133,9 @@ Status WorkloadManager::SubmitWithPlan(QuerySpec spec, Plan plan) {
   ++counters.submitted;
 
   Request* raw = request.get();
-  requests_[raw->spec.id] = std::move(request);
-  submission_order_.push_back(raw->spec.id);
+  request_index_.Insert(raw->spec.id,
+                        static_cast<uint32_t>(requests_.size()));
+  requests_.push_back(std::move(request));
   telemetry_->OnSubmit(raw->spec.id, workload_id, raw->workload,
                        raw->spec.kind, raw->spec.journey);
 
@@ -218,7 +219,7 @@ void WorkloadManager::RunQueueShedding() {
       if (queued->HasDeadline() &&
           now + queued->plan.est_elapsed_seconds > queued->deadline) {
         Unqueue(queued);
-        ShedRequest(requests_.at(queued->spec.id).get(), "deadline");
+        ShedRequest(Lookup(queued->spec.id), "deadline");
         continue;
       }
       ++i;
@@ -234,7 +235,7 @@ void WorkloadManager::RunQueueShedding() {
       lifo = decision.lifo;
       if (!decision.shed) break;
       Unqueue(head);
-      ShedRequest(requests_.at(head->spec.id).get(), "codel");
+      ShedRequest(Lookup(head->spec.id), "codel");
     }
     if (queue_.empty()) lifo = overload_->lifo();
     if (lifo != queue_lifo_) {
@@ -334,7 +335,7 @@ void WorkloadManager::DispatchRound(size_t slots) {
   switch (queue_lifo_ ? QueueDiscipline::kOrder : discipline_) {
     case QueueDiscipline::kArrival:
       for (size_t i = 0; i < queue_.size() && round_.size() < slots; ++i) {
-        Offer(requests_.at(queue_[i]->spec.id).get());
+        Offer(Lookup(queue_[i]->spec.id));
       }
       break;
     case QueueDiscipline::kPriority:
@@ -349,11 +350,11 @@ void WorkloadManager::DispatchRound(size_t slots) {
     case QueueDiscipline::kOrder:
       for (QueryId id : DispatchOrder()) {
         if (round_.size() >= slots) break;
-        auto it = requests_.find(id);
-        if (it == requests_.end()) continue;  // scheduler returned junk
+        Request* request = Lookup(id);
+        if (request == nullptr) continue;  // scheduler returned junk
         // Not waiting: the scheduler repeated an id dispatched this round.
-        if (!Waiting(*it->second)) continue;
-        Offer(it->second.get());
+        if (!Waiting(*request)) continue;
+        Offer(request);
       }
       break;
   }
@@ -516,9 +517,8 @@ void WorkloadManager::AddCompletionListener(
 }
 
 void WorkloadManager::OnFinish(const QueryOutcome& outcome) {
-  auto it = requests_.find(outcome.id);
-  if (it == requests_.end()) return;  // not ours (engine used directly)
-  Request* request = it->second.get();
+  Request* request = Lookup(outcome.id);
+  if (request == nullptr) return;  // not ours (engine used directly)
   WorkloadState& state = StateOf(*request);
   running_.erase(outcome.id);
   --state.running;
@@ -592,15 +592,17 @@ void WorkloadManager::OnSample(const SystemIndicators& indicators) {
   TryDispatch();
 }
 
-const Request* WorkloadManager::Find(QueryId id) const {
-  auto it = requests_.find(id);
-  return it == requests_.end() ? nullptr : it->second.get();
+Request* WorkloadManager::Lookup(QueryId id) const {
+  const uint32_t slot = request_index_.Find(id);
+  return slot == IdIndex::kNone ? nullptr : requests_[slot].get();
 }
+
+const Request* WorkloadManager::Find(QueryId id) const { return Lookup(id); }
 
 std::vector<const Request*> WorkloadManager::Running() const {
   std::vector<const Request*> out;
   out.reserve(running_.size());
-  for (QueryId id : running_) out.push_back(requests_.at(id).get());
+  for (QueryId id : running_) out.push_back(Lookup(id));
   return out;
 }
 
@@ -630,10 +632,8 @@ const WorkloadCounters& WorkloadManager::counters(
 
 std::vector<const Request*> WorkloadManager::AllRequests() const {
   std::vector<const Request*> out;
-  out.reserve(submission_order_.size());
-  for (QueryId id : submission_order_) {
-    out.push_back(requests_.at(id).get());
-  }
+  out.reserve(requests_.size());
+  for (const auto& request : requests_) out.push_back(request.get());
   return out;
 }
 
@@ -652,12 +652,12 @@ std::vector<WorkloadManager::DrainedQuery> WorkloadManager::CrashDrain(
   for (WorkloadState& state : by_id_) state.queued = 0;
   for (const Request* queued : waiting) {
     drained.push_back({queued->spec, queued->workload});
-    ShedRequest(requests_.at(queued->spec.id).get(), reason);
+    ShedRequest(Lookup(queued->spec.id), reason);
   }
   // Each kill's finish callback erases from running_: walk a copy.
   std::vector<QueryId> running(running_.begin(), running_.end());
   for (QueryId id : running) {
-    Request* request = requests_.at(id).get();
+    Request* request = Lookup(id);
     drained.push_back({request->spec, request->workload});
     (void)KillRequest(id, /*resubmit=*/false);
   }
@@ -665,9 +665,8 @@ std::vector<WorkloadManager::DrainedQuery> WorkloadManager::CrashDrain(
 }
 
 Status WorkloadManager::KillRequest(QueryId id, bool resubmit) {
-  auto it = requests_.find(id);
-  if (it == requests_.end()) return Status::NotFound("unknown request");
-  Request* request = it->second.get();
+  Request* request = Lookup(id);
+  if (request == nullptr) return Status::NotFound("unknown request");
   // A queued (or suspended) victim never reached the engine, so the
   // engine can't kill it; retire it here instead: drive the same kKilled
   // terminal bookkeeping the engine's finish callback would have produced
@@ -694,10 +693,9 @@ Status WorkloadManager::KillRequest(QueryId id, bool resubmit) {
 Status WorkloadManager::ThrottleRequest(QueryId id, double duty) {
   Status status = engine_->SetDuty(id, duty);
   if (status.ok()) {
-    auto it = requests_.find(id);
-    if (it != requests_.end()) {
-      telemetry_->OnThrottle(id, it->second->workload_id,
-                             it->second->workload, duty);
+    if (const Request* request = Lookup(id)) {
+      telemetry_->OnThrottle(id, request->workload_id, request->workload,
+                             duty);
     }
   }
   return status;
@@ -706,9 +704,8 @@ Status WorkloadManager::ThrottleRequest(QueryId id, double duty) {
 Status WorkloadManager::PauseRequest(QueryId id, double seconds) {
   Status status = engine_->Pause(id, seconds);
   if (status.ok()) {
-    auto it = requests_.find(id);
-    if (it != requests_.end()) {
-      telemetry_->OnPause(id, it->second->workload_id, it->second->workload,
+    if (const Request* request = Lookup(id)) {
+      telemetry_->OnPause(id, request->workload_id, request->workload,
                           seconds);
     }
   }
@@ -717,22 +714,21 @@ Status WorkloadManager::PauseRequest(QueryId id, double seconds) {
 
 Status WorkloadManager::SetRequestShares(QueryId id,
                                          const ResourceShares& shares) {
-  auto it = requests_.find(id);
-  if (it == requests_.end()) return Status::NotFound("unknown request");
-  it->second->shares = shares;
+  Request* request = Lookup(id);
+  if (request == nullptr) return Status::NotFound("unknown request");
+  request->shares = shares;
   if (running_.count(id) > 0) return engine_->SetShares(id, shares);
   return Status::OK();
 }
 
 Status WorkloadManager::SetRequestPriority(QueryId id,
                                            BusinessPriority priority) {
-  auto it = requests_.find(id);
-  if (it == requests_.end()) return Status::NotFound("unknown request");
+  Request* request = Lookup(id);
+  if (request == nullptr) return Status::NotFound("unknown request");
   if (static_cast<int>(priority) < 0 ||
       static_cast<int>(priority) >= kBusinessPriorityCount) {
     return Status::InvalidArgument("unknown business priority");
   }
-  Request* request = it->second.get();
   // A waiting request keeps its place in the queue: its entry moves to the
   // new level at its sequence position.
   if (Waiting(*request)) {
@@ -747,8 +743,7 @@ Status WorkloadManager::SetRequestPriority(QueryId id,
 }
 
 Status WorkloadManager::SuspendRequest(QueryId id, SuspendStrategy strategy) {
-  auto it = requests_.find(id);
-  if (it == requests_.end()) return Status::NotFound("unknown request");
+  if (Lookup(id) == nullptr) return Status::NotFound("unknown request");
   Status status = engine_->Suspend(id, strategy);
   if (status.ok()) {
     telemetry_->OnSuspendStart(id, SuspendStrategyToString(strategy));
@@ -761,7 +756,7 @@ void WorkloadManager::SetWorkloadShares(const std::string& workload,
   auto it = workloads_.find(workload);
   if (it != workloads_.end()) it->second.shares = shares;
   for (QueryId id : running_) {
-    Request* request = requests_.at(id).get();
+    Request* request = Lookup(id);
     if (request->workload == workload) {
       request->shares = shares;
       // Ids in running_ are live in the engine; a failed update would only
@@ -772,7 +767,7 @@ void WorkloadManager::SetWorkloadShares(const std::string& workload,
   // Queued requests pick the new shares up at dispatch.
   for (const Request* queued : queue_) {
     if (queued->workload == workload) {
-      requests_.at(queued->spec.id)->shares = shares;
+      Lookup(queued->spec.id)->shares = shares;
     }
   }
 }
@@ -793,13 +788,13 @@ void WorkloadManager::NotifyFaultEnd(const std::string& kind,
 
 Status WorkloadManager::AbortRequestByFault(QueryId id,
                                             const std::string& reason) {
-  auto it = requests_.find(id);
-  if (it == requests_.end()) return Status::NotFound("unknown request");
+  const Request* request = Lookup(id);
+  if (request == nullptr) return Status::NotFound("unknown request");
   if (running_.count(id) == 0) {
     return Status::FailedPrecondition("request not running");
   }
   fault_aborted_.insert(id);
-  telemetry_->OnFaultAbort(id, it->second->workload_id, it->second->workload,
+  telemetry_->OnFaultAbort(id, request->workload_id, request->workload,
                            reason);
   Status status = engine_->Kill(id);  // OnFinish fires synchronously
   if (!status.ok()) fault_aborted_.erase(id);
@@ -840,9 +835,8 @@ void WorkloadManager::ScheduleFaultRetry(Request* request, double delay) {
   request->state = RequestState::kQueued;
   QueryId id = request->spec.id;
   sim_->Schedule(delay, [this, id] {
-    auto it = requests_.find(id);
-    if (it == requests_.end()) return;
-    Request* r = it->second.get();
+    Request* r = Lookup(id);
+    if (r == nullptr) return;
     if (r->state != RequestState::kQueued) return;
     if (std::find(queue_.begin(), queue_.end(), r) != queue_.end()) return;
     Requeue(r, /*reason=*/nullptr);

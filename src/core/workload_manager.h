@@ -13,6 +13,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/id_index.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "core/interfaces.h"
@@ -256,6 +257,8 @@ class WorkloadManager : public FaultSink {
   WorkloadState& StateOf(const Request& request) {
     return by_id_[request.workload_id];
   }
+  /// The request submitted as `id`, or nullptr.
+  Request* Lookup(QueryId id) const;
 
   /// Appends a request to the wait queue and to its priority level.
   void Enqueue(Request* request);
@@ -326,8 +329,10 @@ class WorkloadManager : public FaultSink {
   std::unique_ptr<Scheduler> scheduler_;
   std::vector<std::unique_ptr<ExecutionController>> execution_;
 
-  std::unordered_map<QueryId, std::unique_ptr<Request>> requests_;
-  std::vector<QueryId> submission_order_;
+  // Every request ever submitted, in submission order; request_index_
+  // maps a query id to its position.
+  std::vector<std::unique_ptr<Request>> requests_;
+  IdIndex request_index_;
   // Waiting requests (owned by requests_) in arrival order; handed to
   // Scheduler::Order as is. Bounded by OverloadOptions::codel.queue_capacity
   // when overload protection is enabled; the seed's unbounded behavior is

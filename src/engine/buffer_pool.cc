@@ -48,13 +48,7 @@ double BufferPool::Register(QueryId id, const std::string& tag,
   double ratio = HitRatioFor(tag, working_pages);
   double avoided = working_pages * ratio;
   avoided_ops_ += avoided;
-  group_avoided_[tag] += avoided;
   return ratio;
-}
-
-double BufferPool::GroupAvoidedOps(const std::string& tag) const {
-  auto it = group_avoided_.find(tag);
-  return it == group_avoided_.end() ? 0.0 : it->second;
 }
 
 void BufferPool::Unregister(QueryId id) {

@@ -46,8 +46,6 @@ class BufferPool {
   /// Cumulative device I/O ops avoided by pool hits, by registration-time
   /// accounting: each Register contributes working_pages * hit_ratio.
   double avoided_ops() const { return avoided_ops_; }
-  /// I/O ops a single group's registrations avoided so far.
-  double GroupAvoidedOps(const std::string& tag) const;
 
  private:
   struct Member {
@@ -60,7 +58,6 @@ class BufferPool {
   std::unordered_map<QueryId, Member> members_;
   std::unordered_map<std::string, double> group_priority_;
   std::unordered_map<std::string, double> group_working_;  // sum of members
-  std::unordered_map<std::string, double> group_avoided_;  // cumulative
   double avoided_ops_ = 0.0;
 };
 

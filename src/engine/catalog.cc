@@ -16,13 +16,6 @@ Result<TableSpec> Catalog::Lookup(const std::string& name) const {
   return it->second;
 }
 
-std::vector<std::string> Catalog::TableNames() const {
-  std::vector<std::string> names;
-  names.reserve(tables_.size());
-  for (const auto& [name, spec] : tables_) names.push_back(name);
-  return names;
-}
-
 Catalog Catalog::TpchLike(double scale_factor) {
   Catalog catalog;
   auto add = [&](const std::string& name, double rows, int row_bytes) {

@@ -3,7 +3,6 @@
 
 #include <map>
 #include <string>
-#include <vector>
 
 #include "common/result.h"
 
@@ -32,9 +31,7 @@ class Catalog {
   /// Adds (or replaces) a table; fills in `pages`.
   void AddTable(TableSpec spec);
   [[nodiscard]] Result<TableSpec> Lookup(const std::string& name) const;
-  [[nodiscard]] bool Has(const std::string& name) const { return tables_.count(name) > 0; }
   size_t table_count() const { return tables_.size(); }
-  std::vector<std::string> TableNames() const;
 
   /// A ready-made TPC-H-flavoured analytical schema at the given scale
   /// factor (SF 1 ~ lineitem 6M rows).

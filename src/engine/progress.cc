@@ -15,13 +15,9 @@ void ProgressTracker::Observe(const ExecutionProgress& progress, double now) {
   samples.push_back(
       Sample{now, progress.cpu_used + progress.io_used / io_rate_});
   while (samples.size() > window_) samples.pop_front();
-  last_fraction_[progress.id] = progress.fraction_done;
 }
 
-void ProgressTracker::Forget(QueryId id) {
-  history_.erase(id);
-  last_fraction_.erase(id);
-}
+void ProgressTracker::Forget(QueryId id) { history_.erase(id); }
 
 double ProgressTracker::EstimateRemainingSeconds(
     const ExecutionProgress& progress) const {
@@ -44,11 +40,6 @@ double ProgressTracker::EstimateRemainingSeconds(
   }
   if (speed <= 0.0) return kNoProgressEstimate;
   return remaining_work / speed;
-}
-
-double ProgressTracker::LastFraction(QueryId id) const {
-  auto it = last_fraction_.find(id);
-  return it == last_fraction_.end() ? 0.0 : it->second;
 }
 
 }  // namespace wlm

@@ -30,9 +30,6 @@ class ProgressTracker {
   /// number) when the query has made no progress at all.
   double EstimateRemainingSeconds(const ExecutionProgress& progress) const;
 
-  /// Fraction done as last observed (0 if never observed).
-  double LastFraction(QueryId id) const;
-
   size_t tracked_count() const { return history_.size(); }
 
  private:
@@ -44,7 +41,6 @@ class ProgressTracker {
   double io_rate_;
   size_t window_;
   std::unordered_map<QueryId, std::deque<Sample>> history_;
-  std::unordered_map<QueryId, double> last_fraction_;
 };
 
 }  // namespace wlm

@@ -125,14 +125,6 @@ struct ExecPhaseTotals {
     return lock_wait_seconds + cpu_run_seconds + io_stall_seconds +
            memory_stall_seconds + throttled_seconds + suspend_flush_seconds;
   }
-  void Accumulate(const ExecPhaseTotals& other) {
-    lock_wait_seconds += other.lock_wait_seconds;
-    cpu_run_seconds += other.cpu_run_seconds;
-    io_stall_seconds += other.io_stall_seconds;
-    memory_stall_seconds += other.memory_stall_seconds;
-    throttled_seconds += other.throttled_seconds;
-    suspend_flush_seconds += other.suspend_flush_seconds;
-  }
 };
 
 /// Delivered to the completion callback when an execution leaves the engine.

@@ -1,6 +1,7 @@
 #include "telemetry/event_log.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace wlm {
 
@@ -60,25 +61,37 @@ const char* WlmEventTypeToString(WlmEventType type) {
 
 EventLog::EventLog(size_t max_events) : max_events_(max_events) {}
 
-void EventLog::Append(WlmEvent event) {
+void EventLog::Append(const WlmEvent& event) {
   ++total_;
+  if (max_events_ == 0) return;
   ++retained_by_type_[static_cast<size_t>(event.type)];
-  events_.push_back(std::move(event));
-  while (events_.size() > max_events_) {
-    --retained_by_type_[static_cast<size_t>(events_.front().type)];
-    events_.pop_front();
+  size_t p;
+  if (size_ < max_events_) {
+    // Not full yet, so head_ is 0 and the ring has not wrapped.
+    if (size_ == allocated_) {
+      const size_t block = std::min(kBlockEvents, max_events_ - allocated_);
+      blocks_.push_back(std::make_unique<WlmEvent[]>(block));
+      allocated_ += block;
+    }
+    p = Physical(size_++);
+  } else {
+    p = head_;
+    --retained_by_type_[static_cast<size_t>(Slot(p).type)];
+    head_ = Physical(1);
   }
+  Slot(p) = event;
 }
 
 void EventLog::Clear() {
-  events_.clear();
+  head_ = 0;
+  size_ = 0;
   retained_by_type_.fill(0);
 }
 
 std::vector<WlmEvent> EventLog::OfType(WlmEventType type) const {
   std::vector<WlmEvent> out;
   out.reserve(static_cast<size_t>(CountOf(type)));
-  for (const WlmEvent& event : events_) {
+  for (const WlmEvent& event : events()) {
     if (event.type == type) out.push_back(event);
   }
   return out;
@@ -86,20 +99,21 @@ std::vector<WlmEvent> EventLog::OfType(WlmEventType type) const {
 
 std::vector<WlmEvent> EventLog::ForQuery(QueryId id) const {
   std::vector<WlmEvent> out;
-  for (const WlmEvent& event : events_) {
+  for (const WlmEvent& event : events()) {
     if (event.query == id) out.push_back(event);
   }
   return out;
 }
 
 std::vector<WlmEvent> EventLog::InWindow(double begin, double end) const {
-  auto lo = std::lower_bound(
-      events_.begin(), events_.end(), begin,
-      [](const WlmEvent& e, double t) { return e.time < t; });
-  auto hi = std::lower_bound(
-      lo, events_.end(), end,
-      [](const WlmEvent& e, double t) { return e.time < t; });
-  return std::vector<WlmEvent>(lo, hi);
+  const auto window = events();
+  const auto lo = std::ranges::lower_bound(window, begin, {}, &WlmEvent::time);
+  const auto hi =
+      std::ranges::lower_bound(lo, window.end(), end, {}, &WlmEvent::time);
+  std::vector<WlmEvent> out;
+  out.reserve(static_cast<size_t>(hi - lo));
+  std::ranges::copy(lo, hi, std::back_inserter(out));
+  return out;
 }
 
 }  // namespace wlm

@@ -4,7 +4,8 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <memory>
+#include <ranges>
 #include <string>
 #include <vector>
 
@@ -62,16 +63,29 @@ struct WlmEvent {
 /// the only record: OfType/ForQuery scan it, CountOf reads a per-type
 /// count kept in step with appends and evictions, and InWindow binary
 /// searches the (nondecreasing) event times.
+///
+/// The window is a ring that grows in blocks of kBlockEvents up to the
+/// bound (never past it, so a short run pays only for what it logs). Once
+/// full, each append overwrites the oldest event in place, and its strings
+/// keep their capacity.
 class EventLog {
  public:
+  static constexpr size_t kBlockEvents = 256;
+
   explicit EventLog(size_t max_events = 1 << 16);
 
-  void Append(WlmEvent event);
+  void Append(const WlmEvent& event);
   void Clear();
 
-  size_t size() const { return events_.size(); }
+  size_t size() const { return size_; }
   int64_t total_appended() const { return total_; }
-  const std::deque<WlmEvent>& events() const { return events_; }
+  /// The retained window, oldest first: a random-access view (range-for,
+  /// size(), front(), operator[]) that stays valid until the next append.
+  auto events() const {
+    return std::views::iota(size_t{0}, size_) |
+           std::views::transform(
+               [this](size_t i) -> const WlmEvent& { return At(i); });
+  }
 
   /// Events of one type, oldest first.
   std::vector<WlmEvent> OfType(WlmEventType type) const;
@@ -85,9 +99,22 @@ class EventLog {
   }
 
  private:
+  /// The i-th retained event, oldest first.
+  const WlmEvent& At(size_t i) const { return Slot(Physical(i)); }
+  size_t Physical(size_t i) const {
+    const size_t p = head_ + i;
+    return p >= max_events_ ? p - max_events_ : p;
+  }
+  WlmEvent& Slot(size_t p) const {
+    return blocks_[p / kBlockEvents][p % kBlockEvents];
+  }
+
   size_t max_events_;
   int64_t total_ = 0;
-  std::deque<WlmEvent> events_;
+  std::vector<std::unique_ptr<WlmEvent[]>> blocks_;
+  size_t allocated_ = 0;  // events the blocks hold, at most max_events_
+  size_t head_ = 0;       // physical index of the oldest event
+  size_t size_ = 0;
   std::array<int64_t, kWlmEventTypeCount> retained_by_type_{};
 };
 

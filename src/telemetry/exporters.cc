@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <string>
 
+#include "common/format.h"
+
 namespace wlm {
 
 namespace {
@@ -20,11 +22,7 @@ void WriteEvent(std::ostream& out, bool& first, const std::string& json) {
   out << json;
 }
 
-std::string FormatDouble(double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  return buf;
-}
+std::string FormatDouble(double value) { return FormatGeneral(value, 6); }
 
 }  // namespace
 
@@ -73,13 +71,14 @@ void WriteChromeTrace(const Tracer& tracer, std::ostream& out,
              R"("args":{"name":"wlm phases"}})");
 
   for (const QueryTrace* trace : tracer.Traces()) {
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  R"({"name":"thread_name","ph":"M","pid":1,"tid":%d,)"
-                  R"("args":{"name":"q%llu [%s]"}})",
-                  trace->tid, static_cast<unsigned long long>(trace->id),
-                  JsonEscape(trace->workload).c_str());
-    WriteEvent(out, first, buf);
+    std::string thread = R"({"name":"thread_name","ph":"M","pid":1,"tid":)";
+    thread += std::to_string(trace->tid);
+    thread += R"(,"args":{"name":"q)";
+    thread += std::to_string(trace->id);
+    thread += " [";
+    thread += JsonEscape(trace->workload);
+    thread += R"(]"}})";
+    WriteEvent(out, first, thread);
 
     for (const Span& span : trace->spans) {
       const double end = span.open() ? span.start : span.end;

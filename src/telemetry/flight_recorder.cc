@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/format.h"
 #include "telemetry/exporters.h"
 
 namespace wlm {
@@ -10,11 +11,7 @@ namespace wlm {
 namespace {
 
 /// Fixed-precision float rendering so dumps are byte-stable across runs.
-std::string Num(double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.6f", value);
-  return buf;
-}
+std::string Num(double value) { return FormatFixed(value, 6); }
 
 void WriteProfileJson(std::ostream& out, const QueryProfile& p) {
   out << "{\"type\":\"profile\",\"query\":" << p.id << ",\"workload\":\""
@@ -61,10 +58,12 @@ void FlightRecorder::Trigger(const std::string& reason,
   dump.reason = reason;
   dump.state = state;
   dump.recent_profiles = profiles.RecentTerminal(options_.max_profiles);
-  const std::deque<WlmEvent>& events = log.events();
-  const size_t take = std::min(events.size(), options_.max_events);
-  dump.recent_events.assign(events.end() - static_cast<std::ptrdiff_t>(take),
-                            events.end());
+  const auto events = log.events();
+  const size_t take = std::min(log.size(), options_.max_events);
+  dump.recent_events.reserve(take);
+  for (size_t i = log.size() - take; i < log.size(); ++i) {
+    dump.recent_events.push_back(events[i]);
+  }
   postmortems_.push_back(std::move(dump));
 }
 

@@ -227,13 +227,6 @@ size_t MetricsRegistry::series_count() const {
   return count;
 }
 
-std::vector<std::string> MetricsRegistry::FamilyNames() const {
-  std::vector<std::string> names;
-  names.reserve(families_.size());
-  for (const auto& [name, family] : families_) names.push_back(name);
-  return names;
-}
-
 double MetricsRegistry::FamilyValueSum(const std::string& name) const {
   auto it = families_.find(name);
   if (it == families_.end()) return 0.0;

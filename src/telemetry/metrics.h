@@ -113,7 +113,6 @@ class MetricsRegistry {
 
   size_t family_count() const { return families_.size(); }
   size_t series_count() const;
-  std::vector<std::string> FamilyNames() const;
 
   /// Read-only view of one series; exactly one of the three metric
   /// pointers is non-null (matching the family type) unless the series

@@ -1,7 +1,8 @@
 #include "telemetry/profile.h"
 
 #include <algorithm>
-#include <cstdio>
+
+#include "common/format.h"
 
 namespace wlm {
 
@@ -59,9 +60,9 @@ std::string ExplainOutcome(const QueryProfile& profile) {
   }
   Phase dominant = profile.DominantPhase();
   double share = profile.PhaseShare(dominant);
-  char suffix[64];
-  std::snprintf(suffix, sizeof(suffix), "%.0f%% %s", share * 100.0,
-                PhaseToString(dominant));
+  std::string suffix = FormatFixed(share * 100.0, 0);
+  suffix += "% ";
+  suffix += PhaseToString(dominant);
   if (profile.outcome == "completed") {
     const char* verdict =
         (dominant == Phase::kCpuRun || dominant == Phase::kIoStall)
@@ -75,36 +76,34 @@ std::string ExplainOutcome(const QueryProfile& profile) {
   return out;
 }
 
-ProfileStore::ProfileStore(size_t max_profiles)
-    : max_profiles_(max_profiles) {}
-
-void ProfileStore::Reserve() { profiles_.reserve(max_profiles_); }
-
-ProfileStore::Entry* ProfileStore::FindEntry(QueryId id) {
-  auto it = profiles_.find(id);
-  return it == profiles_.end() ? nullptr : &it->second;
-}
+ProfileStore::ProfileStore(size_t max_profiles) : profiles_(max_profiles) {}
 
 void ProfileStore::Begin(QueryId id, const std::string& workload,
                          QueryKind kind, double now, uint64_t journey) {
-  if (profiles_.count(id) > 0) return;
-  while (profiles_.size() >= max_profiles_ && !finished_order_.empty()) {
-    profiles_.erase(finished_order_.front());
-    finished_order_.pop_front();
-    ++evicted_;
-  }
-  Entry entry;
-  entry.profile.id = id;
-  entry.profile.journey = journey;
-  entry.profile.workload = workload;
-  entry.profile.kind = kind;
-  entry.profile.arrival_time = now;
+  if (profiles_.Find(id) != nullptr) return;
+  Entry& entry = profiles_.Create(id);
+  QueryProfile& p = entry.profile;
+  p.id = id;
+  p.journey = journey;
+  p.workload = workload;
+  p.kind = kind;
+  p.arrival_time = now;
+  p.first_dispatch_time = -1.0;
+  p.finish_time = -1.0;
+  p.outcome.clear();
+  p.detail.clear();
+  p.phase_seconds.fill(0.0);
+  p.resources = ResourceAttribution();
+  p.run_segments = 0;
+  p.suspend_count = 0;
+  p.requeue_count = 0;
   entry.order = next_order_++;
-  profiles_.emplace(id, std::move(entry));
+  entry.open_phase = -1;
+  entry.open_start = 0.0;
 }
 
 void ProfileStore::OpenWait(QueryId id, Phase phase, double now) {
-  Entry* entry = FindEntry(id);
+  Entry* entry = profiles_.Find(id);
   if (entry == nullptr) return;
   SettleEntry(entry, now);
   entry->open_phase = static_cast<int>(phase);
@@ -117,7 +116,7 @@ void ProfileStore::OpenQueueWait(QueryId id, double now) {
 }
 
 void ProfileStore::Settle(QueryId id, double now) {
-  SettleEntry(FindEntry(id), now);
+  SettleEntry(profiles_.Find(id), now);
 }
 
 void ProfileStore::SettleEntry(Entry* entry, double now) {
@@ -133,18 +132,18 @@ void ProfileStore::SetQueueDiscipline(bool lifo, double now) {
   queue_lifo_ = lifo;
   const int admission = static_cast<int>(Phase::kAdmissionQueue);
   const int overload = static_cast<int>(Phase::kOverloadQueue);
-  for (auto& [id, entry] : profiles_) {
+  profiles_.ForEach([&](Entry& entry) {
     if (entry.open_phase != admission && entry.open_phase != overload) {
-      continue;
+      return;
     }
     SettleEntry(&entry, now);
     entry.open_phase = lifo ? overload : admission;
     entry.open_start = now;
-  }
+  });
 }
 
 void ProfileStore::AccumulateSegment(QueryId id, const QueryOutcome& outcome) {
-  Entry* entry = FindEntry(id);
+  Entry* entry = profiles_.Find(id);
   if (entry == nullptr) return;
   QueryProfile& p = entry->profile;
   const ExecPhaseTotals& phases = outcome.phases;
@@ -171,7 +170,7 @@ void ProfileStore::AccumulateSegment(QueryId id, const QueryOutcome& outcome) {
 
 ProfileStore::WaitSegment ProfileStore::MarkDispatched(QueryId id,
                                                        double now) {
-  Entry* entry = FindEntry(id);
+  Entry* entry = profiles_.Find(id);
   if (entry == nullptr) return {};
   const WaitSegment settled{entry->open_phase, entry->open_start};
   SettleEntry(entry, now);
@@ -182,26 +181,26 @@ ProfileStore::WaitSegment ProfileStore::MarkDispatched(QueryId id,
 }
 
 void ProfileStore::CountRequeue(QueryId id) {
-  Entry* entry = FindEntry(id);
+  Entry* entry = profiles_.Find(id);
   if (entry != nullptr) ++entry->profile.requeue_count;
 }
 
 void ProfileStore::CountSuspend(QueryId id) {
-  Entry* entry = FindEntry(id);
+  Entry* entry = profiles_.Find(id);
   if (entry != nullptr) ++entry->profile.suspend_count;
 }
 
 const QueryProfile* ProfileStore::Finalize(QueryId id, double now,
                                            const std::string& outcome,
                                            const std::string& detail) {
-  Entry* entry = FindEntry(id);
+  Entry* entry = profiles_.Find(id);
   if (entry == nullptr || entry->profile.terminal()) return nullptr;
   SettleEntry(entry, now);
   QueryProfile& p = entry->profile;
   p.finish_time = now;
   p.outcome = outcome;
   p.detail = detail;
-  finished_order_.push_back(id);
+  profiles_.Finish(id);
 
   ClassProfileRollup& rollup = rollups_[p.workload];
   ++rollup.count;
@@ -221,37 +220,35 @@ const QueryProfile* ProfileStore::Finalize(QueryId id, double now,
 }
 
 const QueryProfile* ProfileStore::Find(QueryId id) const {
-  auto it = profiles_.find(id);
-  return it == profiles_.end() ? nullptr : &it->second.profile;
+  const Entry* entry = profiles_.Find(id);
+  return entry == nullptr ? nullptr : &entry->profile;
 }
 
 ProfileStore::WaitSegment ProfileStore::OpenSegment(QueryId id) const {
-  auto it = profiles_.find(id);
-  if (it == profiles_.end() || it->second.open_phase < 0) return {};
-  return {it->second.open_phase, it->second.open_start};
+  const Entry* entry = profiles_.Find(id);
+  if (entry == nullptr || entry->open_phase < 0) return {};
+  return {entry->open_phase, entry->open_start};
 }
 
 std::vector<QueryProfile> ProfileStore::RecentTerminal(size_t n) const {
-  const size_t take = std::min(n, finished_order_.size());
+  const std::vector<const Entry*> newest = profiles_.NewestFinished(n);
   std::vector<QueryProfile> out;
-  out.reserve(take);
-  for (auto it = finished_order_.end() - static_cast<std::ptrdiff_t>(take);
-       it != finished_order_.end(); ++it) {
-    out.push_back(profiles_.at(*it).profile);
-  }
+  out.reserve(newest.size());
+  for (const Entry* entry : newest) out.push_back(entry->profile);
   return out;
 }
 
 std::vector<const QueryProfile*> ProfileStore::Profiles() const {
-  std::vector<std::pair<int64_t, const QueryProfile*>> ordered;
+  std::vector<const Entry*> ordered;
   ordered.reserve(profiles_.size());
-  for (const auto& [id, entry] : profiles_) {
-    ordered.emplace_back(entry.order, &entry.profile);
-  }
-  std::sort(ordered.begin(), ordered.end());
+  profiles_.ForEach([&ordered](const Entry& entry) {
+    ordered.push_back(&entry);
+  });
+  std::sort(ordered.begin(), ordered.end(),
+            [](const Entry* a, const Entry* b) { return a->order < b->order; });
   std::vector<const QueryProfile*> out;
   out.reserve(ordered.size());
-  for (const auto& [order, profile] : ordered) out.push_back(profile);
+  for (const Entry* entry : ordered) out.push_back(&entry->profile);
   return out;
 }
 

@@ -4,14 +4,12 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "engine/types.h"
+#include "telemetry/record_slots.h"
 
 namespace wlm {
 
@@ -113,9 +111,9 @@ std::string ExplainOutcome(const QueryProfile& profile);
 /// Accumulates QueryProfiles, driven by the Telemetry facade's lifecycle
 /// hooks. Bounded like the tracer: past `max_profiles` the oldest
 /// *terminal* profile is evicted per new profile (live requests are never
-/// dropped). Lookups are O(1); every externally visible listing
-/// (Profiles(), rollups()) is explicitly ordered, so the hash map never
-/// leaks iteration nondeterminism.
+/// dropped), and its slot is reused in place (RecordSlots). Lookups are
+/// O(1); every externally visible listing (Profiles(), rollups()) is
+/// explicitly ordered.
 class ProfileStore {
  public:
   /// A wait segment (admission/overload queue, suspended wait, retry
@@ -126,10 +124,6 @@ class ProfileStore {
   };
 
   explicit ProfileStore(size_t max_profiles = 8192);
-  /// Sizes the hash table for `max_profiles` entries. The population is
-  /// bounded, so sizing once avoids every rehash (each would move all
-  /// live entries); a store that never profiles need not pay for it.
-  void Reserve();
 
   /// Creates the profile of `id` at submission (no-op if present).
   /// `journey` is the cluster journey id from the spec (0 standalone).
@@ -174,7 +168,7 @@ class ProfileStore {
     return rollups_;
   }
   size_t size() const { return profiles_.size(); }
-  int64_t evicted() const { return evicted_; }
+  int64_t evicted() const { return profiles_.evicted(); }
   bool queue_lifo() const { return queue_lifo_; }
 
  private:
@@ -185,17 +179,13 @@ class ProfileStore {
     double open_start = 0.0;
   };
 
-  Entry* FindEntry(QueryId id);
   /// Settle on an already-resolved entry (skips the repeat lookup the
   /// public Settle would pay on the per-query hot path).
   void SettleEntry(Entry* entry, double now);
 
-  size_t max_profiles_;
   int64_t next_order_ = 0;
-  int64_t evicted_ = 0;
   bool queue_lifo_ = false;
-  std::unordered_map<QueryId, Entry> profiles_;
-  std::deque<QueryId> finished_order_;
+  RecordSlots<Entry> profiles_;
   std::map<std::string, ClassProfileRollup> rollups_;
 };
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/format.h"
+
 namespace wlm {
 
 const char* SyntheticTrackName(SyntheticTrack track) {
@@ -25,7 +27,6 @@ Telemetry::Telemetry(Simulation* sim, Monitor* monitor,
       profiling_(options.profiling),
       watchdog_(monitor, &event_log_, &metrics_) {
   if (!enabled_) return;
-  if (profiling_) profiles_.Reserve();
   metrics_.SetHelp("wlm_requests_submitted_total",
                    "Requests entering the workload manager");
   metrics_.SetHelp("wlm_requests_rejected_total",
@@ -299,11 +300,17 @@ void Telemetry::OnTerminal(QueryId id, WorkloadId workload_id,
     }
     lock_wait->Observe(outcome.lock_wait_seconds);
   }
-  char detail[160];
-  std::snprintf(detail, sizeof(detail),
-                "outcome=%s cpu=%.3f io=%.0f spill=%.2f buffer_hit=%.2f",
-                outcome_name, outcome.cpu_used, outcome.io_used,
-                outcome.spill_factor, outcome.buffer_hit_ratio);
+  std::string& detail = segment_detail_;
+  detail.assign("outcome=");
+  detail += outcome_name;
+  detail += " cpu=";
+  AppendFixed(detail, outcome.cpu_used, 3);
+  detail += " io=";
+  AppendFixed(detail, outcome.io_used, 0);
+  detail += " spill=";
+  AppendFixed(detail, outcome.spill_factor, 2);
+  detail += " buffer_hit=";
+  AppendFixed(detail, outcome.buffer_hit_ratio, 2);
   tracer_.CloseExecutionSegment(id, now, detail);
   tracer_.FinishTrace(id, now);
   FinalizeProfile(id, workload_id, workload, outcome_name, "");
@@ -331,11 +338,10 @@ void Telemetry::OnTerminal(QueryId id, WorkloadId workload_id,
 
 void Telemetry::OnThrottle(QueryId id, WorkloadId workload_id,
                            const std::string& workload, double duty) {
-  Log(WlmEventType::kThrottled, id, workload, "duty=" + std::to_string(duty));
+  Log(WlmEventType::kThrottled, id, workload, "duty=" + FormatFixed(duty, 6));
   if (!enabled_) return;
   const double now = Now();
-  char detail[48];
-  std::snprintf(detail, sizeof(detail), "duty=%.3f", duty);
+  const std::string detail = "duty=" + FormatFixed(duty, 3);
   // A duty change ends any current window; a new sub-1.0 duty opens one.
   tracer_.CloseSpan(id, SpanKind::kThrottle, now);
   if (duty < 1.0) {
@@ -352,11 +358,10 @@ void Telemetry::OnThrottle(QueryId id, WorkloadId workload_id,
 
 void Telemetry::OnPause(QueryId id, WorkloadId workload_id,
                         const std::string& workload, double seconds) {
-  Log(WlmEventType::kPaused, id, workload, std::to_string(seconds) + "s");
+  Log(WlmEventType::kPaused, id, workload, FormatFixed(seconds, 6) + "s");
   if (!enabled_) return;
   const double now = Now();
-  char detail[48];
-  std::snprintf(detail, sizeof(detail), "seconds=%.3f", seconds);
+  const std::string detail = "seconds=" + FormatFixed(seconds, 3);
   // Recorded closed up-front; segment close clamps it if the query leaves
   // the engine before the pause elapses.
   tracer_.AddClosedSpan(id, SpanKind::kPause, now, now + seconds, detail);
@@ -431,10 +436,8 @@ void Telemetry::OnFaultAbort(QueryId id, WorkloadId workload_id,
 void Telemetry::OnFaultRetry(QueryId id, WorkloadId workload_id,
                              const std::string& workload,
                              double delay_seconds) {
-  char detail[48];
-  std::snprintf(detail, sizeof(detail), "backoff=%.3fs", delay_seconds);
-  Log(WlmEventType::kResubmitted, id, workload,
-      std::string("fault retry ") + detail);
+  const std::string detail = "backoff=" + FormatFixed(delay_seconds, 3) + "s";
+  Log(WlmEventType::kResubmitted, id, workload, "fault retry " + detail);
   if (!enabled_) return;
   tracer_.Instant(id, "fault_retry", Now(), detail);
   if (profiling_) profiles_.OpenWait(id, Phase::kRetryBackoff, Now());

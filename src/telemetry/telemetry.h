@@ -287,6 +287,8 @@ class Telemetry {
   std::map<std::string, double> breaker_opened_at_;
   double brownout_entered_at_ = -1.0;
   size_t violations_seen_ = 0;  // watchdog watermark for trigger edges
+  // OnTerminal's execute-segment detail, rebuilt in place per query.
+  std::string segment_detail_;
   // Indexed by WorkloadId. Counter objects are heap-allocated and
   // pointer-stable, so a handle outlives every later registry insert.
   std::vector<WorkloadHandles> handles_;

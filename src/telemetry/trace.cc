@@ -62,51 +62,45 @@ double QueryTrace::TotalOfKind(SpanKind kind) const {
   return total;
 }
 
-Tracer::Tracer(size_t max_traces) : max_traces_(max_traces) {}
+Tracer::Tracer(size_t max_traces) : traces_(max_traces) {}
 
 QueryTrace& Tracer::GetOrCreate(QueryId id, const std::string& workload,
                                 QueryKind kind, double now) {
-  auto it = traces_.find(id);
-  if (it != traces_.end()) return it->second;
-  while (traces_.size() >= max_traces_ && !finished_order_.empty()) {
-    traces_.erase(finished_order_.front());
-    finished_order_.pop_front();
-    ++evicted_;
-  }
-  QueryTrace trace;
+  if (QueryTrace* existing = traces_.Find(id)) return *existing;
+  QueryTrace& trace = traces_.Create(id);
   trace.id = id;
   trace.workload = workload;
   trace.kind = kind;
   trace.tid = next_tid_++;
   trace.start_time = now;
+  trace.finished = false;
+  trace.spans.clear();
+  trace.instants.clear();
   // A healthy query records ~8 spans plus up to 6 phase tiles; one
   // up-front reservation spares every trace the realloc-and-move churn
-  // of growing through 1/2/4/8/16.
+  // of growing through 1/2/4/8/16. A reused slot already has it.
   trace.spans.reserve(16);
-  return traces_.emplace(id, std::move(trace)).first->second;
+  return trace;
 }
 
-const QueryTrace* Tracer::Find(QueryId id) const {
-  auto it = traces_.find(id);
-  return it == traces_.end() ? nullptr : &it->second;
-}
+const QueryTrace* Tracer::Find(QueryId id) const { return traces_.Find(id); }
 
 void Tracer::OpenSpan(QueryId id, SpanKind kind, double now,
                       std::string detail) {
-  auto it = traces_.find(id);
-  if (it == traces_.end()) return;
+  QueryTrace* trace = traces_.Find(id);
+  if (trace == nullptr) return;
   Span span;
   span.kind = kind;
   span.start = now;
   span.detail = std::move(detail);
-  it->second.spans.push_back(std::move(span));
+  trace->spans.push_back(std::move(span));
 }
 
 void Tracer::CloseSpan(QueryId id, SpanKind kind, double now,
                        const std::string& append_detail) {
-  auto it = traces_.find(id);
-  if (it == traces_.end()) return;
-  auto& spans = it->second.spans;
+  QueryTrace* trace = traces_.Find(id);
+  if (trace == nullptr) return;
+  auto& spans = trace->spans;
   for (auto rit = spans.rbegin(); rit != spans.rend(); ++rit) {
     if (rit->kind == kind && rit->open()) {
       rit->end = std::max(now, rit->start);
@@ -121,42 +115,41 @@ void Tracer::CloseSpan(QueryId id, SpanKind kind, double now,
 
 void Tracer::AddClosedSpan(QueryId id, SpanKind kind, double start,
                            double end, std::string detail) {
-  auto it = traces_.find(id);
-  if (it == traces_.end() || end < start) return;
+  QueryTrace* trace = traces_.Find(id);
+  if (trace == nullptr || end < start) return;
   Span span;
   span.kind = kind;
   span.start = start;
   span.end = end;
   span.detail = std::move(detail);
-  it->second.spans.push_back(std::move(span));
+  trace->spans.push_back(std::move(span));
 }
 
 void Tracer::AddClosedSpans(QueryId id, Span* spans, size_t count) {
-  auto it = traces_.find(id);
-  if (it == traces_.end()) return;
-  auto& out = it->second.spans;
+  QueryTrace* trace = traces_.Find(id);
+  if (trace == nullptr) return;
   for (size_t i = 0; i < count; ++i) {
     if (spans[i].end < spans[i].start) continue;
-    out.push_back(std::move(spans[i]));
+    trace->spans.push_back(std::move(spans[i]));
   }
 }
 
 void Tracer::Instant(QueryId id, std::string name, double now,
                      std::string detail) {
-  auto it = traces_.find(id);
-  if (it == traces_.end()) return;
+  QueryTrace* trace = traces_.Find(id);
+  if (trace == nullptr) return;
   TraceInstant instant;
   instant.time = now;
   instant.name = std::move(name);
   instant.detail = std::move(detail);
-  it->second.instants.push_back(std::move(instant));
+  trace->instants.push_back(std::move(instant));
 }
 
 void Tracer::CloseExecutionSegment(QueryId id, double now,
                                    const std::string& append_detail) {
-  auto it = traces_.find(id);
-  if (it == traces_.end()) return;
-  for (Span& span : it->second.spans) {
+  QueryTrace* trace = traces_.Find(id);
+  if (trace == nullptr) return;
+  for (Span& span : trace->spans) {
     if (span.kind != SpanKind::kThrottle && span.kind != SpanKind::kPause &&
         span.kind != SpanKind::kLockWait) {
       continue;
@@ -167,19 +160,19 @@ void Tracer::CloseExecutionSegment(QueryId id, double now,
 }
 
 void Tracer::FinishTrace(QueryId id, double now) {
-  auto it = traces_.find(id);
-  if (it == traces_.end() || it->second.finished) return;
-  for (Span& span : it->second.spans) {
+  QueryTrace* trace = traces_.Find(id);
+  if (trace == nullptr || trace->finished) return;
+  for (Span& span : trace->spans) {
     if (span.open() || span.end > now) span.end = std::max(span.start, now);
   }
-  it->second.finished = true;
-  finished_order_.push_back(id);
+  trace->finished = true;
+  traces_.Finish(id);
 }
 
 std::vector<const QueryTrace*> Tracer::Traces() const {
   std::vector<const QueryTrace*> out;
   out.reserve(traces_.size());
-  for (const auto& [id, trace] : traces_) out.push_back(&trace);
+  traces_.ForEach([&out](const QueryTrace& trace) { out.push_back(&trace); });
   std::sort(out.begin(), out.end(),
             [](const QueryTrace* a, const QueryTrace* b) {
               return a->tid < b->tid;

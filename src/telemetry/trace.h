@@ -2,12 +2,11 @@
 #define WLM_TELEMETRY_TRACE_H_
 
 #include <cstddef>
-#include <deque>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "engine/types.h"
+#include "telemetry/record_slots.h"
 
 namespace wlm {
 
@@ -81,6 +80,7 @@ struct QueryTrace {
 /// Accumulates QueryTraces, bounded by `max_traces`: once the limit is
 /// reached the oldest *finished* trace is evicted per new trace (live
 /// queries are never dropped; their count is bounded by the MPL anyway).
+/// An evicted trace's slot is reused in place (RecordSlots).
 class Tracer {
  public:
   explicit Tracer(size_t max_traces = 8192);
@@ -121,15 +121,12 @@ class Tracer {
   /// All traces, in creation (tid) order.
   std::vector<const QueryTrace*> Traces() const;
   size_t size() const { return traces_.size(); }
-  int64_t evicted() const { return evicted_; }
+  int64_t evicted() const { return traces_.evicted(); }
 
  private:
-  size_t max_traces_;
   int next_tid_ = 1;
-  int64_t evicted_ = 0;
-  // Hashed: every hook finds its trace here. Traces() restores tid order.
-  std::unordered_map<QueryId, QueryTrace> traces_;
-  std::deque<QueryId> finished_order_;
+  // Every hook finds its trace here. Traces() restores tid order.
+  RecordSlots<QueryTrace> traces_;
 };
 
 }  // namespace wlm

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
+#include <cstdio>
+#include <limits>
 #include <sstream>
+#include <string>
 #include <vector>
 
+#include "common/format.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -335,6 +340,90 @@ TEST(TimeSeriesTest, DownsampleKeepsEndpoints) {
 }
 
 // ---------------------------------------------------------- TablePrinter
+
+// ---------------------------------------------------------------- Format
+
+std::string Printf(const char* format, double value) {
+  char buf[512];
+  std::snprintf(buf, sizeof(buf), format, value);
+  return buf;
+}
+
+/// Empty when the to_chars helpers print `value` exactly as printf does
+/// for every format they replaced; else the first difference.
+std::string FormatMismatch(double value) {
+  struct Case {
+    std::string printf_format;
+    std::string formatted;
+  };
+  std::vector<Case> cases = {{"%.6g", FormatGeneral(value, 6)}};
+  for (int precision : {3, 0, 2, 6}) {
+    const std::string format = "%." + std::to_string(precision) + "f";
+    cases.push_back({format, FormatFixed(value, precision)});
+    std::string appended = "x=";
+    AppendFixed(appended, value, precision);
+    cases.push_back({"x=" + format, appended});
+  }
+  for (const Case& c : cases) {
+    const std::string expected = Printf(c.printf_format.c_str(), value);
+    if (c.formatted != expected) {
+      return c.printf_format + " of " + Printf("%.17g", value) +
+             ": printf \"" + expected + "\", helper \"" + c.formatted +
+             "\"";
+    }
+  }
+  return "";
+}
+
+TEST(FormatTest, MatchesPrintfOnEdgeCases) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double edges[] = {0.0,
+                          -0.0,
+                          0.125,
+                          -0.125,
+                          2.5,
+                          -2.5,
+                          0.5,
+                          1.5,
+                          1e6 + 0.5,
+                          9.9995,
+                          999999.5,
+                          -999999.5,
+                          1e21,
+                          -1e21,
+                          std::numeric_limits<double>::denorm_min(),
+                          -std::numeric_limits<double>::denorm_min(),
+                          DBL_MAX,
+                          -DBL_MAX,
+                          nan,
+                          -nan,
+                          inf,
+                          -inf};
+  for (double value : edges) {
+    EXPECT_EQ(FormatMismatch(value), "");
+  }
+}
+
+TEST(FormatTest, MatchesPrintfOnRandomDoubles) {
+  // Magnitudes 1e-12..1e18 of both signs, plus exact binary fractions
+  // (k / 2^j), which put many values on a rounding tie at 0-3 decimals.
+  Rng rng(20181016);
+  int mismatches = 0;
+  std::string first;
+  for (int i = 0; i < 100000; ++i) {
+    const double sign = rng.Bernoulli(0.5) ? -1.0 : 1.0;
+    double value = sign * rng.Uniform(1.0, 10.0) *
+                   std::pow(10.0, static_cast<double>(rng.UniformInt(-12, 17)));
+    if (i % 4 == 3) {
+      value = static_cast<double>(rng.UniformInt(-1000000, 1000000)) /
+              std::ldexp(1.0, static_cast<int>(rng.UniformInt(1, 12)));
+    }
+    const std::string mismatch = FormatMismatch(value);
+    if (!mismatch.empty() && mismatches++ == 0) first = mismatch;
+  }
+  EXPECT_EQ(mismatches, 0) << "first: " << first;
+}
 
 TEST(TablePrinterTest, AlignsColumns) {
   TablePrinter t({"A", "LongHeader"});

@@ -309,6 +309,18 @@ TEST(JourneyLogTest, TracksLivesAcrossCausesAndCloses) {
   EXPECT_EQ(journey->OpenLives(), 0);
 }
 
+TEST(JourneyLogTest, JsonlKeepsSixDecimalTimes) {
+  wlm::JourneyLog log(16);
+  log.Begin(42, "oltp", 1.0);
+  log.OpenLife(42, 0, wlm::RouteCause::kPlace, 0, false, 1.0, -1);
+  log.CloseLife(42, 0, 2.0000005, "completed");
+  std::ostringstream out;
+  wlm::WriteJourneysJsonl(log.journeys(), out);
+  EXPECT_NE(out.str().find("\"start\":1.000000,\"end\":2.000001,"),
+            std::string::npos)
+      << out.str();
+}
+
 TEST(JourneyLogTest, MarkOutcomeRelabelsTheLatestLife) {
   wlm::JourneyLog log(16);
   log.Begin(7, "oltp", 0.0);

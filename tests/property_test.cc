@@ -9,6 +9,7 @@
 //   - deterministic replay: identical seeds -> identical outcomes
 //   - dispatch index vs Order: the manager's index for a declared queue
 //     discipline dispatches exactly as the scheduler's Order would
+//   - IdIndex vs std::unordered_map: same answers under any traffic
 
 #include <gtest/gtest.h>
 
@@ -20,8 +21,11 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <unordered_map>
+#include <vector>
 
 #include "admission/threshold_admission.h"
+#include "common/id_index.h"
 #include "faults/fault_injector.h"
 #include "faults/fault_plan.h"
 #include "scheduling/mpl_scheduler.h"
@@ -262,6 +266,111 @@ TEST_P(LockTableDifferentialSweep, MatchesReferenceUnderRandomTraffic) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LockTableDifferentialSweep,
                          ::testing::Values(4, 9, 16, 25, 36, 49, 64, 81));
+
+// ------------------------------------------------------- IdIndex sweep
+
+// Parameters: the key stride (0 = random 64-bit keys) and the seed.
+class IdIndexSweep
+    : public ::testing::TestWithParam<std::tuple<uint64_t, uint64_t>> {};
+
+TEST_P(IdIndexSweep, AgreesWithUnorderedMap) {
+  // The index behind every per-query store, against std::unordered_map
+  // under seeded insert/erase/find traffic. Phases: growth from empty, a
+  // mixed phase, a window of live keys sliding far past the table size
+  // (the stores' evict-oldest pattern, which runs backward-shift erase on
+  // clusters wrapping around the end of the table), then a full drain.
+  const auto [stride, seed] = GetParam();
+  Rng rng(seed);
+  std::vector<uint64_t> keys(1 << 16);
+  for (size_t n = 0; n < keys.size(); ++n) {
+    keys[n] = stride == 0 ? rng.Next() : n * stride;
+  }
+  IdIndex index;
+  std::unordered_map<uint64_t, uint32_t> ref;
+  auto check = [&](uint64_t key) {
+    auto it = ref.find(key);
+    ASSERT_EQ(index.Find(key), it == ref.end() ? IdIndex::kNone : it->second)
+        << "key " << key;
+  };
+  auto check_range = [&](size_t begin, size_t end) {
+    ASSERT_EQ(index.size(), ref.size());
+    for (size_t n = begin; n < end; ++n) {
+      ASSERT_NO_FATAL_FAILURE(check(keys[n]));
+    }
+  };
+  auto insert = [&](uint64_t key) {
+    const auto slot = static_cast<uint32_t>(rng.UniformInt(0, 1 << 30));
+    index.Insert(key, slot);
+    ref[key] = slot;
+  };
+  auto erase = [&](uint64_t key) {
+    index.Erase(key);
+    ref.erase(key);
+  };
+
+  // Growth: 4096 keys from an empty table, through nine doublings.
+  for (size_t n = 0; n < 4096; ++n) {
+    insert(keys[n]);
+    ASSERT_NO_FATAL_FAILURE(check(keys[n]));
+    if ((n & (n + 1)) == 0) {
+      ASSERT_NO_FATAL_FAILURE(check_range(0, 8192));
+    }
+  }
+  // Mixed: inserts (some overwriting), erases (some of absent keys) and
+  // finds over 8192 keys.
+  for (int op = 0; op < 20000; ++op) {
+    const uint64_t key = keys[static_cast<size_t>(rng.UniformInt(0, 8191))];
+    const double dice = rng.Uniform01();
+    if (dice < 0.45) {
+      insert(key);
+    } else if (dice < 0.8) {
+      erase(key);
+    }
+    ASSERT_NO_FATAL_FAILURE(check(key));
+    ASSERT_EQ(index.size(), ref.size()) << "op " << op;
+    if (op % 2000 == 1999) {
+      ASSERT_NO_FATAL_FAILURE(check_range(0, 8192));
+    }
+  }
+  for (size_t n = 0; n < 8192; ++n) erase(keys[n]);
+  ASSERT_NO_FATAL_FAILURE(check_range(0, 8192));
+  // Sliding window: 1000 live keys, 40000 times insert the newest and
+  // erase the oldest.
+  constexpr size_t kWindow = 1000;
+  for (size_t n = 8192; n < 8192 + kWindow; ++n) insert(keys[n]);
+  for (size_t n = 8192 + kWindow; n < 8192 + kWindow + 40000; ++n) {
+    insert(keys[n]);
+    erase(keys[n - kWindow]);
+    ASSERT_NO_FATAL_FAILURE(check(keys[n]));
+    ASSERT_NO_FATAL_FAILURE(check(keys[n - kWindow]));
+    ASSERT_NO_FATAL_FAILURE(
+        check(keys[n - static_cast<size_t>(rng.UniformInt(0, kWindow))]));
+    if (n % 4096 == 0) {
+      ASSERT_NO_FATAL_FAILURE(check_range(n - 2 * kWindow, n + 1));
+    }
+  }
+  // Drain: erase everything in random order.
+  std::vector<uint64_t> live;
+  for (const auto& [key, slot] : ref) live.push_back(key);
+  std::sort(live.begin(), live.end());
+  for (size_t i = live.size(); i > 1; --i) {
+    const int64_t pick = rng.UniformInt(0, static_cast<int64_t>(i) - 1);
+    std::swap(live[i - 1], live[static_cast<size_t>(pick)]);
+  }
+  for (uint64_t key : live) {
+    erase(key);
+    ASSERT_NO_FATAL_FAILURE(check(key));
+  }
+  EXPECT_EQ(index.size(), 0u);
+  ASSERT_NO_FATAL_FAILURE(check_range(0, keys.size()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KeysAndSeeds, IdIndexSweep,
+    ::testing::Combine(
+        ::testing::Values(uint64_t{1}, uint64_t{4}, uint64_t{1024},
+                          uint64_t{0}),
+        ::testing::Values(uint64_t{3}, uint64_t{17})));
 
 // ----------------------------------------------------- SlicePlan sweep
 

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cctype>
+#include <deque>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -297,6 +298,60 @@ TEST(Tracer, EvictsOldestFinishedTraces) {
   EXPECT_EQ(tracer.evicted(), 2u);
 }
 
+std::vector<QueryId> TraceIds(const Tracer& tracer) {
+  std::vector<QueryId> ids;
+  for (const QueryTrace* trace : tracer.Traces()) ids.push_back(trace->id);
+  return ids;
+}
+
+TEST(Tracer, EvictsEveryFinishedTraceWhileOverBound) {
+  // Four live traces over a bound of two: no trace was finished, so none
+  // could go. Once three finish, the next new trace evicts all three.
+  Tracer tracer(/*max_traces=*/2);
+  for (QueryId id = 1; id <= 4; ++id) {
+    tracer.GetOrCreate(id, "w", QueryKind::kOltpTransaction, 0.0);
+  }
+  EXPECT_EQ(tracer.size(), 4u);
+  for (QueryId id = 1; id <= 3; ++id) tracer.FinishTrace(id, 1.0);
+  tracer.GetOrCreate(5, "w", QueryKind::kOltpTransaction, 2.0);
+  EXPECT_EQ(tracer.evicted(), 3);
+  EXPECT_EQ(TraceIds(tracer), (std::vector<QueryId>{4, 5}));
+  // Both live, nothing finished: new traces take the parked slots and the
+  // listing stays in creation (tid) order.
+  tracer.GetOrCreate(6, "w", QueryKind::kOltpTransaction, 3.0);
+  tracer.GetOrCreate(7, "w", QueryKind::kOltpTransaction, 3.0);
+  EXPECT_EQ(TraceIds(tracer), (std::vector<QueryId>{4, 5, 6, 7}));
+  EXPECT_EQ(tracer.size(), 4u);
+  EXPECT_EQ(tracer.evicted(), 3);
+}
+
+TEST(Tracer, ReusedSlotEqualsAFreshTrace) {
+  Tracer tracer(/*max_traces=*/1);
+  QueryTrace& first = tracer.GetOrCreate(1, "bi", QueryKind::kBiQuery, 0.0);
+  tracer.OpenSpan(1, SpanKind::kQueue, 0.0, "a detail past the SSO buffer");
+  tracer.Instant(1, "kill", 1.0, "timeout");
+  tracer.FinishTrace(1, 2.0);
+  QueryTrace& reused =
+      tracer.GetOrCreate(9, "oltp", QueryKind::kOltpTransaction, 3.0);
+  EXPECT_EQ(&reused, &first) << "the evicted trace's slot is reused";
+
+  Tracer fresh_tracer;
+  const QueryTrace& fresh =
+      fresh_tracer.GetOrCreate(9, "oltp", QueryKind::kOltpTransaction, 3.0);
+  EXPECT_EQ(reused.id, fresh.id);
+  EXPECT_EQ(reused.workload, fresh.workload);
+  EXPECT_EQ(reused.kind, fresh.kind);
+  EXPECT_EQ(reused.tid, 2);  // the second trace this tracer created
+  EXPECT_EQ(fresh.tid, 1);
+  EXPECT_EQ(reused.start_time, fresh.start_time);
+  EXPECT_EQ(reused.finished, fresh.finished);
+  EXPECT_TRUE(reused.spans.empty());
+  EXPECT_TRUE(reused.instants.empty());
+  EXPECT_GE(reused.spans.capacity(), 16u);
+  EXPECT_EQ(tracer.Find(1), nullptr);
+  EXPECT_EQ(tracer.Find(9), &reused);
+}
+
 // ---------------------------------------------------------------------------
 // EventLog lookups (including eviction past max_events)
 // ---------------------------------------------------------------------------
@@ -389,6 +444,68 @@ TEST(EventLog, ClearResetsIndexes) {
   log.Append(event);
   EXPECT_EQ(log.CountOf(WlmEventType::kKilled), 1);
   EXPECT_EQ(log.ForQuery(2).size(), 1u);
+}
+
+TEST(EventLog, RingAgreesWithDequeReferenceAcrossWraps) {
+  // Bounds around and off the 256-event block size: the ring's last block
+  // is partial, and the window wraps several times.
+  for (size_t bound : {size_t{1}, size_t{255}, size_t{257}, size_t{300},
+                       size_t{700}}) {
+    SCOPED_TRACE("bound=" + std::to_string(bound));
+    EventLog log(bound);
+    std::deque<WlmEvent> ref;
+    Rng rng(bound);
+    const size_t appends = 3 * bound + 13;
+    for (size_t i = 0; i < appends; ++i) {
+      WlmEvent event;
+      event.time = 0.25 * static_cast<double>(i);
+      event.type = static_cast<WlmEventType>(
+          rng.UniformInt(0, static_cast<int64_t>(kWlmEventTypeCount) - 1));
+      event.query = static_cast<QueryId>(rng.UniformInt(0, 9));
+      event.workload = i % 3 == 0 ? "oltp" : "a workload name past SSO";
+      event.detail = std::string(static_cast<size_t>(i % 40), 'd');
+      log.Append(event);
+      ref.push_back(event);
+      if (ref.size() > bound) ref.pop_front();
+      // At the start, right around each wrap, and at the end.
+      const size_t n = i + 1;
+      if (n > 3 && n % bound > 2 && n % bound < bound - 2 && n != appends) {
+        continue;
+      }
+      ASSERT_EQ(log.size(), ref.size()) << "after " << n;
+      ASSERT_EQ(Details(std::vector<WlmEvent>(ref.begin(), ref.end())),
+                Details([&] {
+                  std::vector<WlmEvent> all;
+                  for (const WlmEvent& e : log.events()) all.push_back(e);
+                  return all;
+                }()));
+      for (size_t t = 0; t < kWlmEventTypeCount; ++t) {
+        const auto type = static_cast<WlmEventType>(t);
+        std::vector<WlmEvent> expected;
+        for (const WlmEvent& e : ref) {
+          if (e.type == type) expected.push_back(e);
+        }
+        ASSERT_EQ(log.CountOf(type), static_cast<int64_t>(expected.size()));
+        ASSERT_EQ(Details(log.OfType(type)), Details(expected));
+      }
+      for (QueryId q = 0; q < 10; ++q) {
+        std::vector<WlmEvent> expected;
+        for (const WlmEvent& e : ref) {
+          if (e.query == q) expected.push_back(e);
+        }
+        ASSERT_EQ(Details(log.ForQuery(q)), Details(expected));
+      }
+      const double begin = ref.front().time + 0.5;
+      const double end = begin + 0.25 * static_cast<double>(bound / 2);
+      std::vector<WlmEvent> expected;
+      for (const WlmEvent& e : ref) {
+        if (e.time >= begin && e.time < end) expected.push_back(e);
+      }
+      ASSERT_EQ(Details(log.InWindow(begin, end)), Details(expected));
+      ASSERT_EQ(log.events().front().workload, ref.front().workload);
+      ASSERT_EQ(log.events()[ref.size() - 1].time, ref.back().time);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -697,6 +814,97 @@ TEST(ProfileStore, EvictsOldestTerminalProfilesOnly) {
   EXPECT_EQ(store.Find(1), nullptr);
   EXPECT_NE(store.Find(2), nullptr);
   EXPECT_NE(store.Find(3), nullptr);
+}
+
+std::vector<QueryId> ProfileIds(const ProfileStore& store) {
+  std::vector<QueryId> ids;
+  for (const QueryProfile* profile : store.Profiles()) {
+    ids.push_back(profile->id);
+  }
+  return ids;
+}
+
+TEST(ProfileStore, EvictsEveryTerminalProfileWhileOverBound) {
+  ProfileStore store(2);
+  for (QueryId id = 1; id <= 4; ++id) {
+    store.Begin(id, "w", QueryKind::kOltpTransaction, 0.0);
+  }
+  EXPECT_EQ(store.size(), 4u);
+  for (QueryId id = 1; id <= 3; ++id) {
+    ASSERT_NE(store.Finalize(id, 1.0, "completed", ""), nullptr);
+  }
+  store.Begin(5, "w", QueryKind::kOltpTransaction, 2.0);
+  EXPECT_EQ(store.evicted(), 3);
+  EXPECT_EQ(ProfileIds(store), (std::vector<QueryId>{4, 5}));
+  store.Begin(6, "w", QueryKind::kOltpTransaction, 3.0);
+  store.Begin(7, "w", QueryKind::kOltpTransaction, 3.0);
+  EXPECT_EQ(ProfileIds(store), (std::vector<QueryId>{4, 5, 6, 7}));
+  EXPECT_EQ(store.size(), 4u);
+  // Newest terminal profiles, oldest finish first.
+  ASSERT_NE(store.Finalize(6, 4.0, "completed", ""), nullptr);
+  ASSERT_NE(store.Finalize(4, 5.0, "killed", "timeout"), nullptr);
+  std::vector<QueryId> recent;
+  for (const QueryProfile& p : store.RecentTerminal(10)) {
+    recent.push_back(p.id);
+  }
+  EXPECT_EQ(recent, (std::vector<QueryId>{6, 4}));
+  ASSERT_EQ(store.RecentTerminal(1).size(), 1u);
+  EXPECT_EQ(store.RecentTerminal(1)[0].id, 4u);
+}
+
+TEST(ProfileStore, ReusedSlotEqualsAFreshProfile) {
+  ProfileStore store(1);
+  store.Begin(1, "bi", QueryKind::kBiQuery, 0.0, /*journey=*/9);
+  store.OpenQueueWait(1, 0.0);
+  store.MarkDispatched(1, 1.0);
+  QueryOutcome outcome;
+  outcome.cpu_used = 2.0;
+  outcome.io_used = 30.0;
+  outcome.memory_granted_mb = 64.0;
+  outcome.lock_hold_seconds = 0.5;
+  outcome.spill_factor = 1.5;
+  outcome.buffer_hit_ratio = 0.7;
+  outcome.phases.cpu_run_seconds = 2.0;
+  outcome.phases.io_stall_seconds = 1.0;
+  store.AccumulateSegment(1, outcome);
+  store.CountRequeue(1);
+  store.CountSuspend(1);
+  store.OpenWait(1, Phase::kRetryBackoff, 4.0);
+  const QueryProfile* first =
+      store.Finalize(1, 5.0, "killed", "a detail long enough to allocate");
+  ASSERT_NE(first, nullptr);
+
+  store.Begin(2, "oltp", QueryKind::kOltpTransaction, 6.0);
+  const QueryProfile* reused = store.Find(2);
+  ASSERT_EQ(reused, first) << "the evicted profile's slot is reused";
+  ProfileStore fresh_store;
+  fresh_store.Begin(2, "oltp", QueryKind::kOltpTransaction, 6.0);
+  const QueryProfile* fresh = fresh_store.Find(2);
+  ASSERT_NE(fresh, nullptr);
+  EXPECT_EQ(reused->id, fresh->id);
+  EXPECT_EQ(reused->journey, fresh->journey);
+  EXPECT_EQ(reused->workload, fresh->workload);
+  EXPECT_EQ(reused->kind, fresh->kind);
+  EXPECT_EQ(reused->arrival_time, fresh->arrival_time);
+  EXPECT_EQ(reused->first_dispatch_time, fresh->first_dispatch_time);
+  EXPECT_EQ(reused->finish_time, fresh->finish_time);
+  EXPECT_EQ(reused->outcome, fresh->outcome);
+  EXPECT_EQ(reused->detail, fresh->detail);
+  EXPECT_EQ(reused->phase_seconds, fresh->phase_seconds);
+  EXPECT_EQ(reused->resources.cpu_seconds, fresh->resources.cpu_seconds);
+  EXPECT_EQ(reused->resources.io_ops, fresh->resources.io_ops);
+  EXPECT_EQ(reused->resources.peak_memory_mb,
+            fresh->resources.peak_memory_mb);
+  EXPECT_EQ(reused->resources.lock_hold_seconds,
+            fresh->resources.lock_hold_seconds);
+  EXPECT_EQ(reused->resources.spill_factor, fresh->resources.spill_factor);
+  EXPECT_EQ(reused->resources.buffer_hit_ratio,
+            fresh->resources.buffer_hit_ratio);
+  EXPECT_EQ(reused->run_segments, fresh->run_segments);
+  EXPECT_EQ(reused->suspend_count, fresh->suspend_count);
+  EXPECT_EQ(reused->requeue_count, fresh->requeue_count);
+  EXPECT_EQ(store.OpenSegment(2).phase, -1) << "no wait segment carried over";
+  EXPECT_EQ(store.RecentTerminal(8).size(), 0u);
 }
 
 TEST(ProfileStore, ExplainOutcomeVerdicts) {
@@ -1176,6 +1384,57 @@ struct OltpRun {
     rig->sim.RunUntil(15.0);
   }
 };
+
+// Each call site that used to snprintf a number keeps its exact text;
+// FormatTest checks the formatter itself against printf.
+TEST(ExportFormats, CallSitesKeepPrintfText) {
+  Simulation sim;
+  DatabaseEngine engine(&sim, TestEngineConfig());
+  Monitor monitor(&sim, &engine, 1.0);
+  Telemetry telemetry(&sim, &monitor);
+  telemetry.OnSubmit(1, 0, "oltp", QueryKind::kOltpTransaction);
+  telemetry.OnAdmitted(1);
+  telemetry.OnDispatch(1, 0, "oltp", nullptr);
+  telemetry.OnThrottle(1, 0, "oltp", 0.25);
+  QueryOutcome outcome;
+  outcome.id = 1;
+  outcome.cpu_used = 1.23456;
+  outcome.io_used = 12.5;  // a tie: printf's %.0f rounds it to even
+  outcome.spill_factor = 1.5;
+  outcome.buffer_hit_ratio = 0.255;
+  telemetry.OnTerminal(1, 0, "oltp", WlmEventType::kCompleted, 0.5, 0.0,
+                       outcome);
+  const QueryTrace* trace = telemetry.tracer().Find(1);
+  ASSERT_NE(trace, nullptr);
+  ASSERT_EQ(trace->SpansOfKind(SpanKind::kExecute).size(), 1u);
+  EXPECT_EQ(trace->SpansOfKind(SpanKind::kExecute)[0]->detail,
+            "outcome=completed cpu=1.235 io=12 spill=1.50 buffer_hit=0.26");
+  ASSERT_EQ(trace->instants.size(), 1u);
+  EXPECT_EQ(trace->instants[0].detail, "duty=0.250");
+  const std::vector<WlmEvent> throttled =
+      telemetry.event_log().OfType(WlmEventType::kThrottled);
+  ASSERT_EQ(throttled.size(), 1u);
+  EXPECT_EQ(throttled[0].detail, "duty=0.250000");
+
+  EventLog log;
+  log.Append({1234.56789, WlmEventType::kSubmitted, 7, "bi", ""});
+  log.Append({0.000012345, WlmEventType::kSubmitted, 8, "bi", ""});
+  std::ostringstream jsonl;
+  WriteEventLogJsonl(log, jsonl);
+  EXPECT_NE(jsonl.str().find("{\"time\":1234.57,"), std::string::npos);
+  EXPECT_NE(jsonl.str().find("{\"time\":1.2345e-05,"), std::string::npos);
+
+  FlightRecorder recorder;
+  ControllerStateSnapshot state;
+  state.time = 2.5;
+  state.cpu_utilization = 0.1234567;
+  recorder.Trigger("test", state, telemetry.profiles(), log);
+  std::ostringstream dump;
+  recorder.WriteJsonl(dump);
+  EXPECT_NE(dump.str().find("\"time\":2.500000,"), std::string::npos);
+  EXPECT_NE(dump.str().find("\"cpu_utilization\":0.123457,"),
+            std::string::npos);
+}
 
 TEST(TelemetryHandles, RegistryLookupsDoNotGrowWithQueries) {
   OltpRun light(500);
