@@ -71,6 +71,7 @@ Plan Optimizer::BuildPlan(const QuerySpec& spec) const {
       break;
   }
 
+  plan.operators.reserve(shape_len);
   for (size_t i = 0; i < shape_len; ++i) {
     PlanOperator op;
     op.type = shape[i].type;

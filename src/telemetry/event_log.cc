@@ -1,8 +1,5 @@
 #include "telemetry/event_log.h"
 
-#include <algorithm>
-#include <iterator>
-
 namespace wlm {
 
 const char* WlmEventTypeToString(WlmEventType type) {
@@ -61,58 +58,89 @@ const char* WlmEventTypeToString(WlmEventType type) {
 
 EventLog::EventLog(size_t max_events) : max_events_(max_events) {}
 
-void EventLog::Append(const WlmEvent& event) {
+EventLog::WorkloadRef EventLog::InternWorkload(std::string_view name) {
+  for (size_t ref = 0; ref < workloads_.size(); ++ref) {
+    if (workloads_[ref] == name) return static_cast<WorkloadRef>(ref);
+  }
+  workloads_.emplace_back(name);
+  return static_cast<WorkloadRef>(workloads_.size() - 1);
+}
+
+void EventLog::Append(double time, WlmEventType type, QueryId query,
+                      WorkloadRef workload, std::string_view detail) {
   ++total_;
   if (max_events_ == 0) return;
-  ++retained_by_type_[static_cast<size_t>(event.type)];
+  ++retained_by_type_[static_cast<size_t>(type)];
   size_t p;
   if (size_ < max_events_) {
     // Not full yet, so head_ is 0 and the ring has not wrapped.
-    if (size_ == allocated_) {
-      const size_t block = std::min(kBlockEvents, max_events_ - allocated_);
-      blocks_.push_back(std::make_unique<WlmEvent[]>(block));
-      allocated_ += block;
-    }
-    p = Physical(size_++);
+    p = size_++;
   } else {
     p = head_;
-    --retained_by_type_[static_cast<size_t>(Slot(p).type)];
+    const Record& evicted = records_.At(p);
+    --retained_by_type_[evicted.type];
+    if (evicted.text != kNoText) {
+      text_head_ = Wrap(text_head_ + 1);
+      --text_size_;
+    }
     head_ = Physical(1);
   }
-  Slot(p) = event;
+  Record& record = records_.Write(p, max_events_);
+  record = {time, query, kNoText, workload, static_cast<uint8_t>(type)};
+  if (!detail.empty()) {
+    // At most one text per retained event, so the text ring never fills
+    // past the event ring.
+    const size_t t = Wrap(text_head_ + text_size_++);
+    texts_.Write(t, max_events_).assign(detail);
+    record.text = static_cast<uint32_t>(t);
+  }
+}
+
+void EventLog::Append(const WlmEvent& event) {
+  Append(event.time, event.type, event.query, InternWorkload(event.workload),
+         event.detail);
 }
 
 void EventLog::Clear() {
   head_ = 0;
   size_ = 0;
+  text_head_ = 0;
+  text_size_ = 0;
   retained_by_type_.fill(0);
+}
+
+WlmEvent EventLog::Render(const Record& r) const {
+  return {r.time, static_cast<WlmEventType>(r.type), r.query,
+          workloads_[r.workload], std::string(Detail(r))};
 }
 
 std::vector<WlmEvent> EventLog::OfType(WlmEventType type) const {
   std::vector<WlmEvent> out;
   out.reserve(static_cast<size_t>(CountOf(type)));
-  for (const WlmEvent& event : events()) {
-    if (event.type == type) out.push_back(event);
+  for (size_t i = 0; i < size_; ++i) {
+    const Record& r = records_.At(Physical(i));
+    if (r.type == static_cast<uint8_t>(type)) out.push_back(Render(r));
   }
   return out;
 }
 
 std::vector<WlmEvent> EventLog::ForQuery(QueryId id) const {
   std::vector<WlmEvent> out;
-  for (const WlmEvent& event : events()) {
-    if (event.query == id) out.push_back(event);
+  for (size_t i = 0; i < size_; ++i) {
+    const Record& r = records_.At(Physical(i));
+    if (r.query == id) out.push_back(Render(r));
   }
   return out;
 }
 
 std::vector<WlmEvent> EventLog::InWindow(double begin, double end) const {
-  const auto window = events();
-  const auto lo = std::ranges::lower_bound(window, begin, {}, &WlmEvent::time);
-  const auto hi =
-      std::ranges::lower_bound(lo, window.end(), end, {}, &WlmEvent::time);
+  const auto positions = std::views::iota(size_t{0}, size_);
+  const auto time = [this](size_t i) { return records_.At(Physical(i)).time; };
+  const auto lo = std::ranges::lower_bound(positions, begin, {}, time);
+  const auto hi = std::ranges::lower_bound(lo, positions.end(), end, {}, time);
   std::vector<WlmEvent> out;
   out.reserve(static_cast<size_t>(hi - lo));
-  std::ranges::copy(lo, hi, std::back_inserter(out));
+  for (auto it = lo; it != hi; ++it) out.push_back(Render(*it));
   return out;
 }
 

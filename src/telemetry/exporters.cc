@@ -1,6 +1,7 @@
 #include "telemetry/exporters.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -22,13 +23,17 @@ void WriteEvent(std::ostream& out, bool& first, const std::string& json) {
   out << json;
 }
 
+template <typename Int>
+void AppendInt(std::string& out, Int value) {
+  char buf[24];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), value);
+  out.append(buf, result.ptr);
+}
+
 std::string FormatDouble(double value) { return FormatGeneral(value, 6); }
 
-}  // namespace
-
-std::string JsonEscape(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
+/// Appends `value` escaped as JsonEscape does.
+void AppendJsonEscaped(std::string& out, std::string_view value) {
   for (char c : value) {
     switch (c) {
       case '"':
@@ -56,6 +61,14 @@ std::string JsonEscape(const std::string& value) {
         }
     }
   }
+}
+
+}  // namespace
+
+std::string JsonEscape(std::string_view value) {
+  std::string out;
+  out.reserve(value.size());
+  AppendJsonEscaped(out, value);
   return out;
 }
 
@@ -70,15 +83,20 @@ void WriteChromeTrace(const Tracer& tracer, std::ostream& out,
              R"({"name":"process_name","ph":"M","pid":2,"tid":0,)"
              R"("args":{"name":"wlm phases"}})");
 
+  // Each event, and each span or instant text, is rendered into a buffer
+  // reused for the whole export.
+  std::string json;
+  std::string text;
   for (const QueryTrace* trace : tracer.Traces()) {
-    std::string thread = R"({"name":"thread_name","ph":"M","pid":1,"tid":)";
-    thread += std::to_string(trace->tid);
-    thread += R"(,"args":{"name":"q)";
-    thread += std::to_string(trace->id);
-    thread += " [";
-    thread += JsonEscape(trace->workload);
-    thread += R"(]"}})";
-    WriteEvent(out, first, thread);
+    const std::string category = JsonEscape(trace->workload);
+    json.assign(R"({"name":"thread_name","ph":"M","pid":1,"tid":)");
+    AppendInt(json, trace->tid);
+    json += R"(,"args":{"name":"q)";
+    AppendInt(json, trace->id);
+    json += " [";
+    json += category;
+    json += R"(]"}})";
+    WriteEvent(out, first, json);
 
     for (const Span& span : trace->spans) {
       const double end = span.open() ? span.start : span.end;
@@ -86,45 +104,50 @@ void WriteChromeTrace(const Tracer& tracer, std::ostream& out,
       // windows on the query's own track, so they render as a parallel
       // "phase lane" process where each query still keeps its tid.
       const bool phase = span.kind == SpanKind::kPhase;
-      std::string json = "{\"name\":\"";
-      if (phase && !span.detail.empty()) {
-        json += JsonEscape(span.detail);
+      text.clear();
+      trace->AppendDetail(text, span);
+      json.assign("{\"name\":\"");
+      if (phase && !text.empty()) {
+        AppendJsonEscaped(json, text);
       } else {
         json += SpanKindToString(span.kind);
       }
       json += "\",\"cat\":\"";
-      json += JsonEscape(trace->workload);
+      json += category;
       json += "\",\"ph\":\"X\",\"ts\":";
-      json += std::to_string(ToMicros(span.start));
+      AppendInt(json, ToMicros(span.start));
       json += ",\"dur\":";
-      json += std::to_string(
-          std::max(0LL, ToMicros(end) - ToMicros(span.start)));
+      AppendInt(json, std::max(0LL, ToMicros(end) - ToMicros(span.start)));
       json += phase ? ",\"pid\":2,\"tid\":" : ",\"pid\":1,\"tid\":";
-      json += std::to_string(trace->tid);
+      AppendInt(json, trace->tid);
       json += ",\"args\":{\"query\":";
-      json += std::to_string(trace->id);
-      if (!span.detail.empty()) {
+      AppendInt(json, trace->id);
+      if (!text.empty()) {
         json += ",\"detail\":\"";
-        json += JsonEscape(span.detail);
+        AppendJsonEscaped(json, text);
         json += '"';
       }
       json += "}}";
       WriteEvent(out, first, json);
     }
     for (const TraceInstant& instant : trace->instants) {
-      std::string json = "{\"name\":\"";
-      json += JsonEscape(instant.name);
+      text.clear();
+      trace->AppendText(text, instant.name);
+      json.assign("{\"name\":\"");
+      AppendJsonEscaped(json, text);
       json += "\",\"cat\":\"";
-      json += JsonEscape(trace->workload);
+      json += category;
       json += "\",\"ph\":\"X\",\"ts\":";
-      json += std::to_string(ToMicros(instant.time));
+      AppendInt(json, ToMicros(instant.time));
       json += ",\"dur\":0,\"pid\":1,\"tid\":";
-      json += std::to_string(trace->tid);
+      AppendInt(json, trace->tid);
       json += ",\"args\":{\"query\":";
-      json += std::to_string(trace->id);
-      if (!instant.detail.empty()) {
+      AppendInt(json, trace->id);
+      if (instant.detail != 0) {
+        text.clear();
+        trace->AppendText(text, instant.detail);
         json += ",\"detail\":\"";
-        json += JsonEscape(instant.detail);
+        AppendJsonEscaped(json, text);
         json += '"';
       }
       json += "}}";
@@ -135,10 +158,10 @@ void WriteChromeTrace(const Tracer& tracer, std::ostream& out,
   if (monitor != nullptr) {
     for (const auto& [name, series] : monitor->all_series()) {
       for (const TimePoint& point : series.points()) {
-        std::string json = "{\"name\":\"";
-        json += JsonEscape(name);
+        json.assign("{\"name\":\"");
+        AppendJsonEscaped(json, name);
         json += "\",\"ph\":\"C\",\"ts\":";
-        json += std::to_string(ToMicros(point.time));
+        AppendInt(json, ToMicros(point.time));
         json += ",\"pid\":1,\"args\":{\"value\":";
         json += FormatDouble(point.value);
         json += "}}";
@@ -174,13 +197,22 @@ void WriteSeriesCsv(const Monitor& monitor, std::ostream& out) {
 }
 
 void WriteEventLogJsonl(const EventLog& log, std::ostream& out) {
-  for (const WlmEvent& event : log.events()) {
-    out << "{\"time\":" << FormatDouble(event.time) << ",\"type\":\""
-        << WlmEventTypeToString(event.type)
-        << "\",\"query\":" << event.query << ",\"workload\":\""
-        << JsonEscape(event.workload) << "\",\"detail\":\""
-        << JsonEscape(event.detail) << "\"}\n";
-  }
+  std::string line;  // reused for every event
+  log.ForEach([&](double time, WlmEventType type, QueryId query,
+                  std::string_view workload, std::string_view detail) {
+    line.assign("{\"time\":");
+    line += FormatDouble(time);
+    line += ",\"type\":\"";
+    line += WlmEventTypeToString(type);
+    line += "\",\"query\":";
+    AppendInt(line, query);
+    line += ",\"workload\":\"";
+    AppendJsonEscaped(line, workload);
+    line += "\",\"detail\":\"";
+    AppendJsonEscaped(line, detail);
+    line += "\"}\n";
+    out << line;
+  });
 }
 
 }  // namespace wlm

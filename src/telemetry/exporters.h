@@ -2,6 +2,8 @@
 #define WLM_TELEMETRY_EXPORTERS_H_
 
 #include <ostream>
+#include <string>
+#include <string_view>
 
 #include "engine/monitor.h"
 #include "telemetry/event_log.h"
@@ -33,7 +35,7 @@ void WriteSeriesCsv(const Monitor& monitor, std::ostream& out);
 void WriteEventLogJsonl(const EventLog& log, std::ostream& out);
 
 /// Escapes a string for inclusion in a JSON string literal (no quotes).
-std::string JsonEscape(const std::string& value);
+std::string JsonEscape(std::string_view value);
 
 }  // namespace wlm
 

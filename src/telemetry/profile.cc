@@ -190,19 +190,23 @@ void ProfileStore::CountSuspend(QueryId id) {
   if (entry != nullptr) ++entry->profile.suspend_count;
 }
 
-const QueryProfile* ProfileStore::Finalize(QueryId id, double now,
-                                           const std::string& outcome,
-                                           const std::string& detail) {
+const QueryProfile* ProfileStore::Finalize(QueryId id, WorkloadId workload_id,
+                                           double now,
+                                           std::string_view outcome,
+                                           std::string_view detail) {
   Entry* entry = profiles_.Find(id);
   if (entry == nullptr || entry->profile.terminal()) return nullptr;
   SettleEntry(entry, now);
   QueryProfile& p = entry->profile;
   p.finish_time = now;
-  p.outcome = outcome;
-  p.detail = detail;
+  p.outcome.assign(outcome);
+  p.detail.assign(detail);
   profiles_.Finish(id);
 
-  ClassProfileRollup& rollup = rollups_[p.workload];
+  if (workload_id >= rollups_.size()) rollups_.resize(workload_id + 1);
+  NamedRollup& named = rollups_[workload_id];
+  if (named.rollup.count == 0) named.workload = p.workload;
+  ClassProfileRollup& rollup = named.rollup;
   ++rollup.count;
   for (size_t i = 0; i < kPhaseCount; ++i) {
     rollup.phase_seconds[i] += p.phase_seconds[i];
@@ -217,6 +221,14 @@ const QueryProfile* ProfileStore::Finalize(QueryId id, double now,
   rollup.resources.buffer_hit_ratio =
       std::max(rollup.resources.buffer_hit_ratio, p.resources.buffer_hit_ratio);
   return &p;
+}
+
+std::map<std::string, ClassProfileRollup> ProfileStore::rollups() const {
+  std::map<std::string, ClassProfileRollup> out;
+  for (const NamedRollup& named : rollups_) {
+    if (named.rollup.count > 0) out.emplace(named.workload, named.rollup);
+  }
+  return out;
 }
 
 const QueryProfile* ProfileStore::Find(QueryId id) const {

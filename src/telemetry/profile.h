@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "engine/types.h"
@@ -149,11 +150,11 @@ class ProfileStore {
   void CountRequeue(QueryId id);
   void CountSuspend(QueryId id);
   /// Terminal: settles any open segment, stamps the outcome and rolls the
-  /// profile into its class rollup. Returns the finalized profile
-  /// (nullptr when `id` is unknown).
-  const QueryProfile* Finalize(QueryId id, double now,
-                               const std::string& outcome,
-                               const std::string& detail);
+  /// profile into the rollup of `workload_id` (one id per service class).
+  /// Returns the finalized profile (nullptr when `id` is unknown).
+  const QueryProfile* Finalize(QueryId id, WorkloadId workload_id, double now,
+                               std::string_view outcome,
+                               std::string_view detail);
 
   const QueryProfile* Find(QueryId id) const;
   /// Open wait segment of `id`; phase -1 when none is open. Lets the
@@ -164,9 +165,8 @@ class ProfileStore {
   /// Copies of the newest `n` retained terminal profiles, oldest first
   /// (finalize order).
   std::vector<QueryProfile> RecentTerminal(size_t n) const;
-  const std::map<std::string, ClassProfileRollup>& rollups() const {
-    return rollups_;
-  }
+  /// Rollups by service-class name.
+  std::map<std::string, ClassProfileRollup> rollups() const;
   size_t size() const { return profiles_.size(); }
   int64_t evicted() const { return profiles_.evicted(); }
   bool queue_lifo() const { return queue_lifo_; }
@@ -183,10 +183,15 @@ class ProfileStore {
   /// public Settle would pay on the per-query hot path).
   void SettleEntry(Entry* entry, double now);
 
+  struct NamedRollup {
+    std::string workload;
+    ClassProfileRollup rollup;
+  };
+
   int64_t next_order_ = 0;
   bool queue_lifo_ = false;
   RecordSlots<Entry> profiles_;
-  std::map<std::string, ClassProfileRollup> rollups_;
+  std::vector<NamedRollup> rollups_;  // indexed by WorkloadId
 };
 
 }  // namespace wlm

@@ -7,6 +7,16 @@
 
 namespace wlm {
 
+namespace {
+
+/// A phase tile's name.
+TraceText PhaseText(Phase phase) {
+  return static_cast<TraceText>(static_cast<size_t>(TraceText::kPhase) +
+                                static_cast<size_t>(phase));
+}
+
+}  // namespace
+
 const char* SyntheticTrackName(SyntheticTrack track) {
   switch (track) {
     case SyntheticTrack::kFaults:
@@ -116,9 +126,20 @@ Telemetry::WorkloadHandles& Telemetry::Handles(WorkloadId workload_id) {
 
 double Telemetry::Now() const { return sim_->Now(); }
 
-void Telemetry::Log(WlmEventType type, QueryId query,
-                    const std::string& workload, std::string detail) {
-  event_log_.Append({Now(), type, query, workload, std::move(detail)});
+void Telemetry::Log(WlmEventType type, QueryId query, WorkloadId workload_id,
+                    const std::string& workload, std::string_view detail) {
+  if (workload_id >= log_workloads_.size()) {
+    log_workloads_.resize(workload_id + 1, kUnlogged);
+  }
+  EventLog::WorkloadRef& ref = log_workloads_[workload_id];
+  if (ref == kUnlogged) ref = event_log_.InternWorkload(workload);
+  event_log_.Append(Now(), type, query, ref, detail);
+}
+
+void Telemetry::LogNamed(WlmEventType type, QueryId query,
+                         std::string_view workload, std::string_view detail) {
+  event_log_.Append(Now(), type, query, event_log_.InternWorkload(workload),
+                    detail);
 }
 
 QueryId Telemetry::Track(SyntheticTrack track, double now) {
@@ -131,7 +152,7 @@ void Telemetry::TileWait(QueryId id, ProfileStore::WaitSegment segment,
                          double now) {
   if (segment.phase >= 0 && now > segment.start) {
     tracer_.AddClosedSpan(id, SpanKind::kPhase, segment.start, now,
-                          PhaseToString(static_cast<Phase>(segment.phase)));
+                          PhaseText(static_cast<Phase>(segment.phase)));
   }
 }
 
@@ -148,7 +169,7 @@ void Telemetry::WatchSlos(const std::string& workload,
 void Telemetry::OnSubmit(QueryId id, WorkloadId workload_id,
                          const std::string& workload, QueryKind kind,
                          uint64_t journey) {
-  Log(WlmEventType::kSubmitted, id, workload);
+  Log(WlmEventType::kSubmitted, id, workload_id, workload);
   if (!enabled_) return;
   tracer_.GetOrCreate(id, workload, kind, Now());
   if (profiling_) profiles_.Begin(id, workload, kind, Now(), journey);
@@ -163,7 +184,7 @@ void Telemetry::OnSubmit(QueryId id, WorkloadId workload_id,
 void Telemetry::OnAdmitted(QueryId id) {
   if (!enabled_) return;
   const double now = Now();
-  tracer_.AddClosedSpan(id, SpanKind::kAdmit, now, now, "admitted");
+  tracer_.AddClosedSpan(id, SpanKind::kAdmit, now, now, TraceText::kAdmitted);
   tracer_.OpenSpan(id, SpanKind::kQueue, now);
   if (profiling_) profiles_.OpenQueueWait(id, now);
 }
@@ -172,7 +193,7 @@ void Telemetry::OnRejected(QueryId id, WorkloadId workload_id,
                            const std::string& workload,
                            const std::string& gate,
                            const std::string& reason) {
-  Log(WlmEventType::kRejected, id, workload, reason);
+  Log(WlmEventType::kRejected, id, workload_id, workload, reason);
   if (!enabled_) return;
   const double now = Now();
   tracer_.AddClosedSpan(id, SpanKind::kAdmit, now, now,
@@ -190,12 +211,14 @@ void Telemetry::OnRejected(QueryId id, WorkloadId workload_id,
 
 void Telemetry::OnRequeued(QueryId id, WorkloadId workload_id,
                            const std::string& workload, const char* reason) {
-  if (reason != nullptr) Log(WlmEventType::kResubmitted, id, workload, reason);
+  if (reason != nullptr) {
+    Log(WlmEventType::kResubmitted, id, workload_id, workload, reason);
+  }
   if (!enabled_) return;
   const double now = Now();
   // A kill/deadlock resubmission interrupts the running segment.
-  tracer_.CloseExecutionSegment(id, now, "outcome=resubmitted");
-  tracer_.OpenSpan(id, SpanKind::kQueue, now, "resubmit");
+  tracer_.CloseExecutionSegment(id, now, TraceText::kOutcomeResubmitted);
+  tracer_.OpenSpan(id, SpanKind::kQueue, now, TraceText::kResubmit);
   if (profiling_) {
     // A fault retry arrives here from backoff limbo: tile that wait.
     TileOpenWait(id, now);
@@ -228,12 +251,13 @@ void Telemetry::OnDispatch(QueryId id, WorkloadId workload_id,
                            const char* resumed_strategy) {
   const bool resumed = resumed_strategy != nullptr;
   Log(resumed ? WlmEventType::kResumed : WlmEventType::kDispatched, id,
-      workload, resumed ? resumed_strategy : "");
+      workload_id, workload, resumed ? resumed_strategy : "");
   if (!enabled_) return;
   const double now = Now();
   tracer_.CloseSpan(id, resumed ? SpanKind::kSuspendedWait : SpanKind::kQueue,
                     now);
-  tracer_.OpenSpan(id, SpanKind::kExecute, now, resumed ? "resumed" : "");
+  tracer_.OpenSpan(id, SpanKind::kExecute, now,
+                   resumed ? TraceText::kResumed : TraceText::kNone);
   if (profiling_) {
     // Settle the wait that just ended (admission/overload queue or
     // suspended wait) into the profile, then tile it.
@@ -256,11 +280,11 @@ void Telemetry::OnSuspendStart(QueryId id, const char* strategy) {
 
 void Telemetry::OnSuspended(QueryId id, WorkloadId workload_id,
                             const std::string& workload) {
-  Log(WlmEventType::kSuspended, id, workload);
+  Log(WlmEventType::kSuspended, id, workload_id, workload);
   if (!enabled_) return;
   const double now = Now();
   tracer_.CloseSpan(id, SpanKind::kSuspendFlush, now);
-  tracer_.CloseExecutionSegment(id, now, "outcome=suspended");
+  tracer_.CloseExecutionSegment(id, now, TraceText::kOutcomeSuspended);
   tracer_.OpenSpan(id, SpanKind::kSuspendedWait, now);
   if (profiling_) {
     profiles_.CountSuspend(id);
@@ -284,10 +308,13 @@ void Telemetry::OnTerminal(QueryId id, WorkloadId workload_id,
                            const std::string& workload, WlmEventType terminal,
                            double response_seconds, double queue_wait_seconds,
                            const QueryOutcome& outcome) {
-  Log(terminal, id, workload,
+  Log(terminal, id, workload_id, workload,
       terminal == WlmEventType::kAborted ? "deadlock victim" : "");
   if (!enabled_) return;
   const char* outcome_name = WlmEventTypeToString(terminal);
+  const size_t slot = terminal == WlmEventType::kCompleted ? 0
+                      : terminal == WlmEventType::kKilled  ? 1
+                                                           : 2;
   const double now = Now();
   if (outcome.lock_wait_seconds > 0.0) {
     tracer_.AddClosedSpan(
@@ -300,25 +327,17 @@ void Telemetry::OnTerminal(QueryId id, WorkloadId workload_id,
     }
     lock_wait->Observe(outcome.lock_wait_seconds);
   }
-  std::string& detail = segment_detail_;
-  detail.assign("outcome=");
-  detail += outcome_name;
-  detail += " cpu=";
-  AppendFixed(detail, outcome.cpu_used, 3);
-  detail += " io=";
-  AppendFixed(detail, outcome.io_used, 0);
-  detail += " spill=";
-  AppendFixed(detail, outcome.spill_factor, 2);
-  detail += " buffer_hit=";
-  AppendFixed(detail, outcome.buffer_hit_ratio, 2);
-  tracer_.CloseExecutionSegment(id, now, detail);
+  static constexpr TraceText kOutcomeTexts[] = {
+      TraceText::kOutcomeCompleted, TraceText::kOutcomeKilled,
+      TraceText::kOutcomeAborted};
+  tracer_.CloseExecutionSegment(
+      id, now,
+      TraceOutcome{kOutcomeTexts[slot], outcome.cpu_used, outcome.io_used,
+                   outcome.spill_factor, outcome.buffer_hit_ratio});
   tracer_.FinishTrace(id, now);
-  FinalizeProfile(id, workload_id, workload, outcome_name, "");
+  FinalizeProfile(id, workload_id, workload, outcome_name, {});
 
   WorkloadHandles& handles = Handles(workload_id);
-  const size_t slot = terminal == WlmEventType::kCompleted ? 0
-                      : terminal == WlmEventType::kKilled  ? 1
-                                                           : 2;
   Counter*& outcomes = handles.terminal[slot];
   if (outcomes == nullptr) {
     outcomes = &metrics_.GetCounter(
@@ -338,7 +357,8 @@ void Telemetry::OnTerminal(QueryId id, WorkloadId workload_id,
 
 void Telemetry::OnThrottle(QueryId id, WorkloadId workload_id,
                            const std::string& workload, double duty) {
-  Log(WlmEventType::kThrottled, id, workload, "duty=" + FormatFixed(duty, 6));
+  Log(WlmEventType::kThrottled, id, workload_id, workload,
+      "duty=" + FormatFixed(duty, 6));
   if (!enabled_) return;
   const double now = Now();
   const std::string detail = "duty=" + FormatFixed(duty, 3);
@@ -347,7 +367,7 @@ void Telemetry::OnThrottle(QueryId id, WorkloadId workload_id,
   if (duty < 1.0) {
     tracer_.OpenSpan(id, SpanKind::kThrottle, now, detail);
   }
-  tracer_.Instant(id, "throttle", now, detail);
+  tracer_.Instant(id, TraceText::kThrottle, now, detail);
   Counter*& throttles = Handles(workload_id).throttles;
   if (throttles == nullptr) {
     throttles = &metrics_.GetCounter("wlm_throttle_changes_total",
@@ -358,7 +378,8 @@ void Telemetry::OnThrottle(QueryId id, WorkloadId workload_id,
 
 void Telemetry::OnPause(QueryId id, WorkloadId workload_id,
                         const std::string& workload, double seconds) {
-  Log(WlmEventType::kPaused, id, workload, FormatFixed(seconds, 6) + "s");
+  Log(WlmEventType::kPaused, id, workload_id, workload,
+      FormatFixed(seconds, 6) + "s");
   if (!enabled_) return;
   const double now = Now();
   const std::string detail = "seconds=" + FormatFixed(seconds, 3);
@@ -376,9 +397,9 @@ void Telemetry::OnPause(QueryId id, WorkloadId workload_id,
 void Telemetry::OnReprioritize(QueryId id, WorkloadId workload_id,
                                const std::string& workload,
                                const char* priority) {
-  Log(WlmEventType::kReprioritized, id, workload, priority);
+  Log(WlmEventType::kReprioritized, id, workload_id, workload, priority);
   if (!enabled_) return;
-  tracer_.Instant(id, "reprioritize", Now(),
+  tracer_.Instant(id, TraceText::kReprioritize, Now(),
                   std::string("priority=") + priority);
   Counter*& reprioritizations = Handles(workload_id).reprioritizations;
   if (reprioritizations == nullptr) {
@@ -390,13 +411,14 @@ void Telemetry::OnReprioritize(QueryId id, WorkloadId workload_id,
 
 void Telemetry::OnFaultBegin(const std::string& kind,
                              const std::string& detail) {
-  Log(WlmEventType::kFaultInjected, SyntheticTrackId(SyntheticTrack::kFaults),
-      SyntheticTrackName(SyntheticTrack::kFaults),
-      detail.empty() ? kind : kind + " " + detail);
+  LogNamed(WlmEventType::kFaultInjected,
+           SyntheticTrackId(SyntheticTrack::kFaults),
+           SyntheticTrackName(SyntheticTrack::kFaults),
+           detail.empty() ? kind : kind + " " + detail);
   if (!enabled_) return;
   const double now = Now();
   const QueryId track = Track(SyntheticTrack::kFaults, now);
-  tracer_.Instant(track, "fault_begin", now, kind + " " + detail);
+  tracer_.Instant(track, TraceText::kFaultBegin, now, kind + " " + detail);
   metrics_.GetCounter("wlm_faults_injected_total", {{"kind", kind}})
       .Increment();
   metrics_.GetGauge("wlm_faults_active").Add(1.0);
@@ -407,12 +429,13 @@ void Telemetry::OnFaultEnd(const std::string& kind, double started_at) {
   const double now = Now();
   char window[64];
   std::snprintf(window, sizeof(window), "window=%.3fs", now - started_at);
-  Log(WlmEventType::kFaultRecovered, SyntheticTrackId(SyntheticTrack::kFaults),
-      SyntheticTrackName(SyntheticTrack::kFaults), kind + " " + window);
+  LogNamed(WlmEventType::kFaultRecovered,
+           SyntheticTrackId(SyntheticTrack::kFaults),
+           SyntheticTrackName(SyntheticTrack::kFaults), kind + " " + window);
   if (!enabled_) return;
   const QueryId track = Track(SyntheticTrack::kFaults, now);
   tracer_.AddClosedSpan(track, SpanKind::kFault, started_at, now, kind);
-  tracer_.Instant(track, "fault_end", now, kind);
+  tracer_.Instant(track, TraceText::kFaultEnd, now, kind);
   metrics_.GetCounter("wlm_faults_recovered_total", {{"kind", kind}})
       .Increment();
   metrics_.GetGauge("wlm_faults_active").Add(-1.0);
@@ -423,8 +446,8 @@ void Telemetry::OnFaultAbort(QueryId id, WorkloadId workload_id,
                              const std::string& reason) {
   if (!enabled_) return;
   const double now = Now();
-  tracer_.Instant(id, "fault_abort", now, reason);
-  tracer_.CloseExecutionSegment(id, now, "outcome=fault_abort");
+  tracer_.Instant(id, TraceText::kFaultAbort, now, reason);
+  tracer_.CloseExecutionSegment(id, now, TraceText::kOutcomeFaultAbort);
   Counter*& aborts = Handles(workload_id).fault_aborts;
   if (aborts == nullptr) {
     aborts = &metrics_.GetCounter("wlm_faults_aborts_total",
@@ -437,9 +460,10 @@ void Telemetry::OnFaultRetry(QueryId id, WorkloadId workload_id,
                              const std::string& workload,
                              double delay_seconds) {
   const std::string detail = "backoff=" + FormatFixed(delay_seconds, 3) + "s";
-  Log(WlmEventType::kResubmitted, id, workload, "fault retry " + detail);
+  Log(WlmEventType::kResubmitted, id, workload_id, workload,
+      "fault retry " + detail);
   if (!enabled_) return;
-  tracer_.Instant(id, "fault_retry", Now(), detail);
+  tracer_.Instant(id, TraceText::kFaultRetry, Now(), detail);
   if (profiling_) profiles_.OpenWait(id, Phase::kRetryBackoff, Now());
   Counter*& retries = Handles(workload_id).fault_retries;
   if (retries == nullptr) {
@@ -457,11 +481,11 @@ void Telemetry::SetDegraded(bool degraded) {
 void Telemetry::OnShed(QueryId id, WorkloadId workload_id,
                        const std::string& workload,
                        const std::string& reason) {
-  Log(WlmEventType::kShed, id, workload, reason);
+  Log(WlmEventType::kShed, id, workload_id, workload, reason);
   if (!enabled_) return;
   const double now = Now();
   tracer_.CloseSpan(id, SpanKind::kQueue, now, " shed=" + reason);
-  tracer_.Instant(id, "shed", now, reason);
+  tracer_.Instant(id, TraceText::kShed, now, reason);
   tracer_.FinishTrace(id, now);
   if (profiling_) TileOpenWait(id, now);
   FinalizeProfile(id, workload_id, workload, "shed", reason);
@@ -476,9 +500,9 @@ void Telemetry::OnShed(QueryId id, WorkloadId workload_id,
 void Telemetry::OnRetryDenied(QueryId id, WorkloadId workload_id,
                               const std::string& workload,
                               const std::string& reason) {
-  Log(WlmEventType::kRetryDenied, id, workload, reason);
+  Log(WlmEventType::kRetryDenied, id, workload_id, workload, reason);
   if (!enabled_) return;
-  tracer_.Instant(id, "retry_denied", Now(), reason);
+  tracer_.Instant(id, TraceText::kRetryDenied, Now(), reason);
   Counter*& denied = Handles(workload_id).retry_denied.For(reason);
   if (denied == nullptr) {
     denied = &metrics_.GetCounter(
@@ -495,16 +519,18 @@ void Telemetry::OnBreakerTransition(const std::string& workload, int state,
                                              WlmEventType::kBreakerHalfOpen,
                                              WlmEventType::kBreakerTripped};
   static constexpr const char* kNames[] = {"closed", "half_open", "open"};
+  static constexpr TraceText kInstants[] = {TraceText::kBreakerClosed,
+                                            TraceText::kBreakerHalfOpen,
+                                            TraceText::kBreakerOpen};
   constexpr int kOpen = 2;
-  Log(kEvents[state], SyntheticTrackId(SyntheticTrack::kOverload),
-      workload.empty() ? SyntheticTrackName(SyntheticTrack::kOverload)
-                       : workload,
-      detail);
+  LogNamed(kEvents[state], SyntheticTrackId(SyntheticTrack::kOverload),
+           workload.empty() ? SyntheticTrackName(SyntheticTrack::kOverload)
+                            : std::string_view(workload),
+           detail);
   if (!enabled_) return;
   const double now = Now();
   const QueryId track = Track(SyntheticTrack::kOverload, now);
-  tracer_.Instant(track, std::string("breaker_") + kNames[state], now,
-                  workload + " " + detail);
+  tracer_.Instant(track, kInstants[state], now, workload + " " + detail);
   if (state == kOpen) {
     breaker_opened_at_[workload] = now;
   } else if (auto it = breaker_opened_at_.find(workload);
@@ -526,9 +552,9 @@ void Telemetry::OnBreakerTransition(const std::string& workload, int state,
 void Telemetry::OnBrownoutStep(int level, const std::string& detail) {
   char line[64];
   std::snprintf(line, sizeof(line), "level=%d %s", level, detail.c_str());
-  Log(WlmEventType::kBrownoutStepped,
-      SyntheticTrackId(SyntheticTrack::kOverload),
-      SyntheticTrackName(SyntheticTrack::kOverload), line);
+  LogNamed(WlmEventType::kBrownoutStepped,
+           SyntheticTrackId(SyntheticTrack::kOverload),
+           SyntheticTrackName(SyntheticTrack::kOverload), line);
   if (!enabled_) return;
   const double now = Now();
   const QueryId track = Track(SyntheticTrack::kOverload, now);
@@ -539,7 +565,7 @@ void Telemetry::OnBrownoutStep(int level, const std::string& detail) {
   if (level == 0 && brownout_entered_at_ >= 0.0) {
     // Episode over: record the whole brownout window as one span.
     tracer_.AddClosedSpan(track, SpanKind::kOverload, brownout_entered_at_,
-                          now, "brownout");
+                          now, TraceText::kBrownout);
     brownout_entered_at_ = -1.0;
   }
   metrics_.GetGauge("wlm_overload_brownout_level")
@@ -551,7 +577,7 @@ void Telemetry::OnQueueDiscipline(bool lifo) {
   if (!enabled_) return;
   const double now = Now();
   tracer_.Instant(Track(SyntheticTrack::kOverload, now),
-                  lifo ? "queue_lifo" : "queue_fifo", now);
+                  lifo ? TraceText::kQueueLifo : TraceText::kQueueFifo, now);
   metrics_.GetGauge("wlm_overload_queue_lifo").Set(lifo ? 1.0 : 0.0);
   if (profiling_) profiles_.SetQueueDiscipline(lifo, now);
 }
@@ -599,7 +625,8 @@ void Telemetry::SetWorkloadOccupancy(WorkloadId workload_id,
 void Telemetry::OnEscalation(QueryId id, WorkloadId workload_id,
                              const std::string& workload, const char* rung) {
   if (!enabled_) return;
-  tracer_.Instant(id, "escalate", Now(), std::string("rung=") + rung);
+  tracer_.Instant(id, TraceText::kEscalate, Now(),
+                  std::string("rung=") + rung);
   Counter*& escalations = Handles(workload_id).escalations.For(rung);
   if (escalations == nullptr) {
     escalations = &metrics_.GetCounter(
@@ -637,10 +664,11 @@ ControllerStateSnapshot Telemetry::ControllerState() const {
 
 void Telemetry::FinalizeProfile(QueryId id, WorkloadId workload_id,
                                 const std::string& workload,
-                                const std::string& outcome,
-                                const std::string& detail) {
+                                std::string_view outcome,
+                                std::string_view detail) {
   if (!profiling_) return;
-  const QueryProfile* profile = profiles_.Finalize(id, Now(), outcome, detail);
+  const QueryProfile* profile =
+      profiles_.Finalize(id, workload_id, Now(), outcome, detail);
   if (profile == nullptr) return;
   std::array<Counter*, kPhaseCount>& phases = Handles(workload_id).phases;
   for (size_t i = 0; i < kPhaseCount; ++i) {
@@ -673,11 +701,9 @@ void Telemetry::AddPhaseTiles(QueryId id, double start,
   double cursor = start;
   for (const auto& [phase, seconds] : tiles) {
     if (seconds <= 0.0) continue;
-    Span& span = batch[count++];
-    span.kind = SpanKind::kPhase;
-    span.start = cursor;
-    span.end = cursor + seconds;
-    span.detail = PhaseToString(phase);
+    batch[count++] = {SpanKind::kPhase,
+                      static_cast<TextRef>(PhaseText(phase)), 0, cursor,
+                      cursor + seconds};
     cursor += seconds;
   }
   if (count > 0) tracer_.AddClosedSpans(id, batch, count);

@@ -256,9 +256,15 @@ class Telemetry {
   WorkloadHandles& Handles(WorkloadId workload_id);
 
   double Now() const;
-  /// Appends one control-plane event at the current sim time.
-  void Log(WlmEventType type, QueryId query, const std::string& workload,
-           std::string detail = std::string());
+  /// Appends one control-plane event of a workload's request at the
+  /// current sim time. The workload's name is interned in the log once per
+  /// id, so the append compares no strings.
+  void Log(WlmEventType type, QueryId query, WorkloadId workload_id,
+           const std::string& workload, std::string_view detail = {});
+  /// Appends one control-plane event under a name with no WorkloadId (a
+  /// synthetic track or a breaker's workload), interning the name.
+  void LogNamed(WlmEventType type, QueryId query, std::string_view workload,
+                std::string_view detail);
   /// The synthetic track's id, its trace created on first use.
   QueryId Track(SyntheticTrack track, double now);
   /// Tiles a wait segment (queue, suspended wait, retry backoff) up to
@@ -268,8 +274,8 @@ class Telemetry {
   void TileOpenWait(QueryId id, double now);
   /// Finalizes a profile: phase metrics and class rollups.
   void FinalizeProfile(QueryId id, WorkloadId workload_id,
-                       const std::string& workload, const std::string& outcome,
-                       const std::string& detail);
+                       const std::string& workload, std::string_view outcome,
+                       std::string_view detail);
   /// Emits kPhase tile spans partitioning [start, start+sum(phases)).
   void AddPhaseTiles(QueryId id, double start, const ExecPhaseTotals& phases);
 
@@ -287,11 +293,13 @@ class Telemetry {
   std::map<std::string, double> breaker_opened_at_;
   double brownout_entered_at_ = -1.0;
   size_t violations_seen_ = 0;  // watchdog watermark for trigger edges
-  // OnTerminal's execute-segment detail, rebuilt in place per query.
-  std::string segment_detail_;
   // Indexed by WorkloadId. Counter objects are heap-allocated and
   // pointer-stable, so a handle outlives every later registry insert.
   std::vector<WorkloadHandles> handles_;
+  // Each WorkloadId's name in the event log (kUnlogged until first used).
+  // Apart from handles_, which a disabled facade never grows.
+  static constexpr EventLog::WorkloadRef kUnlogged = UINT16_MAX;
+  std::vector<EventLog::WorkloadRef> log_workloads_;
 };
 
 }  // namespace wlm

@@ -1,7 +1,8 @@
 // Golden scenario-replay regressions: a seeded end-to-end cluster run is
 // serialized to canonical JSONL (arrivals, admissions, sheds, escalations,
 // completions, routing decisions, summaries) and byte-compared against the
-// checked-in goldens for the 1-shard and 4-shard configurations.
+// checked-in goldens for the 1-shard and 4-shard configurations. A scripted
+// single-node run pins the telemetry exporters' output the same way.
 //
 // When an intentional behavior change shifts the goldens, regenerate with
 //   ./scenario_replay_test --regold
@@ -13,6 +14,8 @@
 #include <sstream>
 #include <string>
 
+#include "execution/timeout_escalation.h"
+#include "telemetry/exporters.h"
 #include "tests/wlm_test_util.h"
 
 namespace {
@@ -51,8 +54,7 @@ std::string FirstDiff(const std::string& got, const std::string& want) {
   }
 }
 
-void CheckGolden(const wlm::ScenarioOptions& options, const std::string& name) {
-  const std::string got = wlm::RunScenarioJsonl(options);
+void CompareGolden(const std::string& got, const std::string& name) {
   ASSERT_FALSE(got.empty());
   const std::string path = GoldenPath(name);
   if (g_regold) {
@@ -67,6 +69,10 @@ void CheckGolden(const wlm::ScenarioOptions& options, const std::string& name) {
       << "missing golden " << path << " — run `scenario_replay_test --regold`";
   EXPECT_EQ(got, want) << "scenario diverged from " << name << " at "
                        << FirstDiff(got, want);
+}
+
+void CheckGolden(const wlm::ScenarioOptions& options, const std::string& name) {
+  CompareGolden(wlm::RunScenarioJsonl(options), name);
 }
 
 wlm::ScenarioOptions OneShard() {
@@ -190,6 +196,176 @@ TEST(ScenarioReplayTest, HedgedJourneyShowsBothLivesAndConservesPhases) {
   EXPECT_TRUE(saw_hedge_edge)
       << "the crash scenario no longer exercises hedged dispatch";
   EXPECT_GT(checked_lives, 100);
+}
+
+// ---------------------------------------------------------------------------
+// Exporter goldens: one scripted single-node run with seeded background
+// traffic, exported as a Chrome trace, event-log JSONL, a Prometheus
+// exposition and the flight recorder's dumps. The script makes the facade
+// record every kind of span, instant and event text it writes: admit,
+// queue, resubmit and resumed execute spans; suspend flush and suspended
+// wait; throttle, pause and lock wait; rejects, sheds and CoDel LIFO flips;
+// fault begin, end, abort and retry; breaker, brownout, escalation and SLO
+// violation.
+// ---------------------------------------------------------------------------
+
+struct ExporterOutputs {
+  std::string chrome_trace;
+  std::string events_jsonl;
+  std::string prometheus;
+  std::string flight_recorder;
+};
+
+ExporterOutputs RunExporterScenario() {
+  using namespace wlm;
+  EngineConfig engine = TestEngineConfig();
+  engine.deadlock_check_period = 0.1;
+  WlmConfig config;
+  config.resubmit_deadlock_victims = false;
+  config.resilience.enabled = true;
+  config.overload.enabled = true;
+  config.overload.codel.queue_capacity = 8;
+  config.overload.codel.target_seconds = 0.5;
+  config.overload.codel.interval_seconds = 0.5;
+  config.overload.codel.lifo_after_sheds = 1;
+  config.overload.deadline_shedding = false;
+  config.overload.deadline_slack = 0.0;  // explicit deadlines only
+  config.overload.breaker_options.window_seconds = 10.0;
+  config.overload.breaker_options.min_samples = 4;
+  config.overload.breaker_options.open_seconds = 2.0;
+  config.overload.breaker_options.half_open_probes = 2;
+  config.overload.breaker_options.close_rate = 0.0;
+  config.overload.brownout_options.max_level = 1;  // sheds background only
+  TestRig rig(engine, /*monitor_interval=*/0.25, config);
+  WorkloadManager& wlm = rig.wlm;
+
+  WorkloadDefinition bi;
+  bi.name = "bi";
+  bi.priority = BusinessPriority::kLow;
+  bi.slos.push_back(ServiceLevelObjective::AvgResponse(0.5));
+  wlm.DefineWorkload(bi);
+  WorkloadDefinition oltp;
+  oltp.name = "oltp";
+  oltp.priority = BusinessPriority::kHigh;
+  oltp.slos.push_back(ServiceLevelObjective::AvgResponse(0.5));
+  wlm.DefineWorkload(oltp);
+  auto classifier = std::make_unique<StaticClassifier>();
+  ClassificationRule bi_rule;
+  bi_rule.workload = "bi";
+  bi_rule.kind = QueryKind::kBiQuery;
+  classifier->AddRule(bi_rule);
+  ClassificationRule oltp_rule;
+  oltp_rule.workload = "oltp";
+  oltp_rule.kind = QueryKind::kOltpTransaction;
+  classifier->AddRule(oltp_rule);
+  wlm.set_classifier(std::move(classifier));
+  wlm.set_scheduler(std::make_unique<FifoScheduler>(/*mpl=*/10));
+  wlm.AddAdmissionController(std::make_unique<RejectUtilities>());
+  TimeoutEscalationController::Config ladder;
+  ladder.per_workload["bi"].throttle_after_seconds = 1.5;
+  ladder.per_workload["bi"].throttle_duty = 0.5;
+  ladder.per_workload["bi"].kill_after_seconds = 4.0;
+  wlm.AddExecutionController(
+      std::make_unique<TimeoutEscalationController>(ladder));
+
+  // Seeded background OLTP, with ids clear of the scripted ones.
+  WorkloadGenerator generator(/*seed=*/7, /*first_id=*/1000);
+  Rng arrivals(7);
+  OpenLoopDriver background(
+      &rig.sim, &arrivals, /*rate=*/4.0,
+      [&generator] { return generator.NextOltp(OltpWorkloadConfig()); },
+      [&wlm](QuerySpec spec) { (void)wlm.Submit(std::move(spec)); });
+  background.Start(/*until=*/14.0);
+
+  auto at = [&rig](double time, std::function<void()> fn) {
+    rig.sim.Schedule(time, std::move(fn));
+  };
+  // Execution control on a long BI query and a long OLTP transaction, and
+  // a utility the admission gate refuses.
+  at(0.0, [&wlm] { (void)wlm.Submit(BiSpec(1, /*cpu=*/3.0, /*io=*/100.0)); });
+  at(0.0, [&wlm] { (void)wlm.Submit(OltpSpec(2, /*cpu=*/2.0)); });
+  at(0.0, [&wlm] {
+    QuerySpec utility = OltpSpec(3);
+    utility.kind = QueryKind::kUtility;
+    (void)wlm.Submit(utility);
+  });
+  at(0.2, [&wlm] { (void)wlm.ThrottleRequest(1, 0.5); });
+  at(0.3, [&wlm] { (void)wlm.PauseRequest(1, 0.1); });
+  at(0.4, [&wlm] {
+    (void)wlm.SetRequestPriority(1, BusinessPriority::kMedium);
+  });
+  at(0.5, [&wlm] { (void)wlm.KillRequest(2, /*resubmit=*/true); });
+  at(0.6, [&wlm] { (void)wlm.SuspendRequest(1, SuspendStrategy::kDumpState); });
+  // A lock-order cycle: the youngest member is the deadlock victim, and
+  // the others record lock waits.
+  at(0.0, [&wlm] {
+    QuerySpec blocker = OltpSpec(20, /*cpu=*/0.3);
+    blocker.locks = {{1, true}, {2, true}};
+    QuerySpec a = OltpSpec(21, /*cpu=*/3.0);
+    a.locks = {{1, true}, {2, true}};
+    QuerySpec b = OltpSpec(22, /*cpu=*/3.0);
+    b.locks = {{2, true}, {1, true}};
+    (void)wlm.Submit(blocker);
+    (void)wlm.Submit(a);
+    (void)wlm.Submit(b);
+  });
+  // A fault window: one abort retries after backoff, one is denied
+  // because its deadline is out of reach.
+  at(1.0, [&wlm] { wlm.NotifyFaultBegin("cpu_slowdown", "factor=2"); });
+  at(1.1, [&wlm] {
+    (void)wlm.Submit(OltpSpec(10, /*cpu=*/1.0));
+    QuerySpec doomed = OltpSpec(11, /*cpu=*/1.0);
+    doomed.deadline_seconds = 0.3;
+    (void)wlm.Submit(doomed);
+  });
+  at(1.2, [&wlm] {
+    (void)wlm.AbortRequestByFault(10, "injected");
+    (void)wlm.AbortRequestByFault(11, "injected");
+  });
+  at(2.0, [&wlm] { wlm.NotifyFaultEnd("cpu_slowdown", 1.0); });
+  // Overload: missed deadlines trip the BI breaker and step the brownout
+  // up; arrivals while it is open are shed; healthy probes after the
+  // cool-down close it again.
+  for (QueryId id = 30; id < 34; ++id) {
+    at(3.0, [&wlm, id] {
+      QuerySpec late = BiSpec(id, /*cpu=*/0.05, /*io=*/10.0);
+      late.deadline_seconds = 0.001;
+      (void)wlm.Submit(late);
+    });
+  }
+  at(4.0, [&wlm] { (void)wlm.Submit(BiSpec(40, 0.05, 10.0)); });
+  for (QueryId id = 41; id < 43; ++id) {
+    at(6.0, [&wlm, id] { (void)wlm.Submit(BiSpec(id, 0.05, 10.0)); });
+  }
+  // A burst past the MPL: the backlog outlives the CoDel target, so CoDel
+  // sheds and flips the queue to LIFO, and the last arrivals find the
+  // queue full. The queue flips back once it drains.
+  for (QueryId id = 60; id < 84; ++id) {
+    at(8.0, [&wlm, id] { (void)wlm.Submit(OltpSpec(id, /*cpu=*/0.5)); });
+  }
+  // A long BI query climbs the escalation ladder to the kill rung.
+  at(12.0, [&wlm] { (void)wlm.Submit(BiSpec(50, /*cpu=*/8.0, /*io=*/50.0)); });
+  rig.sim.RunUntil(24.0);
+
+  ExporterOutputs outputs;
+  std::ostringstream trace, events, prometheus, recorder;
+  WriteChromeTrace(wlm.telemetry().tracer(), trace);
+  WriteEventLogJsonl(wlm.event_log(), events);
+  WritePrometheus(wlm.telemetry().metrics(), prometheus);
+  wlm.telemetry().flight_recorder().WriteJsonl(recorder);
+  outputs.chrome_trace = trace.str();
+  outputs.events_jsonl = events.str();
+  outputs.prometheus = prometheus.str();
+  outputs.flight_recorder = recorder.str();
+  return outputs;
+}
+
+TEST(ScenarioReplayTest, ExportersMatchGoldens) {
+  const ExporterOutputs outputs = RunExporterScenario();
+  CompareGolden(outputs.chrome_trace, "exporters_chrome_trace.json");
+  CompareGolden(outputs.events_jsonl, "exporters_event_log.jsonl");
+  CompareGolden(outputs.prometheus, "exporters_metrics.txt");
+  CompareGolden(outputs.flight_recorder, "exporters_flight_recorder.jsonl");
 }
 
 TEST(ScenarioReplayTest, SeedChangesTheTranscript) {

@@ -318,6 +318,38 @@ TEST(TeradataAsmTest, WorkloadDefinitionClassifiesAndThrottles) {
   EXPECT_EQ(rig.wlm.QueuedInWorkload("dss"), 1);
 }
 
+TEST(TeradataAsmTest, DatabaseAndWorkloadThrottlesEachCapConcurrency) {
+  TestRig rig;
+  TeradataAsmFacade asm_facade(&rig.wlm);
+  TeradataAsmFacade::WorkloadDefinitionRule tactical;
+  tactical.name = "tactical";
+  tactical.kind = QueryKind::kOltpTransaction;
+  asm_facade.AddWorkloadDefinition(tactical);
+  TeradataAsmFacade::WorkloadDefinitionRule dss;
+  dss.name = "dss";
+  dss.kind = QueryKind::kBiQuery;
+  asm_facade.AddWorkloadDefinition(dss);
+  // Object throttles: at most 3 queries database-wide, at most 1 of dss.
+  asm_facade.AddThrottle({"", 3});
+  asm_facade.AddThrottle({"dss", 1});
+  ASSERT_TRUE(asm_facade.Build().ok());
+
+  for (QueryId id = 1; id <= 3; ++id) {
+    ASSERT_TRUE(rig.wlm.Submit(BiSpec(id, 5.0, 100.0, 8.0)).ok());
+  }
+  // The dss throttle holds two of the three BI queries.
+  EXPECT_EQ(rig.wlm.RunningInWorkload("dss"), 1);
+  EXPECT_EQ(rig.wlm.QueuedInWorkload("dss"), 2);
+  for (QueryId id = 4; id <= 7; ++id) {
+    ASSERT_TRUE(rig.wlm.Submit(OltpSpec(id, 5.0)).ok());
+  }
+  // The database-wide throttle lets two tactical queries join the one dss
+  // query and queues the rest.
+  EXPECT_EQ(rig.wlm.RunningInWorkload("tactical"), 2);
+  EXPECT_EQ(rig.wlm.QueuedInWorkload("tactical"), 2);
+  EXPECT_EQ(rig.wlm.running_count(), 3u);
+}
+
 TEST(TeradataAsmTest, ExceptionAbortKillsRunaways) {
   TestRig rig;
   TeradataAsmFacade asm_facade(&rig.wlm);

@@ -3,6 +3,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -271,11 +272,21 @@ TEST(Tracer, SpansOpenCloseAndClamp) {
   const QueryTrace* trace = tracer.Find(1);
   ASSERT_NE(trace, nullptr);
   EXPECT_TRUE(trace->finished);
-  EXPECT_EQ(trace->DistinctKinds(), 4u);
+  std::set<SpanKind> kinds;
+  double queued = 0.0;
+  for (const Span& span : trace->spans) {
+    kinds.insert(span.kind);
+    if (span.kind == SpanKind::kQueue) queued += span.duration();
+  }
+  EXPECT_EQ(kinds.size(), 4u);
   ASSERT_EQ(trace->SpansOfKind(SpanKind::kThrottle).size(), 1u);
   EXPECT_DOUBLE_EQ(trace->SpansOfKind(SpanKind::kThrottle)[0]->end, 5.0);
   EXPECT_DOUBLE_EQ(trace->SpansOfKind(SpanKind::kPause)[0]->end, 5.0);
-  EXPECT_DOUBLE_EQ(trace->TotalOfKind(SpanKind::kQueue), 2.0);
+  EXPECT_DOUBLE_EQ(queued, 2.0);
+  EXPECT_EQ(trace->Detail(*trace->SpansOfKind(SpanKind::kThrottle)[0]),
+            "duty=0.5");
+  EXPECT_EQ(trace->Detail(*trace->SpansOfKind(SpanKind::kExecute)[0]),
+            "outcome=completed");
   // Spans of each kind stay within the execute segment.
   const Span* execute = trace->SpansOfKind(SpanKind::kExecute)[0];
   for (const Span& span : trace->spans) {
@@ -348,6 +359,9 @@ TEST(Tracer, ReusedSlotEqualsAFreshTrace) {
   EXPECT_TRUE(reused.spans.empty());
   EXPECT_TRUE(reused.instants.empty());
   EXPECT_GE(reused.spans.capacity(), 16u);
+  EXPECT_TRUE(reused.texts.empty());
+  EXPECT_TRUE(reused.text_ends.empty());
+  EXPECT_EQ(reused.outcome.name, TraceText::kNone);
   EXPECT_EQ(tracer.Find(1), nullptr);
   EXPECT_EQ(tracer.Find(9), &reused);
 }
@@ -646,7 +660,9 @@ TEST(TelemetryEndToEnd, BiQueryCarriesFullSpanLifecycle) {
   ASSERT_NE(trace, nullptr);
   EXPECT_TRUE(trace->finished);
   // queue + admit + execute + throttle >= 4 distinct span kinds.
-  EXPECT_GE(trace->DistinctKinds(), 4u);
+  std::set<SpanKind> kinds;
+  for (const Span& span : trace->spans) kinds.insert(span.kind);
+  EXPECT_GE(kinds.size(), 4u);
   EXPECT_FALSE(trace->SpansOfKind(SpanKind::kQueue).empty());
   EXPECT_FALSE(trace->SpansOfKind(SpanKind::kAdmit).empty());
   EXPECT_FALSE(trace->SpansOfKind(SpanKind::kExecute).empty());
@@ -794,7 +810,7 @@ TEST(ProfileStore, QueueDisciplineFlipSplitsWaitExactly) {
   store.OpenQueueWait(7, 0.0);
   store.SetQueueDiscipline(true, 3.0);   // FIFO -> LIFO at t=3
   store.SetQueueDiscipline(false, 5.0);  // and back at t=5
-  const QueryProfile* p = store.Finalize(7, 9.0, "shed", "codel");
+  const QueryProfile* p = store.Finalize(7, 0, 9.0, "shed", "codel");
   ASSERT_NE(p, nullptr);
   EXPECT_DOUBLE_EQ(p->seconds(Phase::kAdmissionQueue), 3.0 + 4.0);
   EXPECT_DOUBLE_EQ(p->seconds(Phase::kOverloadQueue), 2.0);
@@ -802,11 +818,33 @@ TEST(ProfileStore, QueueDisciplineFlipSplitsWaitExactly) {
   EXPECT_EQ(p->DominantPhase(), Phase::kAdmissionQueue);
 }
 
+TEST(ProfileStore, RollupsListByWorkloadName) {
+  ProfileStore store(16);
+  store.Begin(1, "oltp", QueryKind::kOltpTransaction, 0.0);
+  store.Begin(2, "bi", QueryKind::kBiQuery, 0.0);
+  store.Begin(3, "oltp", QueryKind::kOltpTransaction, 0.0);
+  store.Begin(4, "idle", QueryKind::kBiQuery, 0.0);
+  store.OpenQueueWait(1, 0.0);
+  store.OpenQueueWait(3, 0.0);
+  ASSERT_NE(store.Finalize(1, 0, 1.0, "completed", ""), nullptr);
+  ASSERT_NE(store.Finalize(2, 1, 2.0, "completed", ""), nullptr);
+  ASSERT_NE(store.Finalize(3, 0, 4.0, "completed", ""), nullptr);
+  const std::map<std::string, ClassProfileRollup> rollups = store.rollups();
+  // Only finalized classes appear, in name order.
+  ASSERT_EQ(rollups.size(), 2u);
+  EXPECT_EQ(rollups.begin()->first, "bi");
+  EXPECT_EQ(rollups.at("bi").count, 1);
+  EXPECT_EQ(rollups.at("oltp").count, 2);
+  const auto queue = static_cast<size_t>(Phase::kAdmissionQueue);
+  EXPECT_DOUBLE_EQ(rollups.at("oltp").phase_seconds[queue], 5.0);
+  EXPECT_DOUBLE_EQ(rollups.at("bi").phase_seconds[queue], 0.0);
+}
+
 TEST(ProfileStore, EvictsOldestTerminalProfilesOnly) {
   ProfileStore store(2);
   store.Begin(1, "w", QueryKind::kOltpTransaction, 0.0);
   store.Begin(2, "w", QueryKind::kOltpTransaction, 0.0);
-  ASSERT_NE(store.Finalize(1, 1.0, "completed", ""), nullptr);
+  ASSERT_NE(store.Finalize(1, 0, 1.0, "completed", ""), nullptr);
   // Store is at capacity but only query 1 is terminal; query 1 goes.
   store.Begin(3, "w", QueryKind::kOltpTransaction, 2.0);
   EXPECT_EQ(store.size(), 2u);
@@ -831,7 +869,7 @@ TEST(ProfileStore, EvictsEveryTerminalProfileWhileOverBound) {
   }
   EXPECT_EQ(store.size(), 4u);
   for (QueryId id = 1; id <= 3; ++id) {
-    ASSERT_NE(store.Finalize(id, 1.0, "completed", ""), nullptr);
+    ASSERT_NE(store.Finalize(id, 0, 1.0, "completed", ""), nullptr);
   }
   store.Begin(5, "w", QueryKind::kOltpTransaction, 2.0);
   EXPECT_EQ(store.evicted(), 3);
@@ -841,8 +879,8 @@ TEST(ProfileStore, EvictsEveryTerminalProfileWhileOverBound) {
   EXPECT_EQ(ProfileIds(store), (std::vector<QueryId>{4, 5, 6, 7}));
   EXPECT_EQ(store.size(), 4u);
   // Newest terminal profiles, oldest finish first.
-  ASSERT_NE(store.Finalize(6, 4.0, "completed", ""), nullptr);
-  ASSERT_NE(store.Finalize(4, 5.0, "killed", "timeout"), nullptr);
+  ASSERT_NE(store.Finalize(6, 0, 4.0, "completed", ""), nullptr);
+  ASSERT_NE(store.Finalize(4, 0, 5.0, "killed", "timeout"), nullptr);
   std::vector<QueryId> recent;
   for (const QueryProfile& p : store.RecentTerminal(10)) {
     recent.push_back(p.id);
@@ -871,7 +909,7 @@ TEST(ProfileStore, ReusedSlotEqualsAFreshProfile) {
   store.CountSuspend(1);
   store.OpenWait(1, Phase::kRetryBackoff, 4.0);
   const QueryProfile* first =
-      store.Finalize(1, 5.0, "killed", "a detail long enough to allocate");
+      store.Finalize(1, 0, 5.0, "killed", "a detail long enough to allocate");
   ASSERT_NE(first, nullptr);
 
   store.Begin(2, "oltp", QueryKind::kOltpTransaction, 6.0);
@@ -963,7 +1001,7 @@ TEST(FlightRecorder, DumpHoldsNewestTerminalProfilesInFinalizeOrder) {
   // Finalized out of creation order; query 6 stays live.
   double now = 1.0;
   for (QueryId id : {4, 1, 5, 2, 3}) {
-    ASSERT_NE(profiles.Finalize(id, now, "completed", ""), nullptr);
+    ASSERT_NE(profiles.Finalize(id, 0, now, "completed", ""), nullptr);
     now += 1.0;
   }
   state.time = now;
@@ -1180,21 +1218,6 @@ TEST(TelemetryEndToEnd, DisabledTelemetryChangesNoOutcome) {
 }
 
 /// Refuses utility statements at arrival (the run's kRejected source).
-class RejectUtilities : public AdmissionController {
- public:
-  Status OnArrival(const Request& request,
-                   const WorkloadManager& manager) override {
-    (void)manager;
-    if (request.spec.kind != QueryKind::kUtility) return Status::OK();
-    return Status::Rejected("utilities refused");
-  }
-  TechniqueInfo info() const override {
-    TechniqueInfo info;
-    info.name = "reject_utilities";
-    return info;
-  }
-};
-
 /// One scripted run that makes the facade write every event type it owns:
 /// submit/dispatch/complete, a rejection, a kill-and-resubmit, a suspend
 /// and resume, throttle/pause/reprioritize, a deadlock victim, a fault
@@ -1407,10 +1430,11 @@ TEST(ExportFormats, CallSitesKeepPrintfText) {
   const QueryTrace* trace = telemetry.tracer().Find(1);
   ASSERT_NE(trace, nullptr);
   ASSERT_EQ(trace->SpansOfKind(SpanKind::kExecute).size(), 1u);
-  EXPECT_EQ(trace->SpansOfKind(SpanKind::kExecute)[0]->detail,
+  EXPECT_EQ(trace->Detail(*trace->SpansOfKind(SpanKind::kExecute)[0]),
             "outcome=completed cpu=1.235 io=12 spill=1.50 buffer_hit=0.26");
   ASSERT_EQ(trace->instants.size(), 1u);
-  EXPECT_EQ(trace->instants[0].detail, "duty=0.250");
+  EXPECT_EQ(trace->Text(trace->instants[0].name), "throttle");
+  EXPECT_EQ(trace->Text(trace->instants[0].detail), "duty=0.250");
   const std::vector<WlmEvent> throttled =
       telemetry.event_log().OfType(WlmEventType::kThrottled);
   ASSERT_EQ(throttled.size(), 1u);

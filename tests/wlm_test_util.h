@@ -82,6 +82,22 @@ inline QuerySpec OltpSpec(QueryId id, double cpu = 0.01,
   return spec;
 }
 
+/// Refuses utility-class requests at arrival.
+class RejectUtilities : public AdmissionController {
+ public:
+  Status OnArrival(const Request& request,
+                   const WorkloadManager& manager) override {
+    (void)manager;
+    if (request.spec.kind != QueryKind::kUtility) return Status::OK();
+    return Status::Rejected("utilities refused");
+  }
+  TechniqueInfo info() const override {
+    TechniqueInfo info;
+    info.name = "reject_utilities";
+    return info;
+  }
+};
+
 // ---------------------------------------------------------------------------
 // Cluster helpers.
 // ---------------------------------------------------------------------------
