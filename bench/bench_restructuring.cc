@@ -5,8 +5,11 @@
 // head-of-line blocking maximal; the sweep shows the short-query latency
 // vs the monster's total-completion penalty as the chunk size shrinks.
 
+#include <algorithm>
 #include <iostream>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "scheduling/queue_schedulers.h"
@@ -59,6 +62,14 @@ Row Run(double chunk_work) {  // <= 0: monolithic
         });
   }
 
+  // Completed short queries, kept as they end (the manager retires them).
+  std::vector<std::pair<uint64_t, double>> shorts_done;  // sequence, response
+  rig.wlm.AddCompletionListener([&shorts_done](const Request& r) {
+    if (r.spec.id >= 100 && r.state == RequestState::kCompleted) {
+      shorts_done.emplace_back(r.sequence, r.ResponseTime());
+    }
+  });
+
   // Stream of short interactive queries behind it.
   WorkloadGenerator gen(5150, /*first_id=*/100);
   BiWorkloadConfig short_shape;
@@ -72,12 +83,10 @@ Row Run(double chunk_work) {  // <= 0: monolithic
   driver.Start(60.0);
   rig.sim.RunUntil(600.0);
 
+  // In submission order.
+  std::ranges::sort(shorts_done);
   Percentiles shorts;
-  for (const Request* r : rig.wlm.AllRequests()) {
-    if (r->spec.id >= 100 && r->state == RequestState::kCompleted) {
-      shorts.Add(r->ResponseTime());
-    }
-  }
+  for (const auto& [sequence, response] : shorts_done) shorts.Add(response);
   row.short_mean = shorts.mean();
   row.short_p95 = shorts.Percentile(95);
   row.monster_response = monster_finish;

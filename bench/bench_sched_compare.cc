@@ -3,8 +3,10 @@
 // stream mix. The paper's claim: dynamic queue-management schedulers let
 // important/short work meet objectives that static FIFO queues miss.
 
+#include <algorithm>
 #include <iostream>
 #include <memory>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "scheduling/mpl_scheduler.h"
@@ -59,6 +61,19 @@ Row Run(int mode) {  // 0 fifo, 1 priority, 2 rank, 3 utility, 4 feedback
     }
   }
 
+  // Completed BI requests, kept as they end (the manager retires them).
+  struct BiDone {
+    uint64_t sequence;
+    double cpu_seconds;
+    double response;
+  };
+  std::vector<BiDone> bi_done;
+  rig.wlm.AddCompletionListener([&bi_done](const Request& r) {
+    if (r.workload == "bi" && r.state == RequestState::kCompleted) {
+      bi_done.push_back({r.sequence, r.spec.cpu_seconds, r.ResponseTime()});
+    }
+  });
+
   // Mixed load: OLTP stream + bimodal BI (short interactive + long batch).
   WorkloadGenerator gen(2025);
   Rng arrivals(2025);
@@ -85,16 +100,14 @@ Row Run(int mode) {  // 0 fifo, 1 priority, 2 rank, 3 utility, 4 feedback
   const TagStats& oltp = rig.monitor.tag_stats("oltp");
   row.oltp_goal_attainment = oltp.response_times.FractionAtOrBelow(0.2);
   row.oltp_p95 = oltp.response_times.Percentile(95);
-  // Split BI responses by size using the request log.
+  // Split BI responses by size using the request log, in submission order.
   OnlineStats short_responses, long_responses;
-  for (const Request* r : rig.wlm.AllRequests()) {
-    if (r->workload != "bi" || r->state != RequestState::kCompleted) {
-      continue;
-    }
-    if (r->spec.cpu_seconds < 2.0) {
-      short_responses.Add(r->ResponseTime());
+  std::ranges::sort(bi_done, {}, &BiDone::sequence);
+  for (const BiDone& done : bi_done) {
+    if (done.cpu_seconds < 2.0) {
+      short_responses.Add(done.response);
     } else {
-      long_responses.Add(r->ResponseTime());
+      long_responses.Add(done.response);
     }
   }
   row.short_bi_mean = short_responses.mean();

@@ -6,9 +6,12 @@
 //
 // Build & run:  ./build/examples/warehouse_mixed
 
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "common/table_printer.h"
 #include "core/workload_manager.h"
@@ -61,6 +64,20 @@ int main() {
   AnalyticalWorkload olap_gen(&tpch, CostModel{}, /*seed=*/43,
                               /*first_id=*/10'000'000);
 
+  // The manager retires each request as it ends: keep what the
+  // per-transaction-type breakdown below reads.
+  struct Finished {
+    uint64_t sequence;
+    std::string type;
+    double response;
+  };
+  std::vector<Finished> tactical_done;
+  manager.AddCompletionListener([&](const Request& r) {
+    if (r.workload == "tactical" && r.state == RequestState::kCompleted) {
+      tactical_done.push_back({r.sequence, r.spec.sql_digest, r.ResponseTime()});
+    }
+  });
+
   Rng arrivals(99);
   OpenLoopDriver txn_driver(
       &sim, &arrivals, /*rate=*/60.0, [&] { return txn_gen.Next(); },
@@ -93,13 +110,13 @@ int main() {
   }
   table.Print(std::cout);
 
-  // Per-transaction-type breakdown from the request log.
+  // Per-transaction-type breakdown from the request log, in submission
+  // order.
   PrintBanner(std::cout, "Tactical mix breakdown");
+  std::ranges::sort(tactical_done, {}, &Finished::sequence);
   std::map<std::string, Percentiles> by_type;
-  for (const Request* r : manager.AllRequests()) {
-    if (r->workload == "tactical" && r->state == RequestState::kCompleted) {
-      by_type[r->spec.sql_digest].Add(r->ResponseTime());
-    }
+  for (const Finished& done : tactical_done) {
+    by_type[done.type].Add(done.response);
   }
   TablePrinter mix({"Txn type", "count", "mean resp (s)", "p95 resp (s)"});
   for (auto& [type, responses] : by_type) {

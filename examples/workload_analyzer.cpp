@@ -6,8 +6,10 @@
 //
 // Build & run:  ./build/examples/workload_analyzer
 
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
+#include <vector>
 
 #include "common/table_printer.h"
 #include "core/workload_manager.h"
@@ -47,13 +49,20 @@ int main() {
   Monitor monitor(&sim, &engine, 1.0);
   monitor.Start();
   WorkloadManager unmanaged(&sim, &engine, &monitor);
+  // The query log: each request as it ended (the manager retires it then).
+  std::vector<Request> ended;
+  unmanaged.AddCompletionListener(
+      [&ended](const Request& r) { ended.push_back(r); });
   WorkloadGenerator generator(321);
   Rng arrivals(321);
   DriveTraffic(&sim, &unmanaged, &generator, &arrivals, 60.0);
 
-  // Phase 2: the analyzer mines the log into candidate workloads.
-  auto recommendations =
-      TeradataAsmFacade::AnalyzeQueryLog(unmanaged.AllRequests());
+  // Phase 2: the analyzer mines the log, in submission order, into
+  // candidate workloads.
+  std::ranges::sort(ended, {}, &Request::sequence);
+  std::vector<const Request*> query_log;
+  for (const Request& r : ended) query_log.push_back(&r);
+  auto recommendations = TeradataAsmFacade::AnalyzeQueryLog(query_log);
   PrintBanner(std::cout, "Workload analyzer recommendations (from DBQL)");
   TablePrinter table({"Candidate workload", "Queries", "Priority",
                       "Observed p90 (s)", "Recommended SLG"});

@@ -269,7 +269,7 @@ Status ClusterDispatcher::SubmitToShards(QuerySpec spec, bool is_redispatch,
       result = Status::OK();
       break;
     }
-    const Status status = shard.wlm().Submit(spec);
+    const Status status = SubmitToShard(shard, spec);
     if (status.IsOverloaded()) {
       // Capacity refusal: fail over to the next-best shard in the same
       // instant. (Admission-policy rejects are final — a cost threshold
@@ -278,9 +278,9 @@ Status ClusterDispatcher::SubmitToShards(QuerySpec spec, bool is_redispatch,
       // The arrival-time shed already closed this life through the
       // completion listener; relabel it as a placement refusal.
       journeys_.MarkOutcome(spec.id, pick, sim_->Now(), "refused");
-      // The refusing shard keeps the shed record, so it can never accept
-      // this id again — record it as tried so later re-dispatches and
-      // crash drains route elsewhere instead of bouncing off it.
+      // The refusing shard can never accept this id again (SubmitToShard)
+      // — record it as tried so later re-dispatches and crash drains
+      // route elsewhere instead of bouncing off it.
       if (options_.redispatch) shards_tried_[spec.id].insert(pick);
       tried.insert(pick);
       ++attempt;
@@ -292,10 +292,10 @@ Status ClusterDispatcher::SubmitToShards(QuerySpec spec, bool is_redispatch,
     if (status.ok()) landed = pick;
     result = status;
     if (!status.ok()) {
-      // A final refusal that raised no shard terminal — e.g. the shard
-      // already retired this query's record — would otherwise leak the
-      // life opened above. CloseLife only touches open lives, so this
-      // is a no-op when a reject terminal already closed it.
+      // A final refusal that raised no shard terminal — e.g. a duplicate
+      // id SubmitToShard refused — would otherwise leak the life opened
+      // above. CloseLife only touches open lives, so this is a no-op when
+      // a reject terminal already closed it.
       journeys_.CloseLife(spec.id, pick, sim_->Now(), "refused");
     }
     break;
@@ -349,11 +349,11 @@ void ClusterDispatcher::MaybeHedge(const QuerySpec& spec, int primary) {
     orphans_[static_cast<size_t>(alt)].push_back({spec, std::string()});
     journeys_.CloseLife(spec.id, alt, sim_->Now(), "blackholed");
   } else {
-    const Status status = shard.wlm().Submit(spec);
+    const Status status = SubmitToShard(shard, spec);
     if (status.IsOverloaded()) {
       shard.refused_->Increment();
       journeys_.MarkOutcome(spec.id, alt, sim_->Now(), "refused");
-      // The alternate holds the shed record now; keep re-dispatch and
+      // The alternate refuses this id from now on; keep re-dispatch and
       // drains away from it.
       if (options_.redispatch) shards_tried_[spec.id].insert(alt);
       return;  // no room for a duplicate: the primary keeps its one life
@@ -373,6 +373,19 @@ void ClusterDispatcher::MaybeHedge(const QuerySpec& spec, int primary) {
   LogClusterEvent(WlmEventType::kHedged, spec.id,
                   "primary=" + std::to_string(primary) +
                       " alt=" + std::to_string(alt));
+}
+
+Status ClusterDispatcher::SubmitToShard(ClusterShard& shard,
+                                        const QuerySpec& spec) {
+  if (shard.submitted_.Contains(spec.id)) {
+    return Status::AlreadyExists("request id already submitted");
+  }
+  Status status = shard.wlm().Submit(spec);
+  // A reserved synthetic id never became a request, so it stays unseen.
+  if (status.code() != StatusCode::kInvalidArgument) {
+    shard.submitted_.Insert(spec.id);
+  }
+  return status;
 }
 
 void ClusterDispatcher::CancelHedgeLoser(int loser, QueryId id) {

@@ -13,6 +13,7 @@
 #include "cluster/health.h"
 #include "cluster/journey.h"
 #include "cluster/placement.h"
+#include "common/id_index.h"
 #include "common/status.h"
 #include "core/workload_manager.h"
 #include "engine/engine.h"
@@ -170,6 +171,11 @@ class ClusterShard {
   PhiAccrualDetector detector_;
   WarmupGovernor warmup_;
   double ewma_latency_ = 0.0;
+  /// Every query id the dispatcher has handed this shard's manager. The
+  /// manager retires a request once it ends and then accepts its id
+  /// again, so the dispatcher refuses a repeat itself (see
+  /// ClusterDispatcher::SubmitToShard).
+  IdSet submitted_;
   // This shard's series in the dispatcher's `wlm_cluster_*` registry, the
   // only record of these counts. Bound by the dispatcher right after
   // construction; registry series are pointer-stable.
@@ -342,6 +348,10 @@ class ClusterDispatcher {
   Status SubmitToShards(QuerySpec spec, bool is_redispatch,
                         const std::set<int>& exclude, RouteCause cause,
                         int parent_life = -1);
+  /// Submits `spec` to one shard's manager, or returns AlreadyExists
+  /// without calling it when the id was submitted there before: a shard
+  /// that saw a query (say, shed it at placement) never runs it again.
+  Status SubmitToShard(ClusterShard& shard, const QuerySpec& spec);
   void OnShardCompletion(int shard_index, const Request& request);
   void MaybeRedispatch(int from_shard, const Request& request);
   /// Hedged dispatch: when the landing shard is suspected and the query

@@ -1,6 +1,7 @@
 #ifndef WLM_COMMON_ID_INDEX_H_
 #define WLM_COMMON_ID_INDEX_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -46,14 +47,16 @@ class IdIndex {
     ++size_;
   }
 
-  /// Removes the mapping of `id`; a no-op when there is none.
-  void Erase(uint64_t id) {
-    if (size_ == 0) return;
+  /// Removes the mapping of `id` and returns the slot it named; kNone (and
+  /// a no-op) when there is none.
+  uint32_t Erase(uint64_t id) {
+    if (size_ == 0) return kNone;
     size_t hole = Home(id);
     while (buckets_[hole].slot != kNone && buckets_[hole].id != id) {
       hole = (hole + 1) & Mask();
     }
-    if (buckets_[hole].slot == kNone) return;
+    const uint32_t erased = buckets_[hole].slot;
+    if (erased == kNone) return kNone;
     // Backward shift: an entry further along the cluster moves into the
     // hole unless its home lies cyclically after the hole, where a probe
     // for it would stop at the hole and miss it.
@@ -67,6 +70,7 @@ class IdIndex {
     }
     buckets_[hole].slot = kNone;
     --size_;
+    return erased;
   }
 
   size_t size() const { return size_; }
@@ -104,6 +108,42 @@ class IdIndex {
   std::vector<Bucket> buckets_;
   int shift_ = 64;  // 64 - log2(buckets_.size())
   size_t size_ = 0;
+};
+
+/// A set of 64-bit ids that only grows, kept as bits in pages of 4096 ids
+/// found through an IdIndex keyed by page number. Ids a generator hands out
+/// in rising order share pages, so n of them cost about n/8 bytes and a
+/// lookup touches a small page table and one page; a scattered id costs a
+/// 512-byte page of its own.
+class IdSet {
+ public:
+  bool Contains(uint64_t id) const {
+    const uint32_t page = pages_index_.Find(id >> kPageBits);
+    return page != IdIndex::kNone &&
+           ((pages_[page][Word(id)] >> Bit(id)) & 1) != 0;
+  }
+
+  void Insert(uint64_t id) {
+    uint32_t page = pages_index_.Find(id >> kPageBits);
+    if (page == IdIndex::kNone) {
+      page = static_cast<uint32_t>(pages_.size());
+      pages_.emplace_back();  // zeroed
+      pages_index_.Insert(id >> kPageBits, page);
+    }
+    pages_[page][Word(id)] |= uint64_t{1} << Bit(id);
+  }
+
+ private:
+  static constexpr int kPageBits = 12;
+  using Page = std::array<uint64_t, (size_t{1} << kPageBits) / 64>;
+
+  static size_t Word(uint64_t id) {
+    return static_cast<size_t>(id & ((uint64_t{1} << kPageBits) - 1)) / 64;
+  }
+  static int Bit(uint64_t id) { return static_cast<int>(id % 64); }
+
+  std::vector<Page> pages_;
+  IdIndex pages_index_;
 };
 
 }  // namespace wlm

@@ -1,6 +1,7 @@
 #include "core/request.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace wlm {
 
@@ -67,6 +68,19 @@ double Request::Velocity(int num_cpus, double io_ops_per_second) const {
   double actual = ResponseTime();
   if (actual <= 0.0) return 1.0;
   return std::clamp(expected / actual, 0.0, 1.0);
+}
+
+void Request::Recycle() {
+  // Hand the buffers to a blank request and take it over whole, so a
+  // field added later resets without being listed here.
+  Request blank;
+  blank.spec = std::move(spec);
+  blank.plan = std::move(plan);
+  blank.workload = std::move(workload);
+  blank.workload.clear();
+  blank.reject_reason = std::move(reject_reason);
+  blank.reject_reason.clear();
+  *this = std::move(blank);
 }
 
 }  // namespace wlm

@@ -1,6 +1,7 @@
 #ifndef WLM_CORE_REQUEST_H_
 #define WLM_CORE_REQUEST_H_
 
+#include <cstdint>
 #include <limits>
 #include <string>
 
@@ -56,6 +57,9 @@ struct Request {
   Plan plan;
 
   double arrival_time = 0.0;
+  /// Position in its manager's submission order, from 0. A reader that
+  /// collects requests as they end sorts by it to restore that order.
+  uint64_t sequence = 0;
   std::string workload;  // assigned workload name
   /// The assigned workload's id, resolved from `workload` once at submit;
   /// per-workload state and telemetry handles are indexed by it.
@@ -98,6 +102,12 @@ struct Request {
   /// The paper's execution-velocity metric: expected standalone execution
   /// time / total time in system, in (0, 1]. Requires terminal state.
   double Velocity(int num_cpus, double io_ops_per_second) const;
+
+  /// Readies a retired request for the next submission: every field
+  /// returns to its default, and the heap buffers of the spec, the plan
+  /// and the strings stay allocated for the new values to be copied into.
+  /// `spec` and `plan` keep their old contents until then.
+  void Recycle();
 };
 
 }  // namespace wlm

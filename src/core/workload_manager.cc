@@ -97,12 +97,16 @@ void WorkloadManager::RegisterTechniques(TaxonomyRegistry* registry) const {
   }
 }
 
-Status WorkloadManager::Submit(QuerySpec spec) {
-  Plan plan = engine_->optimizer().BuildPlan(spec);
-  return SubmitWithPlan(std::move(spec), std::move(plan));
+Status WorkloadManager::Submit(const QuerySpec& spec) {
+  return Admit(spec, nullptr);
 }
 
-Status WorkloadManager::SubmitWithPlan(QuerySpec spec, Plan plan) {
+Status WorkloadManager::SubmitWithPlan(const QuerySpec& spec,
+                                       const Plan& plan) {
+  return Admit(spec, &plan);
+}
+
+Status WorkloadManager::Admit(const QuerySpec& spec, const Plan* plan) {
   if (Lookup(spec.id) != nullptr) {
     return Status::AlreadyExists("request id already submitted");
   }
@@ -110,10 +114,26 @@ Status WorkloadManager::SubmitWithPlan(QuerySpec spec, Plan plan) {
     return Status::InvalidArgument(
         "query id collides with the reserved synthetic-track block");
   }
-  auto request = std::make_unique<Request>();
-  request->spec = std::move(spec);
-  request->plan = std::move(plan);
+  // A retired request's storage first: copying into it keeps the
+  // capacity of its strings, lock list and operators.
+  uint32_t slot = 0;
+  if (free_.empty()) {
+    slot = static_cast<uint32_t>(requests_.size());
+    requests_.push_back(std::make_unique<Request>());
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+    requests_[slot]->Recycle();
+  }
+  Request* request = requests_[slot].get();
+  request->spec = spec;
+  if (plan != nullptr) {
+    request->plan = *plan;
+  } else {
+    engine_->optimizer().BuildPlan(request->spec, &request->plan);
+  }
   request->arrival_time = sim_->Now();
+  request->sequence = next_sequence_++;
 
   // 1. Identification (workload characterization): the name resolves to
   // the workload's id once, here; every later step indexes by the id.
@@ -132,24 +152,21 @@ Status WorkloadManager::SubmitWithPlan(QuerySpec spec, Plan plan) {
   WorkloadCounters& counters = state.counters;
   ++counters.submitted;
 
-  Request* raw = request.get();
-  request_index_.Insert(raw->spec.id,
-                        static_cast<uint32_t>(requests_.size()));
-  requests_.push_back(std::move(request));
-  telemetry_->OnSubmit(raw->spec.id, workload_id, raw->workload,
-                       raw->spec.kind, raw->spec.journey);
+  request_index_.Insert(request->spec.id, slot);
+  telemetry_->OnSubmit(request->spec.id, workload_id, request->workload,
+                       request->spec.kind, request->spec.journey);
 
   // 2. Admission control at arrival.
   for (const Gate& gate : admission_) {
-    Status decision = gate.controller->OnArrival(*raw, *this);
+    Status decision = gate.controller->OnArrival(*request, *this);
     if (!decision.ok()) {
-      raw->state = RequestState::kRejected;
-      raw->finish_time = sim_->Now();
-      raw->reject_reason = decision.message();
+      request->state = RequestState::kRejected;
+      request->finish_time = sim_->Now();
+      request->reject_reason = decision.message();
       ++counters.rejected;
-      telemetry_->OnRejected(raw->spec.id, workload_id, raw->workload,
+      telemetry_->OnRejected(request->spec.id, workload_id, request->workload,
                              gate.name, decision.message());
-      for (const auto& fn : completion_listeners_) fn(*raw);
+      Finish(request);
       return Status::Rejected(decision.message());
     }
   }
@@ -159,19 +176,19 @@ Status WorkloadManager::SubmitWithPlan(QuerySpec spec, Plan plan) {
   // consume a queue slot.
   if (overload_) {
     std::string shed_reason = overload_->EvaluateArrival(
-        raw->workload, static_cast<int>(raw->priority), sim_->Now(),
+        request->workload, static_cast<int>(request->priority), sim_->Now(),
         static_cast<int>(queue_.size()));
     if (!shed_reason.empty()) {
-      ShedRequest(raw, shed_reason);
+      ShedRequest(request, shed_reason);
       return Status::Overloaded(shed_reason);
     }
   }
 
   // 3. Enter the wait queue; scheduling decides when it runs.
-  raw->state = RequestState::kQueued;
-  raw->enqueued_time = sim_->Now();
-  Enqueue(raw);
-  telemetry_->OnAdmitted(raw->spec.id);
+  request->state = RequestState::kQueued;
+  request->enqueued_time = sim_->Now();
+  Enqueue(request);
+  telemetry_->OnAdmitted(request->spec.id);
   TryDispatch();
   return Status::OK();
 }
@@ -204,7 +221,7 @@ void WorkloadManager::ShedRequest(Request* request,
   if (overload_) overload_->CountShed();
   telemetry_->OnShed(request->spec.id, request->workload_id, request->workload,
                      reason);
-  for (const auto& fn : completion_listeners_) fn(*request);
+  Finish(request);
 }
 
 void WorkloadManager::RunQueueShedding() {
@@ -508,7 +525,14 @@ void WorkloadManager::FinishTerminal(Request* request, RequestState state,
         (request->HasDeadline() && request->finish_time > request->deadline);
     overload_->RecordOutcome(request->workload, sim_->Now(), violated);
   }
+  Finish(request);
+}
+
+void WorkloadManager::Finish(Request* request) {
   for (const auto& fn : completion_listeners_) fn(*request);
+  const uint32_t slot = request_index_.Erase(request->spec.id);
+  assert(slot != IdIndex::kNone);
+  free_.push_back(slot);
 }
 
 void WorkloadManager::AddCompletionListener(
@@ -631,9 +655,15 @@ const WorkloadCounters& WorkloadManager::counters(
 }
 
 std::vector<const Request*> WorkloadManager::AllRequests() const {
+  // A slot is live when the index maps its request's id back to it; a
+  // retired slot's stale id maps nowhere, or to the slot reusing it.
   std::vector<const Request*> out;
-  out.reserve(requests_.size());
-  for (const auto& request : requests_) out.push_back(request.get());
+  out.reserve(request_index_.size());
+  for (uint32_t slot = 0; slot < requests_.size(); ++slot) {
+    const Request* request = requests_[slot].get();
+    if (request_index_.Find(request->spec.id) == slot) out.push_back(request);
+  }
+  std::ranges::sort(out, {}, &Request::sequence);
   return out;
 }
 
@@ -658,6 +688,7 @@ std::vector<WorkloadManager::DrainedQuery> WorkloadManager::CrashDrain(
   std::vector<QueryId> running(running_.begin(), running_.end());
   for (QueryId id : running) {
     Request* request = Lookup(id);
+    if (request == nullptr) continue;  // a listener already ended it
     drained.push_back({request->spec, request->workload});
     (void)KillRequest(id, /*resubmit=*/false);
   }

@@ -115,14 +115,19 @@ class WorkloadManager : public FaultSink {
   // --- runtime ---------------------------------------------------------------
   /// Runs the full pipeline for one arriving request: classify, admission,
   /// enqueue, and attempt dispatch. Returns Rejected if admission refused
-  /// the request (the request is still recorded, state kRejected).
-  [[nodiscard]] Status Submit(QuerySpec spec);
+  /// the request (its completion listeners have then seen it, state
+  /// kRejected). The spec is copied into a retired request's storage when
+  /// one is free. AlreadyExists while a live request has the same id.
+  [[nodiscard]] Status Submit(const QuerySpec& spec);
   /// As Submit, but executes the caller-provided plan instead of the
   /// optimizer's (query restructuring dispatches sub-plans this way).
-  [[nodiscard]] Status SubmitWithPlan(QuerySpec spec, Plan plan);
+  [[nodiscard]] Status SubmitWithPlan(const QuerySpec& spec, const Plan& plan);
 
   /// Observer fired whenever a request reaches a terminal state
-  /// (completed / killed / aborted / rejected).
+  /// (completed / killed / aborted / rejected / shed). Once the last
+  /// listener returns the request is retired: Find and AllRequests no
+  /// longer see it, and a later Submit reuses its storage. A listener that
+  /// needs the request afterwards keeps a copy of what it reads.
   void AddCompletionListener(std::function<void(const Request&)> fn);
 
   /// Re-evaluates the queue against the scheduler and dispatch gates.
@@ -135,6 +140,8 @@ class WorkloadManager : public FaultSink {
   Monitor* monitor() const { return monitor_; }
   const WlmConfig& config() const { return config_; }
 
+  /// The live request submitted as `id`, or nullptr: a request is live
+  /// from Submit until its completion listeners return.
   const Request* Find(QueryId id) const;
   /// The wait queue, in the order requests entered it.
   std::vector<const Request*> Queued() const { return queue_; }
@@ -151,7 +158,7 @@ class WorkloadManager : public FaultSink {
   /// Lifecycle counters of a workload; all zeros for an unknown name. The
   /// reference holds until a new name is defined.
   const WorkloadCounters& counters(const std::string& workload) const;
-  /// Every request ever submitted, in submission order.
+  /// Every live request, in submission order.
   std::vector<const Request*> AllRequests() const;
 
   /// Control-plane event history (the library's "event monitors"):
@@ -257,8 +264,14 @@ class WorkloadManager : public FaultSink {
   WorkloadState& StateOf(const Request& request) {
     return by_id_[request.workload_id];
   }
-  /// The request submitted as `id`, or nullptr.
+  /// The live request submitted as `id`, or nullptr.
   Request* Lookup(QueryId id) const;
+  /// Submit and SubmitWithPlan; a null `plan` asks the optimizer.
+  [[nodiscard]] Status Admit(const QuerySpec& spec, const Plan* plan);
+  /// Runs the completion listeners on a request that reached a terminal
+  /// state, then retires it: its id leaves the index and its slot joins
+  /// the free list for the next submit.
+  void Finish(Request* request);
 
   /// Appends a request to the wait queue and to its priority level.
   void Enqueue(Request* request);
@@ -329,10 +342,14 @@ class WorkloadManager : public FaultSink {
   std::unique_ptr<Scheduler> scheduler_;
   std::vector<std::unique_ptr<ExecutionController>> execution_;
 
-  // Every request ever submitted, in submission order; request_index_
-  // maps a query id to its position.
+  // Every request this manager has allocated, live or retired. A request
+  // never moves, so queue_, the levels and round_ hold plain pointers.
+  // request_index_ maps a live query id to its slot; free_ lists the
+  // retired slots, which Submit reuses before it allocates.
   std::vector<std::unique_ptr<Request>> requests_;
   IdIndex request_index_;
+  std::vector<uint32_t> free_;
+  uint64_t next_sequence_ = 0;
   // Waiting requests (owned by requests_) in arrival order; handed to
   // Scheduler::Order as is. Bounded by OverloadOptions::codel.queue_capacity
   // when overload protection is enabled; the seed's unbounded behavior is

@@ -52,7 +52,12 @@ Optimizer::Optimizer(OptimizerConfig config) : config_(config) {}
 
 Plan Optimizer::BuildPlan(const QuerySpec& spec) const {
   Plan plan;
-  plan.query_id = spec.id;
+  BuildPlan(spec, &plan);
+  return plan;
+}
+
+void Optimizer::BuildPlan(const QuerySpec& spec, Plan* plan) const {
+  plan->query_id = spec.id;
 
   const OpShape* shape = kBiShape;
   size_t shape_len = std::size(kBiShape);
@@ -71,7 +76,8 @@ Plan Optimizer::BuildPlan(const QuerySpec& spec) const {
       break;
   }
 
-  plan.operators.reserve(shape_len);
+  plan->operators.clear();
+  plan->operators.reserve(shape_len);
   for (size_t i = 0; i < shape_len; ++i) {
     PlanOperator op;
     op.type = shape[i].type;
@@ -79,11 +85,10 @@ Plan Optimizer::BuildPlan(const QuerySpec& spec) const {
     op.io_ops = spec.io_ops * shape[i].io_frac;
     op.max_state_mb = spec.memory_mb * shape[i].state_frac;
     op.checkpoint_fraction = shape[i].checkpoint;
-    plan.operators.push_back(op);
+    plan->operators.push_back(op);
   }
 
-  AttachEstimates(spec, &plan);
-  return plan;
+  AttachEstimates(spec, plan);
 }
 
 void Optimizer::AttachEstimates(const QuerySpec& spec, Plan* plan) const {

@@ -37,6 +37,9 @@ class Optimizer {
   /// splitting the spec's true demands across operators by query kind, and
   /// attaches estimates with the configured error model.
   Plan BuildPlan(const QuerySpec& spec) const;
+  /// As above, into `plan`, overwriting every field; its operator list
+  /// keeps its capacity, so a reused plan builds without allocating.
+  void BuildPlan(const QuerySpec& spec, Plan* plan) const;
 
   /// Re-estimates an externally constructed operator list (used by query
   /// restructuring when costing sub-plans).

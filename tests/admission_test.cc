@@ -26,7 +26,7 @@ TEST(QueryCostAdmissionTest, RejectsOverThreshold) {
   // Huge query: far over the threshold.
   Status status = rig.wlm.Submit(BiSpec(2, 100.0, 50000.0, 512.0));
   EXPECT_TRUE(status.IsRejected());
-  const Request* rejected = rig.wlm.Find(2);
+  const Request* rejected = rig.Find(2);
   EXPECT_EQ(rejected->state, RequestState::kRejected);
   EXPECT_FALSE(rejected->reject_reason.empty());
   EXPECT_EQ(rig.wlm.counters("default").rejected, 1);
@@ -65,12 +65,12 @@ TEST(QueryCostAdmissionTest, QueueUntilOffPeakWindow) {
       std::make_unique<QueryCostAdmission>(config));
 
   ASSERT_TRUE(rig.wlm.Submit(BiSpec(1, 50.0, 20000.0, 256.0)).ok());
-  EXPECT_EQ(rig.wlm.Find(1)->state, RequestState::kQueued);
+  EXPECT_EQ(rig.Find(1)->state, RequestState::kQueued);
   rig.sim.RunUntil(50.0);
-  EXPECT_EQ(rig.wlm.Find(1)->state, RequestState::kQueued);  // still peak
+  EXPECT_EQ(rig.Find(1)->state, RequestState::kQueued);  // still peak
   rig.sim.RunUntil(101.0);
-  EXPECT_EQ(rig.wlm.Find(1)->state, RequestState::kRunning);  // off-peak
-  EXPECT_GT(rig.wlm.Find(1)->QueueWait(), 99.0);
+  EXPECT_EQ(rig.Find(1)->state, RequestState::kRunning);  // off-peak
+  EXPECT_GT(rig.Find(1)->QueueWait(), 99.0);
 }
 
 TEST(QueryCostAdmissionTest, EstimatedSecondsLimit) {
@@ -141,12 +141,12 @@ TEST(ConflictRatioAdmissionTest, HoldsWhileContended) {
   ASSERT_GT(rig.engine.ConflictRatio(), 1.3);
 
   ASSERT_TRUE(rig.wlm.Submit(OltpSpec(1)).ok());
-  EXPECT_EQ(rig.wlm.Find(1)->state, RequestState::kQueued);
+  EXPECT_EQ(rig.Find(1)->state, RequestState::kQueued);
 
   // Contention clears -> admitted at the next pump.
   for (TxnId t = 100; t <= 110; ++t) lm.ReleaseAll(t);
   rig.sim.RunUntil(1.0);
-  EXPECT_NE(rig.wlm.Find(1)->state, RequestState::kQueued);
+  EXPECT_NE(rig.Find(1)->state, RequestState::kQueued);
 }
 
 // ----------------------------------------- ThroughputFeedbackAdmission
@@ -212,13 +212,13 @@ TEST(IndicatorAdmissionTest, GatesLowPriorityDuringCongestion) {
   ASSERT_TRUE(rig.wlm.Submit(BiSpec(1, 0.5, 10.0, 8.0)).ok());   // low pri
   ASSERT_TRUE(rig.wlm.Submit(OltpSpec(2)).ok());                  // high pri
   rig.sim.RunUntil(3.0);
-  EXPECT_EQ(rig.wlm.Find(1)->state, RequestState::kQueued);  // gated
-  EXPECT_NE(rig.wlm.Find(2)->state, RequestState::kQueued);  // passed
+  EXPECT_EQ(rig.Find(1)->state, RequestState::kQueued);  // gated
+  EXPECT_NE(rig.Find(2)->state, RequestState::kQueued);  // passed
 
   // Kill the hogs; congestion clears; the low-priority request proceeds.
   for (QueryId id = 100; id < 104; ++id) (void)rig.wlm.KillRequest(id, false);
   rig.sim.RunUntil(6.0);
-  EXPECT_NE(rig.wlm.Find(1)->state, RequestState::kQueued);
+  EXPECT_NE(rig.Find(1)->state, RequestState::kQueued);
 }
 
 // --------------------------------------------------------- PqrAdmission

@@ -94,7 +94,7 @@ TEST(AutonomicControllerTest, EscalatesAgainstBatchWhenOltpMisses) {
   // Batch victims are running at reduced duty (or were suspended).
   bool victim_restricted = false;
   for (const ExecutionProgress& p : rig.engine.Snapshot()) {
-    const Request* r = rig.wlm.Find(p.id);
+    const Request* r = rig.Find(p.id);
     if (r != nullptr && r->workload == "batch" && p.duty < 1.0) {
       victim_restricted = true;
     }

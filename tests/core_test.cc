@@ -158,7 +158,7 @@ TEST(WorkloadManagerTest, SubmitRunsToCompletion) {
   TestRig rig;
   ASSERT_TRUE(rig.wlm.Submit(BiSpec(1, 1.0, 100.0, 32.0)).ok());
   rig.sim.RunUntil(60.0);
-  const Request* r = rig.wlm.Find(1);
+  const Request* r = rig.Find(1);
   ASSERT_NE(r, nullptr);
   EXPECT_EQ(r->state, RequestState::kCompleted);
   EXPECT_GT(r->finish_time, 0.0);
@@ -188,8 +188,8 @@ TEST(WorkloadManagerTest, ClassifierAssignsWorkloadAndShares) {
 
   ASSERT_TRUE(rig.wlm.Submit(OltpSpec(1)).ok());
   ASSERT_TRUE(rig.wlm.Submit(BiSpec(2)).ok());
-  const Request* txn = rig.wlm.Find(1);
-  const Request* bi = rig.wlm.Find(2);
+  const Request* txn = rig.Find(1);
+  const Request* bi = rig.Find(2);
   EXPECT_EQ(txn->workload, "oltp");
   EXPECT_EQ(txn->priority, BusinessPriority::kHigh);
   EXPECT_DOUBLE_EQ(txn->shares.cpu_weight,
@@ -204,7 +204,7 @@ TEST(WorkloadManagerTest, UnknownWorkloadFallsBackToDefault) {
       [](const Request&) { return std::optional<std::string>("nonexistent"); });
   rig.wlm.set_classifier(std::move(classifier));
   ASSERT_TRUE(rig.wlm.Submit(BiSpec(1)).ok());
-  EXPECT_EQ(rig.wlm.Find(1)->workload, "default");
+  EXPECT_EQ(rig.Find(1)->workload, "default");
 }
 
 TEST(WorkloadManagerTest, SchedulerMplQueuesExcess) {
@@ -218,7 +218,7 @@ TEST(WorkloadManagerTest, SchedulerMplQueuesExcess) {
   rig.sim.RunUntil(60.0);
   EXPECT_EQ(rig.wlm.counters("default").completed, 5);
   // Never more than 2 concurrently: total time >= 3 serial batches.
-  const Request* last = rig.wlm.Find(5);
+  const Request* last = rig.Find(5);
   EXPECT_GT(last->QueueWait(), 0.0);
 }
 
@@ -265,12 +265,13 @@ TEST(WorkloadManagerTest, KillWithResubmitRequeues) {
   ASSERT_TRUE(rig.wlm.Submit(BiSpec(1, 2.0, 100.0, 16.0)).ok());
   rig.sim.RunUntil(0.5);
   ASSERT_TRUE(rig.wlm.KillRequest(1, /*resubmit=*/true).ok());
-  const Request* r = rig.wlm.Find(1);
+  const Request* r = rig.Find(1);
   // Requeued; with free capacity it is immediately redispatched.
   EXPECT_FALSE(r->terminal());
   EXPECT_EQ(r->resubmits, 1);
   rig.sim.RunUntil(60.0);
-  EXPECT_EQ(r->state, RequestState::kCompleted);
+  // Retired by now: read the copy the recorder took when it ended.
+  EXPECT_EQ(rig.Find(1)->state, RequestState::kCompleted);
   EXPECT_EQ(rig.wlm.counters("default").resubmitted, 1);
 }
 
@@ -279,7 +280,7 @@ TEST(WorkloadManagerTest, KillWithoutResubmitTerminal) {
   ASSERT_TRUE(rig.wlm.Submit(BiSpec(1, 2.0, 100.0, 16.0)).ok());
   rig.sim.RunUntil(0.5);
   ASSERT_TRUE(rig.wlm.KillRequest(1, /*resubmit=*/false).ok());
-  EXPECT_EQ(rig.wlm.Find(1)->state, RequestState::kKilled);
+  EXPECT_EQ(rig.Find(1)->state, RequestState::kKilled);
   EXPECT_EQ(rig.wlm.counters("default").killed, 1);
 }
 
@@ -292,7 +293,7 @@ TEST(WorkloadManagerTest, ResubmitBudgetExhausts) {
   ASSERT_TRUE(rig.wlm.KillRequest(1, true).ok());
   rig.sim.RunUntil(0.4);
   ASSERT_TRUE(rig.wlm.KillRequest(1, true).ok());  // budget exceeded
-  EXPECT_EQ(rig.wlm.Find(1)->state, RequestState::kKilled);
+  EXPECT_EQ(rig.Find(1)->state, RequestState::kKilled);
 }
 
 TEST(WorkloadManagerTest, SuspendRequeuesAndResumes) {
@@ -302,7 +303,7 @@ TEST(WorkloadManagerTest, SuspendRequeuesAndResumes) {
   ASSERT_TRUE(rig.wlm.SuspendRequest(1, SuspendStrategy::kDumpState).ok());
   rig.sim.RunUntil(1.5);  // flush done; requeued; immediately redispatched
   rig.sim.RunUntil(60.0);
-  const Request* r = rig.wlm.Find(1);
+  const Request* r = rig.Find(1);
   EXPECT_EQ(r->state, RequestState::kCompleted);
   EXPECT_EQ(r->suspend_count, 1);
   EXPECT_EQ(rig.wlm.counters("default").suspended, 1);
@@ -332,7 +333,7 @@ TEST(WorkloadManagerTest, PriorityChangePropagatesToEngine) {
   EXPECT_DOUBLE_EQ(
       progress->shares.cpu_weight,
       SharesForPriority(BusinessPriority::kBackground).cpu_weight);
-  EXPECT_EQ(rig.wlm.Find(1)->priority, BusinessPriority::kBackground);
+  EXPECT_EQ(rig.Find(1)->priority, BusinessPriority::kBackground);
 }
 
 TEST(WorkloadManagerTest, UnknownPriorityRejected) {
@@ -346,7 +347,7 @@ TEST(WorkloadManagerTest, UnknownPriorityRejected) {
     const Status status =
         rig.wlm.SetRequestPriority(id, static_cast<BusinessPriority>(9));
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-    EXPECT_EQ(rig.wlm.Find(id)->priority, BusinessPriority::kMedium);
+    EXPECT_EQ(rig.Find(id)->priority, BusinessPriority::kMedium);
   }
   EXPECT_EQ(rig.wlm.event_log().CountOf(WlmEventType::kReprioritized), 0);
 }
@@ -360,7 +361,7 @@ TEST(WorkloadManagerTest, SetWorkloadSharesAppliesToRunningAndQueued) {
   auto progress = rig.engine.GetProgress(1);
   ASSERT_TRUE(progress.ok());
   EXPECT_DOUBLE_EQ(progress->shares.cpu_weight, 7.0);
-  EXPECT_DOUBLE_EQ(rig.wlm.Find(2)->shares.cpu_weight, 7.0);
+  EXPECT_DOUBLE_EQ(rig.Find(2)->shares.cpu_weight, 7.0);
 }
 
 TEST(WorkloadManagerTest, EmployedTechniquesReflectConfiguration) {
@@ -408,7 +409,7 @@ TEST(WorkloadManagerTest, DeadlockVictimResubmittedByDefault) {
   rig.sim.RunUntil(120.0);
   EXPECT_EQ(rig.engine.counters().deadlock_aborts, 1u);
   // The victim was resubmitted and eventually completed.
-  EXPECT_EQ(rig.wlm.Find(3)->state, RequestState::kCompleted);
+  EXPECT_EQ(rig.Find(3)->state, RequestState::kCompleted);
   EXPECT_EQ(rig.wlm.counters("default").resubmitted, 1);
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "admission/threshold_admission.h"
 #include "characterization/static_classifier.h"
@@ -56,7 +57,7 @@ TEST(WlmCustomPlanTest, SubmitWithPlanExecutesProvidedOperators) {
   rig.engine.optimizer().AttachEstimates(spec, &plan);
   ASSERT_TRUE(rig.wlm.SubmitWithPlan(spec, plan).ok());
   rig.sim.RunUntil(30.0);
-  const Request* r = rig.wlm.Find(1);
+  const Request* r = rig.Find(1);
   EXPECT_EQ(r->state, RequestState::kCompleted);
   EXPECT_LT(r->ResponseTime(), 2.0);  // ran the small plan, not the spec
 }
@@ -121,7 +122,7 @@ TEST(InterfaceDefaultsTest, AdmissionDefaultsAcceptEverything) {
   rig.wlm.AddAdmissionController(std::make_unique<MinimalAdmission>());
   ASSERT_TRUE(rig.wlm.Submit(BiSpec(1, 0.2, 10.0, 4.0)).ok());
   rig.sim.RunUntil(30.0);
-  EXPECT_EQ(rig.wlm.Find(1)->state, RequestState::kCompleted);
+  EXPECT_EQ(rig.Find(1)->state, RequestState::kCompleted);
 }
 
 // --------------------------------------------------- classifier corners
@@ -251,7 +252,7 @@ TEST(SchedulerRobustnessTest, JunkIdsIgnored) {
   rig.wlm.set_scheduler(std::make_unique<JunkScheduler>());
   ASSERT_TRUE(rig.wlm.Submit(BiSpec(1, 0.2, 10.0, 4.0)).ok());
   rig.sim.RunUntil(30.0);
-  EXPECT_EQ(rig.wlm.Find(1)->state, RequestState::kCompleted);
+  EXPECT_EQ(rig.Find(1)->state, RequestState::kCompleted);
 
   // Repeated ids: the gate holds three requests so one round orders them
   // all; each is still dispatched exactly once.
@@ -265,7 +266,7 @@ TEST(SchedulerRobustnessTest, JunkIdsIgnored) {
   repeated.sim.RunUntil(30.0);
   EXPECT_EQ(repeated.engine.counters().dispatched, 3u);
   for (QueryId id = 1; id <= 3; ++id) {
-    EXPECT_EQ(repeated.wlm.Find(id)->state, RequestState::kCompleted);
+    EXPECT_EQ(repeated.Find(id)->state, RequestState::kCompleted);
     int dispatches = 0;
     for (const WlmEvent& event : repeated.wlm.event_log().ForQuery(id)) {
       dispatches += event.type == WlmEventType::kDispatched;
@@ -276,20 +277,32 @@ TEST(SchedulerRobustnessTest, JunkIdsIgnored) {
 
 // ---------------------------------- cost admission: rejected stays logged
 
-TEST(WlmRejectionTest, RejectedRequestQueryableForever) {
+TEST(WlmRejectionTest, RejectedRequestRetiredAfterListeners) {
   TestRig rig;
   QueryCostAdmission::Config config;
   config.max_timerons = 0.001;
   rig.wlm.AddAdmissionController(
       std::make_unique<QueryCostAdmission>(config));
+  std::vector<RequestState> seen;
+  bool live_in_listener = false;
+  rig.wlm.AddCompletionListener([&](const Request& r) {
+    seen.push_back(r.state);
+    live_in_listener = rig.wlm.Find(r.spec.id) == &r;
+  });
   EXPECT_TRUE(rig.wlm.Submit(BiSpec(1)).IsRejected());
+  // The listener saw the rejection while the request was still live...
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0], RequestState::kRejected);
+  EXPECT_TRUE(live_in_listener);
+  // ...and the manager retired it before Submit returned.
+  EXPECT_EQ(rig.wlm.Find(1), nullptr);
+  EXPECT_TRUE(rig.wlm.AllRequests().empty());
   rig.sim.RunUntil(10.0);
-  const Request* r = rig.wlm.Find(1);
-  ASSERT_NE(r, nullptr);
-  EXPECT_EQ(r->state, RequestState::kRejected);
-  EXPECT_TRUE(r->terminal());
   EXPECT_EQ(rig.wlm.queue_depth(), 0u);
   EXPECT_EQ(rig.wlm.running_count(), 0u);
+  // A retired id is free: submitting it again is judged afresh.
+  EXPECT_TRUE(rig.wlm.Submit(BiSpec(1)).IsRejected());
+  EXPECT_EQ(seen.size(), 2u);
 }
 
 }  // namespace

@@ -56,11 +56,11 @@ TEST(PriorityAgingTest, DemotesAfterElapsedThreshold) {
 
   ASSERT_TRUE(rig.wlm.Submit(BiSpec(1, 20.0, 100.0, 16.0)).ok());
   rig.sim.RunUntil(0.8);
-  EXPECT_EQ(rig.wlm.Find(1)->priority, BusinessPriority::kMedium);
+  EXPECT_EQ(rig.Find(1)->priority, BusinessPriority::kMedium);
   rig.sim.RunUntil(1.6);  // past the threshold + one monitor sample
-  EXPECT_LT(rig.wlm.Find(1)->priority, BusinessPriority::kMedium);
+  EXPECT_LT(rig.Find(1)->priority, BusinessPriority::kMedium);
   rig.sim.RunUntil(5.0);  // repeated violations demote to the floor
-  EXPECT_EQ(rig.wlm.Find(1)->priority, BusinessPriority::kBackground);
+  EXPECT_EQ(rig.Find(1)->priority, BusinessPriority::kBackground);
   EXPECT_GE(raw->demotions(), 2);
 }
 
@@ -73,7 +73,7 @@ TEST(PriorityAgingTest, RowsThresholdTriggers) {
       std::make_unique<PriorityAgingController>(config));
   ASSERT_TRUE(rig.wlm.Submit(BiSpec(1, 5.0, 100.0, 16.0)).ok());
   rig.sim.RunUntil(4.0);
-  EXPECT_LT(rig.wlm.Find(1)->priority, BusinessPriority::kMedium);
+  EXPECT_LT(rig.Find(1)->priority, BusinessPriority::kMedium);
 }
 
 TEST(PriorityAgingTest, WorkloadFilterExempts) {
@@ -88,7 +88,7 @@ TEST(PriorityAgingTest, WorkloadFilterExempts) {
   txn.cpu_seconds = 10.0;  // long but exempt
   ASSERT_TRUE(rig.wlm.Submit(txn).ok());
   rig.sim.RunUntil(3.0);
-  EXPECT_EQ(rig.wlm.Find(1)->priority, BusinessPriority::kHigh);
+  EXPECT_EQ(rig.Find(1)->priority, BusinessPriority::kHigh);
 }
 
 TEST(PriorityAgingTest, DemotionShrinksEngineShares) {
@@ -185,8 +185,8 @@ TEST(QueryKillTest, KillsOverAbsoluteLimit) {
   ASSERT_TRUE(rig.wlm.Submit(BiSpec(1, 60.0, 100.0, 16.0)).ok());
   ASSERT_TRUE(rig.wlm.Submit(BiSpec(2, 0.2, 10.0, 8.0)).ok());
   rig.sim.RunUntil(30.0);
-  EXPECT_EQ(rig.wlm.Find(1)->state, RequestState::kKilled);
-  EXPECT_EQ(rig.wlm.Find(2)->state, RequestState::kCompleted);
+  EXPECT_EQ(rig.Find(1)->state, RequestState::kKilled);
+  EXPECT_EQ(rig.Find(2)->state, RequestState::kCompleted);
   EXPECT_EQ(raw->kills(), 1);
 }
 
@@ -222,8 +222,8 @@ TEST(QueryKillTest, PriorityExemption) {
   ASSERT_TRUE(rig.wlm.Submit(protected_txn).ok());          // high pri
   ASSERT_TRUE(rig.wlm.Submit(BiSpec(2, 10.0, 10.0, 8.0)).ok());  // low pri
   rig.sim.RunUntil(30.0);
-  EXPECT_EQ(rig.wlm.Find(1)->state, RequestState::kCompleted);
-  EXPECT_EQ(rig.wlm.Find(2)->state, RequestState::kKilled);
+  EXPECT_EQ(rig.Find(1)->state, RequestState::kCompleted);
+  EXPECT_EQ(rig.Find(2)->state, RequestState::kKilled);
 }
 
 TEST(QueryKillTest, KillAndResubmitEventuallyCompletes) {
@@ -240,8 +240,8 @@ TEST(QueryKillTest, KillAndResubmitEventuallyCompletes) {
   ASSERT_TRUE(rig.wlm.Submit(BiSpec(1, 2.0, 2000.0, 900.0)).ok());
   ASSERT_TRUE(rig.wlm.Submit(BiSpec(2, 2.0, 2000.0, 900.0)).ok());
   rig.sim.RunUntil(120.0);
-  const Request* r1 = rig.wlm.Find(1);
-  const Request* r2 = rig.wlm.Find(2);
+  const Request* r1 = rig.Find(1);
+  const Request* r2 = rig.Find(2);
   // Memory contention spills both -> slow -> at least one was killed and
   // resubmitted; with a resubmit budget both end terminal.
   EXPECT_TRUE(r1->terminal());
@@ -342,8 +342,8 @@ TEST(SuspendResumeControllerTest, SuspendsVictimWhenHighPriorityWaits) {
   ASSERT_TRUE(rig.wlm.Submit(vip).ok());  // queued behind (MPL 1)
   rig.sim.RunUntil(30.0);
   EXPECT_GE(raw->suspensions(), 1);
-  const Request* victim = rig.wlm.Find(1);
-  const Request* high = rig.wlm.Find(2);
+  const Request* victim = rig.Find(1);
+  const Request* high = rig.Find(2);
   EXPECT_EQ(high->state, RequestState::kCompleted);
   EXPECT_EQ(victim->state, RequestState::kCompleted);  // resumed later
   EXPECT_GE(victim->suspend_count, 1);
@@ -539,7 +539,7 @@ TEST(ProgressAwareTest, SparesNearlyDoneThrottlesFarFromDone) {
   EXPECT_LT(long_q->duty, 1.0);  // throttled by remaining-time estimate
   EXPECT_GE(raw->throttled(), 1);
   // The short query was never throttled and completed.
-  EXPECT_EQ(rig.wlm.Find(2)->state, RequestState::kCompleted);
+  EXPECT_EQ(rig.Find(2)->state, RequestState::kCompleted);
 }
 
 TEST(ProgressAwareTest, KillsRunawaysByEstimate) {
@@ -553,7 +553,7 @@ TEST(ProgressAwareTest, KillsRunawaysByEstimate) {
   rig.wlm.AddExecutionController(std::move(controller));
   ASSERT_TRUE(rig.wlm.Submit(BiSpec(1, 100.0, 100.0, 16.0)).ok());
   rig.sim.RunUntil(10.0);
-  EXPECT_EQ(rig.wlm.Find(1)->state, RequestState::kKilled);
+  EXPECT_EQ(rig.Find(1)->state, RequestState::kKilled);
   EXPECT_EQ(raw->kills(), 1);
 }
 
@@ -571,7 +571,7 @@ TEST(ProgressAwareTest, SpareFractionProtectsAlmostDone) {
   // the 50% spare fraction, so the aggressive budget never touches it.
   ASSERT_TRUE(rig.wlm.Submit(BiSpec(1, 0.6, 50.0, 8.0)).ok());
   rig.sim.RunUntil(30.0);
-  EXPECT_EQ(rig.wlm.Find(1)->state, RequestState::kCompleted);
+  EXPECT_EQ(rig.Find(1)->state, RequestState::kCompleted);
 }
 
 // ----------------------------------------------- SuspendedResumeGate
@@ -596,12 +596,12 @@ TEST(SuspendedResumeGateTest, HoldsSuspendedWhileHighPriorityBusy) {
   ASSERT_TRUE(rig.wlm.SuspendRequest(1, SuspendStrategy::kGoBack).ok());
   rig.sim.RunUntil(3.0);
   // The victim is suspended-and-held while the vip runs.
-  EXPECT_EQ(rig.wlm.Find(1)->state, RequestState::kSuspended);
-  EXPECT_EQ(rig.wlm.Find(2)->state, RequestState::kRunning);
+  EXPECT_EQ(rig.Find(1)->state, RequestState::kSuspended);
+  EXPECT_EQ(rig.Find(2)->state, RequestState::kRunning);
   // Once the vip completes (and its last-interval activity ages out), the
   // victim resumes and finishes.
   rig.sim.RunUntil(60.0);
-  EXPECT_EQ(rig.wlm.Find(1)->state, RequestState::kCompleted);
+  EXPECT_EQ(rig.Find(1)->state, RequestState::kCompleted);
 }
 
 TEST(SuspendedResumeGateTest, NonSuspendedRequestsUnaffected) {
@@ -609,7 +609,7 @@ TEST(SuspendedResumeGateTest, NonSuspendedRequestsUnaffected) {
   DefineTwoWorkloads(&rig);
   rig.wlm.AddAdmissionController(std::make_unique<SuspendedResumeGate>());
   ASSERT_TRUE(rig.wlm.Submit(BiSpec(1, 0.5, 50.0, 8.0)).ok());
-  EXPECT_EQ(rig.wlm.Find(1)->state, RequestState::kRunning);
+  EXPECT_EQ(rig.Find(1)->state, RequestState::kRunning);
 }
 
 }  // namespace

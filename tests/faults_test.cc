@@ -108,7 +108,7 @@ TEST(FaultInjectorTest, IoStallDelaysIoBoundQueryPastRecovery) {
   // 500 I/Os at 1000 iops is 0.5s healthy — but the disk stalls first.
   ASSERT_TRUE(rig.wlm.Submit(BiSpec(1, /*cpu=*/0.01, /*io=*/500.0)).ok());
   rig.sim.RunUntil(10.0);
-  const Request* request = rig.wlm.Find(1);
+  const Request* request = rig.Find(1);
   ASSERT_NE(request, nullptr);
   EXPECT_EQ(request->state, RequestState::kCompleted);
   EXPECT_GT(request->finish_time, 2.1);  // could not finish inside the stall
@@ -161,7 +161,7 @@ TEST(FaultInjectorTest, LockStormBlocksConflictingWriterUntilRecovery) {
   rig.sim.RunUntil(10.0);
 
   EXPECT_EQ(injector.stats().storm_txns, 1);
-  const Request* request = rig.wlm.Find(1);
+  const Request* request = rig.Find(1);
   ASSERT_NE(request, nullptr);
   EXPECT_EQ(request->state, RequestState::kCompleted);
   EXPECT_GT(request->finish_time, 2.1);  // released only at storm end
@@ -361,7 +361,7 @@ TEST(ResilienceTest, FaultAbortRetriesAndCompletes) {
   ASSERT_TRUE(rig.wlm.AbortRequestByFault(1, "test").ok());
 
   rig.sim.RunUntil(30.0);
-  const Request* request = rig.wlm.Find(1);
+  const Request* request = rig.Find(1);
   ASSERT_NE(request, nullptr);
   EXPECT_EQ(request->state, RequestState::kCompleted);
   EXPECT_EQ(request->resubmits, 1);
@@ -382,12 +382,12 @@ TEST(ResilienceTest, RetryWaitsOutTheConfiguredBackoff) {
   rig.sim.RunUntil(1.0);
   EXPECT_EQ(rig.wlm.queue_depth(), 0u);
   EXPECT_EQ(rig.wlm.running_count(), 0u);
-  EXPECT_EQ(rig.wlm.Find(1)->state, RequestState::kQueued);
+  EXPECT_EQ(rig.Find(1)->state, RequestState::kQueued);
 
   rig.sim.RunUntil(30.0);
-  EXPECT_EQ(rig.wlm.Find(1)->state, RequestState::kCompleted);
+  EXPECT_EQ(rig.Find(1)->state, RequestState::kCompleted);
   // Requeue happened at abort time + 2.0s, so completion is after that.
-  EXPECT_GT(rig.wlm.Find(1)->finish_time, 2.1);
+  EXPECT_GT(rig.Find(1)->finish_time, 2.1);
 }
 
 TEST(ResilienceTest, BackoffGrowsExponentiallyAcrossRetries) {
@@ -415,11 +415,11 @@ TEST(ResilienceTest, RetryBudgetExhaustionEndsKilled) {
   rig.sim.RunUntil(0.1);
   ASSERT_TRUE(rig.wlm.AbortRequestByFault(1, "one").ok());
   rig.sim.RunUntil(1.0);  // retried and running again
-  ASSERT_EQ(rig.wlm.Find(1)->state, RequestState::kRunning);
+  ASSERT_EQ(rig.Find(1)->state, RequestState::kRunning);
   ASSERT_TRUE(rig.wlm.AbortRequestByFault(1, "two").ok());
 
   rig.sim.RunUntil(10.0);
-  EXPECT_EQ(rig.wlm.Find(1)->state, RequestState::kKilled);
+  EXPECT_EQ(rig.Find(1)->state, RequestState::kKilled);
   EXPECT_EQ(rig.wlm.counters("default").killed, 1);
 }
 
@@ -428,7 +428,7 @@ TEST(ResilienceTest, DisabledResilienceKillsFaultAbortsOutright) {
   ASSERT_TRUE(rig.wlm.Submit(BiSpec(1, /*cpu=*/5.0)).ok());
   rig.sim.RunUntil(0.1);
   ASSERT_TRUE(rig.wlm.AbortRequestByFault(1, "test").ok());
-  EXPECT_EQ(rig.wlm.Find(1)->state, RequestState::kKilled);
+  EXPECT_EQ(rig.Find(1)->state, RequestState::kKilled);
   EXPECT_EQ(rig.wlm.counters("default").resubmitted, 0);
 }
 

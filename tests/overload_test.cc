@@ -359,7 +359,7 @@ TEST(ManagerOverloadTest, QueueCapacityShedsWithStatusOverloaded) {
   EXPECT_TRUE(overflow.IsOverloaded());
   EXPECT_EQ(overflow.message(), "queue_full");
 
-  const Request* shed = rig.wlm.Find(5);
+  const Request* shed = rig.Find(5);
   ASSERT_NE(shed, nullptr);
   EXPECT_EQ(shed->state, RequestState::kShed);
   EXPECT_TRUE(shed->terminal());
@@ -448,7 +448,7 @@ TEST(ManagerOverloadTest, LifoDispatchesNewestFirstTiesToHigherId) {
   // is not due before t=1.1.
   rig.sim.RunUntil(1.0);
   ASSERT_TRUE(rig.wlm.queue_lifo());
-  ASSERT_EQ(rig.wlm.Find(1)->state, RequestState::kShed);
+  ASSERT_EQ(rig.Find(1)->state, RequestState::kShed);
   ASSERT_EQ(rig.wlm.queue_depth(), 4u);
   recording->open = true;
   rig.wlm.TryDispatch();
@@ -467,7 +467,7 @@ TEST(ManagerOverloadTest, DeadlineUnreachableQueuedWorkIsShed) {
   doomed.deadline_seconds = 1.0;  // needs ~1s of engine it won't get
   ASSERT_TRUE(rig.wlm.Submit(doomed).ok());
   rig.sim.RunUntil(3.0);
-  const Request* r = rig.wlm.Find(2);
+  const Request* r = rig.Find(2);
   ASSERT_NE(r, nullptr);
   EXPECT_EQ(r->state, RequestState::kShed);
   EXPECT_EQ(r->reject_reason, "deadline");
@@ -482,7 +482,7 @@ TEST(ManagerOverloadTest, SloDerivedDeadlinesUseTheSlackFactor) {
   def.slos.push_back(ServiceLevelObjective::AvgResponse(3.0));
   rig.wlm.DefineWorkload(def);
   ASSERT_TRUE(rig.wlm.Submit(BiSpec(1, 0.5)).ok());
-  const Request* r = rig.wlm.Find(1);
+  const Request* r = rig.Find(1);
   ASSERT_NE(r, nullptr);
   ASSERT_TRUE(r->HasDeadline());
   EXPECT_DOUBLE_EQ(r->deadline, r->arrival_time + 6.0);
@@ -491,7 +491,7 @@ TEST(ManagerOverloadTest, SloDerivedDeadlinesUseTheSlackFactor) {
 TEST(ManagerOverloadTest, NoDeadlineWithoutOverloadOrSpec) {
   TestRig rig;  // overload disabled
   ASSERT_TRUE(rig.wlm.Submit(BiSpec(1)).ok());
-  EXPECT_FALSE(rig.wlm.Find(1)->HasDeadline());
+  EXPECT_FALSE(rig.Find(1)->HasDeadline());
 }
 
 /// Drives the abort -> retry path: a fault aborts the running request
@@ -530,7 +530,7 @@ TEST(ManagerOverloadTest, RetryBudgetDeniesRunawayRetries) {
   // Two budgeted retries happened, the third was denied terminally.
   EXPECT_EQ(counters.resubmitted, 2);
   EXPECT_EQ(counters.retries_denied, 1);
-  EXPECT_EQ(rig.wlm.Find(1)->state, RequestState::kKilled);
+  EXPECT_EQ(rig.Find(1)->state, RequestState::kKilled);
   bool denied_logged = false;
   for (const WlmEvent& event : rig.wlm.event_log().events()) {
     if (event.type == WlmEventType::kRetryDenied) {
@@ -665,7 +665,7 @@ TEST(ManagerOverloadTest, BrownoutShedsBackgroundClassesFirst) {
   Status background = rig.wlm.Submit(BiSpec(50, 1.0, 100.0, 16.0, "etl"));
   EXPECT_TRUE(background.IsOverloaded());
   EXPECT_EQ(background.message(), "brownout");
-  EXPECT_EQ(rig.wlm.Find(50)->state, RequestState::kShed);
+  EXPECT_EQ(rig.Find(50)->state, RequestState::kShed);
   // Medium-priority default traffic still passes the brownout gate.
   Status medium = rig.wlm.Submit(BiSpec(51, 1.0));
   EXPECT_FALSE(medium.IsOverloaded());
@@ -697,7 +697,7 @@ TEST(DeadlineKillTest, EscalationKillsPastDeadlineWorkWithoutResubmit) {
   spec.deadline_seconds = 1.0;
   ASSERT_TRUE(rig.wlm.Submit(spec).ok());
   rig.sim.RunUntil(30.0);
-  EXPECT_EQ(rig.wlm.Find(1)->state, RequestState::kKilled);
+  EXPECT_EQ(rig.Find(1)->state, RequestState::kKilled);
   EXPECT_EQ(raw->deadline_kills(), 1);
   // No resubmit: a past-deadline rerun would be pure waste.
   EXPECT_EQ(rig.wlm.counters("default").resubmitted, 0);

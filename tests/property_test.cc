@@ -9,9 +9,13 @@
 //   - deterministic replay: identical seeds -> identical outcomes
 //   - dispatch index vs Order: the manager's index for a declared queue
 //     discipline dispatches exactly as the scheduler's Order would
-//   - IdIndex vs std::unordered_map: same answers under any traffic
+//   - IdIndex vs std::unordered_map, IdSet vs std::unordered_set: same
+//     answers under any traffic
+//   - request retirement: one terminal callback per query, then gone;
+//     only in-flight requests retained, however long the run
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <algorithm>
 #include <cmath>
@@ -22,10 +26,14 @@
 #include <string>
 #include <tuple>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "admission/threshold_admission.h"
 #include "common/id_index.h"
+#include "execution/kill.h"
+#include "execution/suspend_resume.h"
+#include "execution/timeout_escalation.h"
 #include "faults/fault_injector.h"
 #include "faults/fault_plan.h"
 #include "scheduling/mpl_scheduler.h"
@@ -304,8 +312,11 @@ TEST_P(IdIndexSweep, AgreesWithUnorderedMap) {
     ref[key] = slot;
   };
   auto erase = [&](uint64_t key) {
-    index.Erase(key);
-    ref.erase(key);
+    // Erase returns the slot it unmapped, the one the reference held.
+    auto it = ref.find(key);
+    EXPECT_EQ(index.Erase(key), it == ref.end() ? IdIndex::kNone : it->second)
+        << "key " << key;
+    if (it != ref.end()) ref.erase(it);
   };
 
   // Growth: 4096 keys from an empty table, through nine doublings.
@@ -364,6 +375,43 @@ TEST_P(IdIndexSweep, AgreesWithUnorderedMap) {
   EXPECT_EQ(index.size(), 0u);
   ASSERT_NO_FATAL_FAILURE(check_range(0, keys.size()));
 }
+
+// The paged id set the cluster dispatcher keeps per shard, against
+// std::unordered_set: rising, strided and random keys, page boundaries and
+// the top of the 64-bit range.
+class IdSetSweep
+    : public ::testing::TestWithParam<std::tuple<uint64_t, uint64_t>> {};
+
+TEST_P(IdSetSweep, AgreesWithUnorderedSet) {
+  const auto [stride, seed] = GetParam();
+  Rng rng(seed);
+  IdSet set;
+  std::unordered_set<uint64_t> ref;
+  auto key = [&](uint64_t n) { return stride == 0 ? rng.Next() : n * stride; };
+  std::vector<uint64_t> probes = {0, 4095, 4096, 4097, ~uint64_t{0},
+                                  ~uint64_t{0} - 4096};
+  for (uint64_t n = 0; n < 20000; ++n) {
+    const uint64_t id = key(n);
+    probes.push_back(id + 1);
+    if (rng.Bernoulli(0.7)) {
+      set.Insert(id);
+      ref.insert(id);
+    }
+    ASSERT_EQ(set.Contains(id), ref.count(id) > 0) << "key " << id;
+  }
+  set.Insert(~uint64_t{0});
+  ref.insert(~uint64_t{0});
+  for (uint64_t id : probes) {
+    ASSERT_EQ(set.Contains(id), ref.count(id) > 0) << "key " << id;
+  }
+  for (uint64_t id : ref) ASSERT_TRUE(set.Contains(id)) << "key " << id;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KeysAndSeeds, IdSetSweep,
+    ::testing::Combine(::testing::Values(uint64_t{1}, uint64_t{3},
+                                         uint64_t{5000}, uint64_t{0}),
+                       ::testing::Values(uint64_t{3})));
 
 INSTANTIATE_TEST_SUITE_P(
     KeysAndSeeds, IdIndexSweep,
@@ -568,7 +616,7 @@ TEST_P(DeterminismSweep, IdenticalSeedsIdenticalOutcomes) {
     bi_driver.Start(20.0);
     rig.sim.RunUntil(120.0);
     std::vector<std::pair<QueryId, double>> result;
-    for (const Request* r : rig.wlm.AllRequests()) {
+    for (const Request* r : rig.requests.All()) {
       result.emplace_back(r->spec.id, r->finish_time);
     }
     return result;
@@ -639,7 +687,7 @@ TEST_P(FaultChaosSweep, NoRequestLostAndBudgetsHoldUnderRandomFaults) {
 
   // No query lost: every submitted request reached a terminal state.
   int64_t terminal = 0;
-  for (const Request* request : rig.wlm.AllRequests()) {
+  for (const Request* request : rig.requests.All()) {
     EXPECT_TRUE(request->state == RequestState::kCompleted ||
                 request->state == RequestState::kKilled ||
                 request->state == RequestState::kAborted ||
@@ -713,9 +761,9 @@ struct QueryFate {
   std::string workload;
 };
 
-std::map<QueryId, QueryFate> Fates(const WorkloadManager& manager) {
+std::map<QueryId, QueryFate> Fates(const RequestRecorder& requests) {
   std::map<QueryId, QueryFate> fates;
-  for (const Request* request : manager.AllRequests()) {
+  for (const Request* request : requests.All()) {
     fates[request->spec.id] = {request->state, request->dispatch_time,
                                request->finish_time, request->workload};
   }
@@ -745,9 +793,12 @@ TEST_P(ClusterMetamorphicSweep, OneShardClusterEqualsBareManager) {
   bare.sim.RunUntil(60.0);
 
   Simulation cluster_sim;
+  std::unique_ptr<RequestRecorder> shard_requests;
   ClusterDispatcher cluster(&cluster_sim, cluster_options,
-                            [](int, WorkloadManager& m) {
+                            [&shard_requests](int, WorkloadManager& m) {
                               DefineTestWorkloads(m);
+                              shard_requests =
+                                  std::make_unique<RequestRecorder>(&m);
                             });
   for (const auto& [when, spec] : arrivals) {
     cluster_sim.ScheduleAt(when, [&cluster, spec = spec] {
@@ -756,8 +807,8 @@ TEST_P(ClusterMetamorphicSweep, OneShardClusterEqualsBareManager) {
   }
   cluster_sim.RunUntil(60.0);
 
-  const auto bare_fates = Fates(bare.wlm);
-  const auto cluster_fates = Fates(cluster.shard(0).wlm());
+  const auto bare_fates = Fates(bare.requests);
+  const auto cluster_fates = Fates(*shard_requests);
   ASSERT_FALSE(bare_fates.empty());
   ASSERT_EQ(bare_fates.size(), cluster_fates.size());
   for (const auto& [id, fate] : bare_fates) {
@@ -1245,7 +1296,7 @@ DispatchTranscript RunDispatchScenario(uint64_t seed, IndexedScheduler kind,
              << c.retries_denied << ' ' << c.queue_waits.count() << ' '
              << Hex(c.queue_waits.mean()) << '\n';
   }
-  for (const Request* r : wlm.AllRequests()) {
+  for (const Request* r : rig.requests.All()) {
     counters << r->spec.id << ' ' << RequestStateToString(r->state) << ' '
              << BusinessPriorityToString(r->priority) << ' '
              << Hex(r->dispatch_time) << ' ' << Hex(r->finish_time) << ' '
@@ -1325,6 +1376,228 @@ INSTANTIATE_TEST_SUITE_P(
                                          IndexedScheduler::kFeedbackMpl),
                        ::testing::Values(1, 2, 3, 4, 5, 6)),
     DispatchIndexCaseName);
+
+// ------------------------------------------------- request retirement
+
+// A request leaves the manager once its completion listeners return. Under
+// seeded configs, random fault plans, an execution controller that kills,
+// suspends or escalates, and overload protection on or off: every
+// submitted id gets exactly one terminal callback and is gone from Find
+// after it; the manager lists only non-terminal requests, exactly as many
+// as are still owed a callback; and a seed replays to a byte-equal event
+// log.
+enum class RetirementControl { kKill, kSuspend, kEscalate };
+
+struct RetirementRun {
+  std::string events;
+  int64_t submitted = 0;
+  int64_t checks = 0;  // monitor samples the invariants were checked at
+};
+
+RetirementRun RunRetirementCase(uint64_t seed, RetirementControl control,
+                                bool overload) {
+  Rng draw(seed * 0x2545F4914F6CDD1DULL + 17);
+  WlmConfig config;
+  config.resilience.enabled = true;
+  config.resilience.max_retries = static_cast<int>(draw.UniformInt(0, 3));
+  config.resilience.retry_backoff_seconds = 0.1;
+  config.overload.enabled = overload;
+  config.overload.codel.queue_capacity =
+      static_cast<int>(draw.UniformInt(4, 12));
+  TestRig rig(TestEngineConfig(), /*monitor_interval=*/0.25, config);
+  WorkloadManager& wlm = rig.wlm;
+  DefineTestWorkloads(wlm);
+  wlm.set_scheduler(std::make_unique<PriorityScheduler>(
+      static_cast<int>(draw.UniformInt(2, 6))));
+  switch (control) {
+    case RetirementControl::kKill: {
+      QueryKillController::Config kill;
+      kill.max_elapsed_seconds = draw.Uniform(0.5, 3.0);
+      kill.resubmit = draw.Bernoulli(0.5);
+      wlm.AddExecutionController(std::make_unique<QueryKillController>(kill));
+      break;
+    }
+    case RetirementControl::kSuspend: {
+      SuspendResumeController::Config suspend;
+      suspend.min_cpu_utilization = 0.0;
+      suspend.strategy = draw.Bernoulli(0.5) ? SuspendStrategy::kDumpState
+                                             : SuspendStrategy::kGoBack;
+      wlm.AddExecutionController(
+          std::make_unique<SuspendResumeController>(suspend));
+      break;
+    }
+    case RetirementControl::kEscalate: {
+      TimeoutEscalationController::Config ladder;
+      ladder.default_policy.throttle_after_seconds = 0.3;
+      ladder.default_policy.suspend_after_seconds = draw.Uniform(0.6, 1.5);
+      ladder.default_policy.kill_after_seconds = draw.Uniform(1.6, 3.0);
+      ladder.default_policy.resubmit_on_kill = draw.Bernoulli(0.5);
+      ladder.default_policy.kill_past_deadline = true;
+      wlm.AddExecutionController(
+          std::make_unique<TimeoutEscalationController>(ladder));
+      break;
+    }
+  }
+  FaultInjector injector(&rig.sim, &rig.engine, &wlm);
+  EXPECT_TRUE(injector.Arm(FaultPlan::Random(seed * 7919 + 5, 15.0, 6)).ok());
+
+  RetirementRun run;
+  std::map<QueryId, int> callbacks;
+  std::vector<QueryId> ended_since_check;
+  int64_t ended = 0;
+  wlm.AddCompletionListener([&](const Request& request) {
+    EXPECT_TRUE(request.terminal()) << "query " << request.spec.id;
+    EXPECT_EQ(wlm.Find(request.spec.id), &request) << "retired too early";
+    ++callbacks[request.spec.id];
+    ended_since_check.push_back(request.spec.id);
+    ++ended;
+  });
+  auto check = [&] {
+    ++run.checks;
+    for (QueryId id : ended_since_check) {
+      EXPECT_EQ(wlm.Find(id), nullptr) << "query " << id << " not retired";
+    }
+    ended_since_check.clear();
+    const std::vector<const Request*> live = wlm.AllRequests();
+    for (const Request* request : live) {
+      EXPECT_FALSE(request->terminal()) << "query " << request->spec.id;
+    }
+    EXPECT_EQ(static_cast<int64_t>(live.size()), run.submitted - ended);
+  };
+  rig.monitor.AddSampleListener([&](const SystemIndicators&) { check(); });
+
+  WorkloadGenerator gen(seed);
+  OltpWorkloadConfig oltp;
+  BiWorkloadConfig bi;
+  bi.cpu_mu = -0.5;
+  const double oltp_deadline = draw.Bernoulli(0.5) ? 1.0 : 0.0;
+  double t = 0.0;
+  for (int n = 1;; ++n) {
+    t += draw.Exponential(0.12);
+    if (t >= 15.0) break;
+    QuerySpec spec = n % 5 == 0 ? gen.NextBi(bi) : gen.NextOltp(oltp);
+    if (spec.kind == QueryKind::kOltpTransaction) {
+      spec.deadline_seconds = oltp_deadline;
+    }
+    rig.sim.ScheduleAt(t, [&, spec = std::move(spec)] {
+      const Status status = wlm.Submit(spec);
+      EXPECT_NE(status.code(), StatusCode::kAlreadyExists);
+      ++run.submitted;
+      // A rejection or shed at arrival ended it before Submit returned.
+      if (!status.ok()) {
+        EXPECT_EQ(wlm.Find(spec.id), nullptr);
+      }
+    });
+  }
+  rig.sim.RunUntil(200.0);  // far past the arrivals and the fault horizon
+  check();
+
+  EXPECT_GT(run.submitted, 50);
+  EXPECT_EQ(static_cast<int64_t>(callbacks.size()), run.submitted);
+  for (const auto& [id, count] : callbacks) {
+    EXPECT_EQ(count, 1) << "query " << id;
+  }
+  EXPECT_TRUE(wlm.AllRequests().empty());
+  std::ostringstream events;
+  WriteEventLogJsonl(wlm.event_log(), events);
+  run.events = events.str();
+  return run;
+}
+
+class RequestRetirementSweep
+    : public ::testing::TestWithParam<
+          std::tuple<uint64_t, RetirementControl, bool>> {};
+
+TEST_P(RequestRetirementSweep, OneCallbackThenGoneAndReplayable) {
+  const auto [seed, control, overload] = GetParam();
+  const RetirementRun first = RunRetirementCase(seed, control, overload);
+  const RetirementRun second = RunRetirementCase(seed, control, overload);
+  EXPECT_GT(first.checks, 100);
+  EXPECT_EQ(first.submitted, second.submitted);
+  EXPECT_TRUE(first.events == second.events)
+      << "event logs differ: " << first.events.size() << " vs "
+      << second.events.size() << " bytes";
+}
+
+std::string RetirementCaseName(
+    const ::testing::TestParamInfo<RequestRetirementSweep::ParamType>& info) {
+  static const char* const kControls[] = {"kill", "suspend", "escalate"};
+  return std::string(kControls[static_cast<int>(std::get<1>(info.param))]) +
+         (std::get<2>(info.param) ? "_overload_" : "_") +
+         std::to_string(std::get<0>(info.param));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, RequestRetirementSweep,
+    ::testing::Combine(::testing::Values(1, 2, 3),
+                       ::testing::Values(RetirementControl::kKill,
+                                         RetirementControl::kSuspend,
+                                         RetirementControl::kEscalate),
+                       ::testing::Bool()),
+    RetirementCaseName);
+
+// Two simulated hours of OLTP at 30/s plus BI at 0.05/s. The manager holds
+// only the requests in flight at every hour, and the heap hardly grows
+// over the second hour: what remains per query is the raw samples that
+// Percentiles keeps (up to 2^20 per series). Before requests were retired
+// the heap grew about 780 B per query.
+TEST(RequestRetirementSweep, LongHorizonHeapStaysFlat) {
+#if defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "mallinfo2 does not see the sanitizer's heap";
+#else
+  // A bare stack: TestRig's recorder keeps a copy of every ended request.
+  Simulation sim;
+  DatabaseEngine engine(&sim, TestEngineConfig());
+  Monitor monitor(&sim, &engine, /*interval=*/1.0);
+  monitor.Start();
+  WorkloadManager wlm(&sim, &engine, &monitor);
+  DefineTestWorkloads(wlm);
+  wlm.set_scheduler(std::make_unique<PriorityScheduler>(/*mpl=*/16));
+  WorkloadGenerator gen(2024);
+  Rng arrivals(2024);
+  OltpWorkloadConfig oltp;
+  BiWorkloadConfig bi;
+  bi.cpu_mu = -1.0;
+  int64_t submitted = 0;
+  OpenLoopDriver oltp_driver(
+      &sim, &arrivals, 30.0, [&] { return gen.NextOltp(oltp); },
+      [&](QuerySpec spec) {
+        (void)wlm.Submit(spec);
+        ++submitted;
+      });
+  OpenLoopDriver bi_driver(
+      &sim, &arrivals, 0.05, [&] { return gen.NextBi(bi); },
+      [&](QuerySpec spec) {
+        (void)wlm.Submit(spec);
+        ++submitted;
+      });
+  constexpr double kHour = 3600.0;
+  oltp_driver.Start(2 * kHour);
+  bi_driver.Start(2 * kHour);
+  size_t heap_after_first_hour = 0;
+  int64_t submitted_after_first_hour = 0;
+  for (int hour = 1; hour <= 2; ++hour) {
+    sim.RunUntil(hour * kHour);
+    EXPECT_EQ(wlm.AllRequests().size(),
+              wlm.queue_depth() + wlm.running_count())
+        << "hour " << hour;
+    if (hour == 1) {
+      heap_after_first_hour = mallinfo2().uordblks;
+      submitted_after_first_hour = submitted;
+    }
+  }
+  const double growth =
+      static_cast<double>(mallinfo2().uordblks) -
+      static_cast<double>(heap_after_first_hour);
+  const int64_t queries = submitted - submitted_after_first_hour;
+  ASSERT_GT(queries, 100000);
+  const double per_query = growth / static_cast<double>(queries);
+  std::printf("heap growth over the second hour: %.1f B per query (%lld "
+              "queries)\n",
+              per_query, static_cast<long long>(queries));
+  EXPECT_LT(per_query, 200.0);
+#endif
+}
 
 }  // namespace
 }  // namespace wlm

@@ -263,7 +263,7 @@ TEST(BatchSchedulerTest, WsptMinimizesWeightedCompletionInSimulation) {
     }
     rig.sim.RunUntil(120.0);
     double weighted_completion = 0.0;
-    for (const Request* r : rig.wlm.AllRequests()) {
+    for (const Request* r : rig.requests.All()) {
       weighted_completion +=
           (static_cast<double>(r->priority) + 1.0) * r->finish_time;
     }
@@ -348,7 +348,7 @@ TEST(SlicedQuerySubmitterTest, ShortQueriesInterleaveBetweenChunks) {
   rig.sim.RunUntil(0.3);
   ASSERT_TRUE(rig.wlm.Submit(BiSpec(2, 0.2, 10.0, 8.0)).ok());
   rig.sim.RunUntil(120.0);
-  const Request* shorty = rig.wlm.Find(2);
+  const Request* shorty = rig.Find(2);
   ASSERT_NE(shorty, nullptr);
   EXPECT_EQ(shorty->state, RequestState::kCompleted);
   // Far sooner than the ~4s the monolith would have imposed.

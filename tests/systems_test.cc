@@ -33,10 +33,10 @@ TEST(Db2FacadeTest, IdentificationRoutesBySourceAndType) {
 
   ASSERT_TRUE(rig.wlm.Submit(OltpSpec(1)).ok());
   ASSERT_TRUE(rig.wlm.Submit(BiSpec(2, 20.0, 10000.0)).ok());
-  EXPECT_EQ(rig.wlm.Find(1)->workload, "SC_OLTP");
-  EXPECT_EQ(rig.wlm.Find(1)->priority, BusinessPriority::kHigh);
-  EXPECT_DOUBLE_EQ(rig.wlm.Find(1)->shares.cpu_weight, 9.0);
-  EXPECT_EQ(rig.wlm.Find(2)->workload, "SC_BATCH");
+  EXPECT_EQ(rig.Find(1)->workload, "SC_OLTP");
+  EXPECT_EQ(rig.Find(1)->priority, BusinessPriority::kHigh);
+  EXPECT_DOUBLE_EQ(rig.Find(1)->shares.cpu_weight, 9.0);
+  EXPECT_EQ(rig.Find(2)->workload, "SC_BATCH");
 }
 
 TEST(Db2FacadeTest, WorkClassRoutesByEstimatedRows) {
@@ -55,8 +55,8 @@ TEST(Db2FacadeTest, WorkClassRoutesByEstimatedRows) {
   wide_q.result_rows = 5'000'000;
   ASSERT_TRUE(rig.wlm.Submit(narrow).ok());
   ASSERT_TRUE(rig.wlm.Submit(wide_q).ok());
-  EXPECT_EQ(rig.wlm.Find(1)->workload, "default");
-  EXPECT_EQ(rig.wlm.Find(2)->workload, "SC_WIDE");
+  EXPECT_EQ(rig.Find(1)->workload, "default");
+  EXPECT_EQ(rig.Find(2)->workload, "SC_WIDE");
 }
 
 TEST(Db2FacadeTest, EstimatedCostThresholdStopsExecution) {
@@ -90,7 +90,7 @@ TEST(Db2FacadeTest, ElapsedTimeRemapAgesPriority) {
 
   ASSERT_TRUE(rig.wlm.Submit(BiSpec(1, 20.0, 100.0, 16.0)).ok());
   rig.sim.RunUntil(3.0);
-  EXPECT_LT(rig.wlm.Find(1)->priority, BusinessPriority::kHigh);
+  EXPECT_LT(rig.Find(1)->priority, BusinessPriority::kHigh);
   EXPECT_GE(db2.remap_count(), 1);
 }
 
@@ -137,8 +137,8 @@ TEST(ResourceGovernorTest, ClassifierFunctionRoutesGroups) {
 
   ASSERT_TRUE(rig.wlm.Submit(BiSpec(1)).ok());   // analyst -> groupA
   ASSERT_TRUE(rig.wlm.Submit(OltpSpec(2)).ok());  // cashier -> default
-  EXPECT_EQ(rig.wlm.Find(1)->workload, "groupA");
-  EXPECT_EQ(rig.wlm.Find(2)->workload, "default");
+  EXPECT_EQ(rig.Find(1)->workload, "groupA");
+  EXPECT_EQ(rig.Find(2)->workload, "default");
 }
 
 TEST(ResourceGovernorTest, ValidatesPoolConfiguration) {
@@ -311,8 +311,8 @@ TEST(TeradataAsmTest, WorkloadDefinitionClassifiesAndThrottles) {
   ASSERT_TRUE(rig.wlm.Submit(OltpSpec(1)).ok());
   ASSERT_TRUE(rig.wlm.Submit(BiSpec(2, 1.0, 100.0, 8.0)).ok());
   ASSERT_TRUE(rig.wlm.Submit(BiSpec(3, 1.0, 100.0, 8.0)).ok());
-  EXPECT_EQ(rig.wlm.Find(1)->workload, "tactical");
-  EXPECT_EQ(rig.wlm.Find(2)->workload, "dss");
+  EXPECT_EQ(rig.Find(1)->workload, "tactical");
+  EXPECT_EQ(rig.Find(2)->workload, "dss");
   // The dss concurrency throttle (delay queue) holds the second query.
   EXPECT_EQ(rig.wlm.RunningInWorkload("dss"), 1);
   EXPECT_EQ(rig.wlm.QueuedInWorkload("dss"), 1);
@@ -365,7 +365,7 @@ TEST(TeradataAsmTest, ExceptionAbortKillsRunaways) {
 
   ASSERT_TRUE(rig.wlm.Submit(BiSpec(1, 60.0, 100.0, 16.0)).ok());
   rig.sim.RunUntil(10.0);
-  EXPECT_EQ(rig.wlm.Find(1)->state, RequestState::kKilled);
+  EXPECT_EQ(rig.Find(1)->state, RequestState::kKilled);
   EXPECT_EQ(asm_facade.exception_aborts(), 1);
 }
 
@@ -385,7 +385,7 @@ TEST(TeradataAsmTest, AnalyzerRecommendsWorkloadsFromLog) {
   rig.sim.RunUntil(600.0);
 
   auto recommendations =
-      TeradataAsmFacade::AnalyzeQueryLog(rig.wlm.AllRequests(), 10);
+      TeradataAsmFacade::AnalyzeQueryLog(rig.requests.All(), 10);
   ASSERT_EQ(recommendations.size(), 2u);
   const auto* pos = &recommendations[0];
   const auto* reporting = &recommendations[1];

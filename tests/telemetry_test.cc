@@ -1028,7 +1028,7 @@ TEST(TelemetryEndToEnd, PhaseDecompositionConservesWallTime) {
   // Every terminal request carries a profile whose phases partition its
   // wall time exactly (the conservation invariant).
   size_t terminal_requests = 0;
-  for (const Request* request : run.rig->wlm.AllRequests()) {
+  for (const Request* request : run.rig->requests.All()) {
     if (!request->terminal()) continue;
     ++terminal_requests;
     const QueryProfile* p = profiles.Find(request->spec.id);

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <functional>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -34,12 +35,50 @@ inline EngineConfig TestEngineConfig() {
   return cfg;
 }
 
+/// Keeps a copy of each request its manager ends. The manager retires a
+/// request once its completion listeners return, so a test reads a
+/// finished request here. Attach it before the requests it should see
+/// are submitted, and keep it in place: its listener points at it.
+class RequestRecorder {
+ public:
+  explicit RequestRecorder(WorkloadManager* manager) : manager_(manager) {
+    manager->AddCompletionListener(
+        [this](const Request& request) { ended_[request.spec.id] = request; });
+  }
+  RequestRecorder(const RequestRecorder&) = delete;
+  RequestRecorder& operator=(const RequestRecorder&) = delete;
+
+  /// The live request `id`, else the copy taken when it ended; nullptr
+  /// when the manager has not seen it.
+  const Request* Find(QueryId id) const {
+    if (const Request* live = manager_->Find(id)) return live;
+    auto it = ended_.find(id);
+    return it == ended_.end() ? nullptr : &it->second;
+  }
+  /// Every request the manager has seen, live or ended, in submission
+  /// order: what AllRequests() listed before requests were retired.
+  std::vector<const Request*> All() const {
+    std::vector<const Request*> all = manager_->AllRequests();
+    for (const auto& [id, request] : ended_) {
+      if (manager_->Find(id) == nullptr) all.push_back(&request);
+    }
+    std::ranges::sort(all, {}, &Request::sequence);
+    return all;
+  }
+
+ private:
+  WorkloadManager* manager_;
+  std::map<QueryId, Request> ended_;
+};
+
 /// One-stop simulation + engine + monitor + workload manager fixture.
 struct TestRig {
   Simulation sim;
   DatabaseEngine engine;
   Monitor monitor;
   WorkloadManager wlm;
+  /// Finished requests stay readable here after the manager retires them.
+  RequestRecorder requests{&wlm};
 
   explicit TestRig(EngineConfig cfg = TestEngineConfig(),
                    double monitor_interval = 0.5,
@@ -49,6 +88,9 @@ struct TestRig {
         wlm(&sim, &engine, &monitor, wlm_config) {
     monitor.Start();
   }
+
+  /// The live request `id`, or the copy taken when it ended.
+  const Request* Find(QueryId id) const { return requests.Find(id); }
 };
 
 inline QuerySpec BiSpec(QueryId id, double cpu = 2.0, double io = 1000.0,
