@@ -119,6 +119,9 @@ class ExecutionController {
   virtual ~ExecutionController() = default;
   virtual void OnSample(const SystemIndicators& indicators,
                         WorkloadManager& manager) = 0;
+  /// Request `id` ended and is being retired: drop what was kept about it,
+  /// since a later request may reuse the id.
+  virtual void OnRequestEnd(QueryId id) { (void)id; }
   virtual TechniqueInfo info() const = 0;
 };
 

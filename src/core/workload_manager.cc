@@ -530,6 +530,7 @@ void WorkloadManager::FinishTerminal(Request* request, RequestState state,
 
 void WorkloadManager::Finish(Request* request) {
   for (const auto& fn : completion_listeners_) fn(*request);
+  for (const auto& ec : execution_) ec->OnRequestEnd(request->spec.id);
   const uint32_t slot = request_index_.Erase(request->spec.id);
   assert(slot != IdIndex::kNone);
   free_.push_back(slot);

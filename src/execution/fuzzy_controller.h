@@ -56,6 +56,7 @@ class FuzzyExecutionController : public ExecutionController {
 
   void OnSample(const SystemIndicators& indicators,
                 WorkloadManager& manager) override;
+  void OnRequestEnd(QueryId id) override { reprioritized_.erase(id); }
   TechniqueInfo info() const override;
 
   int64_t kills() const { return kills_; }

@@ -35,6 +35,7 @@ class PriorityAgingController : public ExecutionController {
 
   void OnSample(const SystemIndicators& indicators,
                 WorkloadManager& manager) override;
+  void OnRequestEnd(QueryId id) override { applied_.erase(id); }
   TechniqueInfo info() const override;
 
   int64_t demotions() const { return demotions_; }

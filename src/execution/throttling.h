@@ -79,6 +79,7 @@ class QueryThrottleController : public ExecutionController {
 
   void OnSample(const SystemIndicators& indicators,
                 WorkloadManager& manager) override;
+  void OnRequestEnd(QueryId id) override { interrupted_.erase(id); }
   TechniqueInfo info() const override;
 
   double throttle_level() const { return throttle_; }

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/format.h"
+#include "telemetry/trace.h"
 
 namespace wlm {
 
@@ -76,18 +77,35 @@ std::string ExplainOutcome(const QueryProfile& profile) {
   return out;
 }
 
-ProfileStore::ProfileStore(size_t max_profiles) : profiles_(max_profiles) {}
+namespace {
 
-void ProfileStore::Begin(QueryId id, const std::string& workload,
-                         QueryKind kind, double now, uint64_t journey) {
-  if (profiles_.Find(id) != nullptr) return;
-  Entry& entry = profiles_.Create(id);
-  QueryProfile& p = entry.profile;
+/// The record of `id` when it carries a profile.
+QueryRecord* ProfiledRecord(Tracer* tracer, QueryId id) {
+  QueryRecord* record = tracer->records().Find(id);
+  return record != nullptr && record->profiled ? record : nullptr;
+}
+
+/// Settles the record's open wait segment (if any) into its bucket.
+void Settle(QueryRecord* record, double now) {
+  if (record->wait.phase < 0) return;
+  record->profile.phase_seconds[static_cast<size_t>(record->wait.phase)] +=
+      std::max(0.0, now - record->wait.start);
+  record->wait.phase = -1;
+}
+
+}  // namespace
+
+ProfileStore::ProfileStore(Tracer* tracer) : tracer_(tracer) {}
+
+void ProfileStore::Begin(QueryId id, uint64_t journey) {
+  QueryRecord* record = tracer_->records().Find(id);
+  if (record == nullptr || record->profiled) return;
+  QueryProfile& p = record->profile;
   p.id = id;
   p.journey = journey;
-  p.workload = workload;
-  p.kind = kind;
-  p.arrival_time = now;
+  p.workload = record->workload;
+  p.kind = record->kind;
+  p.arrival_time = record->start_time;
   p.first_dispatch_time = -1.0;
   p.finish_time = -1.0;
   p.outcome.clear();
@@ -97,17 +115,16 @@ void ProfileStore::Begin(QueryId id, const std::string& workload,
   p.run_segments = 0;
   p.suspend_count = 0;
   p.requeue_count = 0;
-  entry.order = next_order_++;
-  entry.open_phase = -1;
-  entry.open_start = 0.0;
+  record->profiled = true;
+  record->wait = WaitSegment();
+  ++begun_;
 }
 
 void ProfileStore::OpenWait(QueryId id, Phase phase, double now) {
-  Entry* entry = profiles_.Find(id);
-  if (entry == nullptr) return;
-  SettleEntry(entry, now);
-  entry->open_phase = static_cast<int>(phase);
-  entry->open_start = now;
+  QueryRecord* record = ProfiledRecord(tracer_, id);
+  if (record == nullptr) return;
+  Settle(record, now);
+  record->wait = {static_cast<int>(phase), now};
 }
 
 void ProfileStore::OpenQueueWait(QueryId id, double now) {
@@ -115,37 +132,25 @@ void ProfileStore::OpenQueueWait(QueryId id, double now) {
            now);
 }
 
-void ProfileStore::Settle(QueryId id, double now) {
-  SettleEntry(profiles_.Find(id), now);
-}
-
-void ProfileStore::SettleEntry(Entry* entry, double now) {
-  if (entry == nullptr || entry->open_phase < 0) return;
-  double waited = std::max(0.0, now - entry->open_start);
-  entry->profile.phase_seconds[static_cast<size_t>(entry->open_phase)] +=
-      waited;
-  entry->open_phase = -1;
-}
-
 void ProfileStore::SetQueueDiscipline(bool lifo, double now) {
   if (lifo == queue_lifo_) return;
   queue_lifo_ = lifo;
   const int admission = static_cast<int>(Phase::kAdmissionQueue);
   const int overload = static_cast<int>(Phase::kOverloadQueue);
-  profiles_.ForEach([&](Entry& entry) {
-    if (entry.open_phase != admission && entry.open_phase != overload) {
+  tracer_->records().ForEach([&](QueryRecord& record) {
+    if (!record.profiled ||
+        (record.wait.phase != admission && record.wait.phase != overload)) {
       return;
     }
-    SettleEntry(&entry, now);
-    entry.open_phase = lifo ? overload : admission;
-    entry.open_start = now;
+    Settle(&record, now);
+    record.wait = {lifo ? overload : admission, now};
   });
 }
 
 void ProfileStore::AccumulateSegment(QueryId id, const QueryOutcome& outcome) {
-  Entry* entry = profiles_.Find(id);
-  if (entry == nullptr) return;
-  QueryProfile& p = entry->profile;
+  QueryRecord* record = ProfiledRecord(tracer_, id);
+  if (record == nullptr) return;
+  QueryProfile& p = record->profile;
   const ExecPhaseTotals& phases = outcome.phases;
   auto add = [&p](Phase phase, double seconds) {
     p.phase_seconds[static_cast<size_t>(phase)] += seconds;
@@ -168,40 +173,36 @@ void ProfileStore::AccumulateSegment(QueryId id, const QueryOutcome& outcome) {
   ++p.run_segments;
 }
 
-ProfileStore::WaitSegment ProfileStore::MarkDispatched(QueryId id,
-                                                       double now) {
-  Entry* entry = profiles_.Find(id);
-  if (entry == nullptr) return {};
-  const WaitSegment settled{entry->open_phase, entry->open_start};
-  SettleEntry(entry, now);
-  if (entry->profile.first_dispatch_time < 0.0) {
-    entry->profile.first_dispatch_time = now;
+void ProfileStore::MarkDispatched(QueryId id, double now) {
+  QueryRecord* record = ProfiledRecord(tracer_, id);
+  if (record == nullptr) return;
+  Settle(record, now);
+  if (record->profile.first_dispatch_time < 0.0) {
+    record->profile.first_dispatch_time = now;
   }
-  return settled;
 }
 
 void ProfileStore::CountRequeue(QueryId id) {
-  Entry* entry = profiles_.Find(id);
-  if (entry != nullptr) ++entry->profile.requeue_count;
+  QueryRecord* record = ProfiledRecord(tracer_, id);
+  if (record != nullptr) ++record->profile.requeue_count;
 }
 
 void ProfileStore::CountSuspend(QueryId id) {
-  Entry* entry = profiles_.Find(id);
-  if (entry != nullptr) ++entry->profile.suspend_count;
+  QueryRecord* record = ProfiledRecord(tracer_, id);
+  if (record != nullptr) ++record->profile.suspend_count;
 }
 
 const QueryProfile* ProfileStore::Finalize(QueryId id, WorkloadId workload_id,
                                            double now,
                                            std::string_view outcome,
                                            std::string_view detail) {
-  Entry* entry = profiles_.Find(id);
-  if (entry == nullptr || entry->profile.terminal()) return nullptr;
-  SettleEntry(entry, now);
-  QueryProfile& p = entry->profile;
+  QueryRecord* record = ProfiledRecord(tracer_, id);
+  if (record == nullptr || record->profile.terminal()) return nullptr;
+  Settle(record, now);
+  QueryProfile& p = record->profile;
   p.finish_time = now;
   p.outcome.assign(outcome);
   p.detail.assign(detail);
-  profiles_.Finish(id);
 
   if (workload_id >= rollups_.size()) rollups_.resize(workload_id + 1);
   NamedRollup& named = rollups_[workload_id];
@@ -232,36 +233,41 @@ std::map<std::string, ClassProfileRollup> ProfileStore::rollups() const {
 }
 
 const QueryProfile* ProfileStore::Find(QueryId id) const {
-  const Entry* entry = profiles_.Find(id);
-  return entry == nullptr ? nullptr : &entry->profile;
+  const QueryRecord* record = ProfiledRecord(tracer_, id);
+  return record == nullptr ? nullptr : &record->profile;
 }
 
 ProfileStore::WaitSegment ProfileStore::OpenSegment(QueryId id) const {
-  const Entry* entry = profiles_.Find(id);
-  if (entry == nullptr || entry->open_phase < 0) return {};
-  return {entry->open_phase, entry->open_start};
+  const QueryRecord* record = ProfiledRecord(tracer_, id);
+  return record == nullptr ? WaitSegment() : record->wait;
 }
 
 std::vector<QueryProfile> ProfileStore::RecentTerminal(size_t n) const {
-  const std::vector<const Entry*> newest = profiles_.NewestFinished(n);
   std::vector<QueryProfile> out;
-  out.reserve(newest.size());
-  for (const Entry* entry : newest) out.push_back(entry->profile);
+  for (const QueryRecord* record : tracer_->records().NewestFinished(n)) {
+    if (record->profiled) out.push_back(record->profile);
+  }
   return out;
 }
 
 std::vector<const QueryProfile*> ProfileStore::Profiles() const {
-  std::vector<const Entry*> ordered;
-  ordered.reserve(profiles_.size());
-  profiles_.ForEach([&ordered](const Entry& entry) {
-    ordered.push_back(&entry);
+  std::vector<const QueryRecord*> ordered;
+  tracer_->records().ForEach([&ordered](const QueryRecord& record) {
+    if (record.profiled) ordered.push_back(&record);
   });
-  std::sort(ordered.begin(), ordered.end(),
-            [](const Entry* a, const Entry* b) { return a->order < b->order; });
+  std::ranges::sort(ordered, {}, &QueryRecord::tid);
   std::vector<const QueryProfile*> out;
   out.reserve(ordered.size());
-  for (const Entry* entry : ordered) out.push_back(&entry->profile);
+  for (const QueryRecord* record : ordered) out.push_back(&record->profile);
   return out;
+}
+
+size_t ProfileStore::size() const {
+  size_t count = 0;
+  tracer_->records().ForEach([&count](const QueryRecord& record) {
+    if (record.profiled) ++count;
+  });
+  return count;
 }
 
 }  // namespace wlm

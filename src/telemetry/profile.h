@@ -10,9 +10,10 @@
 #include <vector>
 
 #include "engine/types.h"
-#include "telemetry/record_slots.h"
 
 namespace wlm {
+
+class Tracer;
 
 /// Mutually exclusive phases of a request's arrival-to-terminal wall time.
 /// Manager-side waits (queue, suspended, retry backoff) come from the
@@ -109,12 +110,10 @@ struct ClassProfileRollup {
 /// "healthy: 91% cpu_run".
 std::string ExplainOutcome(const QueryProfile& profile);
 
-/// Accumulates QueryProfiles, driven by the Telemetry facade's lifecycle
-/// hooks. Bounded like the tracer: past `max_profiles` the oldest
-/// *terminal* profile is evicted per new profile (live requests are never
-/// dropped), and its slot is reused in place (RecordSlots). Lookups are
-/// O(1); every externally visible listing (Profiles(), rollups()) is
-/// explicitly ordered.
+/// A view of the profiles in the tracer's records, driven by the Telemetry
+/// facade's hooks: a profile is retained and evicted with its trace. The
+/// store keeps only the per-workload rollups and the queue discipline.
+/// Every listing (Profiles(), rollups()) is explicitly ordered.
 class ProfileStore {
  public:
   /// A wait segment (admission/overload queue, suspended wait, retry
@@ -124,34 +123,32 @@ class ProfileStore {
     double start = 0.0;
   };
 
-  explicit ProfileStore(size_t max_profiles = 8192);
+  /// A view of `tracer`'s records, which must outlive it.
+  explicit ProfileStore(Tracer* tracer);
 
-  /// Creates the profile of `id` at submission (no-op if present).
-  /// `journey` is the cluster journey id from the spec (0 standalone).
-  void Begin(QueryId id, const std::string& workload, QueryKind kind,
-             double now, uint64_t journey = 0);
+  /// Starts the profile of `id`'s record from its trace (no-op without a
+  /// record or with a profile). `journey`: the spec's cluster journey id.
+  void Begin(QueryId id, uint64_t journey = 0);
   /// Opens a wait segment (admission/overload queue, suspended wait,
   /// retry backoff). Any open segment is settled first.
   void OpenWait(QueryId id, Phase phase, double now);
   /// Opens the queue wait segment, choosing kAdmissionQueue or
   /// kOverloadQueue from the current queue discipline.
   void OpenQueueWait(QueryId id, double now);
-  /// Settles the open wait segment (if any) into its bucket.
-  void Settle(QueryId id, double now);
   /// The wait queue flipped FIFO<->LIFO: re-buckets every open queue
   /// segment at `now` so time is split exactly at the flip.
   void SetQueueDiscipline(bool lifo, double now);
   /// One engine run segment ended (any OutcomeKind): folds its phase
   /// decomposition and resource usage into the profile.
   void AccumulateSegment(QueryId id, const QueryOutcome& outcome);
-  /// Settles the open wait segment at dispatch and returns it as it was
-  /// (phase -1 when none was open or `id` is unknown).
-  WaitSegment MarkDispatched(QueryId id, double now);
+  /// Settles the open wait segment and stamps the first dispatch.
+  void MarkDispatched(QueryId id, double now);
   void CountRequeue(QueryId id);
   void CountSuspend(QueryId id);
   /// Terminal: settles any open segment, stamps the outcome and rolls the
   /// profile into the rollup of `workload_id` (one id per service class).
-  /// Returns the finalized profile (nullptr when `id` is unknown).
+  /// Returns the finalized profile (nullptr when `id` has no live
+  /// profile). Tracer::FinishTrace queues the record for eviction.
   const QueryProfile* Finalize(QueryId id, WorkloadId workload_id, double now,
                                std::string_view outcome,
                                std::string_view detail);
@@ -160,37 +157,25 @@ class ProfileStore {
   /// Open wait segment of `id`; phase -1 when none is open. Lets the
   /// facade emit a trace tile before settling.
   WaitSegment OpenSegment(QueryId id) const;
-  /// All retained profiles, in creation order.
+  /// All retained profiles, in their traces' creation (tid) order.
   std::vector<const QueryProfile*> Profiles() const;
-  /// Copies of the newest `n` retained terminal profiles, oldest first
-  /// (finalize order).
+  /// Copies of the profiles among the newest `n` finished records, oldest
+  /// finish first.
   std::vector<QueryProfile> RecentTerminal(size_t n) const;
   /// Rollups by service-class name.
   std::map<std::string, ClassProfileRollup> rollups() const;
-  size_t size() const { return profiles_.size(); }
-  int64_t evicted() const { return profiles_.evicted(); }
-  bool queue_lifo() const { return queue_lifo_; }
+  size_t size() const;
+  int64_t evicted() const { return begun_ - static_cast<int64_t>(size()); }
 
  private:
-  struct Entry {
-    QueryProfile profile;
-    int64_t order = 0;       // creation order, for deterministic listing
-    int open_phase = -1;     // static_cast<int>(Phase); -1 = none open
-    double open_start = 0.0;
-  };
-
-  /// Settle on an already-resolved entry (skips the repeat lookup the
-  /// public Settle would pay on the per-query hot path).
-  void SettleEntry(Entry* entry, double now);
-
   struct NamedRollup {
     std::string workload;
     ClassProfileRollup rollup;
   };
 
-  int64_t next_order_ = 0;
+  Tracer* tracer_;
   bool queue_lifo_ = false;
-  RecordSlots<Entry> profiles_;
+  int64_t begun_ = 0;  // profiles ever begun
   std::vector<NamedRollup> rollups_;  // indexed by WorkloadId
 };
 

@@ -11,8 +11,9 @@
 
 namespace wlm {
 
-/// Bounded per-query records (the tracer's traces, the profile store's
-/// profiles) in slots that are reused in place, found through an IdIndex.
+/// The tracer's bounded per-query records (one per query: its trace and,
+/// while profiling, its profile) in slots that are reused in place, found
+/// through one IdIndex.
 ///
 /// Eviction: creating a record while `bound` or more are live first
 /// evicts finished records, oldest finish first, for as long as that
@@ -22,17 +23,24 @@ namespace wlm {
 ///
 /// Slots live in fixed blocks of kBlockSlots, so their addresses stay put
 /// as the store grows, and a block holds many slots where std::deque would
-/// allocate one node per profile-sized slot. The finished FIFO and the
+/// allocate one node per record-sized slot. The finished FIFO and the
 /// free list are threaded through the slots, so an empty store has
 /// allocated nothing.
+///
+/// The last id looked up is remembered with its slot (Create, the only
+/// writer of the index, remembers the id it creates), so the lookups one
+/// lifecycle hook makes for its query probe the index once.
 template <typename Record>
 class RecordSlots {
  public:
   explicit RecordSlots(size_t bound) : bound_(bound) {}
 
   Record* Find(QueryId id) {
-    const uint32_t slot = index_.Find(id);
-    return slot == IdIndex::kNone ? nullptr : &At(slot).record;
+    if (id != memo_id_) {
+      memo_id_ = id;
+      memo_slot_ = index_.Find(id);
+    }
+    return memo_slot_ == IdIndex::kNone ? nullptr : &At(memo_slot_).record;
   }
   const Record* Find(QueryId id) const {
     const uint32_t slot = index_.Find(id);
@@ -69,14 +77,16 @@ class RecordSlots {
     s.live = true;
     s.next = IdIndex::kNone;
     index_.Insert(id, slot);
+    memo_id_ = id;
+    memo_slot_ = slot;
     return s.record;
   }
 
   /// Queues the live record of `id` for eviction. Call once, when the
   /// record becomes final.
   void Finish(QueryId id) {
-    const uint32_t slot = index_.Find(id);
-    if (slot == IdIndex::kNone) return;
+    if (Find(id) == nullptr) return;
+    const uint32_t slot = memo_slot_;
     if (finished_tail_ == IdIndex::kNone) {
       finished_head_ = slot;
     } else {
@@ -147,6 +157,9 @@ class RecordSlots {
   std::vector<std::unique_ptr<Slot[]>> blocks_;
   size_t count_ = 0;  // slots ever created, live or free
   IdIndex index_;
+  // The last id looked up and its slot (kNone: not live).
+  QueryId memo_id_ = 0;
+  uint32_t memo_slot_ = IdIndex::kNone;
   uint32_t finished_head_ = IdIndex::kNone;
   uint32_t finished_tail_ = IdIndex::kNone;
   size_t finished_ = 0;

@@ -35,7 +35,8 @@ Telemetry::Telemetry(Simulation* sim, Monitor* monitor,
       monitor_(monitor),
       enabled_(options.enabled),
       profiling_(options.profiling),
-      watchdog_(monitor, &event_log_, &metrics_) {
+      watchdog_(monitor, &event_log_, &metrics_),
+      profiles_(&tracer_) {
   if (!enabled_) return;
   metrics_.SetHelp("wlm_requests_submitted_total",
                    "Requests entering the workload manager");
@@ -148,16 +149,12 @@ QueryId Telemetry::Track(SyntheticTrack track, double now) {
   return id;
 }
 
-void Telemetry::TileWait(QueryId id, ProfileStore::WaitSegment segment,
-                         double now) {
+void Telemetry::TileOpenWait(QueryId id, double now) {
+  const ProfileStore::WaitSegment segment = profiles_.OpenSegment(id);
   if (segment.phase >= 0 && now > segment.start) {
     tracer_.AddClosedSpan(id, SpanKind::kPhase, segment.start, now,
                           PhaseText(static_cast<Phase>(segment.phase)));
   }
-}
-
-void Telemetry::TileOpenWait(QueryId id, double now) {
-  TileWait(id, profiles_.OpenSegment(id), now);
 }
 
 void Telemetry::WatchSlos(const std::string& workload,
@@ -172,7 +169,7 @@ void Telemetry::OnSubmit(QueryId id, WorkloadId workload_id,
   Log(WlmEventType::kSubmitted, id, workload_id, workload);
   if (!enabled_) return;
   tracer_.GetOrCreate(id, workload, kind, Now());
-  if (profiling_) profiles_.Begin(id, workload, kind, Now(), journey);
+  if (profiling_) profiles_.Begin(id, journey);
   Counter*& submitted = Handles(workload_id).submitted;
   if (submitted == nullptr) {
     submitted = &metrics_.GetCounter("wlm_requests_submitted_total",
@@ -259,9 +256,10 @@ void Telemetry::OnDispatch(QueryId id, WorkloadId workload_id,
   tracer_.OpenSpan(id, SpanKind::kExecute, now,
                    resumed ? TraceText::kResumed : TraceText::kNone);
   if (profiling_) {
-    // Settle the wait that just ended (admission/overload queue or
-    // suspended wait) into the profile, then tile it.
-    TileWait(id, profiles_.MarkDispatched(id, now), now);
+    // Tile the wait that just ended (admission/overload queue or
+    // suspended wait), then settle it into the profile.
+    TileOpenWait(id, now);
+    profiles_.MarkDispatched(id, now);
   }
   Counter*& dispatches = Handles(workload_id).dispatches[resumed ? 1 : 0];
   if (dispatches == nullptr) {
@@ -696,17 +694,13 @@ void Telemetry::AddPhaseTiles(QueryId id, double start,
       {Phase::kThrottled, phases.throttled_seconds},
       {Phase::kSuspendFlush, phases.suspend_flush_seconds},
   };
-  Span batch[std::size(tiles)];
-  size_t count = 0;
   double cursor = start;
   for (const auto& [phase, seconds] : tiles) {
     if (seconds <= 0.0) continue;
-    batch[count++] = {SpanKind::kPhase,
-                      static_cast<TextRef>(PhaseText(phase)), 0, cursor,
-                      cursor + seconds};
+    tracer_.AddClosedSpan(id, SpanKind::kPhase, cursor, cursor + seconds,
+                          PhaseText(phase));
     cursor += seconds;
   }
-  if (count > 0) tracer_.AddClosedSpans(id, batch, count);
 }
 
 void Telemetry::TriggerFlightRecorder(const std::string& reason) {

@@ -51,8 +51,8 @@ constexpr bool IsSyntheticQueryId(QueryId id) {
 /// "overload", "cluster").
 const char* SyntheticTrackName(SyntheticTrack track);
 
-/// The tracer and profile store keep their default bounds (8192 queries
-/// each, oldest finished evicted first) and the flight recorder its
+/// The tracer keeps its default bound (8192 query records, trace and
+/// profile each, oldest finished evicted first) and the flight recorder its
 /// default dump size, cooldown and dump budget. Neither switch touches the
 /// event log: the facade writes it either way.
 struct TelemetryOptions {
@@ -73,8 +73,9 @@ struct TelemetryOptions {
 /// per fact. A hook whose fact has a WlmEventType first appends its line to
 /// the control-plane event log (always, even when disabled, so the log is
 /// the same with telemetry on or off); then every hook fans out to the
-/// span tracer, the labeled metrics registry, the profile store and the SLO
-/// watchdog. Post-mortems read what those already hold: the newest terminal
+/// query's tracer record (its trace and, through the profile store, its
+/// profile), the labeled metrics registry and the SLO watchdog.
+/// Post-mortems read what those already hold: the newest terminal
 /// profiles, the event-log tail and the controller-state gauges.
 /// Purely passive — it records simulated time but never schedules events
 /// or perturbs any control decision, so enabling/disabling it cannot
@@ -83,7 +84,7 @@ class Telemetry {
  public:
   Telemetry(Simulation* sim, Monitor* monitor,
             TelemetryOptions options = TelemetryOptions());
-  // The watchdog holds pointers to the event log and metrics members.
+  // The watchdog and the profile store hold pointers to members.
   Telemetry(const Telemetry&) = delete;
   Telemetry& operator=(const Telemetry&) = delete;
 
@@ -99,7 +100,6 @@ class Telemetry {
   SloWatchdog& watchdog() { return watchdog_; }
   const SloWatchdog& watchdog() const { return watchdog_; }
   /// Per-query latency decomposition + resource attribution store.
-  ProfileStore& profiles() { return profiles_; }
   const ProfileStore& profiles() const { return profiles_; }
   /// Black-box flight recorder (post-mortem dumps).
   const FlightRecorder& flight_recorder() const { return recorder_; }
@@ -119,8 +119,8 @@ class Telemetry {
 
   // --- lifecycle hooks (log only when disabled) ----------------------------
   // A hook that labels a series by workload takes the workload's id, which
-  // picks its handle slot, and its name, which the event log, the tracer,
-  // the profile store and a handle's first resolution read.
+  // picks its handle slot, and its name, which the event log, the tracer
+  // (and from the trace, the profile) and a handle's first resolution read.
 
   /// `journey` is the cluster-assigned journey id carried on the spec
   /// (0 outside a cluster); it lands on the QueryProfile so per-shard
@@ -267,10 +267,8 @@ class Telemetry {
                 std::string_view detail);
   /// The synthetic track's id, its trace created on first use.
   QueryId Track(SyntheticTrack track, double now);
-  /// Tiles a wait segment (queue, suspended wait, retry backoff) up to
-  /// `now` as a kPhase span; nothing when no segment was open.
-  void TileWait(QueryId id, ProfileStore::WaitSegment segment, double now);
-  /// TileWait on the request's open segment; the profile settles it later.
+  /// Tiles the request's open wait segment (queue, suspended wait, retry
+  /// backoff) up to `now` as a kPhase span, before the profile settles it.
   void TileOpenWait(QueryId id, double now);
   /// Finalizes a profile: phase metrics and class rollups.
   void FinalizeProfile(QueryId id, WorkloadId workload_id,

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/format.h"
-#include "telemetry/profile.h"
 
 namespace wlm {
 
@@ -171,12 +170,13 @@ std::string QueryTrace::Detail(const Span& span) const {
   return out;
 }
 
-Tracer::Tracer(size_t max_traces) : traces_(max_traces) {}
+Tracer::Tracer(size_t max_traces) : records_(max_traces) {}
 
 QueryTrace& Tracer::GetOrCreate(QueryId id, const std::string& workload,
                                 QueryKind kind, double now) {
-  if (QueryTrace* existing = traces_.Find(id)) return *existing;
-  QueryTrace& trace = traces_.Create(id);
+  if (QueryRecord* existing = records_.Find(id)) return *existing;
+  QueryRecord& trace = records_.Create(id);
+  trace.profiled = false;
   trace.id = id;
   trace.workload = workload;
   trace.kind = kind;
@@ -195,16 +195,16 @@ QueryTrace& Tracer::GetOrCreate(QueryId id, const std::string& workload,
   return trace;
 }
 
-const QueryTrace* Tracer::Find(QueryId id) const { return traces_.Find(id); }
+const QueryTrace* Tracer::Find(QueryId id) const { return records_.Find(id); }
 
 void Tracer::OpenSpan(QueryId id, SpanKind kind, double now, TextArg head) {
-  QueryTrace* trace = traces_.Find(id);
+  QueryTrace* trace = records_.Find(id);
   if (trace == nullptr) return;
   trace->spans.push_back({kind, Resolve(*trace, head), 0, now, -1.0});
 }
 
 void Tracer::CloseSpan(QueryId id, SpanKind kind, double now, TextArg tail) {
-  QueryTrace* trace = traces_.Find(id);
+  QueryTrace* trace = records_.Find(id);
   if (trace == nullptr) return;
   auto& spans = trace->spans;
   for (auto rit = spans.rbegin(); rit != spans.rend(); ++rit) {
@@ -218,36 +218,27 @@ void Tracer::CloseSpan(QueryId id, SpanKind kind, double now, TextArg tail) {
 
 void Tracer::AddClosedSpan(QueryId id, SpanKind kind, double start,
                            double end, TextArg head) {
-  QueryTrace* trace = traces_.Find(id);
+  QueryTrace* trace = records_.Find(id);
   if (trace == nullptr || end < start) return;
   trace->spans.push_back({kind, Resolve(*trace, head), 0, start, end});
 }
 
-void Tracer::AddClosedSpans(QueryId id, const Span* spans, size_t count) {
-  QueryTrace* trace = traces_.Find(id);
-  if (trace == nullptr) return;
-  for (size_t i = 0; i < count; ++i) {
-    if (spans[i].end < spans[i].start) continue;
-    trace->spans.push_back(spans[i]);
-  }
-}
-
 void Tracer::Instant(QueryId id, TextArg name, double now, TextArg detail) {
-  QueryTrace* trace = traces_.Find(id);
+  QueryTrace* trace = records_.Find(id);
   if (trace == nullptr) return;
   const TextRef name_ref = Resolve(*trace, name);
   trace->instants.push_back({now, name_ref, Resolve(*trace, detail)});
 }
 
 void Tracer::CloseExecutionSegment(QueryId id, double now, TextArg tail) {
-  QueryTrace* trace = traces_.Find(id);
+  QueryTrace* trace = records_.Find(id);
   if (trace == nullptr) return;
   CloseSegment(trace, now, Resolve(*trace, tail));
 }
 
 void Tracer::CloseExecutionSegment(QueryId id, double now,
                                    const TraceOutcome& outcome) {
-  QueryTrace* trace = traces_.Find(id);
+  QueryTrace* trace = records_.Find(id);
   if (trace == nullptr) return;
   trace->outcome = outcome;
   CloseSegment(trace, now, kOutcomeText);
@@ -270,23 +261,20 @@ void Tracer::CloseSegment(QueryTrace* trace, double now, TextRef tail) {
 }
 
 void Tracer::FinishTrace(QueryId id, double now) {
-  QueryTrace* trace = traces_.Find(id);
+  QueryTrace* trace = records_.Find(id);
   if (trace == nullptr || trace->finished) return;
   for (Span& span : trace->spans) {
     if (span.open() || span.end > now) span.end = std::max(span.start, now);
   }
   trace->finished = true;
-  traces_.Finish(id);
+  records_.Finish(id);
 }
 
 std::vector<const QueryTrace*> Tracer::Traces() const {
   std::vector<const QueryTrace*> out;
-  out.reserve(traces_.size());
-  traces_.ForEach([&out](const QueryTrace& trace) { out.push_back(&trace); });
-  std::sort(out.begin(), out.end(),
-            [](const QueryTrace* a, const QueryTrace* b) {
-              return a->tid < b->tid;
-            });
+  out.reserve(records_.size());
+  records_.ForEach([&out](const QueryTrace& trace) { out.push_back(&trace); });
+  std::ranges::sort(out, {}, &QueryTrace::tid);
   return out;
 }
 

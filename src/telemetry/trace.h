@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "engine/types.h"
+#include "telemetry/profile.h"
 #include "telemetry/record_slots.h"
 
 namespace wlm {
@@ -155,10 +156,19 @@ struct QueryTrace {
   std::string Detail(const Span& span) const;
 };
 
-/// Accumulates QueryTraces, bounded by `max_traces`: once the limit is
-/// reached the oldest *finished* trace is evicted per new trace (live
-/// queries are never dropped; their count is bounded by the MPL anyway).
-/// An evicted trace's slot is reused in place (RecordSlots).
+/// One query's telemetry record: its trace and, once ProfileStore::Begin
+/// ran for it (profiling on), its profile.
+struct QueryRecord : QueryTrace {
+  bool profiled = false;
+  QueryProfile profile;
+  /// The profile's open wait segment; phase -1 when none is open.
+  ProfileStore::WaitSegment wait;
+};
+
+/// Accumulates one QueryRecord per query, bounded by `max_traces`: once the
+/// limit is reached the oldest *finished* record is evicted per new one
+/// (live queries are never dropped; their count is bounded by the MPL
+/// anyway). An evicted record's slot is reused in place (RecordSlots).
 class Tracer {
  public:
   explicit Tracer(size_t max_traces = 8192);
@@ -176,10 +186,6 @@ class Tracer {
   /// after the fact, e.g. lock waits reported with the outcome).
   void AddClosedSpan(QueryId id, SpanKind kind, double start, double end,
                      TextArg head = {});
-  /// Records a batch of already-closed spans with a single trace lookup
-  /// (the per-segment phase tiles). Their texts must be empty or static;
-  /// entries with end < start are skipped.
-  void AddClosedSpans(QueryId id, const Span* spans, size_t count);
   void Instant(QueryId id, TextArg name, double now, TextArg detail = {});
 
   /// Closes the open execute span (giving it `tail`) and closes or clamps
@@ -197,15 +203,18 @@ class Tracer {
 
   /// All traces, in creation (tid) order.
   std::vector<const QueryTrace*> Traces() const;
-  size_t size() const { return traces_.size(); }
-  int64_t evicted() const { return traces_.evicted(); }
+  size_t size() const { return records_.size(); }
+  int64_t evicted() const { return records_.evicted(); }
+
+  /// The records, which ProfileStore reads and writes the profiles of.
+  RecordSlots<QueryRecord>& records() { return records_; }
 
  private:
   void CloseSegment(QueryTrace* trace, double now, TextRef tail);
 
   int next_tid_ = 1;
-  // Every hook finds its trace here. Traces() restores tid order.
-  RecordSlots<QueryTrace> traces_;
+  // Every hook finds its query's record here. Traces() restores tid order.
+  RecordSlots<QueryRecord> records_;
 };
 
 }  // namespace wlm

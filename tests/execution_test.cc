@@ -106,6 +106,29 @@ TEST(PriorityAgingTest, DemotionShrinksEngineShares) {
   EXPECT_LT(after->shares.cpu_weight, before->shares.cpu_weight);
 }
 
+TEST(PriorityAgingTest, ReusedIdIsAgedAfresh) {
+  TestRig rig;
+  PriorityAgingController::Config config;
+  config.elapsed_threshold_seconds = 1.0;
+  config.repeat_every_seconds = 0.0;  // one demotion per request
+  auto aging = std::make_unique<PriorityAgingController>(config);
+  PriorityAgingController* raw = aging.get();
+  rig.wlm.AddExecutionController(std::move(aging));
+
+  ASSERT_TRUE(rig.wlm.Submit(BiSpec(1, 2.0, 100.0, 16.0)).ok());
+  rig.sim.RunUntil(10.0);
+  ASSERT_EQ(rig.wlm.Find(1), nullptr) << "the first request retired";
+  EXPECT_LT(rig.Find(1)->priority, BusinessPriority::kMedium);
+  ASSERT_EQ(raw->demotions(), 1);
+
+  // A new request reusing the id runs past the threshold and is demoted
+  // like any fresh request.
+  ASSERT_TRUE(rig.wlm.Submit(BiSpec(1, 2.0, 100.0, 16.0)).ok());
+  rig.sim.RunUntil(11.6);
+  EXPECT_LT(rig.Find(1)->priority, BusinessPriority::kMedium);
+  EXPECT_EQ(raw->demotions(), 2);
+}
+
 // --------------------------------------- EconomicReallocationController
 
 TEST(EconomicReallocationTest, WealthShiftMovesShares) {
@@ -446,6 +469,35 @@ TEST(QueryThrottleTest, InterruptMethodPausesVictimOnce) {
   EXPECT_TRUE(progress->sleeping);
 }
 
+TEST(QueryThrottleTest, ReusedIdIsPausedAfresh) {
+  TestRig rig;
+  DefineTwoWorkloads(&rig);
+  QueryThrottleController::Config config;
+  config.victim_workload = "bi";
+  config.protected_workload = "oltp";
+  config.target_response_seconds = 0.001;  // impossible: max throttle
+  config.method = QueryThrottleController::Method::kInterrupt;
+  config.interrupt_horizon_seconds = 5.0;
+  rig.wlm.AddExecutionController(
+      std::make_unique<QueryThrottleController>(config));
+
+  // The victim runs beside protected-workload completions, which give the
+  // controller its signal.
+  auto run_victim = [&rig](QueryId first_oltp, double until) {
+    ASSERT_TRUE(rig.wlm.Submit(BiSpec(1, 5.0, 100.0, 16.0)).ok());
+    for (QueryId id = first_oltp; id < first_oltp + 4; ++id) {
+      ASSERT_TRUE(rig.wlm.Submit(OltpSpec(id)).ok());
+    }
+    rig.sim.RunUntil(until);
+  };
+  run_victim(10, 30.0);
+  ASSERT_EQ(rig.wlm.Find(1), nullptr) << "the first request retired";
+  ASSERT_EQ(rig.wlm.event_log().CountOf(WlmEventType::kPaused), 1);
+  // A new request reusing the id is paused once, like any fresh victim.
+  run_victim(20, 60.0);
+  EXPECT_EQ(rig.wlm.event_log().CountOf(WlmEventType::kPaused), 2);
+}
+
 // ------------------------------------------- FuzzyExecutionController
 
 TEST(FuzzyInferenceTest, OnEstimateContinues) {
@@ -513,6 +565,34 @@ TEST(FuzzyControllerTest, KillsHopelessQueryInLoadedSystem) {
   ASSERT_TRUE(rig.wlm.Submit(BiSpec(1, 1.0, 100.0, 8.0)).ok());
   rig.sim.RunUntil(60.0);
   EXPECT_GE(raw->resubmit_kills() + raw->reprioritizations(), 1);
+}
+
+TEST(FuzzyControllerTest, ReusedIdIsReprioritizedAfresh) {
+  TestRig rig;
+  FuzzyExecutionController::Config config;
+  // Any query running a second is way over its estimate, and every query
+  // counts as high priority, so the rule base demotes rather than kills.
+  config.overrun_ok = 0.0;
+  config.overrun_long = 0.001;
+  config.overrun_huge = 0.002;
+  config.high_priority_cut = BusinessPriority::kBackground;
+  config.max_reprioritizations = 1;
+  auto controller = std::make_unique<FuzzyExecutionController>(config);
+  FuzzyExecutionController* raw = controller.get();
+  rig.wlm.AddExecutionController(std::move(controller));
+
+  ASSERT_TRUE(rig.wlm.Submit(BiSpec(1, 2.0, 100.0, 16.0)).ok());
+  rig.sim.RunUntil(10.0);
+  ASSERT_EQ(rig.wlm.Find(1), nullptr) << "the first request retired";
+  EXPECT_EQ(rig.Find(1)->priority, BusinessPriority::kLow);
+  ASSERT_EQ(raw->reprioritizations(), 1);
+
+  // A new request reusing the id gets its own reprioritization budget.
+  ASSERT_TRUE(rig.wlm.Submit(BiSpec(1, 2.0, 100.0, 16.0)).ok());
+  rig.sim.RunUntil(11.6);
+  EXPECT_EQ(rig.Find(1)->priority, BusinessPriority::kLow);
+  EXPECT_EQ(raw->reprioritizations(), 2);
+  EXPECT_EQ(raw->kills() + raw->resubmit_kills(), 0);
 }
 
 // ------------------------------------------- ProgressAwareController

@@ -1,34 +1,18 @@
 // A warm lock table allocates nothing: acquires, waits, upgrades, grants
 // through the callback and releases reuse the storage earlier traffic left
-// behind. This binary replaces the global operator new to count heap
-// allocations inside a window of contended traffic.
+// behind. This binary replaces the global operator new
+// (tests/counting_new.h) to count heap allocations inside a window of
+// contended traffic.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 
 #include "common/rng.h"
 #include "engine/lock_manager.h"
-
-namespace {
-
-bool g_counting = false;
-int64_t g_allocations = 0;
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (g_counting) ++g_allocations;
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#include "tests/counting_new.h"
 
 namespace wlm {
 namespace {

@@ -5,7 +5,7 @@
 // perfbench, every arrival's spec is generated before the clock starts and
 // one scheduled event per source feeds them, so what is counted inside
 // RunUntil is the program's own work. This binary replaces the global
-// operator new to count.
+// operator new to count (tests/counting_new.h).
 //
 // The bounds sit just above the counts this code measures (see the tests
 // below). A change that removes allocations lowers them; one that adds an
@@ -16,9 +16,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <tuple>
 #include <vector>
 
@@ -29,36 +27,8 @@
 #include "engine/monitor.h"
 #include "scheduling/queue_schedulers.h"
 #include "sim/simulation.h"
+#include "tests/counting_new.h"
 #include "workloads/generators.h"
-
-namespace {
-
-bool g_counting = false;
-int64_t g_allocations = 0;
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (g_counting) ++g_allocations;
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-
-// std::stable_sort's buffer comes from the nothrow form; a sanitizer that
-// supplies its own would not pair with the free below.
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  if (g_counting) ++g_allocations;
-  return std::malloc(size == 0 ? 1 : size);
-}
-
-// The operator new above hands out malloc'd memory, so free is its match;
-// GCC flags the pairing once it inlines these into a delete expression.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-#pragma GCC diagnostic pop
 
 namespace wlm {
 namespace {

@@ -1,37 +1,21 @@
-// A warm telemetry facade allocates nothing per query: once the tracer and
-// the profile store hold their bound of records and the event log has
-// wrapped, a healthy query's five hooks (submit, admit, dispatch, run
-// segment, terminal) reuse the slots, rings and metric handles earlier
-// queries left behind. This binary replaces the global operator new to
-// count heap allocations inside a window of query lifecycles.
+// A warm telemetry facade allocates nothing per query: once the tracer
+// holds its bound of records (a trace and a profile each) and the event
+// log has wrapped, a healthy query's five hooks (submit, admit, dispatch,
+// run segment, terminal) reuse the slots, rings and metric handles earlier
+// queries left behind. This binary replaces the global operator new
+// (tests/counting_new.h) to count heap allocations inside a window of
+// query lifecycles.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <string>
 
 #include "engine/engine.h"
 #include "engine/monitor.h"
 #include "sim/simulation.h"
 #include "telemetry/telemetry.h"
-
-namespace {
-
-bool g_counting = false;
-int64_t g_allocations = 0;
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (g_counting) ++g_allocations;
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#include "tests/counting_new.h"
 
 namespace wlm {
 namespace {
@@ -67,8 +51,8 @@ TEST(WarmTelemetry, QueryLifecycleAllocatesNothing) {
     telemetry.OnTerminal(id, workload_id, workload, WlmEventType::kCompleted,
                          0.02, 0.001, outcome);
   };
-  // Past every bound: 8192 traces and profiles, and 65,536 events at
-  // three a query.
+  // Past every bound: 8192 records (a trace and a profile each), and
+  // 65,536 events at three a query.
   for (int i = 0; i < 22000; ++i) query();
   ASSERT_EQ(telemetry.tracer().size(), 8192u);
   ASSERT_EQ(telemetry.profiles().size(), 8192u);

@@ -6,6 +6,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -804,13 +805,36 @@ TEST(TelemetryEndToEnd, SeriesAndEventLogExportsAreWellFormed) {
 // Latency decomposition: profiles, conservation, flight recorder
 // ---------------------------------------------------------------------------
 
+/// A profile store as the facade keeps one: a view of a tracer's records.
+/// Begin creates the query's trace and Finalize finishes it first, as the
+/// facade's hooks do.
+struct TracedProfiles {
+  explicit TracedProfiles(size_t bound = 8192) : tracer(bound) {}
+
+  void Begin(QueryId id, const std::string& workload, QueryKind kind,
+             double now, uint64_t journey = 0) {
+    tracer.GetOrCreate(id, workload, kind, now);
+    store.Begin(id, journey);
+  }
+  const QueryProfile* Finalize(QueryId id, WorkloadId workload_id, double now,
+                               std::string_view outcome,
+                               std::string_view detail) {
+    tracer.FinishTrace(id, now);
+    return store.Finalize(id, workload_id, now, outcome, detail);
+  }
+
+  Tracer tracer;
+  ProfileStore store{&tracer};
+};
+
 TEST(ProfileStore, QueueDisciplineFlipSplitsWaitExactly) {
-  ProfileStore store(16);
-  store.Begin(7, "bi", QueryKind::kBiQuery, 0.0);
+  TracedProfiles profiles(16);
+  ProfileStore& store = profiles.store;
+  profiles.Begin(7, "bi", QueryKind::kBiQuery, 0.0);
   store.OpenQueueWait(7, 0.0);
   store.SetQueueDiscipline(true, 3.0);   // FIFO -> LIFO at t=3
   store.SetQueueDiscipline(false, 5.0);  // and back at t=5
-  const QueryProfile* p = store.Finalize(7, 0, 9.0, "shed", "codel");
+  const QueryProfile* p = profiles.Finalize(7, 0, 9.0, "shed", "codel");
   ASSERT_NE(p, nullptr);
   EXPECT_DOUBLE_EQ(p->seconds(Phase::kAdmissionQueue), 3.0 + 4.0);
   EXPECT_DOUBLE_EQ(p->seconds(Phase::kOverloadQueue), 2.0);
@@ -819,16 +843,17 @@ TEST(ProfileStore, QueueDisciplineFlipSplitsWaitExactly) {
 }
 
 TEST(ProfileStore, RollupsListByWorkloadName) {
-  ProfileStore store(16);
-  store.Begin(1, "oltp", QueryKind::kOltpTransaction, 0.0);
-  store.Begin(2, "bi", QueryKind::kBiQuery, 0.0);
-  store.Begin(3, "oltp", QueryKind::kOltpTransaction, 0.0);
-  store.Begin(4, "idle", QueryKind::kBiQuery, 0.0);
+  TracedProfiles profiles(16);
+  ProfileStore& store = profiles.store;
+  profiles.Begin(1, "oltp", QueryKind::kOltpTransaction, 0.0);
+  profiles.Begin(2, "bi", QueryKind::kBiQuery, 0.0);
+  profiles.Begin(3, "oltp", QueryKind::kOltpTransaction, 0.0);
+  profiles.Begin(4, "idle", QueryKind::kBiQuery, 0.0);
   store.OpenQueueWait(1, 0.0);
   store.OpenQueueWait(3, 0.0);
-  ASSERT_NE(store.Finalize(1, 0, 1.0, "completed", ""), nullptr);
-  ASSERT_NE(store.Finalize(2, 1, 2.0, "completed", ""), nullptr);
-  ASSERT_NE(store.Finalize(3, 0, 4.0, "completed", ""), nullptr);
+  ASSERT_NE(profiles.Finalize(1, 0, 1.0, "completed", ""), nullptr);
+  ASSERT_NE(profiles.Finalize(2, 1, 2.0, "completed", ""), nullptr);
+  ASSERT_NE(profiles.Finalize(3, 0, 4.0, "completed", ""), nullptr);
   const std::map<std::string, ClassProfileRollup> rollups = store.rollups();
   // Only finalized classes appear, in name order.
   ASSERT_EQ(rollups.size(), 2u);
@@ -841,12 +866,13 @@ TEST(ProfileStore, RollupsListByWorkloadName) {
 }
 
 TEST(ProfileStore, EvictsOldestTerminalProfilesOnly) {
-  ProfileStore store(2);
-  store.Begin(1, "w", QueryKind::kOltpTransaction, 0.0);
-  store.Begin(2, "w", QueryKind::kOltpTransaction, 0.0);
-  ASSERT_NE(store.Finalize(1, 0, 1.0, "completed", ""), nullptr);
+  TracedProfiles profiles(2);
+  ProfileStore& store = profiles.store;
+  profiles.Begin(1, "w", QueryKind::kOltpTransaction, 0.0);
+  profiles.Begin(2, "w", QueryKind::kOltpTransaction, 0.0);
+  ASSERT_NE(profiles.Finalize(1, 0, 1.0, "completed", ""), nullptr);
   // Store is at capacity but only query 1 is terminal; query 1 goes.
-  store.Begin(3, "w", QueryKind::kOltpTransaction, 2.0);
+  profiles.Begin(3, "w", QueryKind::kOltpTransaction, 2.0);
   EXPECT_EQ(store.size(), 2u);
   EXPECT_EQ(store.evicted(), 1);
   EXPECT_EQ(store.Find(1), nullptr);
@@ -863,24 +889,25 @@ std::vector<QueryId> ProfileIds(const ProfileStore& store) {
 }
 
 TEST(ProfileStore, EvictsEveryTerminalProfileWhileOverBound) {
-  ProfileStore store(2);
+  TracedProfiles profiles(2);
+  ProfileStore& store = profiles.store;
   for (QueryId id = 1; id <= 4; ++id) {
-    store.Begin(id, "w", QueryKind::kOltpTransaction, 0.0);
+    profiles.Begin(id, "w", QueryKind::kOltpTransaction, 0.0);
   }
   EXPECT_EQ(store.size(), 4u);
   for (QueryId id = 1; id <= 3; ++id) {
-    ASSERT_NE(store.Finalize(id, 0, 1.0, "completed", ""), nullptr);
+    ASSERT_NE(profiles.Finalize(id, 0, 1.0, "completed", ""), nullptr);
   }
-  store.Begin(5, "w", QueryKind::kOltpTransaction, 2.0);
+  profiles.Begin(5, "w", QueryKind::kOltpTransaction, 2.0);
   EXPECT_EQ(store.evicted(), 3);
   EXPECT_EQ(ProfileIds(store), (std::vector<QueryId>{4, 5}));
-  store.Begin(6, "w", QueryKind::kOltpTransaction, 3.0);
-  store.Begin(7, "w", QueryKind::kOltpTransaction, 3.0);
+  profiles.Begin(6, "w", QueryKind::kOltpTransaction, 3.0);
+  profiles.Begin(7, "w", QueryKind::kOltpTransaction, 3.0);
   EXPECT_EQ(ProfileIds(store), (std::vector<QueryId>{4, 5, 6, 7}));
   EXPECT_EQ(store.size(), 4u);
   // Newest terminal profiles, oldest finish first.
-  ASSERT_NE(store.Finalize(6, 0, 4.0, "completed", ""), nullptr);
-  ASSERT_NE(store.Finalize(4, 0, 5.0, "killed", "timeout"), nullptr);
+  ASSERT_NE(profiles.Finalize(6, 0, 4.0, "completed", ""), nullptr);
+  ASSERT_NE(profiles.Finalize(4, 0, 5.0, "killed", "timeout"), nullptr);
   std::vector<QueryId> recent;
   for (const QueryProfile& p : store.RecentTerminal(10)) {
     recent.push_back(p.id);
@@ -891,8 +918,9 @@ TEST(ProfileStore, EvictsEveryTerminalProfileWhileOverBound) {
 }
 
 TEST(ProfileStore, ReusedSlotEqualsAFreshProfile) {
-  ProfileStore store(1);
-  store.Begin(1, "bi", QueryKind::kBiQuery, 0.0, /*journey=*/9);
+  TracedProfiles profiles(1);
+  ProfileStore& store = profiles.store;
+  profiles.Begin(1, "bi", QueryKind::kBiQuery, 0.0, /*journey=*/9);
   store.OpenQueueWait(1, 0.0);
   store.MarkDispatched(1, 1.0);
   QueryOutcome outcome;
@@ -908,16 +936,16 @@ TEST(ProfileStore, ReusedSlotEqualsAFreshProfile) {
   store.CountRequeue(1);
   store.CountSuspend(1);
   store.OpenWait(1, Phase::kRetryBackoff, 4.0);
-  const QueryProfile* first =
-      store.Finalize(1, 0, 5.0, "killed", "a detail long enough to allocate");
+  const QueryProfile* first = profiles.Finalize(
+      1, 0, 5.0, "killed", "a detail long enough to allocate");
   ASSERT_NE(first, nullptr);
 
-  store.Begin(2, "oltp", QueryKind::kOltpTransaction, 6.0);
+  profiles.Begin(2, "oltp", QueryKind::kOltpTransaction, 6.0);
   const QueryProfile* reused = store.Find(2);
   ASSERT_EQ(reused, first) << "the evicted profile's slot is reused";
-  ProfileStore fresh_store;
-  fresh_store.Begin(2, "oltp", QueryKind::kOltpTransaction, 6.0);
-  const QueryProfile* fresh = fresh_store.Find(2);
+  TracedProfiles fresh_profiles;
+  fresh_profiles.Begin(2, "oltp", QueryKind::kOltpTransaction, 6.0);
+  const QueryProfile* fresh = fresh_profiles.store.Find(2);
   ASSERT_NE(fresh, nullptr);
   EXPECT_EQ(reused->id, fresh->id);
   EXPECT_EQ(reused->journey, fresh->journey);
@@ -945,6 +973,38 @@ TEST(ProfileStore, ReusedSlotEqualsAFreshProfile) {
   EXPECT_EQ(store.RecentTerminal(8).size(), 0u);
 }
 
+// One record per query: past the tracer's bound, with the fault track
+// holding one of its slots, the retained profiles are exactly the retained
+// queries' traces, and a profile is evicted when its trace is.
+TEST(TelemetryRecords, ProfilesAreRetainedAndEvictedWithTheirTraces) {
+  Simulation sim;
+  DatabaseEngine engine(&sim, EngineConfig());
+  Monitor monitor(&sim, &engine, 1.0);
+  Telemetry telemetry(&sim, &monitor);
+  ASSERT_TRUE(telemetry.profiling());
+  telemetry.OnFaultBegin("disk_degrade", "factor=0.5");
+  QueryOutcome outcome;
+  outcome.kind = OutcomeKind::kCompleted;
+  outcome.cpu_used = 0.01;
+  outcome.phases.cpu_run_seconds = 0.01;
+  for (QueryId id = 1; id <= 9000; ++id) {
+    outcome.id = id;
+    telemetry.OnSubmit(id, 0, "oltp", QueryKind::kOltpTransaction);
+    telemetry.OnAdmitted(id);
+    telemetry.OnDispatch(id, 0, "oltp", nullptr);
+    telemetry.OnRunSegment(id, outcome);
+    telemetry.OnTerminal(id, 0, "oltp", WlmEventType::kCompleted, 0.01, 0.0,
+                         outcome);
+  }
+  std::vector<QueryId> traced;
+  for (const QueryTrace* trace : telemetry.tracer().Traces()) {
+    if (!IsSyntheticQueryId(trace->id)) traced.push_back(trace->id);
+  }
+  EXPECT_EQ(traced.size(), 8191u) << "the fault track holds a slot";
+  EXPECT_EQ(ProfileIds(telemetry.profiles()), traced);
+  EXPECT_EQ(telemetry.profiles().evicted(), telemetry.tracer().evicted());
+}
+
 TEST(ProfileStore, ExplainOutcomeVerdicts) {
   QueryProfile p;
   EXPECT_EQ(ExplainOutcome(p), "live");
@@ -968,7 +1028,8 @@ TEST(FlightRecorder, CooldownAndDumpBudgetSuppressTriggers) {
   opts.max_postmortems = 2;
   opts.cooldown_seconds = 1.0;
   FlightRecorder recorder(opts);
-  const ProfileStore profiles;
+  Tracer tracer;
+  const ProfileStore profiles(&tracer);
   const EventLog log;
   ControllerStateSnapshot state;
   state.time = 0.0;
@@ -991,13 +1052,13 @@ TEST(FlightRecorder, DumpHoldsNewestTerminalProfilesInFinalizeOrder) {
   opts.max_profiles = 3;
   opts.cooldown_seconds = 0.0;
   FlightRecorder recorder(opts);
-  ProfileStore profiles;
+  TracedProfiles profiles;
   const EventLog log;
   for (QueryId id = 1; id <= 6; ++id) {
     profiles.Begin(id, "oltp", QueryKind::kOltpTransaction, 0.0);
   }
   ControllerStateSnapshot state;
-  recorder.Trigger("none_finished", state, profiles, log);
+  recorder.Trigger("none_finished", state, profiles.store, log);
   // Finalized out of creation order; query 6 stays live.
   double now = 1.0;
   for (QueryId id : {4, 1, 5, 2, 3}) {
@@ -1005,7 +1066,7 @@ TEST(FlightRecorder, DumpHoldsNewestTerminalProfilesInFinalizeOrder) {
     now += 1.0;
   }
   state.time = now;
-  recorder.Trigger("five_finished", state, profiles, log);
+  recorder.Trigger("five_finished", state, profiles.store, log);
 
   ASSERT_EQ(recorder.postmortems().size(), 2u);
   EXPECT_TRUE(recorder.postmortems()[0].recent_profiles.empty());
