@@ -1,6 +1,5 @@
 #include "cluster/cluster.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <utility>
@@ -12,6 +11,21 @@
 namespace wlm {
 
 namespace {
+
+/// Smoothing factor of the per-shard completion-latency EWMA the
+/// load-aware policy steers on.
+constexpr double kEwmaAlpha = 0.3;
+/// Simulated network/coordination delay before a re-dispatch lands.
+constexpr double kRedispatchDelaySeconds = 0.001;
+/// Sim-seconds between federation samples.
+constexpr double kSampleIntervalSeconds = 1.0;
+/// Cluster success-rate objective the burn-rate windows measure against
+/// (0.1% error budget), and the two windows.
+constexpr double kSloTarget = 0.999;
+constexpr double kBurnWindowShortSeconds = 5.0;
+constexpr double kBurnWindowLongSeconds = 30.0;
+/// Seconds of cluster series rendered around a shard_down trigger.
+constexpr double kPostmortemWindowSeconds = 10.0;
 
 MetricLabels ShardLabels(int shard) {
   return {{"shard", std::to_string(shard)}};
@@ -43,9 +57,6 @@ ClusterShard::ClusterShard(int index, Simulation* sim,
       engine_(sim, engine_config),
       monitor_(sim, &engine_, monitor_interval),
       wlm_(sim, &engine_, &monitor_, wlm_config),
-      detector_(PhiAccrualDetector::Options{health.detector_window,
-                                            health.detector_min_std,
-                                            health.heartbeat_interval}),
       warmup_(health.warmup) {
   monitor_.Start();
   // Prime the detector as if a heartbeat arrived at birth, so phi
@@ -73,9 +84,7 @@ ClusterDispatcher::ClusterDispatcher(Simulation* sim, ClusterOptions options,
       options_(std::move(options)),
       policy_(MakePlacementPolicy(options_.placement)),
       link_(options_.health.link,
-            options_.num_shards < 1 ? 1 : options_.num_shards),
-      journeys_(options_.observability.max_journeys),
-      timeseries_(options_.observability.retention_points) {
+            options_.num_shards < 1 ? 1 : options_.num_shards) {
   if (options_.num_shards < 1) options_.num_shards = 1;
   metrics_.SetHelp("wlm_cluster_routed_total",
                    "Queries the dispatcher placed on each shard.");
@@ -180,6 +189,17 @@ Status ClusterDispatcher::Submit(QuerySpec spec) {
                         RouteCause::kPlace);
 }
 
+std::set<int> ClusterDispatcher::ShardsTried(QueryId query) const {
+  std::set<int> tried;
+  for (const auto& shard : shards_) {
+    if (shard->submitted_.Contains(query) ||
+        shard->blackholed_ids_.Contains(query)) {
+      tried.insert(shard->index());
+    }
+  }
+  return tried;
+}
+
 std::vector<int> ClusterDispatcher::EligibleShards(
     const std::set<int>& exclude) const {
   const bool health = options_.health.enabled;
@@ -203,7 +223,7 @@ std::vector<int> ClusterDispatcher::EligibleShards(
                                       shard->wlm().running_count()))) {
           continue;
         }
-        if (options_.route_around_unhealthy && !shard->healthy()) continue;
+        if (!shard->healthy()) continue;
       }
       eligible.push_back(shard->index());
     }
@@ -255,15 +275,9 @@ Status ClusterDispatcher::SubmitToShards(QuerySpec spec, bool is_redispatch,
     if (life >= 0) prev_life = life;
     ClusterShard& shard = *shards_[static_cast<size_t>(pick)];
     if (shard.crashed_) {
-      // The placement landed on a dead process the detector has not yet
-      // declared down: nothing refuses, nothing answers. The query is
-      // stranded until a drain grants it a second life (health on) or
+      // Stranded until a drain grants it a second life (health on) or
       // forever (health off — the undefended baseline).
-      shard.routed_->Increment();
-      shard.blackholed_->Increment();
-      orphans_[static_cast<size_t>(pick)].push_back({spec, std::string()});
-      journeys_.CloseLife(spec.id, pick, sim_->Now(), "blackholed");
-      if (options_.redispatch) shards_tried_[spec.id].insert(pick);
+      Blackhole(shard, spec);
       if (is_redispatch) shard.redispatched_->Increment();
       landed = pick;
       result = Status::OK();
@@ -278,16 +292,13 @@ Status ClusterDispatcher::SubmitToShards(QuerySpec spec, bool is_redispatch,
       // The arrival-time shed already closed this life through the
       // completion listener; relabel it as a placement refusal.
       journeys_.MarkOutcome(spec.id, pick, sim_->Now(), "refused");
-      // The refusing shard can never accept this id again (SubmitToShard)
-      // — record it as tried so later re-dispatches and crash drains
-      // route elsewhere instead of bouncing off it.
-      if (options_.redispatch) shards_tried_[spec.id].insert(pick);
+      // The refusing shard can never accept this id again (SubmitToShard),
+      // so later re-dispatches and crash drains route around it too.
       tried.insert(pick);
       ++attempt;
       continue;
     }
     shard.routed_->Increment();
-    if (options_.redispatch) shards_tried_[spec.id].insert(pick);
     if (is_redispatch) shard.redispatched_->Increment();
     if (status.ok()) landed = pick;
     result = status;
@@ -323,7 +334,7 @@ void ClusterDispatcher::MaybeHedge(const QuerySpec& spec, int primary) {
   for (const auto& shard : shards_) {
     if (shard->index() == primary) continue;
     if (shard->lifecycle_ != ShardLifecycle::kHealthy) continue;
-    if (options_.route_around_unhealthy && !shard->healthy()) continue;
+    if (!shard->healthy()) continue;
     candidates.push_back(shard->index());
   }
   if (candidates.empty()) return;
@@ -344,30 +355,22 @@ void ClusterDispatcher::MaybeHedge(const QuerySpec& spec, int primary) {
     // The trusted alternate just died undetected: the duplicate
     // black-holes like any other dispatch, and the primary copy (or the
     // eventual drain) decides the query's fate.
-    shard.routed_->Increment();
-    shard.blackholed_->Increment();
-    orphans_[static_cast<size_t>(alt)].push_back({spec, std::string()});
-    journeys_.CloseLife(spec.id, alt, sim_->Now(), "blackholed");
+    Blackhole(shard, spec);
   } else {
     const Status status = SubmitToShard(shard, spec);
     if (status.IsOverloaded()) {
       shard.refused_->Increment();
       journeys_.MarkOutcome(spec.id, alt, sim_->Now(), "refused");
-      // The alternate refuses this id from now on; keep re-dispatch and
-      // drains away from it.
-      if (options_.redispatch) shards_tried_[spec.id].insert(alt);
       return;  // no room for a duplicate: the primary keeps its one life
     }
     if (!status.ok()) {
       // Admission-policy reject (or duplicate id on a shard that already
       // saw this query): same — close the duplicate's life where it died.
       journeys_.MarkOutcome(spec.id, alt, sim_->Now(), "rejected");
-      if (options_.redispatch) shards_tried_[spec.id].insert(alt);
       return;
     }
     shard.routed_->Increment();
   }
-  if (options_.redispatch) shards_tried_[spec.id].insert(alt);
   hedges_[spec.id] = Hedge{primary, alt, false, 2};
   metrics_.GetCounter("wlm_cluster_hedge_started_total").Increment();
   LogClusterEvent(WlmEventType::kHedged, spec.id,
@@ -386,6 +389,14 @@ Status ClusterDispatcher::SubmitToShard(ClusterShard& shard,
     shard.submitted_.Insert(spec.id);
   }
   return status;
+}
+
+void ClusterDispatcher::Blackhole(ClusterShard& shard, const QuerySpec& spec) {
+  shard.routed_->Increment();
+  shard.blackholed_->Increment();
+  shard.blackholed_ids_.Insert(spec.id);
+  orphans_[static_cast<size_t>(shard.index())].push_back({spec, std::string()});
+  journeys_.CloseLife(spec.id, shard.index(), sim_->Now(), "blackholed");
 }
 
 void ClusterDispatcher::CancelHedgeLoser(int loser, QueryId id) {
@@ -467,8 +478,7 @@ void ClusterDispatcher::OnShardCompletion(int shard_index,
     shard.ewma_latency_ =
         shard.ewma_latency_ == 0.0
             ? response
-            : options_.ewma_alpha * response +
-                  (1.0 - options_.ewma_alpha) * shard.ewma_latency_;
+            : kEwmaAlpha * response + (1.0 - kEwmaAlpha) * shard.ewma_latency_;
     return;
   }
   if (options_.redispatch && (request.state == RequestState::kShed ||
@@ -482,10 +492,8 @@ void ClusterDispatcher::MaybeRedispatch(int from_shard,
   // Arrival-time sheds surface while the failover loop is still running
   // this query; that loop already retries other shards synchronously.
   if (request.spec.id == in_submit_query_) return;
-  auto it = redispatch_counts_.find(request.spec.id);
-  const int used = it == redispatch_counts_.end() ? 0 : it->second;
-  if (used >= options_.max_redispatches) return;
-  redispatch_counts_[request.spec.id] = used + 1;
+  if (redispatched_ids_.Contains(request.spec.id)) return;
+  redispatched_ids_.Insert(request.spec.id);
   const RouteCause cause = request.state == RequestState::kShed
                                ? RouteCause::kShed
                                : RouteCause::kAbort;
@@ -499,11 +507,11 @@ void ClusterDispatcher::MaybeRedispatch(int from_shard,
   // the coordination delay.
   const int parent_life =
       journeys_.LatestLifeOnShard(request.spec.id, from_shard);
-  sim_->Schedule(options_.redispatch_delay_seconds,
+  sim_->Schedule(kRedispatchDelaySeconds,
                  [this, spec = std::move(spec), workload, cause,
                   parent_life]() {
-                   const std::set<int>& tried = shards_tried_[spec.id];
-                   std::vector<int> eligible = EligibleShards(tried);
+                   std::vector<int> eligible =
+                       EligibleShards(ShardsTried(spec.id));
                    if (eligible.empty()) return;
                    // "Healthier" target: fewest outstanding among the
                    // eligible shards, ties to the lowest index.
@@ -592,7 +600,7 @@ void ClusterDispatcher::RestartShard(int shard_index) {
 
 void ClusterDispatcher::StartHealthLoop() {
   if (!options_.health.enabled) return;
-  sim_->Schedule(options_.health.heartbeat_interval, [this] { HealthTick(); });
+  sim_->Schedule(kHeartbeatIntervalSeconds, [this] { HealthTick(); });
 }
 
 void ClusterDispatcher::HealthTick() {
@@ -614,7 +622,7 @@ void ClusterDispatcher::HealthTick() {
   }
   // ... then every shard's lifecycle is re-evaluated on the same tick.
   for (int i = 0; i < num_shards(); ++i) EvaluateShard(i);
-  sim_->Schedule(options_.health.heartbeat_interval, [this] { HealthTick(); });
+  sim_->Schedule(kHeartbeatIntervalSeconds, [this] { HealthTick(); });
 }
 
 void ClusterDispatcher::DeliverHeartbeat(int shard_index) {
@@ -647,18 +655,17 @@ void ClusterDispatcher::EvaluateShard(int shard_index) {
   switch (shard.lifecycle_) {
     case ShardLifecycle::kHealthy:
     case ShardLifecycle::kSuspected:
-      if (phi >= options_.health.phi_down) {
+      if (phi >= kPhiDown) {
         MarkShardDown(shard_index, "phi");
       } else {
-        shard.lifecycle_ = phi >= options_.health.phi_suspect
-                               ? ShardLifecycle::kSuspected
-                               : ShardLifecycle::kHealthy;
+        shard.lifecycle_ = phi >= kPhiSuspect ? ShardLifecycle::kSuspected
+                                              : ShardLifecycle::kHealthy;
       }
       break;
     case ShardLifecycle::kDown:
       break;  // only a heartbeat revives it
     case ShardLifecycle::kWarming:
-      if (phi >= options_.health.phi_down) {
+      if (phi >= kPhiDown) {
         MarkShardDown(shard_index, "phi");  // died again mid-warm-up
       } else if (!shard.warmup_.warming(now)) {
         shard.lifecycle_ = ShardLifecycle::kHealthy;
@@ -721,10 +728,7 @@ void ClusterDispatcher::DrainOrphans(int shard_index) {
       if (!salvage) continue;
     }
     std::set<int> exclude;
-    if (options_.redispatch) {
-      auto tried = shards_tried_.find(orphan.spec.id);
-      if (tried != shards_tried_.end()) exclude = tried->second;
-    }
+    if (options_.redispatch) exclude = ShardsTried(orphan.spec.id);
     exclude.insert(shard_index);
     std::vector<int> eligible = EligibleShards(exclude);
     if (eligible.empty()) {
@@ -838,14 +842,11 @@ void ClusterDispatcher::ExportMetrics(std::ostream& out) {
 
 void ClusterDispatcher::StartObservabilityLoop() {
   if (!options_.observability.federation) return;
-  if (options_.observability.sample_interval <= 0.0) return;
-  sim_->Schedule(options_.observability.sample_interval,
-                 [this] { ObservabilityTick(); });
+  sim_->Schedule(kSampleIntervalSeconds, [this] { ObservabilityTick(); });
 }
 
 void ClusterDispatcher::ObservabilityTick() {
   const double now = sim_->Now();
-  const ClusterObservabilityOptions& obs = options_.observability;
   // Sample the cluster series the SLO burn windows and post-mortems
   // consume. Only the handful of families the tick needs are summed
   // directly off the shard registries — a full Federate() per tick costs
@@ -874,7 +875,7 @@ void ClusterDispatcher::ObservabilityTick() {
   // Burn rate over a window: the fraction of traffic that violated the
   // objective, normalized by the error budget — 1.0 burns the budget
   // exactly, >1.0 is an incident.
-  const double budget = std::max(1.0 - obs.slo_target, 1e-9);
+  const double budget = 1.0 - kSloTarget;
   auto burn_rate = [&](double window) {
     const double from = now - window;
     const double d_total =
@@ -884,23 +885,22 @@ void ClusterDispatcher::ObservabilityTick() {
         timeseries_.DeltaSince("wlm_cluster_requests_bad_total", from);
     return (d_bad / d_total) / budget;
   };
-  const double burn_short = burn_rate(obs.burn_window_short_seconds);
-  const double burn_long = burn_rate(obs.burn_window_long_seconds);
+  const double burn_short = burn_rate(kBurnWindowShortSeconds);
+  const double burn_long = burn_rate(kBurnWindowLongSeconds);
   metrics_.GetGauge("wlm_cluster_slo_burn_rate", {{"window", "short"}})
       .Set(burn_short);
   metrics_.GetGauge("wlm_cluster_slo_burn_rate", {{"window", "long"}})
       .Set(burn_long);
   timeseries_.Sample("wlm_cluster_slo_burn_rate_short", now, burn_short);
   timeseries_.Sample("wlm_cluster_slo_burn_rate_long", now, burn_long);
-  sim_->Schedule(obs.sample_interval, [this] { ObservabilityTick(); });
+  sim_->Schedule(kSampleIntervalSeconds, [this] { ObservabilityTick(); });
 }
 
 void ClusterDispatcher::CapturePostMortem(const std::string& reason) {
   ClusterPostMortem pm;
   pm.time = sim_->Now();
   pm.reason = reason;
-  const double from =
-      pm.time - options_.observability.postmortem_window_seconds;
+  const double from = pm.time - kPostmortemWindowSeconds;
   for (const std::string& name : timeseries_.SeriesNames()) {
     pm.rendering +=
         name + " |" + timeseries_.FormatAscii(name, from, pm.time) + "|\n";
@@ -919,7 +919,7 @@ FederationStats ClusterDispatcher::BuildFederatedRegistry(
   for (const auto& shard : shards_) {
     sources.push_back({shard->index(), &shard->wlm().telemetry().metrics()});
   }
-  FederationStats stats = federator_.Federate(std::move(sources), out);
+  FederationStats stats = Federate(std::move(sources), out);
   out->GetGauge("wlm_cluster_federation_sources")
       .Set(static_cast<double>(stats.sources));
   out->GetGauge("wlm_cluster_federation_series")
@@ -947,7 +947,7 @@ void ClusterDispatcher::StitchJourneys() {
       // filters out lives on this shard that never reached its manager
       // (blackholed, duplicate-refused).
       if (std::abs(profile->arrival_time - life.start) > 1e-9) continue;
-      life.phase_seconds = profile->phase_seconds;
+      life.phase_sum = profile->PhaseSum();
       life.profile_wall_seconds = profile->WallSeconds();
     }
   }

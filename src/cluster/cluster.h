@@ -33,23 +33,14 @@ namespace wlm {
 /// Passive by contract — nothing here reads into a control decision, so
 /// flipping any switch cannot change a run's routing or outcomes.
 struct ClusterObservabilityOptions {
-  /// Track every arrival's lives across shards in a JourneyLog.
+  /// Track every arrival's lives across shards in a JourneyLog (at most
+  /// 65,536 journeys).
   bool journeys = true;
-  size_t max_journeys = 65536;
-  /// Periodically federate the per-shard registries and sample cluster
-  /// series into the time-series ring.
+  /// Every simulated second, sample the cluster series into the
+  /// time-series ring (600 points per series) and update the SLO
+  /// burn-rate gauges: a 99.9% success objective over 5 s and 30 s
+  /// windows. A shard_down post-mortem renders the last 10 s of them.
   bool federation = true;
-  /// Sim-seconds between federation samples; <= 0 disables sampling.
-  double sample_interval = 1.0;
-  /// Ring capacity per tracked series (fixed retention).
-  size_t retention_points = 600;
-  /// Cluster success-rate objective the burn-rate windows measure
-  /// against (0.999 = 0.1% error budget).
-  double slo_target = 0.999;
-  double burn_window_short_seconds = 5.0;
-  double burn_window_long_seconds = 30.0;
-  /// Seconds of cluster series rendered around a shard_down trigger.
-  double postmortem_window_seconds = 10.0;
 };
 
 /// Configuration of a deterministic multi-shard cluster. Every shard is
@@ -66,18 +57,10 @@ struct ClusterOptions {
   /// resilience, telemetry all instantiate per shard).
   WlmConfig wlm;
   PlacementPolicyKind placement = PlacementPolicyKind::kLeastOutstanding;
-  /// Route around shards inside an armed fault window or with an open
-  /// service-class circuit breaker, as long as any healthy shard remains.
-  bool route_around_unhealthy = true;
-  /// Smoothing factor for the per-shard completion-latency EWMA the
-  /// load-aware policy steers on.
-  double ewma_alpha = 0.3;
-  /// Re-dispatch shed / deadlock-aborted queries to another (healthier)
-  /// shard, gated by the target shard's retry budget.
+  /// Give a shed or deadlock-aborted query one more life on another
+  /// (healthier) shard, gated by the target shard's retry budget. It lands
+  /// after a 1 ms simulated coordination delay.
   bool redispatch = false;
-  int max_redispatches = 1;
-  /// Simulated network/coordination delay before a re-dispatch lands.
-  double redispatch_delay_seconds = 0.001;
   /// Shard failure model: heartbeat-driven phi-accrual detection, crash
   /// drain, hedged dispatch and the restart warm-up ramp. Off by default
   /// (crashed shards then silently black-hole — the undefended baseline).
@@ -176,6 +159,10 @@ class ClusterShard {
   /// again, so the dispatcher refuses a repeat itself (see
   /// ClusterDispatcher::SubmitToShard).
   IdSet submitted_;
+  /// Query ids dispatched into this shard while its process was dead.
+  /// Its manager never saw them, so they stay out of `submitted_`; with
+  /// it they name every shard a query was handed to.
+  IdSet blackholed_ids_;
   // This shard's series in the dispatcher's `wlm_cluster_*` registry, the
   // only record of these counts. Bound by the dispatcher right after
   // construction; registry series are pointer-stable.
@@ -300,8 +287,8 @@ class ClusterDispatcher {
   // --- cluster-wide observability ------------------------------------------
   /// The journey log (every arrival's lives across shards).
   const JourneyLog& journeys() const { return journeys_; }
-  /// Copies each life's phase decomposition and wall time from the
-  /// landing shard's QueryProfile into the journey DAG. Call after the
+  /// Copies each life's phase sum and wall time from the landing
+  /// shard's QueryProfile into the journey DAG. Call after the
   /// run (or any time); idempotent.
   void StitchJourneys();
   /// Stitches, then writes the journey JSONL (byte-stable).
@@ -338,6 +325,9 @@ class ClusterDispatcher {
   }
   /// Snapshots of `eligible` (shard indexes, ascending).
   std::vector<ShardSnapshot> Snapshots(const std::vector<int>& eligible) const;
+  /// Shards `query` was handed to: submitted to or black-holed on. A
+  /// re-dispatch or drain routes around them.
+  std::set<int> ShardsTried(QueryId query) const;
   /// Shard indexes eligible for a placement, in three widening passes:
   /// routable (not down, warming within its ramp, healthy) -> not down
   /// -> anyone. A detected-down shard re-enters only when nothing else
@@ -352,6 +342,10 @@ class ClusterDispatcher {
   /// without calling it when the id was submitted there before: a shard
   /// that saw a query (say, shed it at placement) never runs it again.
   Status SubmitToShard(ClusterShard& shard, const QuerySpec& spec);
+  /// The dispatch landed on a dead process the detector has not declared
+  /// down yet: nothing refuses, nothing answers, and the query waits in
+  /// the shard's orphans for a drain.
+  void Blackhole(ClusterShard& shard, const QuerySpec& spec);
   void OnShardCompletion(int shard_index, const Request& request);
   void MaybeRedispatch(int from_shard, const Request& request);
   /// Hedged dispatch: when the landing shard is suspected and the query
@@ -412,16 +406,13 @@ class ClusterDispatcher {
   /// good when health is disabled).
   std::vector<std::vector<Orphan>> orphans_;
   std::map<QueryId, Hedge> hedges_;
-  /// Cluster-level re-dispatch bookkeeping, keyed by query id (ordered
-  /// maps: iteration feeds no emission, but determinism costs nothing).
-  std::map<QueryId, int> redispatch_counts_;
-  std::map<QueryId, std::set<int>> shards_tried_;
+  /// Queries that already had their one re-dispatch.
+  IdSet redispatched_ids_;
   /// Query currently inside SubmitToShards: its arrival-time sheds are
   /// handled by the failover loop, not the re-dispatch listener.
   QueryId in_submit_query_ = 0;
   // --- observability state (never read by a control decision) -------------
   JourneyLog journeys_;
-  MetricsFederator federator_;
   TimeSeriesStore timeseries_;
   std::vector<ClusterPostMortem> post_mortems_;
 };

@@ -5,6 +5,16 @@
 
 namespace wlm {
 
+namespace {
+
+/// Inter-arrival samples the detector keeps.
+constexpr size_t kWindow = 16;
+/// Floor on the inter-arrival stddev: one dropped heartbeat suspects and
+/// two kill.
+constexpr double kMinStd = kHeartbeatIntervalSeconds / 4.0;
+
+}  // namespace
+
 const char* ShardLifecycleToString(ShardLifecycle lifecycle) {
   switch (lifecycle) {
     case ShardLifecycle::kHealthy:
@@ -27,17 +37,16 @@ void PhiAccrualDetector::Reset(double now) {
 void PhiAccrualDetector::OnHeartbeat(double now) {
   if (last_arrival_ >= 0.0) {
     intervals_.push_back(std::max(0.0, now - last_arrival_));
-    while (static_cast<int>(intervals_.size()) > std::max(1, options_.window)) {
-      intervals_.pop_front();
-    }
+    while (intervals_.size() > kWindow) intervals_.pop_front();
   }
   last_arrival_ = now;
 }
 
 double PhiAccrualDetector::Phi(double now) const {
   if (last_arrival_ < 0.0) return 0.0;
-  double mean = options_.expected_interval;
-  double std = options_.min_std;
+  // Until real samples accumulate, the prior is the nominal interval.
+  double mean = kHeartbeatIntervalSeconds;
+  double std = kMinStd;
   if (!intervals_.empty()) {
     double sum = 0.0;
     for (double v : intervals_) sum += v;
@@ -47,7 +56,7 @@ double PhiAccrualDetector::Phi(double now) const {
     var /= static_cast<double>(intervals_.size());
     std = std::sqrt(var);
   }
-  std = std::max(std, options_.min_std);
+  std = std::max(std, kMinStd);
   const double gap = now - last_arrival_;
   // One-sided tail probability of a gap this large under Normal(mean, std):
   // P(later) = 0.5 * erfc(z / sqrt(2)).

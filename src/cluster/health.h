@@ -31,6 +31,16 @@ enum class ShardLifecycle {
 
 const char* ShardLifecycleToString(ShardLifecycle lifecycle);
 
+/// Heartbeat period on the sim clock: every live shard beats once per
+/// interval, and the detector is evaluated on the same tick.
+inline constexpr double kHeartbeatIntervalSeconds = 0.25;
+/// Phi at which a shard becomes suspected (hedging engages): roughly one
+/// missed heartbeat.
+inline constexpr double kPhiSuspect = 1.5;
+/// Phi at which a shard is declared down (drain + exclude): roughly two
+/// consecutive missed heartbeats.
+inline constexpr double kPhiDown = 6.0;
+
 /// Phi-accrual failure detection + crash defenses for the cluster layer.
 /// Everything defaults to off so pre-existing cluster scenarios replay
 /// byte-identically unless a config opts in.
@@ -39,23 +49,6 @@ struct ClusterHealthOptions {
   /// no drain, no hedging — crashed shards silently black-hole whatever
   /// is routed at them (the undefended baseline).
   bool enabled = false;
-
-  /// Heartbeat period on the sim clock (every live shard beats once per
-  /// interval; the detector is evaluated on the same tick).
-  double heartbeat_interval = 0.25;
-  /// Phi at which a shard becomes suspected (hedging engages). With the
-  /// default window floor this is roughly one missed heartbeat.
-  double phi_suspect = 1.5;
-  /// Phi at which a shard is declared down (drain + exclude). Roughly
-  /// two consecutive missed heartbeats at the defaults.
-  double phi_down = 6.0;
-  /// Inter-arrival samples the detector keeps.
-  int detector_window = 16;
-  /// Floor on the inter-arrival stddev: perfectly regular sim heartbeats
-  /// would otherwise collapse the distribution and declare death on any
-  /// infinitesimal gap. Default tuned to the 0.25 s interval so one
-  /// dropped heartbeat suspects and two kill.
-  double detector_min_std = 0.0625;
 
   /// Warm-up ramp applied to a shard re-entering service after down.
   WarmupOptions warmup;
@@ -75,24 +68,16 @@ struct ClusterHealthOptions {
 ///
 ///   phi(now) = -log10( P(gap > now - last_arrival) )
 ///
-/// under a normal fit of the window (stddev floored by min_std). Phi
-/// grows continuously with silence, so one threshold can express "hedge
-/// around this shard" and a higher one "declare it dead" — rather than
-/// the binary verdict of a fixed timeout. Purely passive: callers feed
-/// OnHeartbeat and poll Phi; nothing here schedules events or reads a
-/// clock.
+/// under a normal fit of the last 16 inter-arrival times, with the
+/// stddev floored at a quarter of the heartbeat interval: perfectly
+/// regular sim heartbeats would otherwise collapse the distribution and
+/// declare death on any infinitesimal gap. Phi grows continuously with
+/// silence, so one threshold can express "hedge around this shard" and a
+/// higher one "declare it dead" — rather than the binary verdict of a
+/// fixed timeout. Purely passive: callers feed OnHeartbeat and poll Phi;
+/// nothing here schedules events or reads a clock.
 class PhiAccrualDetector {
  public:
-  struct Options {
-    int window = 16;
-    double min_std = 0.0625;
-    /// Prior inter-arrival used until real samples accumulate.
-    double expected_interval = 0.25;
-  };
-
-  PhiAccrualDetector() = default;
-  explicit PhiAccrualDetector(Options options) : options_(options) {}
-
   /// Re-primes the detector at `now`, dropping all history. Called at
   /// start-up and when a dead shard's heartbeats resume — the fresh
   /// process should not inherit the giant down-gap as a "sample".
@@ -108,7 +93,6 @@ class PhiAccrualDetector {
   int samples() const { return static_cast<int>(intervals_.size()); }
 
  private:
-  Options options_;
   std::deque<double> intervals_;
   double last_arrival_ = -1.0;
 };

@@ -14,12 +14,6 @@ std::string F6(double value) { return FormatFixed(value, 6); }
 
 }  // namespace
 
-double JourneyLife::PhaseSum() const {
-  double sum = 0.0;
-  for (double s : phase_seconds) sum += s;
-  return sum;
-}
-
 double Journey::FinishTime() const {
   double finish = arrival;
   for (const JourneyLife& life : lives) {
@@ -97,7 +91,7 @@ int JourneyLog::LatestLifeOnShard(QueryId query, int shard) const {
 }
 
 void JourneyLog::CloseLife(QueryId query, int shard, double now,
-                           const std::string& outcome) {
+                           std::string_view outcome) {
   Journey* journey = FindMutable(query);
   if (journey == nullptr) return;
   for (auto it = journey->lives.rbegin(); it != journey->lives.rend(); ++it) {
@@ -110,7 +104,7 @@ void JourneyLog::CloseLife(QueryId query, int shard, double now,
 }
 
 void JourneyLog::MarkOutcome(QueryId query, int shard, double now,
-                             const std::string& outcome) {
+                             std::string_view outcome) {
   Journey* journey = FindMutable(query);
   if (journey == nullptr) return;
   for (auto it = journey->lives.rbegin(); it != journey->lives.rend(); ++it) {
@@ -200,7 +194,8 @@ std::string FormatJourneyAscii(const Journey& journey, int width) {
     out += bar;
     out += "| ";
     out += F6(life.start) + " -> " + (life.end >= 0.0 ? F6(life.end) : "open");
-    out += " " + (life.outcome.empty() ? std::string("open") : life.outcome);
+    out += ' ';
+    out += life.outcome.empty() ? std::string_view("open") : life.outcome;
     if (life.parent >= 0) {
       out += " <-life" + std::to_string(life.parent);
     }

@@ -1,15 +1,14 @@
 #ifndef WLM_CLUSTER_JOURNEY_H_
 #define WLM_CLUSTER_JOURNEY_H_
 
-#include <array>
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/id_index.h"
 #include "engine/types.h"
-#include "telemetry/profile.h"
 
 namespace wlm {
 
@@ -35,16 +34,17 @@ struct JourneyLife {
   /// Terminal instant of this life; -1 while still open.
   double end = -1.0;
   /// How this life ended (completed / shed / killed / blackholed /
-  /// refused / hedge_cancelled / ...); empty while open.
-  std::string outcome;
-  /// Phase decomposition stitched from the landing shard's QueryProfile
-  /// (all zero until StitchJourneys runs or when the life never reached
-  /// a live shard).
-  std::array<double, kPhaseCount> phase_seconds{};
+  /// refused / hedge_cancelled / ...); empty while open. Always static
+  /// text: a request-state name or one of the dispatcher's literals.
+  std::string_view outcome;
+  /// Sum of the phase decomposition stitched from the landing shard's
+  /// QueryProfile (0 until StitchJourneys runs or when the life never
+  /// reached a live shard).
+  double phase_sum = 0.0;
   /// The stitched profile's wall seconds; -1 when no profile was found.
   double profile_wall_seconds = -1.0;
 
-  double PhaseSum() const;
+  double PhaseSum() const { return phase_sum; }
   /// end - start for closed lives, 0 while open.
   double WallSeconds() const { return end >= 0.0 ? end - start : 0.0; }
 };
@@ -84,16 +84,16 @@ class JourneyLog {
                bool redispatch, double now, int parent);
 
   /// Closes the most recent open life of `query` on `shard` with
-  /// `outcome`; no-op when none is open there.
+  /// `outcome` (static text); no-op when none is open there.
   void CloseLife(QueryId query, int shard, double now,
-                 const std::string& outcome);
+                 std::string_view outcome);
 
-  /// Re-labels the most recent life of `query` on `shard` (closing it at
-  /// `now` first if still open). Used when a life's meaning is decided
-  /// after its terminal event, e.g. a killed hedge copy becoming
-  /// `hedge_cancelled`.
+  /// Re-labels the most recent life of `query` on `shard` with `outcome`
+  /// (static text), closing it at `now` first if still open. Used when a
+  /// life's meaning is decided after its terminal event, e.g. a killed
+  /// hedge copy becoming `hedge_cancelled`.
   void MarkOutcome(QueryId query, int shard, double now,
-                   const std::string& outcome);
+                   std::string_view outcome);
 
   /// Index of the most recent life of `query` on `shard`, or -1.
   int LatestLifeOnShard(QueryId query, int shard) const;

@@ -43,7 +43,7 @@ struct WorkloadCounters {
   int64_t shed = 0;
   /// Retries denied by the retry budget or deadline-aware retry check.
   int64_t retries_denied = 0;
-  Percentiles queue_waits;
+  OnlineStats queue_waits;
 };
 
 }  // namespace wlm

@@ -34,7 +34,7 @@ struct TagStats {
   int64_t killed = 0;
   int64_t aborted = 0;
   Percentiles response_times;
-  Percentiles velocities;
+  OnlineStats velocities;
   /// Completions within the current monitor interval (reset each sample).
   int64_t interval_completed = 0;
   double last_interval_throughput = 0.0;

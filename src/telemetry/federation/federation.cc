@@ -3,16 +3,19 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string_view>
 #include <utility>
 
 namespace wlm {
 
 namespace {
 
-bool HasPrefix(const std::string& name, const std::string& prefix) {
-  return name.size() >= prefix.size() &&
-         name.compare(0, prefix.size(), prefix) == 0;
-}
+constexpr std::string_view kSourcePrefix = "wlm_";
+constexpr std::string_view kTargetPrefix = "wlm_cluster_";
+/// Label key carrying the source shard on per-shard gauge series.
+constexpr const char* kShardLabel = "shard";
+/// Label key distinguishing the min/max/sum gauge rollup series.
+constexpr const char* kRollupLabel = "stat";
 
 /// Same canonical key the registry uses internally: labels are already
 /// sorted on registered series, so serializing them joins like with like.
@@ -27,7 +30,7 @@ std::string LabelKey(const MetricLabels& labels) {
   return key;
 }
 
-MetricLabels WithLabel(MetricLabels labels, const std::string& key,
+MetricLabels WithLabel(MetricLabels labels, const char* key,
                        std::string value) {
   labels.emplace_back(key, std::move(value));
   return labels;
@@ -52,11 +55,8 @@ struct MergedFamily {
 
 }  // namespace
 
-MetricsFederator::MetricsFederator(FederationOptions options)
-    : options_(std::move(options)) {}
-
-FederationStats MetricsFederator::Federate(
-    std::vector<FederationSource> sources, MetricsRegistry* out) const {
+FederationStats Federate(std::vector<FederationSource> sources,
+                         MetricsRegistry* out) {
   FederationStats stats;
   stats.sources = static_cast<int64_t>(sources.size());
   // Fold in ascending shard order no matter how the caller gathered the
@@ -73,13 +73,12 @@ FederationStats MetricsFederator::Federate(
     if (source.registry == nullptr) continue;
     for (const MetricsRegistry::FamilyView& family :
          source.registry->Families()) {
-      if (!HasPrefix(family.name, options_.source_prefix)) {
+      if (!family.name.starts_with(kSourcePrefix)) {
         skipped.insert(family.name);
         continue;
       }
-      const std::string derived =
-          options_.target_prefix +
-          family.name.substr(options_.source_prefix.size());
+      const std::string derived = std::string(kTargetPrefix) +
+                                  family.name.substr(kSourcePrefix.size());
       auto [it, inserted] = merged.try_emplace(derived);
       MergedFamily& work = it->second;
       if (inserted) {
@@ -128,7 +127,7 @@ FederationStats MetricsFederator::Federate(
           double sum = 0.0;
           bool first = true;
           for (const auto& [shard, value] : ms.gauges) {
-            out->GetGauge(name, WithLabel(ms.labels, options_.shard_label,
+            out->GetGauge(name, WithLabel(ms.labels, kShardLabel,
                                           std::to_string(shard)))
                 .Set(value);
             min = first ? value : std::min(min, value);
@@ -136,12 +135,12 @@ FederationStats MetricsFederator::Federate(
             sum += value;
             first = false;
           }
-          out->GetGauge(name, WithLabel(ms.labels, options_.rollup_label,
-                                        "min")).Set(min);
-          out->GetGauge(name, WithLabel(ms.labels, options_.rollup_label,
-                                        "max")).Set(max);
-          out->GetGauge(name, WithLabel(ms.labels, options_.rollup_label,
-                                        "sum")).Set(sum);
+          out->GetGauge(name, WithLabel(ms.labels, kRollupLabel, "min"))
+              .Set(min);
+          out->GetGauge(name, WithLabel(ms.labels, kRollupLabel, "max"))
+              .Set(max);
+          out->GetGauge(name, WithLabel(ms.labels, kRollupLabel, "sum"))
+              .Set(sum);
           ++stats.series_merged;
           break;
         }

@@ -9,20 +9,7 @@
 
 namespace wlm {
 
-/// How per-shard metric families map onto cluster-level ones. Only
-/// families whose name starts with `source_prefix` federate; the derived
-/// name swaps the prefix for `target_prefix` (wlm_requests_completed_total
-/// -> wlm_cluster_requests_completed_total).
-struct FederationOptions {
-  std::string source_prefix = "wlm_";
-  std::string target_prefix = "wlm_cluster_";
-  /// Label key carrying the source shard on per-shard gauge series.
-  std::string shard_label = "shard";
-  /// Label key distinguishing the min/max/sum gauge rollup series.
-  std::string rollup_label = "stat";
-};
-
-/// One shard's registry offered to the federator.
+/// One shard's registry offered to Federate().
 struct FederationSource {
   int shard = 0;
   const MetricsRegistry* registry = nullptr;
@@ -39,29 +26,21 @@ struct FederationStats {
   int64_t families_skipped = 0;
 };
 
-/// Merges per-shard MetricsRegistry instances into one cluster registry:
-/// counters are summed, gauges become per-shard labeled series plus
-/// min/max/sum rollups, histograms merge bucket-wise (identical bounds
-/// required). The merge is order-independent — sources are folded in
-/// ascending shard order internally — so the federated Prometheus
-/// exposition is byte-identical no matter how the caller collected the
-/// sources. Purely passive: source registries are only read.
-class MetricsFederator {
- public:
-  explicit MetricsFederator(FederationOptions options = FederationOptions());
-
-  const FederationOptions& options() const { return options_; }
-
-  /// Merges `sources` into `out`. `out` is usually empty; families it
-  /// already holds (e.g. the dispatcher's own cluster-scope series) are
-  /// left untouched unless a derived family shares their name, in which
-  /// case values merge under the same rules.
-  FederationStats Federate(std::vector<FederationSource> sources,
-                           MetricsRegistry* out) const;
-
- private:
-  FederationOptions options_;
-};
+/// Merges per-shard MetricsRegistry instances into one cluster registry.
+/// Only families named `wlm_*` federate, renamed `wlm_cluster_*`
+/// (wlm_requests_completed_total -> wlm_cluster_requests_completed_total):
+/// counters are summed, gauges become per-shard series labeled `shard`
+/// plus min/max/sum rollups labeled `stat`, histograms merge bucket-wise
+/// (identical bounds required). The merge is order-independent — sources
+/// are folded in ascending shard order internally — so the federated
+/// Prometheus exposition is byte-identical no matter how the caller
+/// collected the sources. Purely passive: source registries are only
+/// read. `out` is usually empty; families it already holds (e.g. the
+/// dispatcher's own cluster-scope series) are left untouched unless a
+/// derived family shares their name, in which case values merge under the
+/// same rules.
+FederationStats Federate(std::vector<FederationSource> sources,
+                         MetricsRegistry* out);
 
 /// Copies every family of `source` into `out` verbatim — no rename, no
 /// shard label. The dispatcher folds its own `wlm_cluster_*` families

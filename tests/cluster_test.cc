@@ -389,7 +389,7 @@ TEST(ClusterHealthTest, DetectorDeclaresCrashedShardDownWithinBound) {
   // Ground truth is invisible to routing: the lifecycle only moves once
   // heartbeat silence accrues.
   EXPECT_EQ(cluster.shard(1).lifecycle(), ShardLifecycle::kHealthy);
-  const double interval = cluster.options().health.heartbeat_interval;
+  const double interval = kHeartbeatIntervalSeconds;
   // One missed evaluation: suspected, not yet down.
   sim.RunUntil(2.0 + 2.0 * interval + 1e-9);
   EXPECT_EQ(cluster.shard(1).lifecycle(), ShardLifecycle::kSuspected);
@@ -426,8 +426,7 @@ TEST(ClusterHealthTest, ShardDownPostMortemIsCountedAndFollowsProfiling) {
     });
     sim.RunUntil(2.0);
     cluster.CrashShard(1);
-    sim.RunUntil(2.0 + 4.0 * cluster.options().health.heartbeat_interval +
-                 1e-9);
+    sim.RunUntil(2.0 + 4.0 * kHeartbeatIntervalSeconds + 1e-9);
     ASSERT_EQ(cluster.shard(1).lifecycle(), ShardLifecycle::kDown);
 
     const Telemetry& telemetry = cluster.shard(1).wlm().telemetry();
@@ -558,6 +557,37 @@ TEST(ClusterHealthTest, BlackholedArrivalsDrainOnceDetected) {
   ExpectCountersMatchMetrics(cluster);
 }
 
+// A shard a query black-holed on never saw its id, yet the query was
+// handed to it: a later drain must not send it back there.
+TEST(ClusterHealthTest, DrainedQueryNeverReturnsToAShardItBlackholedOn) {
+  Simulation sim;
+  ClusterDispatcher cluster(&sim, HealthClusterOptions(3),
+                            [](int, WorkloadManager& m) {
+                              DefineTestWorkloads(m);
+                            });
+  sim.RunUntil(1.0);
+  cluster.CrashShard(0);
+  ASSERT_TRUE(cluster.Submit(BiSpec(1, /*cpu=*/20.0)).ok());
+  EXPECT_EQ(cluster.shard(0).blackholed(), 1);
+  sim.RunUntil(3.0);
+  ASSERT_EQ(cluster.shard(0).lifecycle(), ShardLifecycle::kDown);
+  const Journey* journey = cluster.journeys().Find(1);
+  ASSERT_NE(journey, nullptr);
+  ASSERT_EQ(journey->lives.size(), 2u);
+  EXPECT_EQ(journey->lives[1].shard, 1);
+  // Shard 0 comes back empty and healthy, so least-outstanding would
+  // pick it first; then the query's second shard dies too.
+  cluster.RestartShard(0);
+  sim.RunUntil(8.0);
+  ASSERT_EQ(cluster.shard(0).lifecycle(), ShardLifecycle::kHealthy);
+  cluster.CrashShard(1);
+  sim.RunUntil(12.0);
+  journey = cluster.journeys().Find(1);
+  ASSERT_EQ(journey->lives.size(), 3u);
+  EXPECT_EQ(journey->lives[2].cause, RouteCause::kCrashDrain);
+  EXPECT_EQ(journey->lives[2].shard, 2);
+}
+
 TEST(ClusterHealthTest, UndefendedCrashLosesBlackholedQueriesForever) {
   Simulation sim;
   ClusterOptions options = HealthClusterOptions(2);
@@ -593,7 +623,7 @@ TEST(ClusterHealthTest, RecoveryWalksWarmingThenHealthy) {
   ASSERT_EQ(cluster.shard(1).lifecycle(), ShardLifecycle::kDown);
   cluster.RestartShard(1);
   // The next heartbeat revives it into warming...
-  sim.RunUntil(4.0 + cluster.options().health.heartbeat_interval + 1e-9);
+  sim.RunUntil(4.0 + kHeartbeatIntervalSeconds + 1e-9);
   EXPECT_EQ(cluster.shard(1).lifecycle(), ShardLifecycle::kWarming);
   EXPECT_EQ(cluster.event_log().CountOf(WlmEventType::kShardRecovered), 1);
   // ... and the ramp's end restores full health.

@@ -17,10 +17,10 @@
 
 namespace {
 
+using wlm::Federate;
 using wlm::FederationSource;
 using wlm::FederationStats;
 using wlm::HistogramMetric;
-using wlm::MetricsFederator;
 using wlm::MetricsRegistry;
 using wlm::TimeSeriesStore;
 
@@ -103,9 +103,8 @@ TEST(FederationTest, CountersSumAcrossShards) {
   MetricsRegistry shard0, shard1, cluster;
   FillShard(&shard0, 0);
   FillShard(&shard1, 1);
-  MetricsFederator federator;
   const FederationStats stats =
-      federator.Federate({{0, &shard0}, {1, &shard1}}, &cluster);
+      Federate({{0, &shard0}, {1, &shard1}}, &cluster);
   EXPECT_EQ(stats.sources, 2);
   EXPECT_EQ(stats.histogram_bound_mismatches, 0);
   const wlm::Counter* oltp = cluster.FindCounter(
@@ -128,8 +127,7 @@ TEST(FederationTest, GaugesGetPerShardSeriesAndRollups) {
   FillShard(&shard0, 0);  // queue_depth 2
   FillShard(&shard1, 1);  // queue_depth 3
   FillShard(&shard2, 2);  // queue_depth 4
-  MetricsFederator federator;
-  federator.Federate({{0, &shard0}, {1, &shard1}, {2, &shard2}}, &cluster);
+  Federate({{0, &shard0}, {1, &shard1}, {2, &shard2}}, &cluster);
   const wlm::Gauge* per_shard =
       cluster.FindGauge("wlm_cluster_queue_depth", {{"shard", "1"}});
   ASSERT_NE(per_shard, nullptr);
@@ -152,8 +150,7 @@ TEST(FederationTest, HistogramsMergeBucketwise) {
   MetricsRegistry shard0, shard1, cluster;
   FillShard(&shard0, 0);
   FillShard(&shard1, 1);
-  MetricsFederator federator;
-  federator.Federate({{0, &shard0}, {1, &shard1}}, &cluster);
+  Federate({{0, &shard0}, {1, &shard1}}, &cluster);
   const HistogramMetric* merged =
       cluster.FindHistogram("wlm_cluster_latency_seconds");
   ASSERT_NE(merged, nullptr);
@@ -167,9 +164,8 @@ TEST(FederationTest, MismatchedHistogramBoundsAreCountedAndSkipped) {
   static const std::vector<double> bounds_b = {0.2, 2.0};
   shard0.GetHistogram("wlm_latency_seconds", {}, &bounds_a).Observe(0.05);
   shard1.GetHistogram("wlm_latency_seconds", {}, &bounds_b).Observe(0.05);
-  MetricsFederator federator;
   const FederationStats stats =
-      federator.Federate({{0, &shard0}, {1, &shard1}}, &cluster);
+      Federate({{0, &shard0}, {1, &shard1}}, &cluster);
   EXPECT_EQ(stats.histogram_bound_mismatches, 1);
   const HistogramMetric* merged =
       cluster.FindHistogram("wlm_cluster_latency_seconds");
@@ -189,11 +185,10 @@ TEST(FederationTest, MergeOrderDoesNotChangeTheExposition) {
   reverse.assign(forward.rbegin(), forward.rend());
   rotated = forward;
   std::rotate(rotated.begin(), rotated.begin() + 2, rotated.end());
-  MetricsFederator federator;
   MetricsRegistry out_forward, out_reverse, out_rotated;
-  federator.Federate(forward, &out_forward);
-  federator.Federate(reverse, &out_reverse);
-  federator.Federate(rotated, &out_rotated);
+  Federate(forward, &out_forward);
+  Federate(reverse, &out_reverse);
+  Federate(rotated, &out_rotated);
   const std::string exposition = Prometheus(out_forward);
   ASSERT_FALSE(exposition.empty());
   EXPECT_EQ(exposition, Prometheus(out_reverse));

@@ -1,8 +1,9 @@
 // Golden scenario-replay regressions: a seeded end-to-end cluster run is
 // serialized to canonical JSONL (arrivals, admissions, sheds, escalations,
 // completions, routing decisions, summaries) and byte-compared against the
-// checked-in goldens for the 1-shard and 4-shard configurations. A scripted
-// single-node run pins the telemetry exporters' output the same way.
+// checked-in goldens for the 1-shard and 4-shard configurations, and the
+// 4-shard crash run's federated exposition and journey JSONL with it. A
+// scripted single-node run pins the telemetry exporters' output the same way.
 //
 // When an intentional behavior change shifts the goldens, regenerate with
 //   ./scenario_replay_test --regold
@@ -149,6 +150,16 @@ TEST(ScenarioReplayTest, FederatedSnapshotAndJourneysAreByteStable) {
             std::string::npos);
   EXPECT_NE(prom_a.find("wlm_cluster_phase_seconds_total"),
             std::string::npos);
+}
+
+TEST(ScenarioReplayTest, FederatedSnapshotAndJourneysMatchGoldens) {
+  // The same two exports pinned against checked-in files, so a change to
+  // the dispatcher's routing state or the journey records is checked
+  // against the bytes the previous code wrote, not only run against run.
+  std::string prom, journeys;
+  wlm::RunScenarioJsonl(FourShardsCrash(), &prom, &journeys);
+  CompareGolden(prom, "scenario_4shard_crash_federated.prom");
+  CompareGolden(journeys, "scenario_4shard_crash_journeys.jsonl");
 }
 
 TEST(ScenarioReplayTest, HedgedJourneyShowsBothLivesAndConservesPhases) {

@@ -856,7 +856,7 @@ void RunT3(const SymbolGraph& graph,
     }
   }
 
-  // MetricsFederator derives wlm_cluster_* families from per-shard
+  // Federate() derives wlm_cluster_* families from per-shard
   // wlm_* families at runtime (prefix swap), so a cluster-prefixed name
   // is satisfied in either direction by its per-shard twin: the twin's
   // registration carries the HELP text over and the twin's emission
