@@ -1,8 +1,9 @@
 // S6 — google-benchmark microbenchmarks of the substrate hot paths: the
-// simulation event queue, the lock manager, the optimizer, the ML
-// predictors, the monitor statistics, dispatch from a deep wait queue,
-// and an end-to-end simulated queries-per-wall-second figure for the
-// whole workload-management pipeline.
+// simulation event queue, the lock manager, the optimizer, the engine's
+// tick and its dispatch path, the ML predictors, the monitor statistics,
+// dispatch from a deep wait queue, and an end-to-end simulated
+// queries-per-wall-second figure for the whole workload-management
+// pipeline.
 
 #include <benchmark/benchmark.h>
 
@@ -186,6 +187,35 @@ void BM_EngineTickGrouped(benchmark::State& state) {
   RunEngineTicks(state, /*grouped=*/true);
 }
 BENCHMARK(BM_EngineTickGrouped)->Arg(8)->Arg(64)->Arg(256);
+
+/// Host time of one dispatch and kill with range(0) long-running BI
+/// queries active. The probe is a lock-free OLTP transaction whose id sorts
+/// below every active id, so an active-query store whose insert or erase
+/// moves the entries after the probe's would pay for all n of them. The
+/// clock never advances: no tick runs.
+void BM_EngineDispatchFinish(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  Simulation sim;
+  DatabaseEngine engine(&sim, EngineConfig());
+  WorkloadGenerator gen(3);
+  BiWorkloadConfig shape;
+  for (size_t i = 0; i < n; ++i) {
+    QuerySpec spec = gen.NextBi(shape);
+    spec.id = static_cast<QueryId>(i + 2);
+    spec.cpu_seconds *= 1e6;  // as in RunEngineTicks
+    spec.io_ops *= 1e6;
+    (void)engine.Dispatch(spec, {});
+  }
+  QuerySpec probe = gen.NextOltp(OltpWorkloadConfig());
+  probe.id = 1;
+  probe.locks.clear();
+  for (auto _ : state) {
+    (void)engine.Dispatch(probe, {});
+    (void)engine.Kill(probe.id);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EngineDispatchFinish)->Arg(16)->Arg(256)->Arg(1024)->Arg(4096);
 
 void BM_DecisionTreePredict(benchmark::State& state) {
   Dataset data({"a", "b", "c"});

@@ -200,8 +200,8 @@ std::set<int> ClusterDispatcher::ShardsTried(QueryId query) const {
   return tried;
 }
 
-std::vector<int> ClusterDispatcher::EligibleShards(
-    const std::set<int>& exclude) const {
+void ClusterDispatcher::EligibleShards(const std::set<int>& exclude,
+                                       std::vector<int>* eligible) const {
   const bool health = options_.health.enabled;
   const double now = sim_->Now();
   // Three widening passes. Pass 0: fully routable. Pass 1: not detected
@@ -209,7 +209,7 @@ std::vector<int> ClusterDispatcher::EligibleShards(
   // back in). Pass 2: anyone left — a detected-down shard is still
   // better than a guaranteed cluster-level reject.
   for (int pass = 0; pass < 3; ++pass) {
-    std::vector<int> eligible;
+    eligible->clear();
     for (const auto& shard : shards_) {
       if (exclude.count(shard->index()) != 0) continue;
       if (health && pass < 2 &&
@@ -225,17 +225,15 @@ std::vector<int> ClusterDispatcher::EligibleShards(
         }
         if (!shard->healthy()) continue;
       }
-      eligible.push_back(shard->index());
+      eligible->push_back(shard->index());
     }
-    if (!eligible.empty()) return eligible;
+    if (!eligible->empty()) return;
   }
-  return {};
 }
 
-std::vector<ShardSnapshot> ClusterDispatcher::Snapshots(
-    const std::vector<int>& eligible) const {
-  std::vector<ShardSnapshot> snapshots;
-  snapshots.reserve(eligible.size());
+void ClusterDispatcher::Snapshots(const std::vector<int>& eligible,
+                                  std::vector<ShardSnapshot>* snapshots) const {
+  snapshots->clear();
   for (int index : eligible) {
     const ClusterShard& shard = *shards_[static_cast<size_t>(index)];
     ShardSnapshot snap;
@@ -244,9 +242,8 @@ std::vector<ShardSnapshot> ClusterDispatcher::Snapshots(
     snap.running = shard.wlm().running_count();
     snap.ewma_latency_seconds = shard.ewma_latency_seconds();
     snap.healthy = shard.healthy();
-    snapshots.push_back(snap);
+    snapshots->push_back(snap);
   }
-  return snapshots;
 }
 
 Status ClusterDispatcher::SubmitToShards(QuerySpec spec, bool is_redispatch,
@@ -255,19 +252,21 @@ Status ClusterDispatcher::SubmitToShards(QuerySpec spec, bool is_redispatch,
   std::set<int> tried = exclude;
   const QueryId previous_in_submit = in_submit_query_;
   in_submit_query_ = spec.id;
-  Status result = Status::Overloaded("every eligible shard refused");
+  Status result;
   int landed = -1;
   int attempt = 0;
   // Failover attempts chain: attempt N's life descends from attempt
   // N-1's; the first landing descends from `parent_life`.
   int prev_life = parent_life;
   while (true) {
-    std::vector<int> eligible = EligibleShards(tried);
-    if (eligible.empty()) {
+    EligibleShards(tried, &eligible_);
+    if (eligible_.empty()) {
       metrics_.GetCounter("wlm_cluster_rejected_total").Increment();
+      result = Status::Overloaded("every eligible shard refused");
       break;
     }
-    const int pick = policy_->Pick(spec, Snapshots(eligible));
+    Snapshots(eligible_, &snapshots_);
+    const int pick = policy_->Pick(spec, snapshots_);
     route_log_.push_back(
         {sim_->Now(), spec.id, pick, attempt, is_redispatch, cause});
     const int life = journeys_.OpenLife(spec.id, pick, cause, attempt,
@@ -338,7 +337,8 @@ void ClusterDispatcher::MaybeHedge(const QuerySpec& spec, int primary) {
     candidates.push_back(shard->index());
   }
   if (candidates.empty()) return;
-  std::vector<ShardSnapshot> snaps = Snapshots(candidates);
+  std::vector<ShardSnapshot> snaps;
+  Snapshots(candidates, &snaps);
   const ShardSnapshot* best = &snaps.front();
   for (const ShardSnapshot& snap : snaps) {
     if (snap.outstanding() < best->outstanding()) best = &snap;
@@ -510,12 +510,13 @@ void ClusterDispatcher::MaybeRedispatch(int from_shard,
   sim_->Schedule(kRedispatchDelaySeconds,
                  [this, spec = std::move(spec), workload, cause,
                   parent_life]() {
-                   std::vector<int> eligible =
-                       EligibleShards(ShardsTried(spec.id));
+                   std::vector<int> eligible;
+                   EligibleShards(ShardsTried(spec.id), &eligible);
                    if (eligible.empty()) return;
                    // "Healthier" target: fewest outstanding among the
                    // eligible shards, ties to the lowest index.
-                   std::vector<ShardSnapshot> snaps = Snapshots(eligible);
+                   std::vector<ShardSnapshot> snaps;
+                   Snapshots(eligible, &snaps);
                    const ShardSnapshot* best = &snaps.front();
                    for (const ShardSnapshot& snap : snaps) {
                      if (snap.outstanding() < best->outstanding()) best = &snap;
@@ -730,12 +731,14 @@ void ClusterDispatcher::DrainOrphans(int shard_index) {
     std::set<int> exclude;
     if (options_.redispatch) exclude = ShardsTried(orphan.spec.id);
     exclude.insert(shard_index);
-    std::vector<int> eligible = EligibleShards(exclude);
+    std::vector<int> eligible;
+    EligibleShards(exclude, &eligible);
     if (eligible.empty()) {
       source.lost_->Increment();
       continue;
     }
-    std::vector<ShardSnapshot> snaps = Snapshots(eligible);
+    std::vector<ShardSnapshot> snaps;
+    Snapshots(eligible, &snaps);
     const ShardSnapshot* best = &snaps.front();
     for (const ShardSnapshot& snap : snaps) {
       if (snap.outstanding() < best->outstanding()) best = &snap;
@@ -887,10 +890,14 @@ void ClusterDispatcher::ObservabilityTick() {
   };
   const double burn_short = burn_rate(kBurnWindowShortSeconds);
   const double burn_long = burn_rate(kBurnWindowLongSeconds);
-  metrics_.GetGauge("wlm_cluster_slo_burn_rate", {{"window", "short"}})
-      .Set(burn_short);
-  metrics_.GetGauge("wlm_cluster_slo_burn_rate", {{"window", "long"}})
-      .Set(burn_long);
+  if (burn_rate_short_ == nullptr) {
+    burn_rate_short_ =
+        &metrics_.GetGauge("wlm_cluster_slo_burn_rate", {{"window", "short"}});
+    burn_rate_long_ =
+        &metrics_.GetGauge("wlm_cluster_slo_burn_rate", {{"window", "long"}});
+  }
+  burn_rate_short_->Set(burn_short);
+  burn_rate_long_->Set(burn_long);
   timeseries_.Sample("wlm_cluster_slo_burn_rate_short", now, burn_short);
   timeseries_.Sample("wlm_cluster_slo_burn_rate_long", now, burn_long);
   sim_->Schedule(kSampleIntervalSeconds, [this] { ObservabilityTick(); });

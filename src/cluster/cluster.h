@@ -323,16 +323,19 @@ class ClusterDispatcher {
   int64_t Total(const char* family) const {
     return static_cast<int64_t>(metrics_.FamilyValueSum(family));
   }
-  /// Snapshots of `eligible` (shard indexes, ascending).
-  std::vector<ShardSnapshot> Snapshots(const std::vector<int>& eligible) const;
+  /// Fills `snapshots` with those of `eligible` (shard indexes, ascending).
+  void Snapshots(const std::vector<int>& eligible,
+                 std::vector<ShardSnapshot>* snapshots) const;
   /// Shards `query` was handed to: submitted to or black-holed on. A
   /// re-dispatch or drain routes around them.
   std::set<int> ShardsTried(QueryId query) const;
-  /// Shard indexes eligible for a placement, in three widening passes:
-  /// routable (not down, warming within its ramp, healthy) -> not down
-  /// -> anyone. A detected-down shard re-enters only when nothing else
-  /// is left; degraded shards are still better than a guaranteed reject.
-  std::vector<int> EligibleShards(const std::set<int>& exclude) const;
+  /// Fills `eligible` with the shard indexes eligible for a placement, in
+  /// three widening passes: routable (not down, warming within its ramp,
+  /// healthy) -> not down -> anyone. A detected-down shard re-enters only
+  /// when nothing else is left; degraded shards are still better than a
+  /// guaranteed reject.
+  void EligibleShards(const std::set<int>& exclude,
+                      std::vector<int>* eligible) const;
   /// `parent_life` is the journey-life index the first landing of this
   /// pass descends from (-1 on arrival placement).
   Status SubmitToShards(QuerySpec spec, bool is_redispatch,
@@ -402,6 +405,10 @@ class ClusterDispatcher {
   DispatchLinkModel link_;
   EventLog event_log_;
   std::vector<RouteDecision> route_log_;
+  /// SubmitToShards' placement buffers: each pass of its loop refills
+  /// them and reads them only until Pick returns.
+  std::vector<int> eligible_;
+  std::vector<ShardSnapshot> snapshots_;
   /// Work stranded on each dead shard, awaiting detection (or lost for
   /// good when health is disabled).
   std::vector<std::vector<Orphan>> orphans_;
@@ -414,6 +421,9 @@ class ClusterDispatcher {
   // --- observability state (never read by a control decision) -------------
   JourneyLog journeys_;
   TimeSeriesStore timeseries_;
+  /// The SLO burn-rate gauges, created by the first federation sample.
+  Gauge* burn_rate_short_ = nullptr;
+  Gauge* burn_rate_long_ = nullptr;
   std::vector<ClusterPostMortem> post_mortems_;
 };
 

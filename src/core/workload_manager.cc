@@ -433,7 +433,13 @@ void WorkloadManager::DispatchRequest(Request* request) {
     state.counters.queue_waits.Add(sim_->Now() - request->arrival_time);
   }
   request->state = RequestState::kRunning;
-  running_.insert(id);
+  if (spare_running_.empty()) {
+    running_.insert(id);
+  } else {
+    spare_running_.back().value() = id;
+    running_.insert(std::move(spare_running_.back()));
+    spare_running_.pop_back();
+  }
   ++state.running;
 
   ExecutionContext ctx;
@@ -545,7 +551,9 @@ void WorkloadManager::OnFinish(const QueryOutcome& outcome) {
   Request* request = Lookup(outcome.id);
   if (request == nullptr) return;  // not ours (engine used directly)
   WorkloadState& state = StateOf(*request);
-  running_.erase(outcome.id);
+  if (auto node = running_.extract(outcome.id)) {
+    spare_running_.push_back(std::move(node));
+  }
   --state.running;
   degraded_throttled_.erase(outcome.id);
   telemetry_->OnRunSegment(outcome.id, outcome);

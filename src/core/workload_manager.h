@@ -365,6 +365,8 @@ class WorkloadManager : public FaultSink {
   QueueDiscipline discipline_ = QueueDiscipline::kArrival;
   std::vector<Request*> round_;  // dispatched this round, still in queue_
   std::set<QueryId> running_;  // ordered: Running() is by query id
+  // Nodes of running_ entries that finished, re-keyed by later dispatches.
+  std::vector<std::set<QueryId>::node_type> spare_running_;
   std::unordered_map<QueryId, SuspendedQuery> resumable_;
   std::unordered_set<QueryId> resubmit_on_kill_;
   std::unordered_set<QueryId> fault_aborted_;

@@ -76,18 +76,29 @@ Status DatabaseEngine::Dispatch(const QuerySpec& spec, ExecutionContext ctx) {
   return DispatchWithPlan(spec, optimizer_.BuildPlan(spec), std::move(ctx));
 }
 
-Status DatabaseEngine::DispatchWithPlan(const QuerySpec& spec, Plan plan,
+Status DatabaseEngine::DispatchWithPlan(const QuerySpec& spec,
+                                        const Plan& plan,
                                         ExecutionContext ctx) {
-  if (active_.count(spec.id) > 0) {
+  auto hint = active_.lower_bound(spec.id);
+  if (hint != active_.end() && hint->first == spec.id) {
     return Status::AlreadyExists("query id already executing");
   }
-  auto exec = std::make_unique<QueryExecution>(
-      spec, std::move(plan), std::move(ctx), sim_->Now(),
-      config_.io_ops_per_second);
-  QueryExecution* raw = exec.get();
-  active_[spec.id].exec = std::move(exec);
+  ActiveMap::iterator it;
+  if (spare_.empty()) {
+    it = active_.try_emplace(hint, spec.id, spec, plan, std::move(ctx),
+                             sim_->Now(), config_.io_ops_per_second);
+  } else {
+    // A finished execution's node: the spec, plan and operator buffers
+    // keep their capacity.
+    ActiveMap::node_type node = std::move(spare_.back());
+    spare_.pop_back();
+    node.key() = spec.id;
+    node.mapped().Reset(spec, plan, std::move(ctx), sim_->Now(),
+                        config_.io_ops_per_second);
+    it = active_.insert(hint, std::move(node));
+  }
   ++counters_.dispatched;
-  ContinueAcquiringLocks(raw);
+  ContinueAcquiringLocks(&it->second);
   EnsureTicking();
   return Status::OK();
 }
@@ -114,10 +125,10 @@ void DatabaseEngine::OnLockGranted(TxnId txn, LockKey key) {
   (void)key;
   auto it = active_.find(txn);
   if (it == active_.end()) return;
-  QueryExecution* exec = it->second.exec.get();
-  if (exec->state() != QueryExecution::State::kAcquiringLocks) return;
-  exec->AdvanceLockCursor();
-  ContinueAcquiringLocks(exec);
+  QueryExecution& exec = it->second;
+  if (exec.state() != QueryExecution::State::kAcquiringLocks) return;
+  exec.AdvanceLockCursor();
+  ContinueAcquiringLocks(&exec);
 }
 
 void DatabaseEngine::EnsureTicking() {
@@ -132,10 +143,10 @@ void DatabaseEngine::Tick() {
 
   s.ids.clear();
   s.execs.clear();
-  for (auto& [id, aq] : active_) {
-    aq.exec->MaybeWake(now);
+  for (auto& [id, exec] : active_) {
+    exec.MaybeWake(now);
     s.ids.push_back(id);
-    s.execs.push_back(aq.exec.get());
+    s.execs.push_back(&exec);
   }
 
   const size_t n = s.execs.size();
@@ -192,7 +203,7 @@ void DatabaseEngine::Tick() {
   for (QueryId id : s.done) {
     auto it = active_.find(id);
     if (it == active_.end()) continue;  // a callback already removed it
-    if (it->second.exec->state() == QueryExecution::State::kSuspending) {
+    if (it->second.state() == QueryExecution::State::kSuspending) {
       FinalizeSuspend(id);
     } else {
       FinishExecution(id, OutcomeKind::kCompleted);
@@ -316,13 +327,13 @@ QueryOutcome DatabaseEngine::MakeOutcome(const QueryExecution& exec,
 void DatabaseEngine::FinishExecution(QueryId id, OutcomeKind kind) {
   auto it = active_.find(id);
   assert(it != active_.end());
-  std::unique_ptr<QueryExecution> exec = std::move(it->second.exec);
-  active_.erase(it);
+  ActiveMap::node_type node = active_.extract(it);
+  QueryExecution& exec = node.mapped();
   pending_suspend_.erase(id);
-  exec->SettlePhases(sim_->Now(), 0.0);
-  exec->MarkFinished();
+  exec.SettlePhases(sim_->Now(), 0.0);
+  exec.MarkFinished();
   double lock_hold = lock_manager_.ReleaseAll(id);
-  memory_.Release(exec->context().tag, exec->granted_mb());
+  memory_.Release(exec.context().tag, exec.granted_mb());
   buffer_pool_.Unregister(id);
   switch (kind) {
     case OutcomeKind::kCompleted:
@@ -337,10 +348,9 @@ void DatabaseEngine::FinishExecution(QueryId id, OutcomeKind kind) {
     case OutcomeKind::kSuspended:
       break;  // handled by FinalizeSuspend
   }
-  QueryOutcome outcome = MakeOutcome(*exec, kind);
+  QueryOutcome outcome = MakeOutcome(exec, kind);
   outcome.lock_hold_seconds = lock_hold;
-  if (exec->context().on_finish) exec->context().on_finish(outcome);
-  if (observer_) observer_(outcome);
+  Retire(std::move(node), outcome);
 }
 
 void DatabaseEngine::FinalizeSuspend(QueryId id) {
@@ -348,25 +358,35 @@ void DatabaseEngine::FinalizeSuspend(QueryId id) {
   assert(it != active_.end());
   auto pending = pending_suspend_.find(id);
   assert(pending != pending_suspend_.end());
-  std::unique_ptr<QueryExecution> exec = std::move(it->second.exec);
-  active_.erase(it);
+  ActiveMap::node_type node = active_.extract(it);
+  QueryExecution& exec = node.mapped();
   SuspendedQuery bundle = std::move(pending->second);
   pending_suspend_.erase(pending);
   // Account the flush work into the bundle's "used before" totals so the
   // resumed execution's accounting is continuous.
-  bundle.cpu_used_before = exec->cpu_used();
-  bundle.io_used_before = exec->io_used();
-  exec->SettlePhases(sim_->Now(), 0.0);
-  exec->MarkFinished();
+  bundle.cpu_used_before = exec.cpu_used();
+  bundle.io_used_before = exec.io_used();
+  exec.SettlePhases(sim_->Now(), 0.0);
+  exec.MarkFinished();
   double lock_hold = lock_manager_.ReleaseAll(id);
-  memory_.Release(exec->context().tag, exec->granted_mb());
+  memory_.Release(exec.context().tag, exec.granted_mb());
   buffer_pool_.Unregister(id);
   ++counters_.suspends;
   suspended_[id] = std::move(bundle);
-  QueryOutcome outcome = MakeOutcome(*exec, OutcomeKind::kSuspended);
+  QueryOutcome outcome = MakeOutcome(exec, OutcomeKind::kSuspended);
   outcome.lock_hold_seconds = lock_hold;
-  if (exec->context().on_finish) exec->context().on_finish(outcome);
+  Retire(std::move(node), outcome);
+}
+
+void DatabaseEngine::Retire(ActiveMap::node_type node,
+                            const QueryOutcome& outcome) {
+  // The node is out of active_ and off the spare list while the callbacks
+  // run, so a dispatch they make cannot reuse the execution under them.
+  QueryExecution& exec = node.mapped();
+  if (exec.context().on_finish) exec.context().on_finish(outcome);
   if (observer_) observer_(outcome);
+  exec.ClearFinishCallback();
+  spare_.push_back(std::move(node));
 }
 
 Status DatabaseEngine::Kill(QueryId id) {
@@ -379,7 +399,7 @@ Status DatabaseEngine::Suspend(QueryId id, SuspendStrategy strategy) {
   auto it = active_.find(id);
   if (it == active_.end()) return Status::NotFound("query not active");
   SuspendedQuery bundle;
-  WLM_RETURN_IF_ERROR(it->second.exec->BeginSuspend(
+  WLM_RETURN_IF_ERROR(it->second.BeginSuspend(
       strategy, sim_->Now(), config_.io_ops_per_mb, &bundle));
   pending_suspend_[id] = std::move(bundle);
   return Status::OK();
@@ -413,15 +433,15 @@ Status DatabaseEngine::Resume(const SuspendedQuery& suspended,
     plan.operators.push_back(op);
   }
   ++counters_.resumes;
-  return DispatchWithPlan(suspended.spec, std::move(plan), std::move(ctx));
+  return DispatchWithPlan(suspended.spec, plan, std::move(ctx));
 }
 
 Status DatabaseEngine::SetDuty(QueryId id, double duty) {
   auto it = active_.find(id);
   if (it == active_.end()) return Status::NotFound("query not active");
   // Close the open interval at the old duty before the change takes hold.
-  it->second.exec->SettlePhases(sim_->Now(), 0.0);
-  it->second.exec->set_duty(duty);
+  it->second.SettlePhases(sim_->Now(), 0.0);
+  it->second.set_duty(duty);
   return Status::OK();
 }
 
@@ -429,8 +449,8 @@ Status DatabaseEngine::Pause(QueryId id, double seconds) {
   auto it = active_.find(id);
   if (it == active_.end()) return Status::NotFound("query not active");
   if (seconds < 0.0) return Status::InvalidArgument("negative pause");
-  it->second.exec->SettlePhases(sim_->Now(), 0.0);
-  it->second.exec->SleepUntil(sim_->Now() + seconds);
+  it->second.SettlePhases(sim_->Now(), 0.0);
+  it->second.SleepUntil(sim_->Now() + seconds);
   return Status::OK();
 }
 
@@ -440,7 +460,7 @@ Status DatabaseEngine::SetShares(QueryId id, const ResourceShares& shares) {
   }
   auto it = active_.find(id);
   if (it == active_.end()) return Status::NotFound("query not active");
-  it->second.exec->set_shares(shares);
+  it->second.set_shares(shares);
   return Status::OK();
 }
 
@@ -470,15 +490,15 @@ const ResourceShares* DatabaseEngine::FindGroupShares(
 Result<ExecutionProgress> DatabaseEngine::GetProgress(QueryId id) const {
   auto it = active_.find(id);
   if (it == active_.end()) return Status::NotFound("query not active");
-  return it->second.exec->Snapshot(sim_->Now());
+  return it->second.Snapshot(sim_->Now());
 }
 
 std::vector<ExecutionProgress> DatabaseEngine::Snapshot() const {
   std::vector<ExecutionProgress> out;
   out.reserve(active_.size());
-  for (const auto& [id, aq] : active_) {
+  for (const auto& [id, exec] : active_) {
     (void)id;
-    out.push_back(aq.exec->Snapshot(sim_->Now()));
+    out.push_back(exec.Snapshot(sim_->Now()));
   }
   return out;
 }

@@ -3,7 +3,6 @@
 
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -89,9 +88,9 @@ class DatabaseEngine {
   /// active.
   [[nodiscard]] Status Dispatch(const QuerySpec& spec, ExecutionContext ctx);
   /// As Dispatch, but runs the caller-provided plan (query restructuring
-  /// dispatches sub-plans this way).
-  [[nodiscard]] Status DispatchWithPlan(const QuerySpec& spec, Plan plan,
-                          ExecutionContext ctx);
+  /// dispatches sub-plans this way). The spec and plan are copied.
+  [[nodiscard]] Status DispatchWithPlan(const QuerySpec& spec, const Plan& plan,
+                                        ExecutionContext ctx);
 
   /// Terminates a running query; resources are released immediately.
   [[nodiscard]] Status Kill(QueryId id);
@@ -156,9 +155,7 @@ class DatabaseEngine {
   const EngineCounters& counters() const { return counters_; }
 
  private:
-  struct ActiveQuery {
-    std::unique_ptr<QueryExecution> exec;
-  };
+  using ActiveMap = std::map<QueryId, QueryExecution>;
 
   /// Buffers the tick fills and the water-fill reads, owned by the engine
   /// so that a tick whose active set has not grown allocates nothing.
@@ -201,6 +198,9 @@ class DatabaseEngine {
   /// kSuspended (use FinalizeSuspend).
   void FinishExecution(QueryId id, OutcomeKind kind);
   void FinalizeSuspend(QueryId id);
+  /// Fires the finish callback and the observer for an execution already
+  /// taken out of active_, then keeps its node for the next dispatch.
+  void Retire(ActiveMap::node_type node, const QueryOutcome& outcome);
   QueryOutcome MakeOutcome(const QueryExecution& exec, OutcomeKind kind) const;
 
   Simulation* sim_;
@@ -212,7 +212,10 @@ class DatabaseEngine {
   PeriodicTask tick_;
   PeriodicTask deadlock_task_;
 
-  std::map<QueryId, ActiveQuery> active_;  // ordered for determinism
+  ActiveMap active_;  // ordered for determinism
+  /// Nodes of finished executions, reused by the next dispatches: at most
+  /// the peak number of executions alive at once.
+  std::vector<ActiveMap::node_type> spare_;
   std::unordered_map<std::string, ResourceShares> group_shares_;
   std::unordered_map<QueryId, SuspendedQuery> pending_suspend_;
   std::unordered_map<QueryId, SuspendedQuery> suspended_;

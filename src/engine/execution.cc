@@ -16,25 +16,42 @@ const char* SuspendStrategyToString(SuspendStrategy s) {
   return "?";
 }
 
-QueryExecution::QueryExecution(QuerySpec spec, Plan plan, ExecutionContext ctx,
-                               double dispatch_time, double io_ops_per_second)
-    : spec_(std::move(spec)),
-      plan_(std::move(plan)),
-      ctx_(std::move(ctx)),
-      dispatch_time_(dispatch_time),
-      io_rate_(io_ops_per_second),
-      lock_phase_start_(dispatch_time),
-      last_account_time_(dispatch_time) {
+QueryExecution::QueryExecution(const QuerySpec& spec, const Plan& plan,
+                               ExecutionContext ctx, double dispatch_time,
+                               double io_ops_per_second) {
+  Reset(spec, plan, std::move(ctx), dispatch_time, io_ops_per_second);
+}
+
+void QueryExecution::Reset(const QuerySpec& spec, const Plan& plan,
+                           ExecutionContext&& ctx, double dispatch_time,
+                           double io_ops_per_second) {
+  spec_ = spec;
+  plan_ = plan;
+  ctx_ = std::move(ctx);
+  dispatch_time_ = dispatch_time;
+  io_rate_ = io_ops_per_second;
   assert(io_rate_ > 0.0);
+  state_ = State::kAcquiringLocks;
+  lock_cursor_ = 0;
+  lock_phase_start_ = dispatch_time;
+  lock_wait_total_ = 0.0;
+  ops_.clear();
   ops_.reserve(plan_.operators.size());
   for (const PlanOperator& op : plan_.operators) {
     ops_.push_back(OpState{op, op.cpu_seconds, op.io_ops});
   }
+  op_index_ = 0;
   total_work_ = plan_.TotalWork(io_rate_);
-  if (spec_.locks.empty()) {
-    // No lock phase; the engine still calls StartRunning after the (empty)
-    // acquisition loop.
-  }
+  spill_factor_ = 1.0;
+  buffer_hit_ratio_ = 0.0;
+  granted_mb_ = 0.0;
+  cpu_used_ = 0.0;
+  io_used_ = 0.0;
+  duty_ = 1.0;
+  sleeping_until_ = -1.0;
+  phases_ = ExecPhaseTotals{};
+  last_account_time_ = dispatch_time;
+  spill_io_fraction_ = 0.0;
 }
 
 void QueryExecution::StartRunning(double now, double spill_factor,

@@ -102,8 +102,17 @@ class QueryExecution {
 
   /// `io_ops_per_second` is the engine's nominal device rate, used for
   /// work-normalization in progress fractions.
-  QueryExecution(QuerySpec spec, Plan plan, ExecutionContext ctx,
+  QueryExecution(const QuerySpec& spec, const Plan& plan, ExecutionContext ctx,
                  double dispatch_time, double io_ops_per_second);
+
+  /// Re-initializes every field as the constructor does, for a new
+  /// dispatch. Copies the spec and plan into storage the previous
+  /// execution left, so a reused execution allocates only when the new
+  /// query's lock list or plan is larger than any before it.
+  void Reset(const QuerySpec& spec, const Plan& plan, ExecutionContext&& ctx,
+             double dispatch_time, double io_ops_per_second);
+  /// Drops the finish callback, and with it whatever the caller captured.
+  void ClearFinishCallback() { ctx_.on_finish = nullptr; }
 
   const QuerySpec& spec() const { return spec_; }
   const Plan& plan() const { return plan_; }
@@ -182,20 +191,21 @@ class QueryExecution {
     double remaining_io;
   };
 
+  // Reset assigns every field below.
   QuerySpec spec_;
   Plan plan_;
   ExecutionContext ctx_;
-  double dispatch_time_;
-  double io_rate_;  // engine nominal io ops/sec for work normalization
+  double dispatch_time_ = 0.0;
+  double io_rate_ = 0.0;  // engine nominal io ops/sec for work normalization
 
   State state_ = State::kAcquiringLocks;
   size_t lock_cursor_ = 0;
-  double lock_phase_start_;
+  double lock_phase_start_ = 0.0;
   double lock_wait_total_ = 0.0;
 
   std::vector<OpState> ops_;
   size_t op_index_ = 0;
-  double total_work_;  // for fraction_done
+  double total_work_ = 0.0;  // for fraction_done
 
   double spill_factor_ = 1.0;
   double buffer_hit_ratio_ = 0.0;
@@ -206,7 +216,7 @@ class QueryExecution {
   double sleeping_until_ = -1.0;
 
   ExecPhaseTotals phases_;
-  double last_account_time_;       // start of the open phase interval
+  double last_account_time_ = 0.0;  // start of the open phase interval
   double spill_io_fraction_ = 0.0; // share of device I/O caused by spilling
 };
 

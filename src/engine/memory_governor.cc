@@ -74,9 +74,10 @@ void MemoryGovernor::Release(const std::string& tag, double granted_mb) {
   used_mb_ = std::max(0.0, used_mb_ - granted_mb);
   const std::string& group = GroupFor(tag);
   auto it = group_used_.find(group);
+  // An idle group keeps its entry at exactly 0.0, which reads as a missing
+  // one does, so its next grant re-inserts nothing.
   if (it != group_used_.end()) {
     it->second = std::max(0.0, it->second - granted_mb);
-    if (it->second <= 0.0) group_used_.erase(it);
   }
 }
 

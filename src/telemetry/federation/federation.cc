@@ -188,7 +188,7 @@ void CopyRegistry(const MetricsRegistry& source, MetricsRegistry* out) {
 }
 
 double FamilyValueSum(const MetricsRegistry& registry,
-                      const std::string& family) {
+                      std::string_view family) {
   return registry.FamilyValueSum(family);
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "telemetry/metrics.h"
@@ -51,7 +52,7 @@ void CopyRegistry(const MetricsRegistry& source, MetricsRegistry* out);
 /// 0.0 for histogram families. Convenience for burn-rate math over a
 /// federated registry.
 double FamilyValueSum(const MetricsRegistry& registry,
-                      const std::string& family);
+                      std::string_view family);
 
 }  // namespace wlm
 

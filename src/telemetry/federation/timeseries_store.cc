@@ -18,10 +18,14 @@ std::string F6(double value) {
 TimeSeriesStore::TimeSeriesStore(size_t retention_points)
     : retention_points_(retention_points < 1 ? 1 : retention_points) {}
 
-void TimeSeriesStore::Sample(const std::string& name, double time,
+void TimeSeriesStore::Sample(std::string_view name, double time,
                              double value) {
-  Ring& ring = series_[name];
-  if (ring.points.empty()) ring.points.reserve(retention_points_);
+  auto it = series_.find(name);
+  if (it == series_.end()) {
+    it = series_.emplace(std::string(name), Ring{}).first;
+    it->second.points.reserve(retention_points_);
+  }
+  Ring& ring = it->second;
   if (ring.count < retention_points_) {
     ring.points.push_back({time, value});
     ++ring.count;
@@ -35,9 +39,7 @@ void TimeSeriesStore::Sample(const std::string& name, double time,
 std::vector<TimePoint> TimeSeriesStore::Ordered(const Ring& ring) const {
   std::vector<TimePoint> out;
   out.reserve(ring.count);
-  for (size_t i = 0; i < ring.count; ++i) {
-    out.push_back(ring.points[(ring.head + i) % ring.count]);
-  }
+  for (size_t i = 0; i < ring.count; ++i) out.push_back(At(ring, i));
   return out;
 }
 
@@ -59,23 +61,21 @@ std::vector<TimePoint> TimeSeriesStore::Window(const std::string& name,
 bool TimeSeriesStore::Latest(const std::string& name, TimePoint* out) const {
   auto it = series_.find(name);
   if (it == series_.end() || it->second.count == 0) return false;
-  const Ring& ring = it->second;
-  size_t last = (ring.head + ring.count - 1) % ring.count;
-  *out = ring.points[last];
+  *out = At(it->second, it->second.count - 1);
   return true;
 }
 
-double TimeSeriesStore::DeltaSince(const std::string& name, double from) const {
-  std::vector<TimePoint> points = Points(name);
-  const TimePoint* first = nullptr;
-  for (const TimePoint& p : points) {
-    if (p.time >= from) {
-      first = &p;
-      break;
+double TimeSeriesStore::DeltaSince(std::string_view name, double from) const {
+  auto it = series_.find(name);
+  if (it == series_.end()) return 0.0;
+  const Ring& ring = it->second;
+  // The oldest point in the window; the newest alone spans no interval.
+  for (size_t i = 0; i + 1 < ring.count; ++i) {
+    if (At(ring, i).time >= from) {
+      return At(ring, ring.count - 1).value - At(ring, i).value;
     }
   }
-  if (first == nullptr || first == &points.back()) return 0.0;
-  return points.back().value - first->value;
+  return 0.0;
 }
 
 std::vector<std::string> TimeSeriesStore::SeriesNames() const {

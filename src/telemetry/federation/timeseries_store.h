@@ -5,6 +5,7 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/time_series.h"  // TimePoint
@@ -25,7 +26,8 @@ class TimeSeriesStore {
   size_t retention_points() const { return retention_points_; }
 
   /// Appends one point to `name`'s ring, evicting the oldest when full.
-  void Sample(const std::string& name, double time, double value);
+  /// Allocates only for a series' first point.
+  void Sample(std::string_view name, double time, double value);
 
   /// Oldest-to-newest points currently retained for `name` (empty when
   /// the series is unknown).
@@ -40,8 +42,8 @@ class TimeSeriesStore {
 
   /// value(newest) - value(oldest point with time >= from); 0 when fewer
   /// than two points fall in the window. The burn-rate primitive for
-  /// cumulative (counter-shaped) series.
-  double DeltaSince(const std::string& name, double from) const;
+  /// cumulative (counter-shaped) series; allocates nothing.
+  double DeltaSince(std::string_view name, double from) const;
 
   /// Sorted names of every tracked series.
   std::vector<std::string> SeriesNames() const;
@@ -66,11 +68,15 @@ class TimeSeriesStore {
     size_t count = 0;
   };
 
+  /// The ring's i-th point, oldest first.
+  static const TimePoint& At(const Ring& ring, size_t i) {
+    return ring.points[(ring.head + i) % ring.count];
+  }
   /// Oldest-first copy of the ring contents.
   std::vector<TimePoint> Ordered(const Ring& ring) const;
 
   size_t retention_points_;
-  std::map<std::string, Ring> series_;
+  std::map<std::string, Ring, std::less<>> series_;
   int64_t evicted_ = 0;
 };
 

@@ -134,11 +134,13 @@ const std::vector<double>& HistogramMetric::DefaultLatencyBuckets() {
   return kBuckets;
 }
 
-MetricsRegistry::Family& MetricsRegistry::FamilyFor(const std::string& name,
+MetricsRegistry::Family& MetricsRegistry::FamilyFor(std::string_view name,
                                                     MetricType type) {
   ++lookups_;  // once per Get*
   auto it = families_.find(name);
-  if (it == families_.end()) it = families_.emplace(name, Family{}).first;
+  if (it == families_.end()) {
+    it = families_.emplace(std::string(name), Family{}).first;
+  }
   if (!it->second.type_fixed) {
     it->second.type = type;
     it->second.type_fixed = true;
@@ -160,7 +162,7 @@ MetricsRegistry::Series& MetricsRegistry::SeriesFor(Family& family,
   return it->second;
 }
 
-Counter& MetricsRegistry::GetCounter(const std::string& name,
+Counter& MetricsRegistry::GetCounter(std::string_view name,
                                      MetricLabels labels) {
   Series& series = SeriesFor(FamilyFor(name, MetricType::kCounter),
                              std::move(labels));
@@ -168,7 +170,7 @@ Counter& MetricsRegistry::GetCounter(const std::string& name,
   return *series.counter;
 }
 
-Gauge& MetricsRegistry::GetGauge(const std::string& name,
+Gauge& MetricsRegistry::GetGauge(std::string_view name,
                                  MetricLabels labels) {
   Series& series =
       SeriesFor(FamilyFor(name, MetricType::kGauge), std::move(labels));
@@ -176,7 +178,7 @@ Gauge& MetricsRegistry::GetGauge(const std::string& name,
   return *series.gauge;
 }
 
-HistogramMetric& MetricsRegistry::GetHistogram(const std::string& name,
+HistogramMetric& MetricsRegistry::GetHistogram(std::string_view name,
                                          MetricLabels labels,
                                          const std::vector<double>* bounds) {
   Series& series =
@@ -227,7 +229,7 @@ size_t MetricsRegistry::series_count() const {
   return count;
 }
 
-double MetricsRegistry::FamilyValueSum(const std::string& name) const {
+double MetricsRegistry::FamilyValueSum(std::string_view name) const {
   auto it = families_.find(name);
   if (it == families_.end()) return 0.0;
   double sum = 0.0;

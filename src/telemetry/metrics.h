@@ -6,6 +6,7 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -84,11 +85,12 @@ class MetricsRegistry {
  public:
   /// Returns (creating on first use) the series `name{labels}`. A family's
   /// type is fixed by its first use; mixing types for one name asserts.
-  Counter& GetCounter(const std::string& name, MetricLabels labels = {});
-  Gauge& GetGauge(const std::string& name, MetricLabels labels = {});
+  /// Finding an existing series without labels allocates nothing.
+  Counter& GetCounter(std::string_view name, MetricLabels labels = {});
+  Gauge& GetGauge(std::string_view name, MetricLabels labels = {});
   /// `bounds` applies only when the family is created by this call;
   /// nullptr uses HistogramMetric::DefaultLatencyBuckets().
-  HistogramMetric& GetHistogram(const std::string& name, MetricLabels labels = {},
+  HistogramMetric& GetHistogram(std::string_view name, MetricLabels labels = {},
                           const std::vector<double>* bounds = nullptr);
 
   /// Attaches `# HELP` text to a family (created lazily if absent).
@@ -105,7 +107,7 @@ class MetricsRegistry {
   /// Sum of every counter/gauge value in `name`'s family (0.0 when the
   /// family is missing or histogram-typed). Allocation-free — safe for
   /// per-tick sampling loops.
-  double FamilyValueSum(const std::string& name) const;
+  double FamilyValueSum(std::string_view name) const;
 
   /// Get* and Find* calls so far: the registry's own work counter. Not
   /// part of any exposition.
@@ -154,12 +156,12 @@ class MetricsRegistry {
     std::map<std::string, Series> series;  // keyed by serialized labels
   };
 
-  Family& FamilyFor(const std::string& name, MetricType type);
+  Family& FamilyFor(std::string_view name, MetricType type);
   Series& SeriesFor(Family& family, MetricLabels labels);
   const Series* FindSeries(const std::string& name,
                            const MetricLabels& labels) const;
 
-  std::map<std::string, Family> families_;
+  std::map<std::string, Family, std::less<>> families_;
   mutable int64_t lookups_ = 0;
 };
 

@@ -592,8 +592,14 @@ void Telemetry::OnMonitorSample(const SystemIndicators& indicators,
   metrics_.GetGauge("wlm_queue_depth").Set(static_cast<double>(queue_depth));
   metrics_.GetGauge("wlm_running").Set(static_cast<double>(running_count));
   for (const auto& [tag, stats] : monitor_->all_tag_stats()) {
-    metrics_.GetGauge("wlm_throughput", {{"workload", tag}})
-        .Set(stats.last_interval_throughput);
+    auto gauge = tag_throughput_.find(tag);
+    if (gauge == tag_throughput_.end()) {
+      gauge = tag_throughput_
+                  .emplace(tag, &metrics_.GetGauge("wlm_throughput",
+                                                   {{"workload", tag}}))
+                  .first;
+    }
+    gauge->second->Set(stats.last_interval_throughput);
   }
   watchdog_.Check(indicators);
   // New watchdog violations arm the black box: dump while the anomaly is

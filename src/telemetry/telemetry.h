@@ -294,6 +294,9 @@ class Telemetry {
   // Indexed by WorkloadId. Counter objects are heap-allocated and
   // pointer-stable, so a handle outlives every later registry insert.
   std::vector<WorkloadHandles> handles_;
+  // wlm_throughput{workload=tag} by monitor tag, created at the first
+  // sample that reports the tag.
+  std::map<std::string, Gauge*> tag_throughput_;
   // Each WorkloadId's name in the event log (kUnlogged until first used).
   // Apart from handles_, which a disabled facade never grows.
   static constexpr EventLog::WorkloadRef kUnlogged = UINT16_MAX;

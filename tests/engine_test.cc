@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <map>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "engine/engine.h"
@@ -863,6 +866,209 @@ TEST(EngineSmoothingTest, SmoothedUtilizationBridgesIdleTicks) {
   sim.RunUntil(2.2);
   EXPECT_LT(engine.cpu_utilization(), 0.05);
   EXPECT_GT(engine.smoothed_cpu_utilization(), 0.3);
+}
+
+// ------------------------------------------------------- recycled executions
+// A finished execution's storage serves the next dispatch (Reset in place),
+// so a reused execution must behave exactly like a fresh one.
+
+EngineConfig RecycleConfig() {
+  EngineConfig cfg = FastConfig();
+  cfg.deadlock_check_period = 0.1;
+  cfg.buffer_pool_pages = 2000;  // non-zero hit ratios to carry over
+  return cfg;
+}
+
+std::string Describe(const ExecPhaseTotals& p) {
+  char buf[256];
+  std::snprintf(buf, sizeof(buf), "lock=%a cpu=%a io=%a mem=%a thr=%a sus=%a",
+                p.lock_wait_seconds, p.cpu_run_seconds, p.io_stall_seconds,
+                p.memory_stall_seconds, p.throttled_seconds,
+                p.suspend_flush_seconds);
+  return buf;
+}
+
+std::string Describe(const QueryOutcome& o) {
+  char buf[512];
+  std::snprintf(buf, sizeof(buf),
+                "id=%llu kind=%s dispatch=%a finish=%a cpu=%a io=%a mem=%a "
+                "spill=%a hit=%a lock_wait=%a lock_hold=%a ",
+                static_cast<unsigned long long>(o.id),
+                OutcomeKindToString(o.kind), o.dispatch_time, o.finish_time,
+                o.cpu_used, o.io_used, o.memory_granted_mb, o.spill_factor,
+                o.buffer_hit_ratio, o.lock_wait_seconds, o.lock_hold_seconds);
+  return buf + Describe(o.phases);
+}
+
+std::string Describe(const Result<ExecutionProgress>& r) {
+  if (!r.ok()) return StatusCodeToString(r.status().code());
+  const ExecutionProgress& p = *r;
+  char buf[768];
+  std::snprintf(
+      buf, sizeof(buf),
+      "id=%llu tag=%s kind=%s dispatch=%a elapsed=%a done=%a cpu=%a io=%a "
+      "rem_cpu=%a rem_io=%a op=%d/%d locks=%d sleeping=%d suspending=%d "
+      "rows=%lld duty=%a shares=%a/%a ",
+      static_cast<unsigned long long>(p.id), p.tag.c_str(),
+      QueryKindToString(p.kind), p.dispatch_time, p.elapsed, p.fraction_done,
+      p.cpu_used, p.io_used, p.remaining_cpu, p.remaining_io, p.current_op,
+      p.num_ops, p.blocked_on_locks, p.sleeping, p.suspending,
+      static_cast<long long>(p.rows_emitted), p.duty, p.shares.cpu_weight,
+      p.shares.io_weight);
+  return buf + Describe(p.phases);
+}
+
+// Drives `engine` through every path that mutates an execution — a lock
+// wait, SetDuty, Pause, SetShares, Suspend/TakeSuspended/Resume, a spilled
+// grant, a deadlock victim, a kill while sleeping and one while waiting
+// on a lock — and lets it go idle by `idle_at`.
+void Churn(Simulation& sim, DatabaseEngine& engine, double idle_at) {
+  auto dispatch = [&](const QuerySpec& spec) {
+    ASSERT_TRUE(engine.Dispatch(spec, {}).ok());
+  };
+  QuerySpec holder = MakeOltpTxn(1, {{7, true}, {8, false}});
+  holder.cpu_seconds = 0.3;
+  dispatch(holder);
+  dispatch(MakeOltpTxn(2, {{7, true}}));
+  dispatch(MakeBiQuery(3, 1.0, 300.0, 64.0));
+  ASSERT_TRUE(engine.SetDuty(3, 0.4).ok());
+  dispatch(MakeBiQuery(4, 0.8, 200.0, 32.0));
+  ASSERT_TRUE(engine.Pause(4, 0.5).ok());
+  dispatch(MakeBiQuery(5, 0.6, 400.0, 48.0));
+  ASSERT_TRUE(engine.SetShares(5, {0.3, 2.0}).ok());
+  dispatch(MakeBiQuery(6, 2.0, 1000.0, 256.0));
+  engine.memory().SetPressureMb(engine.memory().total_mb() - 400.0);
+  dispatch(MakeBiQuery(7, 0.5, 300.0, 200.0));  // a short grant: spills
+  engine.memory().SetPressureMb(0.0);
+  QuerySpec blocker = MakeOltpTxn(8, {{1, true}, {2, true}});
+  blocker.cpu_seconds = 0.3;
+  QuerySpec a = MakeOltpTxn(9, {{1, true}, {2, true}});
+  QuerySpec b = MakeOltpTxn(10, {{2, true}, {1, true}});
+  a.cpu_seconds = b.cpu_seconds = 1.0;
+  dispatch(blocker);
+  dispatch(a);
+  dispatch(b);
+  dispatch(MakeBiQuery(11, 5.0, 100.0, 16.0));
+  dispatch(MakeOltpTxn(12, {{7, true}}));
+  sim.RunUntil(0.1);
+  ASSERT_TRUE(engine.Kill(12).ok());  // still waiting behind txn 1
+  sim.RunUntil(0.5);
+  ASSERT_TRUE(engine.Suspend(6, SuspendStrategy::kDumpState).ok());
+  ASSERT_TRUE(engine.Pause(11, 2.0).ok());
+  sim.RunUntil(1.0);
+  ASSERT_TRUE(engine.Kill(11).ok());  // killed mid-pause
+  sim.RunUntil(3.0);
+  Result<SuspendedQuery> bundle = engine.TakeSuspended(6);
+  ASSERT_TRUE(bundle.ok());
+  ASSERT_TRUE(engine.Resume(*bundle, {}).ok());
+  sim.RunUntil(idle_at);
+  EXPECT_EQ(engine.counters().deadlock_aborts, 1u);
+  EXPECT_EQ(engine.counters().killed, 2u);
+  EXPECT_EQ(engine.counters().resumes, 1u);
+  ASSERT_EQ(engine.running_count(), 0u);
+}
+
+// Dispatches one fixed batch from the current time and records every
+// outcome and, every 50 ms until the batch is done, every batch query's
+// progress snapshot. First come a lock holder and eleven waiters, ten of
+// them killed in their wait: together they take every execution the churn
+// left, and the killed ones report the grant, spill and hit fields before
+// any grant sets them. The BI queries dispatched 100 ms later run on the
+// killed waiters' executions.
+std::vector<std::string> RunBatch(Simulation& sim, DatabaseEngine& engine) {
+  std::vector<std::string> log;
+  std::vector<QueryId> ids;
+  auto dispatch = [&](const QuerySpec& spec) {
+    ExecutionContext ctx;
+    ctx.tag = spec.id % 2 == 0 ? "even" : "odd";
+    ctx.on_finish = [&log](const QueryOutcome& o) {
+      log.push_back(Describe(o));
+    };
+    EXPECT_TRUE(engine.Dispatch(spec, std::move(ctx)).ok());
+    ids.push_back(spec.id);
+  };
+  QuerySpec holder = MakeOltpTxn(101, {{5, true}});
+  holder.cpu_seconds = 0.2;
+  dispatch(holder);
+  for (QueryId id = 102; id <= 112; ++id) {
+    dispatch(MakeOltpTxn(id, {{6, false}, {5, true}}));
+  }
+  const double start = sim.Now();
+  for (int step = 1; step <= 2000 && engine.running_count() > 0; ++step) {
+    sim.RunUntil(start + 0.05 * step);
+    for (QueryId id = 102; step == 1 && id <= 111; ++id) {
+      EXPECT_TRUE(engine.Kill(id).ok());
+    }
+    for (QueryId id = 113; step == 2 && id <= 125; ++id) {
+      const double k = static_cast<double>(id - 110);
+      dispatch(MakeBiQuery(id, 0.1 * k, 40.0 * k, 20.0 * k));
+    }
+    for (QueryId id : ids) log.push_back(Describe(engine.GetProgress(id)));
+  }
+  EXPECT_EQ(engine.running_count(), 0u);
+  return log;
+}
+
+TEST(RecycledExecutionTest, ReusedExecutionBehavesLikeAFreshOne) {
+  constexpr double kIdleAt = 60.0;
+  Simulation churned_sim;
+  DatabaseEngine churned(&churned_sim, RecycleConfig());
+  Churn(churned_sim, churned, kIdleAt);
+  Simulation fresh_sim;
+  DatabaseEngine fresh(&fresh_sim, RecycleConfig());
+  fresh_sim.RunUntil(kIdleAt);
+
+  const std::vector<std::string> reused = RunBatch(churned_sim, churned);
+  const std::vector<std::string> expected = RunBatch(fresh_sim, fresh);
+  ASSERT_EQ(reused.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(reused[i], expected[i]) << "record " << i;
+  }
+}
+
+TEST(RecycledExecutionTest, FinishedExecutionDropsItsCallback) {
+  Simulation sim;
+  DatabaseEngine engine(&sim, FastConfig());
+  auto token = std::make_shared<int>(0);
+  for (QueryId id = 1; id <= 2; ++id) {
+    ExecutionContext ctx;
+    ctx.on_finish = [token](const QueryOutcome&) { ++*token; };
+    ASSERT_TRUE(
+        engine.Dispatch(MakeBiQuery(id, 0.5, 10.0, 8.0), std::move(ctx)).ok());
+  }
+  EXPECT_EQ(token.use_count(), 3);
+  sim.RunUntil(0.1);
+  ASSERT_TRUE(engine.Kill(2).ok());
+  sim.RunUntil(10.0);
+  EXPECT_EQ(*token, 2);
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(RecycledExecutionTest, DispatchFromAFinishCallbackGetsAnotherExecution) {
+  Simulation sim;
+  DatabaseEngine engine(&sim, FastConfig());
+  // Query 1's callback dispatches query 2 while it still runs: the node
+  // query 1 leaves must not serve that dispatch, or the running callback
+  // would be overwritten under itself.
+  const std::string label(64, 'x');  // on the heap, inside the callback
+  std::vector<std::string> seen;
+  ExecutionContext first;
+  first.on_finish = [&, label](const QueryOutcome&) {
+    ExecutionContext second;
+    second.on_finish = [&seen](const QueryOutcome& o) {
+      seen.push_back("second " + std::to_string(o.id));
+    };
+    EXPECT_TRUE(
+        engine.Dispatch(MakeBiQuery(2, 0.1, 10.0, 8.0), std::move(second))
+            .ok());
+    seen.push_back(label);
+  };
+  ASSERT_TRUE(
+      engine.Dispatch(MakeBiQuery(1, 0.1, 10.0, 8.0), std::move(first)).ok());
+  sim.RunUntil(10.0);
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[0], label);
+  EXPECT_EQ(seen[1], "second 2");
 }
 
 // ------------------------------------------------------------------ Monitor
