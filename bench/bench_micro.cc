@@ -266,7 +266,11 @@ BENCHMARK(BM_PercentilesAddQuery);
 // the running query, which dispatches one waiting request, and submits one
 // more to restore the depth. FIFO and priority declare a queue discipline,
 // so the manager dispatches from its index; RankScheduler has no fixed
-// preference, so the manager calls its Order, a sort, every round.
+// preference, so the manager calls its Order, a sort, every round. The
+// overload case runs FIFO under overload protection with CoDel turned LIFO
+// before the clock starts, so each round serves the newest request, and
+// deadline shedding on: every request has a deadline far beyond the run,
+// so none is shed, but each is watched. Breakers and brownout are off.
 std::unique_ptr<Scheduler> MakeFifo() {
   return std::make_unique<FifoScheduler>(/*mpl=*/1);
 }
@@ -284,25 +288,52 @@ struct DispatchRig {
   WorkloadManager wlm;
   WorkloadGenerator gen{8};
 
-  static WlmConfig Config() {
+  bool overload;
+
+  static WlmConfig Config(bool overload) {
     WlmConfig config;
     config.telemetry.enabled = false;
+    if (overload) {
+      config.overload.enabled = true;
+      config.overload.codel.queue_capacity = 8192;
+      config.overload.codel.target_seconds = 0.01;
+      config.overload.codel.interval_seconds = 0.01;
+      config.overload.codel.lifo_after_sheds = 1;
+      config.overload.breaker = false;
+      config.overload.brownout = false;
+    }
     return config;
   }
 
-  DispatchRig(std::unique_ptr<Scheduler> scheduler, int depth)
+  DispatchRig(std::unique_ptr<Scheduler> scheduler, int depth, bool overload)
       : engine(&sim, wlm_bench::DefaultEngine()),
         monitor(&sim, &engine, 1.0),
-        wlm(&sim, &engine, &monitor, Config()) {
+        wlm(&sim, &engine, &monitor, Config(overload)),
+        overload(overload) {
     wlm.set_scheduler(std::move(scheduler));
     for (int i = 0; i <= depth; ++i) Submit();  // one runs, `depth` wait
+    if (overload) {
+      // Two looks at a queue older than CoDel's target, an interval apart:
+      // the second sheds the head and turns the queue LIFO. The clock then
+      // stands still, so no later look sheds. Top the depth back up.
+      sim.RunUntil(0.02);
+      wlm.TryDispatch();
+      sim.RunUntil(0.04);
+      wlm.TryDispatch();
+      while (static_cast<int>(wlm.queue_depth()) < depth) Submit();
+    }
   }
 
-  void Submit() { (void)wlm.Submit(gen.NextOltp(OltpWorkloadConfig())); }
+  void Submit() {
+    QuerySpec spec = gen.NextOltp(OltpWorkloadConfig());
+    if (overload) spec.deadline_seconds = 1e9;
+    (void)wlm.Submit(spec);
+  }
 };
 
 void BM_DispatchDeepQueue(benchmark::State& state,
-                          std::unique_ptr<Scheduler> (*make)()) {
+                          std::unique_ptr<Scheduler> (*make)(),
+                          bool overload) {
   const int depth = static_cast<int>(state.range(0));
   // The manager keeps every request it was given, so a fresh rig is built
   // off the clock every kCyclesPerRig dispatches to bound memory.
@@ -313,7 +344,11 @@ void BM_DispatchDeepQueue(benchmark::State& state,
     if (cycles == kCyclesPerRig) {
       state.PauseTiming();
       rig.reset();
-      rig = std::make_unique<DispatchRig>(make(), depth);
+      rig = std::make_unique<DispatchRig>(make(), depth, overload);
+      if (overload && !rig->wlm.queue_lifo()) {
+        state.SkipWithError("CoDel did not turn the queue LIFO");
+        break;
+      }
       cycles = 0;
       state.ResumeTiming();
     }
@@ -325,12 +360,14 @@ void BM_DispatchDeepQueue(benchmark::State& state,
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK_CAPTURE(BM_DispatchDeepQueue, fifo, MakeFifo)
+BENCHMARK_CAPTURE(BM_DispatchDeepQueue, fifo, MakeFifo, false)
     ->Arg(256)->Arg(1024)->Arg(4096);
-BENCHMARK_CAPTURE(BM_DispatchDeepQueue, priority, MakePriority)
+BENCHMARK_CAPTURE(BM_DispatchDeepQueue, priority, MakePriority, false)
     ->Arg(256)->Arg(1024)->Arg(4096);
-BENCHMARK_CAPTURE(BM_DispatchDeepQueue, rank, MakeRank)
+BENCHMARK_CAPTURE(BM_DispatchDeepQueue, rank, MakeRank, false)
     ->Arg(256)->Arg(1024)->Arg(4096);
+BENCHMARK_CAPTURE(BM_DispatchDeepQueue, overload, MakeFifo, true)
+    ->Arg(256)->Arg(4096);
 
 // One query's telemetry: host ns for the five hooks a healthy query fires
 // (submit, admit, dispatch, run segment, terminal) on one warm facade. The

@@ -77,6 +77,9 @@ struct Request {
   double deadline = std::numeric_limits<double>::infinity();
   /// When the request last entered the wait queue (for sojourn time).
   double enqueued_time = 0.0;
+  /// The number the request last entered the wait queue with, from 1; 0
+  /// while it is not in the queue.
+  uint64_t queue_seq = 0;
   int resubmits = 0;
   int suspend_count = 0;
   /// Why admission rejected the request (empty otherwise).

@@ -15,6 +15,25 @@ bool Waiting(const Request& request) {
          request.state == RequestState::kSuspended;
 }
 
+// queue_'s usual order, and the LIFO round's in reverse: by the time a
+// request entered the queue, ties to the lower id.
+bool EnqueuedBefore(const Request* a, const Request* b) {
+  if (a->enqueued_time != b->enqueued_time) {
+    return a->enqueued_time < b->enqueued_time;
+  }
+  return a->spec.id < b->spec.id;
+}
+
+// The instant before which deadline shedding cannot shed `request`:
+// `now + est > deadline` is false for every `now` earlier than it. Its two
+// roundings together err by at most 2^-52 (|deadline| + |est|), far inside
+// the margin. NaN when the test never holds (a NaN deadline or estimate).
+double ShedBound(const Request& request) {
+  const double est = request.plan.est_elapsed_seconds;
+  return (request.deadline - est) -
+         1e-9 * (1.0 + std::abs(request.deadline) + std::abs(est));
+}
+
 }  // namespace
 
 WorkloadManager::WorkloadManager(Simulation* sim, DatabaseEngine* engine,
@@ -229,18 +248,24 @@ void WorkloadManager::RunQueueShedding() {
   const double now = sim_->Now();
   // Deadline-unreachable shedding: a queued request whose estimated
   // execution no longer fits before its deadline is dead weight — shed
-  // it now instead of burning engine capacity on a guaranteed miss.
-  if (config_.overload.deadline_shedding) {
+  // it now instead of burning engine capacity on a guaranteed miss. The
+  // scan runs only once `now` reaches the shed floor, and then resets it.
+  if (config_.overload.deadline_shedding && shed_floor_ <= now) {
     for (size_t i = 0; i < queue_.size();) {
       const Request* queued = queue_[i];
       if (queued->HasDeadline() &&
           now + queued->plan.est_elapsed_seconds > queued->deadline) {
-        Unqueue(queued);
-        ShedRequest(Lookup(queued->spec.id), "deadline");
+        Request* victim = Lookup(queued->spec.id);
+        Unqueue(victim);
+        ShedRequest(victim, "deadline");
         continue;
       }
       ++i;
     }
+    // A pass of its own: a shed's listeners may change the queue under
+    // the scan, and every request still waiting must count.
+    shed_floor_ = std::numeric_limits<double>::infinity();
+    for (const Request* queued : queue_) LowerShedFloor(*queued);
   }
   // CoDel sojourn discipline on the head-of-line (oldest) request.
   if (config_.overload.shedding) {
@@ -251,8 +276,9 @@ void WorkloadManager::RunQueueShedding() {
           now, now - head->enqueued_time, static_cast<int>(queue_.size()));
       lifo = decision.lifo;
       if (!decision.shed) break;
-      Unqueue(head);
-      ShedRequest(Lookup(head->spec.id), "codel");
+      Request* victim = Lookup(head->spec.id);
+      Unqueue(victim);
+      ShedRequest(victim, "codel");
     }
     if (queue_.empty()) lifo = overload_->lifo();
     if (lifo != queue_lifo_) {
@@ -262,37 +288,17 @@ void WorkloadManager::RunQueueShedding() {
   }
 }
 
-void WorkloadManager::PriorityLevel::Insert(Entry entry) {
-  const auto first = entries.begin() + static_cast<std::ptrdiff_t>(head);
-  entries.insert(std::upper_bound(first, entries.end(), entry.seq,
-                                  [](uint64_t seq, const Entry& e) {
-                                    return seq < e.seq;
-                                  }),
-                 entry);
+void WorkloadManager::PriorityLevel::Insert(Request* request) {
+  entries.insert(std::ranges::upper_bound(entries, request->queue_seq, {},
+                                          &Entry::seq),
+                 {request->queue_seq, request});
 }
 
-std::optional<WorkloadManager::PriorityLevel::Entry>
-WorkloadManager::PriorityLevel::Erase(const Request* request) {
-  const auto first = entries.begin() + static_cast<std::ptrdiff_t>(head);
-  const auto pos = std::find_if(
-      first, entries.end(), [request](const Entry& e) {
-        return e.request == request;
-      });
-  if (pos == entries.end()) return std::nullopt;
-  const Entry entry = *pos;
-  if (pos != first) {
-    entries.erase(pos);
-    return entry;
-  }
-  ++head;
-  // Reclaim the departed prefix once it outnumbers the waiting entries, so
-  // a level that never empties stays bounded by the queue depth.
-  if (2 * head >= entries.size()) {
-    entries.erase(entries.begin(),
-                  entries.begin() + static_cast<std::ptrdiff_t>(head));
-    head = 0;
-  }
-  return entry;
+bool WorkloadManager::PriorityLevel::Erase(const Request* request) {
+  const auto pos = entries.LowerBound(request->queue_seq, &Entry::seq);
+  if (pos == entries.end() || pos->request != request) return false;
+  entries.erase(pos);
+  return true;
 }
 
 WorkloadManager::PriorityLevel& WorkloadManager::LevelOf(
@@ -302,16 +308,41 @@ WorkloadManager::PriorityLevel& WorkloadManager::LevelOf(
 }
 
 void WorkloadManager::Enqueue(Request* request) {
+  if (queue_.empty()) {
+    queue_in_order_ = true;
+  } else if (EnqueuedBefore(request, queue_.back())) {
+    // A resumed request keeps its old enqueued_time, and requests that
+    // enter at one instant need not come in id order.
+    queue_in_order_ = false;
+  }
+  request->queue_seq = ++next_seq_;
   queue_.push_back(request);
-  LevelOf(request->priority).Insert({next_seq_++, request});
+  LevelOf(request->priority).Insert(request);
   ++StateOf(*request).queued;
+  if (config_.overload.deadline_shedding) LowerShedFloor(*request);
 }
 
-void WorkloadManager::Unqueue(const Request* request) {
-  const auto pos = std::ranges::find(queue_, request);
-  if (pos == queue_.end()) return;
+void WorkloadManager::LowerShedFloor(const Request& request) {
+  if (!request.HasDeadline()) return;
+  // A NaN bound compares false and is left out: its test never holds.
+  const double bound = ShedBound(request);
+  if (bound < shed_floor_) shed_floor_ = bound;
+}
+
+void WorkloadManager::Unqueue(Request* request) {
+  if (request->queue_seq == 0) return;
+  // queue_ ascends by queue_seq, so one search finds the front (FIFO), the
+  // back (LIFO) or a victim in between.
+  const auto pos = queue_.LowerBound(request->queue_seq, &Request::queue_seq);
+  assert(pos != queue_.end() && *pos == request);
+  if (pos == queue_.end() || *pos != request) return;
   queue_.erase(pos);
+  Dequeued(request);
+}
+
+void WorkloadManager::Dequeued(Request* request) {
   (void)LevelOf(request->priority).Erase(request);
+  request->queue_seq = 0;
   --StateOf(*request).queued;
 }
 
@@ -349,7 +380,11 @@ void WorkloadManager::DispatchRound(size_t slots) {
   round_.clear();
   // The queue and its levels stay as they are until the round ends:
   // dispatch only starts an execution, and gates cannot change the queue.
-  switch (queue_lifo_ ? QueueDiscipline::kOrder : discipline_) {
+  if (queue_lifo_) {
+    OfferNewestFirst(slots);
+    return;
+  }
+  switch (discipline_) {
     case QueueDiscipline::kArrival:
       for (size_t i = 0; i < queue_.size() && round_.size() < slots; ++i) {
         Offer(Lookup(queue_[i]->spec.id));
@@ -358,14 +393,14 @@ void WorkloadManager::DispatchRound(size_t slots) {
     case QueueDiscipline::kPriority:
       for (auto level = levels_.rbegin();
            level != levels_.rend() && round_.size() < slots; ++level) {
-        for (size_t i = level->head;
+        for (size_t i = 0;
              i < level->entries.size() && round_.size() < slots; ++i) {
           Offer(level->entries[i].request);
         }
       }
       break;
     case QueueDiscipline::kOrder:
-      for (QueryId id : DispatchOrder()) {
+      for (QueryId id : scheduler_->Order(queue_.Compacted(), *this)) {
         if (round_.size() >= slots) break;
         Request* request = Lookup(id);
         if (request == nullptr) continue;  // scheduler returned junk
@@ -377,23 +412,29 @@ void WorkloadManager::DispatchRound(size_t slots) {
   }
 }
 
-std::vector<QueryId> WorkloadManager::DispatchOrder() {
-  if (!queue_lifo_) return scheduler_->Order(queue_, *this);
+void WorkloadManager::OfferNewestFirst(size_t slots) {
   // Sustained-overload discipline: serve newest first — the freshest
   // request is the only one whose deadline is still reachable, while a
-  // stale FIFO backlog would miss every SLO it drains into.
-  std::vector<const Request*> order = queue_;
-  std::sort(order.begin(), order.end(),
-            [](const Request* a, const Request* b) {
-              if (a->enqueued_time != b->enqueued_time) {
-                return a->enqueued_time > b->enqueued_time;
-              }
-              return a->spec.id > b->spec.id;
-            });
-  std::vector<QueryId> ids;
-  ids.reserve(order.size());
-  for (const Request* queued : order) ids.push_back(queued->spec.id);
-  return ids;
+  // stale FIFO backlog would miss every SLO it drains into. Newest first
+  // is EnqueuedBefore walked backwards, which queue_ nearly always is
+  // already; a resumed request re-enters with its old enqueued_time, so
+  // otherwise a sorted copy is walked.
+  if (!queue_in_order_) {
+    queue_in_order_ = std::ranges::is_sorted(queue_, EnqueuedBefore);
+  }
+  auto offer_from_back = [this, slots](auto first, auto last) {
+    while (last != first && round_.size() < slots) {
+      --last;
+      Offer(Lookup((*last)->spec.id));
+    }
+  };
+  if (queue_in_order_) {
+    offer_from_back(queue_.begin(), queue_.end());
+    return;
+  }
+  lifo_order_.assign(queue_.begin(), queue_.end());
+  std::ranges::sort(lifo_order_, EnqueuedBefore);
+  offer_from_back(lifo_order_.cbegin(), lifo_order_.cend());
 }
 
 void WorkloadManager::Offer(Request* request) {
@@ -415,12 +456,9 @@ void WorkloadManager::RemoveDispatched() {
     Unqueue(round_.front());
     return;
   }
-  for (const Request* request : round_) {
-    (void)LevelOf(request->priority).Erase(request);
-    --StateOf(*request).queued;
-  }
+  for (Request* request : round_) Dequeued(request);
   std::ranges::sort(round_);
-  std::erase_if(queue_, [this](const Request* queued) {
+  queue_.erase_if([this](const Request* queued) {
     return std::ranges::binary_search(round_, queued);
   });
 }
@@ -632,6 +670,10 @@ Request* WorkloadManager::Lookup(QueryId id) const {
 
 const Request* WorkloadManager::Find(QueryId id) const { return Lookup(id); }
 
+std::vector<const Request*> WorkloadManager::Queued() const {
+  return std::vector<const Request*>(queue_.begin(), queue_.end());
+}
+
 std::vector<const Request*> WorkloadManager::Running() const {
   std::vector<const Request*> out;
   out.reserve(running_.size());
@@ -682,13 +724,15 @@ std::vector<WorkloadManager::DrainedQuery> WorkloadManager::CrashDrain(
   // Shed the whole wait queue before killing anything: the kill pass's
   // finish callbacks re-enter TryDispatch, which must find an empty queue
   // rather than promote doomed requests into the freed slots.
-  std::vector<const Request*> waiting;
-  waiting.swap(queue_);
-  for (PriorityLevel& level : levels_) {
-    level.entries.clear();
-    level.head = 0;
-  }
+  std::vector<const Request*> waiting = Queued();
+  queue_.clear();
+  for (PriorityLevel& level : levels_) level.entries.clear();
   for (WorkloadState& state : by_id_) state.queued = 0;
+  // Every drained request is out of the queue before the first shed's
+  // listeners run.
+  for (const Request* queued : waiting) {
+    Lookup(queued->spec.id)->queue_seq = 0;
+  }
   for (const Request* queued : waiting) {
     drained.push_back({queued->spec, queued->workload});
     ShedRequest(Lookup(queued->spec.id), reason);
@@ -771,10 +815,8 @@ Status WorkloadManager::SetRequestPriority(QueryId id,
   }
   // A waiting request keeps its place in the queue: its entry moves to the
   // new level at its sequence position.
-  if (Waiting(*request)) {
-    if (auto entry = LevelOf(request->priority).Erase(request)) {
-      LevelOf(priority).Insert(*entry);
-    }
+  if (LevelOf(request->priority).Erase(request)) {
+    LevelOf(priority).Insert(request);
   }
   request->priority = priority;
   telemetry_->OnReprioritize(id, request->workload_id, request->workload,
@@ -878,7 +920,7 @@ void WorkloadManager::ScheduleFaultRetry(Request* request, double delay) {
     Request* r = Lookup(id);
     if (r == nullptr) return;
     if (r->state != RequestState::kQueued) return;
-    if (std::find(queue_.begin(), queue_.end(), r) != queue_.end()) return;
+    if (r->queue_seq != 0) return;  // already requeued
     Requeue(r, /*reason=*/nullptr);
     TryDispatch();
   });

@@ -4,15 +4,16 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "common/head_vector.h"
 #include "common/id_index.h"
 #include "common/result.h"
 #include "common/status.h"
@@ -144,7 +145,7 @@ class WorkloadManager : public FaultSink {
   /// from Submit until its completion listeners return.
   const Request* Find(QueryId id) const;
   /// The wait queue, in the order requests entered it.
-  std::vector<const Request*> Queued() const { return queue_; }
+  std::vector<const Request*> Queued() const;
   /// Currently running requests, ordered by query id.
   std::vector<const Request*> Running() const;
   size_t queue_depth() const { return queue_.size(); }
@@ -235,20 +236,20 @@ class WorkloadManager : public FaultSink {
   void OnSample(const SystemIndicators& indicators);
   void OnFinish(const QueryOutcome& outcome);
   /// The waiting requests of one business priority, in queue_ order, each
-  /// tagged with the sequence number it entered the queue with. Entries
-  /// before `head` have left the queue.
+  /// tagged with its queue_seq.
   struct PriorityLevel {
     struct Entry {
       uint64_t seq;
       Request* request;
     };
-    std::vector<Entry> entries;
-    size_t head = 0;
+    HeadVector<Entry> entries;
 
-    /// Places `entry` at its sequence position (a new one at the back).
-    void Insert(Entry entry);
-    /// Removes and returns `request`'s entry; nullopt when it is absent.
-    std::optional<Entry> Erase(const Request* request);
+    /// Places `request`'s entry at its sequence position (a new one at the
+    /// back).
+    void Insert(Request* request);
+    /// Removes `request`'s entry, found by its queue_seq; false when it is
+    /// absent.
+    [[nodiscard]] bool Erase(const Request* request);
   };
   PriorityLevel& LevelOf(BusinessPriority priority);
 
@@ -273,11 +274,17 @@ class WorkloadManager : public FaultSink {
   /// the free list for the next submit.
   void Finish(Request* request);
 
-  /// Appends a request to the wait queue and to its priority level.
+  /// Appends a request to the wait queue and to its priority level, and
+  /// lowers the shed floor to its bound when deadline shedding is on.
   void Enqueue(Request* request);
+  /// Lowers shed_floor_ to `request`'s shed-by bound when that is earlier.
+  void LowerShedFloor(const Request& request);
   /// Takes a request out of the wait queue and its level; a no-op for a
   /// request that is not in the queue (a fault retry in backoff).
-  void Unqueue(const Request* request);
+  void Unqueue(Request* request);
+  /// The rest of a request's departure from queue_: its level entry, its
+  /// queue_seq and its workload's queued count.
+  void Dequeued(Request* request);
   /// Dispatch slots open this round: the scheduler's concurrency limit
   /// (scaled down while degraded) minus running, or the whole queue when
   /// nothing caps concurrency.
@@ -285,9 +292,9 @@ class WorkloadManager : public FaultSink {
   /// Offers waiting requests in preference order until `slots` of them
   /// are dispatched or every one was offered; fills round_.
   void DispatchRound(size_t slots);
-  /// Preference for a round without a declared discipline: newest first
-  /// under CoDel LIFO, else the scheduler's Order.
-  std::vector<QueryId> DispatchOrder();
+  /// The CoDel LIFO round: offers waiting requests newest first, ties to
+  /// the higher id.
+  void OfferNewestFirst(size_t slots);
   /// Runs the dispatch gates on one waiting request and dispatches it
   /// into round_ if every gate allows.
   void Offer(Request* request);
@@ -350,17 +357,30 @@ class WorkloadManager : public FaultSink {
   IdIndex request_index_;
   std::vector<uint32_t> free_;
   uint64_t next_sequence_ = 0;
-  // Waiting requests (owned by requests_) in arrival order; handed to
-  // Scheduler::Order as is. Bounded by OverloadOptions::codel.queue_capacity
-  // when overload protection is enabled; the seed's unbounded behavior is
-  // kept when it is off.
+  // Waiting requests (owned by requests_) in the order they entered, so
+  // with queue_seq ascending; compacted and handed to Scheduler::Order.
+  // Bounded by OverloadOptions::codel.queue_capacity when overload
+  // protection is enabled; the seed's unbounded behavior is kept when it
+  // is off.
   // wlm-lint: allow(Q1) capacity enforced by OverloadController when enabled
-  std::vector<const Request*> queue_;
+  HeadVector<const Request*> queue_;
+  // True only while queue_ is ascending by (enqueued_time, id): Enqueue
+  // clears it when a request sorts before the back, an empty queue sets
+  // it, and a LIFO round re-checks it. Removals keep the order.
+  bool queue_in_order_ = true;
+  // Sorting space for a LIFO round over an out-of-order queue_.
+  std::vector<const Request*> lifo_order_;
   // The dispatch index beside queue_: its entries partitioned by priority
   // (index = BusinessPriority value), each level in queue_ order. Every
   // site that changes queue_ updates it.
   std::array<PriorityLevel, kBusinessPriorityCount> levels_;
   uint64_t next_seq_ = 0;
+  // Deadline shedding's filter: no waiting request's shed-by bound is
+  // earlier, so before it `now + est_elapsed > deadline` holds for none of
+  // them and the scan is skipped. Enqueue lowers it; a departure leaves it
+  // early, which costs at most one extra scan, and each scan resets it to
+  // the earliest bound left in the queue.
+  double shed_floor_ = std::numeric_limits<double>::infinity();
   // The installed scheduler's discipline; kArrival without a scheduler.
   QueueDiscipline discipline_ = QueueDiscipline::kArrival;
   std::vector<Request*> round_;  // dispatched this round, still in queue_

@@ -22,6 +22,7 @@ CircuitBreaker::CircuitBreaker(CircuitBreakerOptions options)
 void CircuitBreaker::Transition(State next, double now,
                                 const std::string& why) {
   if (next == state_) return;
+  const State previous = state_;
   state_ = next;
   if (next == State::kOpen) {
     opened_at_ = now;
@@ -34,27 +35,30 @@ void CircuitBreaker::Transition(State next, double now,
   }
   if (next == State::kClosed) {
     window_.clear();
+    window_violated_ = 0;
   }
-  if (listener_) listener_(next, why);
+  if (listener_) listener_(previous, next, why);
+}
+
+void CircuitBreaker::PopOldest() {
+  if (window_.front().violated) --window_violated_;
+  window_.pop_front();
 }
 
 void CircuitBreaker::Expire(double now) {
   while (!window_.empty() &&
          window_.front().time < now - options_.window_seconds) {
-    window_.pop_front();
+    PopOldest();
   }
   while (static_cast<int>(window_.size()) > options_.window_sample_capacity) {
-    window_.pop_front();
+    PopOldest();
   }
 }
 
 double CircuitBreaker::ViolationRate() const {
   if (window_.empty()) return 0.0;
-  int violated = 0;
-  for (const Sample& sample : window_) {
-    if (sample.violated) ++violated;
-  }
-  return static_cast<double>(violated) / static_cast<double>(window_.size());
+  return static_cast<double>(window_violated_) /
+         static_cast<double>(window_.size());
 }
 
 void CircuitBreaker::RecordOutcome(double now, bool violated) {
@@ -73,6 +77,7 @@ void CircuitBreaker::RecordOutcome(double now, bool violated) {
     return;
   }
   window_.push_back({now, violated});
+  if (violated) ++window_violated_;
   Expire(now);
   if (state_ == State::kClosed &&
       static_cast<int>(window_.size()) >= options_.min_samples &&

@@ -35,9 +35,10 @@ class CircuitBreaker {
  public:
   enum class State { kClosed = 0, kHalfOpen = 1, kOpen = 2 };
 
-  /// (new state, detail) — fired on every state transition.
-  using TransitionListener =
-      std::function<void(State state, const std::string& detail)>;
+  /// (previous state, new state, detail) — fired on every state
+  /// transition.
+  using TransitionListener = std::function<void(
+      State from, State to, const std::string& detail)>;
 
   explicit CircuitBreaker(CircuitBreakerOptions options);
 
@@ -51,6 +52,7 @@ class CircuitBreaker {
   [[nodiscard]] bool AllowAdmission(double now);
 
   State state() const { return state_; }
+  /// Violated share of the samples in the window; 0 when it is empty.
   double ViolationRate() const;
   int64_t trips() const { return trips_; }
   void set_transition_listener(TransitionListener listener) {
@@ -65,10 +67,12 @@ class CircuitBreaker {
 
   void Transition(State next, double now, const std::string& why);
   void Expire(double now);
+  void PopOldest();
 
   CircuitBreakerOptions options_;
   State state_ = State::kClosed;
   std::deque<Sample> window_;  // bounded by window_sample_capacity
+  int window_violated_ = 0;    // samples in window_ that violated
   double opened_at_ = 0.0;
   int probes_issued_ = 0;
   int probes_finished_ = 0;

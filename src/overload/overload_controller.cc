@@ -38,16 +38,18 @@ CircuitBreaker& OverloadController::BreakerFor(const std::string& workload) {
     auto breaker = std::make_unique<CircuitBreaker>(options_.breaker_options);
     CircuitBreaker* raw = breaker.get();
     raw->set_transition_listener(
-        [this, workload](CircuitBreaker::State state,
+        [this, workload](CircuitBreaker::State from, CircuitBreaker::State to,
                          const std::string& detail) {
+          if (from == CircuitBreaker::State::kOpen) --open_breakers_;
+          if (to == CircuitBreaker::State::kOpen) ++open_breakers_;
           if (!listener_) return;
           TransitionKind kind = TransitionKind::kBreakerTripped;
-          if (state == CircuitBreaker::State::kHalfOpen) {
+          if (to == CircuitBreaker::State::kHalfOpen) {
             kind = TransitionKind::kBreakerHalfOpen;
-          } else if (state == CircuitBreaker::State::kClosed) {
+          } else if (to == CircuitBreaker::State::kClosed) {
             kind = TransitionKind::kBreakerClosed;
           }
-          listener_(kind, workload, static_cast<int>(state), detail);
+          listener_(kind, workload, static_cast<int>(to), detail);
         });
     it = breakers_.emplace(workload, std::move(breaker)).first;
   }
@@ -59,13 +61,7 @@ CircuitBreaker* OverloadController::breaker(const std::string& workload) {
   return &BreakerFor(workload);
 }
 
-bool OverloadController::AnyBreakerOpen() const {
-  for (const auto& [workload, breaker] : breakers_) {
-    (void)workload;
-    if (breaker->state() == CircuitBreaker::State::kOpen) return true;
-  }
-  return false;
-}
+bool OverloadController::AnyBreakerOpen() const { return open_breakers_ > 0; }
 
 std::string OverloadController::EvaluateArrival(const std::string& workload,
                                                 int priority, double now,

@@ -105,9 +105,13 @@ class OverloadController {
   const OverloadOptions& options() const { return options_; }
   int brownout_level() const { return brownout_ ? brownout_->level() : 0; }
   bool lifo() const { return lifo_; }
+  /// The workload's breaker, created on first use; nullptr when breakers
+  /// are off. Its transition listener is the controller's, which counts
+  /// open breakers through it: do not replace it.
   CircuitBreaker* breaker(const std::string& workload);
   /// True when any service class's breaker is currently open — the
-  /// shard-health signal the cluster dispatcher routes around.
+  /// shard-health signal the cluster dispatcher routes around. O(1): the
+  /// breakers' transitions keep the count of open ones.
   [[nodiscard]] bool AnyBreakerOpen() const;
   RetryBudgetPool* retry_budgets() { return retry_budgets_.get(); }
   double GlobalViolationRate() const;
@@ -126,6 +130,7 @@ class OverloadController {
 
   OverloadOptions options_;
   std::map<std::string, std::unique_ptr<CircuitBreaker>> breakers_;
+  int open_breakers_ = 0;  // breakers_ whose state is kOpen
   std::unique_ptr<CodelQueuePolicy> codel_;
   std::unique_ptr<RetryBudgetPool> retry_budgets_;
   std::unique_ptr<BrownoutController> brownout_;

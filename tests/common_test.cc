@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/format.h"
+#include "common/head_vector.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -97,6 +98,57 @@ TEST(ResultTest, AssignOrReturn) {
   EXPECT_TRUE(ConsumesResult(5, &out).ok());
   EXPECT_EQ(out, 10);
   EXPECT_FALSE(ConsumesResult(-5, &out).ok());
+}
+
+// ------------------------------------------------------------ HeadVector
+
+TEST(HeadVectorTest, FrontMiddleAndFilteredErasesKeepTheLiveOrder) {
+  HeadVector<int> v;
+  EXPECT_TRUE(v.empty());
+  for (int i = 0; i < 10; ++i) v.push_back(i);
+  // Front departures only advance the head, and the departed prefix is
+  // reclaimed on the way; what is left reads the same either way.
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_EQ(v.front(), i);
+    v.erase(v.begin());
+    EXPECT_EQ(v.size(), static_cast<size_t>(9 - i));
+  }
+  EXPECT_EQ(std::vector<int>(v.begin(), v.end()),
+            (std::vector<int>{6, 7, 8, 9}));
+  v.erase(v.begin() + 2);  // 8, from the middle
+  v.push_back(10);
+  v.insert(v.begin() + 1, 11);
+  EXPECT_EQ(v[0], 6);
+  EXPECT_EQ(v.back(), 10);
+  v.erase_if([](int x) { return x % 2 == 0; });
+  EXPECT_EQ(v.Compacted(), (std::vector<int>{11, 7, 9}));
+  while (!v.empty()) v.erase(v.begin());
+  v.push_back(12);
+  EXPECT_EQ(v.Compacted(), (std::vector<int>{12}));
+  v.clear();
+  EXPECT_EQ(v.size(), 0u);
+}
+
+// LowerBound answers as std::ranges::lower_bound over the live entries,
+// whether the front qualifies (its O(1) check) or the search runs, also
+// after front departures moved the head.
+TEST(HeadVectorTest, LowerBoundMatchesABinarySearchOfTheLiveEntries) {
+  struct Entry {
+    int key;
+  };
+  HeadVector<Entry> v;
+  EXPECT_EQ(v.LowerBound(1, &Entry::key), v.end());
+  for (int key = 10; key <= 100; key += 10) v.push_back({key});
+  for (int departed = 0; departed < 4; ++departed) {
+    for (int key = 0; key <= 110; key += 5) {
+      const auto expected =
+          std::ranges::lower_bound(v.begin(), v.end(), key, {}, &Entry::key);
+      EXPECT_EQ(v.LowerBound(key, &Entry::key) - v.begin(),
+                expected - v.begin())
+          << "key " << key << " after " << departed << " departures";
+    }
+    v.erase(v.begin());
+  }
 }
 
 // ------------------------------------------------------------------- Rng

@@ -7,9 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <deque>
+#include <limits>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "characterization/static_classifier.h"
@@ -209,9 +214,8 @@ TEST(CircuitBreakerTest, TransitionListenerSeesTheFullCycle) {
   CircuitBreaker breaker(FastBreaker());
   std::vector<CircuitBreaker::State> transitions;
   breaker.set_transition_listener(
-      [&transitions](CircuitBreaker::State state, const std::string&) {
-        transitions.push_back(state);
-      });
+      [&transitions](CircuitBreaker::State, CircuitBreaker::State state,
+                     const std::string&) { transitions.push_back(state); });
   for (int i = 0; i < 4; ++i) breaker.RecordOutcome(0.1 * (i + 1), true);
   ASSERT_TRUE(breaker.AllowAdmission(2.5));
   ASSERT_TRUE(breaker.AllowAdmission(2.6));
@@ -221,6 +225,124 @@ TEST(CircuitBreakerTest, TransitionListenerSeesTheFullCycle) {
   EXPECT_EQ(transitions[0], CircuitBreaker::State::kOpen);
   EXPECT_EQ(transitions[1], CircuitBreaker::State::kHalfOpen);
   EXPECT_EQ(transitions[2], CircuitBreaker::State::kClosed);
+}
+
+/// Two workloads' breakers behind one controller, each beside a copy of
+/// the outcome window it should hold: samples recorded outside half-open,
+/// none older than the window or beyond the sample cap, none from before
+/// the last close.
+class BreakerModel {
+ public:
+  explicit BreakerModel(OverloadController* controller)
+      : controller_(controller) {}
+
+  void Record(const std::string& workload, double now, bool violated) {
+    CircuitBreaker* breaker = controller_->breaker(workload);
+    const CircuitBreaker::State before = breaker->state();
+    controller_->RecordOutcome(workload, now, violated);
+    std::deque<std::pair<double, bool>>& window = windows_[workload];
+    if (before == CircuitBreaker::State::kHalfOpen) {
+      if (breaker->state() == CircuitBreaker::State::kClosed) window.clear();
+      return;
+    }
+    window.emplace_back(now, violated);
+    const CircuitBreakerOptions& options =
+        controller_->options().breaker_options;
+    while (window.front().first < now - options.window_seconds) {
+      window.pop_front();
+    }
+    while (static_cast<int>(window.size()) > options.window_sample_capacity) {
+      window.pop_front();
+    }
+  }
+
+  /// Both breakers' running counts against a recount of the copies.
+  void Check(const std::string& step) {
+    bool any_open = false;
+    for (const char* workload : {"a", "b"}) {
+      const CircuitBreaker* breaker = controller_->breaker(workload);
+      const std::deque<std::pair<double, bool>>& window = windows_[workload];
+      double rate = 0.0;
+      if (!window.empty()) {
+        const auto violated = std::ranges::count_if(
+            window, [](const auto& sample) { return sample.second; });
+        rate = static_cast<double>(violated) /
+               static_cast<double>(window.size());
+      }
+      EXPECT_EQ(breaker->ViolationRate(), rate) << step << " " << workload;
+      any_open |= breaker->state() == CircuitBreaker::State::kOpen;
+    }
+    EXPECT_EQ(controller_->AnyBreakerOpen(), any_open) << step;
+  }
+
+ private:
+  OverloadController* controller_;
+  std::map<std::string, std::deque<std::pair<double, bool>>> windows_;
+};
+
+TEST(CircuitBreakerTest, RunningCountsMatchARecountThroughEveryTransition) {
+  OverloadOptions options;
+  options.enabled = true;
+  options.brownout = false;
+  options.breaker_options.window_seconds = 10.0;
+  options.breaker_options.min_samples = 8;
+  options.breaker_options.trip_rate = 0.5;
+  options.breaker_options.open_seconds = 2.0;
+  options.breaker_options.half_open_probes = 2;
+  options.breaker_options.close_rate = 0.0;
+  ASSERT_EQ(options.breaker_options.window_sample_capacity, 256);
+  OverloadController controller(options);
+  BreakerModel model(&controller);
+  using State = CircuitBreaker::State;
+  CircuitBreaker* a = controller.breaker("a");
+  CircuitBreaker* b = controller.breaker("b");
+  model.Check("empty");
+
+  // Window expiry: three violations under min_samples age out.
+  for (int i = 0; i < 3; ++i) model.Record("a", 0.1 * i, true);
+  model.Check("three violations");
+  model.Record("a", 10.5, false);
+  model.Check("expired");
+
+  // The sample cap: 300 samples inside one window, a third of the first
+  // hundred violated, so the trim drops violated samples too.
+  for (int i = 0; i < 300; ++i) {
+    model.Record("a", 11.0 + 0.01 * i, i < 100 && i % 3 == 0);
+    model.Check("cap " + std::to_string(i));
+  }
+  ASSERT_EQ(a->state(), State::kClosed);
+
+  // Trip "a" once its window has aged out: eight violations.
+  for (int i = 0; i < 8; ++i) model.Record("a", 30.0 + 0.1 * i, true);
+  ASSERT_EQ(a->state(), State::kOpen);
+  model.Check("a open");
+  // Trip "b" too; then "a" cools down to half-open.
+  for (int i = 0; i < 8; ++i) model.Record("b", 31.0 + 0.1 * i, true);
+  ASSERT_EQ(b->state(), State::kOpen);
+  model.Check("both open");
+  ASSERT_TRUE(a->AllowAdmission(33.0));
+  ASSERT_EQ(a->state(), State::kHalfOpen);
+  model.Check("a half-open");
+  // Healthy probes close "a", clearing its window.
+  ASSERT_TRUE(a->AllowAdmission(33.1));
+  model.Record("a", 33.2, false);
+  model.Record("a", 33.3, false);
+  ASSERT_EQ(a->state(), State::kClosed);
+  model.Check("a closed");
+  // "b" probes badly and re-opens; then it closes on a second batch.
+  ASSERT_TRUE(b->AllowAdmission(34.0));
+  model.Record("b", 34.1, true);
+  model.Record("b", 34.2, false);
+  ASSERT_EQ(b->state(), State::kOpen);
+  model.Check("b re-opened");
+  ASSERT_TRUE(b->AllowAdmission(36.5));
+  model.Check("b half-open again");
+  model.Record("b", 36.6, false);
+  model.Record("b", 36.7, false);
+  ASSERT_EQ(b->state(), State::kClosed);
+  model.Check("all closed");
+  model.Record("b", 36.8, true);
+  model.Check("after close");
 }
 
 // ---------------------------------------------------- BrownoutController
@@ -455,6 +577,56 @@ TEST(ManagerOverloadTest, LifoDispatchesNewestFirstTiesToHigherId) {
   // Newest first; 4/5 and 2/3 share an enqueue time, higher id first.
   EXPECT_EQ(recording->offered, (std::vector<QueryId>{5, 4, 3, 2}));
   EXPECT_EQ(rig.wlm.running_count(), 4u);
+
+  // Two ways the queue leaves (enqueued_time, id) order. Each round must
+  // still offer the full newest-first sort of what waits. Both end before
+  // the next CoDel shed is due.
+  auto newest_first = [&rig] {
+    std::vector<const Request*> queued = rig.wlm.Queued();
+    std::ranges::sort(queued, [](const Request* a, const Request* b) {
+      if (a->enqueued_time != b->enqueued_time) {
+        return a->enqueued_time > b->enqueued_time;
+      }
+      return a->spec.id > b->spec.id;
+    });
+    std::vector<QueryId> ids;
+    for (const Request* request : queued) ids.push_back(request->spec.id);
+    return ids;
+  };
+  // A kGoBack suspension flushes little state, so the request re-enters
+  // the queue within a few engine ticks.
+  auto suspend = [&rig](QueryId id, double until) {
+    ASSERT_TRUE(rig.wlm.SuspendRequest(id, SuspendStrategy::kGoBack).ok());
+    rig.sim.RunUntil(until);
+    ASSERT_EQ(rig.Find(id)->state, RequestState::kSuspended);
+  };
+  // 1. A suspended request re-enters with its old enqueued_time: 2 (t=0),
+  // then 6 (t=1.03), then 3 (t=0) behind it.
+  recording->open = false;
+  recording->offered.clear();
+  suspend(2, 1.03);
+  ASSERT_TRUE(rig.wlm.Submit(BiSpec(6)).ok());
+  suspend(3, 1.06);
+  ASSERT_TRUE(rig.wlm.queue_lifo());
+  std::vector<QueryId> expected = newest_first();
+  EXPECT_EQ(expected, (std::vector<QueryId>{6, 3, 2}));
+  recording->open = true;
+  rig.wlm.TryDispatch();
+  EXPECT_EQ(recording->offered, expected);
+  // 2. Two requests enter at one instant with their ids descending, behind
+  // a suspended request whose sojourn keeps the queue LIFO: 4 (t=0.5),
+  // then 8 and 7 (t=1.09).
+  recording->open = false;
+  recording->offered.clear();
+  suspend(4, 1.09);
+  ASSERT_TRUE(rig.wlm.Submit(BiSpec(8)).ok());
+  ASSERT_TRUE(rig.wlm.Submit(BiSpec(7)).ok());
+  ASSERT_TRUE(rig.wlm.queue_lifo());
+  expected = newest_first();
+  EXPECT_EQ(expected, (std::vector<QueryId>{8, 7, 4}));
+  recording->open = true;
+  rig.wlm.TryDispatch();
+  EXPECT_EQ(recording->offered, expected);
 }
 
 TEST(ManagerOverloadTest, DeadlineUnreachableQueuedWorkIsShed) {
@@ -471,6 +643,192 @@ TEST(ManagerOverloadTest, DeadlineUnreachableQueuedWorkIsShed) {
   ASSERT_NE(r, nullptr);
   EXPECT_EQ(r->state, RequestState::kShed);
   EXPECT_EQ(r->reject_reason, "deadline");
+}
+
+/// Deadline shedding alone (no CoDel) on a rig whose gate holds every
+/// request, so only deadlines end them; monitor samples every 0.25 s.
+struct ShedByRig {
+  static WlmConfig Config() {
+    WlmConfig config = OverloadedConfig();
+    config.overload.codel.queue_capacity = 64;
+    config.overload.shedding = false;
+    return config;
+  }
+  explicit ShedByRig(WlmConfig config = Config())
+      : rig(TestEngineConfig(), 0.25, config) {
+    auto owned = std::make_unique<RecordingGate>();
+    gate = owned.get();
+    rig.wlm.AddAdmissionController(std::move(owned));
+  }
+  /// Submits a request whose plan estimates `est` seconds, with a deadline
+  /// `deadline` seconds after now (none when 0).
+  Status Submit(QueryId id, double deadline, double est) {
+    QuerySpec spec = BiSpec(id);
+    spec.deadline_seconds = deadline;
+    Plan plan;
+    rig.engine.optimizer().BuildPlan(spec, &plan);
+    plan.est_elapsed_seconds = est;
+    return rig.wlm.SubmitWithPlan(spec, plan);
+  }
+
+  TestRig rig;
+  RecordingGate* gate = nullptr;
+};
+
+// The shed floor only decides when the exact scan runs, so a request at
+// the rounding boundary is shed at the same event as a scan on every
+// TryDispatch would shed it. Submission (t=0) and the samples at 0.25,
+// 0.5, ... are the TryDispatch events; the expected instant is the first
+// of them where `now + est > deadline` holds, computed here in the same
+// arithmetic.
+TEST(ManagerOverloadTest, ShedByFilterShedsAtTheSameEventAsTheFullScan) {
+  ShedByRig shed;
+  const double one_ulp_below_1 = std::nextafter(1.0, 0.0);
+  const double one_ulp_above_1 = std::nextafter(1.0, 2.0);
+  struct Case {
+    double deadline;
+    double est;
+  };
+  const std::vector<Case> cases = {
+      {1.0, 0.75},              // now + est == deadline at t=0.25
+      {one_ulp_below_1, 0.75},  // exceeds it by one ulp at t=0.25
+      {one_ulp_above_1, 0.75},  // one ulp short at t=0.25
+      {3.0, 2.75},
+      {std::nextafter(3.0, 0.0), 2.75},
+      {1e6 + 0.5, 1e6},  // large magnitudes: one ulp of 1e6 is 1.2e-10
+      {std::nextafter(1e6 + 0.5, 0.0), 1e6},
+      {0.25, 0.0},
+      {std::nextafter(0.25, 0.0), 0.0},
+  };
+  const std::vector<double> events = {0.0, 0.25, 0.5, 0.75, 1.0};
+  for (size_t i = 0; i < cases.size(); ++i) {
+    ASSERT_TRUE(shed.Submit(static_cast<QueryId>(i + 1), cases[i].deadline,
+                            cases[i].est)
+                    .ok());
+  }
+  shed.rig.sim.RunUntil(events.back());
+  for (size_t i = 0; i < cases.size(); ++i) {
+    double expected = -1.0;  // not shed by the last event
+    for (double now : events) {
+      if (now + cases[i].est > cases[i].deadline) {
+        expected = now;
+        break;
+      }
+    }
+    const Request* request = shed.rig.Find(static_cast<QueryId>(i + 1));
+    ASSERT_NE(request, nullptr);
+    if (expected < 0.0) {
+      EXPECT_EQ(request->state, RequestState::kQueued) << "case " << i;
+      continue;
+    }
+    EXPECT_EQ(request->state, RequestState::kShed) << "case " << i;
+    EXPECT_EQ(request->reject_reason, "deadline") << "case " << i;
+    EXPECT_EQ(request->finish_time, expected) << "case " << i;
+  }
+  // The boundary pair splits at t=0.25: one ulp past sheds there, equality
+  // waits for the next sample.
+  EXPECT_EQ(shed.rig.Find(1)->finish_time, 0.5);
+  EXPECT_EQ(shed.rig.Find(2)->finish_time, 0.25);
+}
+
+TEST(ManagerOverloadTest, ShedByFilterHandlesNonFiniteValues) {
+  WlmConfig config = ShedByRig::Config();
+  // With an SLO and a NaN slack, a request without its own deadline gets
+  // a NaN one: `now + est > NaN` never holds.
+  config.overload.deadline_slack = std::numeric_limits<double>::quiet_NaN();
+  ShedByRig shed(config);
+  WorkloadDefinition def;
+  def.name = "default";
+  def.slos.push_back(ServiceLevelObjective::AvgResponse(3.0));
+  shed.rig.wlm.DefineWorkload(def);
+  const double inf = std::numeric_limits<double>::infinity();
+  ASSERT_TRUE(shed.Submit(1, 0.0, 0.5).ok());  // NaN deadline
+  ASSERT_TRUE(std::isnan(shed.rig.Find(1)->deadline));
+  ASSERT_TRUE(shed.Submit(2, 10.0, std::numeric_limits<double>::quiet_NaN())
+                  .ok());
+  // An infinite estimate can never fit: shed at the submit's own
+  // TryDispatch.
+  ASSERT_TRUE(shed.Submit(3, 10.0, inf).ok());
+  EXPECT_EQ(shed.rig.Find(3)->state, RequestState::kShed);
+  EXPECT_EQ(shed.rig.Find(3)->finish_time, 0.0);
+  ASSERT_TRUE(shed.Submit(4, 10.0, -inf).ok());
+  shed.rig.sim.RunUntil(30.0);
+  for (QueryId id : {1, 2, 4}) {
+    EXPECT_EQ(shed.rig.Find(id)->state, RequestState::kQueued) << id;
+  }
+}
+
+// queue_seq is what tells a waiting request from one that left the queue
+// (Unqueue's search, a fault retry's "already requeued" check), so it must
+// be cleared on every way out. Thousands of single- and multi-dispatch
+// rounds, then a deadline shed, a kill, a suspend and a crash drain.
+TEST(ManagerOverloadTest, QueueSeqMarksExactlyTheWaitingRequests) {
+  ShedByRig shed;
+  const auto check = [&shed](QueryId last, const char* step) {
+    uint64_t previous = 0;
+    for (const Request* queued : shed.rig.wlm.Queued()) {
+      ASSERT_GT(queued->queue_seq, previous) << step;
+      previous = queued->queue_seq;
+    }
+    for (QueryId id = 1; id <= last; ++id) {
+      const Request* request = shed.rig.Find(id);
+      if (request == nullptr) continue;
+      const bool waiting = request->state == RequestState::kQueued ||
+                           request->state == RequestState::kSuspended;
+      ASSERT_EQ(request->queue_seq != 0, waiting) << step << " id " << id;
+    }
+  };
+  QueryId id = 0;
+  for (int cycle = 0; cycle < 1000; ++cycle) {
+    shed.gate->open = false;
+    const int batch = cycle % 8 + 1;  // single- and multi-dispatch rounds
+    for (int i = 0; i < batch; ++i) {
+      ASSERT_TRUE(shed.Submit(++id, 1e6, 1.0).ok());
+    }
+    shed.gate->open = true;
+    shed.rig.wlm.TryDispatch();
+    ASSERT_EQ(shed.rig.wlm.queue_depth(), 0u);
+    if (cycle % 100 == 0) check(id, "dispatch");
+  }
+  check(id, "dispatch");
+  shed.gate->open = false;
+  ASSERT_TRUE(shed.Submit(++id, 0.5, 0.25).ok());  // shed at t=0.5
+  ASSERT_TRUE(shed.Submit(++id, 1e6, 1.0).ok());
+  ASSERT_TRUE(shed.Submit(++id, 1e6, 1.0).ok());
+  shed.rig.sim.RunUntil(0.75);
+  ASSERT_EQ(shed.rig.Find(id - 2)->state, RequestState::kShed);
+  check(id, "deadline shed");
+  ASSERT_TRUE(shed.rig.wlm.KillRequest(id - 1, /*resubmit=*/false).ok());
+  check(id, "kill");
+  ASSERT_TRUE(shed.rig.wlm.SuspendRequest(1, SuspendStrategy::kGoBack).ok());
+  check(id, "suspend");
+  (void)shed.rig.wlm.CrashDrain("crash");
+  check(id, "crash drain");
+  EXPECT_EQ(shed.rig.wlm.queue_depth(), 0u);
+}
+
+// A suspended request re-enters the queue with the deadline it had; the
+// shed floor must come down to it again, or nothing would ever scan for
+// it. The floor is first reset past request 1's bound by the scan that
+// sheds request 2.
+TEST(ManagerOverloadTest, SuspendedRequestIsShedAfterItReentersTheQueue) {
+  ShedByRig shed;
+  shed.gate->open = true;
+  ASSERT_TRUE(shed.Submit(1, 3.0, 1.0).ok());  // shed-by about t=2
+  ASSERT_EQ(shed.rig.Find(1)->state, RequestState::kRunning);
+  shed.gate->open = false;
+  ASSERT_TRUE(shed.Submit(2, 1.0, 0.5).ok());  // shed at the 0.75 sample
+  shed.rig.sim.RunUntil(1.0);
+  ASSERT_EQ(shed.rig.Find(2)->state, RequestState::kShed);
+  ASSERT_EQ(shed.rig.Find(2)->finish_time, 0.75);
+  ASSERT_TRUE(shed.rig.wlm.SuspendRequest(1, SuspendStrategy::kGoBack).ok());
+  shed.rig.sim.RunUntil(2.0);
+  ASSERT_EQ(shed.rig.Find(1)->state, RequestState::kSuspended);
+  // 2.0 + 1.0 == 3.0 is not past the deadline; the sample at 2.25 is.
+  shed.rig.sim.RunUntil(2.25);
+  EXPECT_EQ(shed.rig.Find(1)->state, RequestState::kShed);
+  EXPECT_EQ(shed.rig.Find(1)->reject_reason, "deadline");
+  EXPECT_EQ(shed.rig.Find(1)->finish_time, 2.25);
 }
 
 TEST(ManagerOverloadTest, SloDerivedDeadlinesUseTheSlackFactor) {
