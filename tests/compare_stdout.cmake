@@ -1,9 +1,12 @@
-# Runs PROGRAM and fails unless its standard output equals GOLDEN byte for
-# byte; the run's output is left in OUTPUT for a diff. Usage:
-#   cmake -DPROGRAM=<binary> -DGOLDEN=<file> -DOUTPUT=<file> \
+# Runs PROGRAM in WORKDIR (created if missing) and fails unless its standard
+# output equals GOLDEN byte for byte; the run's output is left in
+# WORKDIR/stdout.txt for a diff. Usage:
+#   cmake -DPROGRAM=<binary> -DGOLDEN=<file> -DWORKDIR=<dir> \
 #         -P compare_stdout.cmake
+file(MAKE_DIRECTORY "${WORKDIR}")
+set(OUTPUT "${WORKDIR}/stdout.txt")
 execute_process(COMMAND "${PROGRAM}" OUTPUT_FILE "${OUTPUT}"
-                RESULT_VARIABLE status)
+                WORKING_DIRECTORY "${WORKDIR}" RESULT_VARIABLE status)
 if(NOT status EQUAL 0)
   message(FATAL_ERROR "${PROGRAM} exited with ${status}")
 endif()
