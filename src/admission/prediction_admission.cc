@@ -6,11 +6,17 @@
 #include "core/workload_manager.h"
 
 namespace wlm {
+namespace {
+
+/// Neighbours SimilarityAdmission's kNN regression averages.
+constexpr int kNeighbours = 5;
+
+}  // namespace
 
 PqrAdmission::PqrAdmission() : PqrAdmission(Config()) {}
 
 PqrAdmission::PqrAdmission(Config config)
-    : config_(std::move(config)), tree_(config_.tree) {}
+    : config_(std::move(config)) {}
 
 int PqrAdmission::BucketFor(double elapsed_seconds) const {
   auto it = std::lower_bound(config_.bucket_bounds.begin(),
@@ -67,7 +73,7 @@ SimilarityAdmission::SimilarityAdmission()
     : SimilarityAdmission(Config()) {}
 
 SimilarityAdmission::SimilarityAdmission(Config config)
-    : config_(config), knn_(config.k) {}
+    : config_(config), knn_(kNeighbours) {}
 
 void SimilarityAdmission::AddExample(const QuerySpec& spec, const Plan& plan,
                                      double elapsed_seconds) {
@@ -77,7 +83,7 @@ void SimilarityAdmission::AddExample(const QuerySpec& spec, const Plan& plan,
 }
 
 Status SimilarityAdmission::Train() {
-  if (training_.size() < static_cast<size_t>(config_.k)) {
+  if (training_.size() < static_cast<size_t>(kNeighbours)) {
     return Status::FailedPrecondition("insufficient training history");
   }
   knn_.Fit(training_);

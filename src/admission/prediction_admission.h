@@ -24,7 +24,6 @@ class PqrAdmission : public AdmissionController {
     std::vector<double> bucket_bounds{1.0, 10.0, 100.0};
     /// Queries predicted into bucket index >= this are rejected.
     int reject_bucket = 3;
-    DecisionTreeConfig tree;
   };
 
   PqrAdmission();
@@ -66,7 +65,6 @@ class SimilarityAdmission : public AdmissionController {
  public:
   struct Config {
     double max_predicted_seconds = 300.0;
-    int k = 5;
   };
 
   SimilarityAdmission();

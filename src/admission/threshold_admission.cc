@@ -6,6 +6,13 @@
 #include "core/workload_manager.h"
 
 namespace wlm {
+namespace {
+
+/// Lock conflict ratio above which IndicatorAdmission counts the system
+/// as congested.
+constexpr double kMaxConflictRatio = 1.3;
+
+}  // namespace
 
 QueryCostAdmission::QueryCostAdmission(Config config)
     : config_(std::move(config)) {}
@@ -94,10 +101,7 @@ ConflictRatioAdmission::ConflictRatioAdmission(double critical_ratio)
 bool ConflictRatioAdmission::AllowDispatch(const Request& request,
                                            const WorkloadManager& manager) {
   (void)request;
-  if (manager.engine()->ConflictRatio() > critical_ratio_) {
-    ++held_;
-    return false;
-  }
+  if (manager.engine()->ConflictRatio() > critical_ratio_) return false;
   return true;
 }
 
@@ -165,8 +169,7 @@ void IndicatorAdmission::OnSample(const SystemIndicators& indicators,
   congested_ = indicators.cpu_utilization > config_.max_cpu_utilization ||
                indicators.memory_utilization >
                    config_.max_memory_utilization ||
-               indicators.conflict_ratio > config_.max_conflict_ratio ||
-               indicators.blocked_queries > config_.max_blocked_queries;
+               indicators.conflict_ratio > kMaxConflictRatio;
 }
 
 bool IndicatorAdmission::AllowDispatch(const Request& request,

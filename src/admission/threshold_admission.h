@@ -70,8 +70,6 @@ class MplAdmission : public AdmissionController {
                      const WorkloadManager& manager) override;
   TechniqueInfo info() const override;
 
-  /// Lets feedback schedulers retune the global cap.
-  void set_max_mpl(int mpl) { config_.max_mpl = mpl; }
   int max_mpl() const { return config_.max_mpl; }
 
  private:
@@ -91,11 +89,8 @@ class ConflictRatioAdmission : public AdmissionController {
                      const WorkloadManager& manager) override;
   TechniqueInfo info() const override;
 
-  int64_t times_suspended_admission() const { return held_; }
-
  private:
   double critical_ratio_;
-  int64_t held_ = 0;
 };
 
 /// Throughput-feedback admission (Heiss & Wagner [26], Table 2 row 4):
@@ -139,8 +134,6 @@ class IndicatorAdmission : public AdmissionController {
   struct Config {
     double max_cpu_utilization = 0.95;
     double max_memory_utilization = 0.95;
-    double max_conflict_ratio = 1.3;
-    int max_blocked_queries = std::numeric_limits<int>::max();
     /// Requests with priority <= this are gated during congestion.
     BusinessPriority gated_priority = BusinessPriority::kLow;
   };
@@ -153,8 +146,6 @@ class IndicatorAdmission : public AdmissionController {
   void OnSample(const SystemIndicators& indicators,
                 WorkloadManager& manager) override;
   TechniqueInfo info() const override;
-
-  bool congested() const { return congested_; }
 
  private:
   Config config_;

@@ -6,6 +6,21 @@
 #include "core/workload_manager.h"
 
 namespace wlm {
+namespace {
+
+/// Workloads at or above this priority are protected.
+constexpr BusinessPriority kProtectedMin = BusinessPriority::kHigh;
+/// Need at least this many completions before trusting SLO stats.
+constexpr int64_t kMinObservations = 5;
+/// Additive duty restoration per interval when goals are met.
+constexpr double kRelaxStep = 0.15;
+/// Victims below this progress may be killed-and-resubmitted once
+/// throttling and suspension are exhausted.
+constexpr double kKillProgressCut = 0.25;
+constexpr double kSuspendProgressCut = 0.8;
+constexpr int kMaxSuspends = 1;
+
+}  // namespace
 
 AutonomicController::AutonomicController()
     : AutonomicController(Config()) {}
@@ -21,20 +36,21 @@ std::vector<WorkloadHealth> AutonomicController::Analyze(
     WorkloadHealth health;
     health.workload = name;
     health.priority = def.priority;
-    if (stats.completed < config_.min_observations) {
+    if (stats.completed < kMinObservations) {
       out.push_back(std::move(health));  // insufficient data: assume met
       continue;
     }
     for (const ServiceLevelObjective& slo : def.slos) {
+      // Response and velocity SLOs are judged on the smoothed *recent*
+      // signal instead of lifetime statistics, so the loop reacts to the
+      // current state and releases pressure once the incident passes.
       SloEvaluation eval;
-      if (config_.use_recent_signal &&
-          slo.metric == ServiceLevelObjective::Metric::kAvgResponseTime &&
+      if (slo.metric == ServiceLevelObjective::Metric::kAvgResponseTime &&
           !stats.recent_response.empty()) {
         eval.actual = stats.recent_response.value();
         eval.met = eval.actual <= slo.target;
         eval.attainment = eval.actual > 0.0 ? slo.target / eval.actual : 1.0;
-      } else if (config_.use_recent_signal &&
-                 slo.metric ==
+      } else if (slo.metric ==
                      ServiceLevelObjective::Metric::kMinVelocity &&
                  !stats.recent_velocity.empty()) {
         eval.actual = stats.recent_velocity.value();
@@ -61,7 +77,7 @@ void AutonomicController::OnSample(const SystemIndicators& indicators,
   // must not starve the victims forever.
   bool protected_missing = false;
   for (const WorkloadHealth& h : Analyze(manager)) {
-    if (h.priority < config_.protected_min || h.all_met) continue;
+    if (h.priority < kProtectedMin || h.all_met) continue;
     // Short transactions come and go between samples, so "active" means
     // in-flight now *or* completing within the last interval.
     bool active = manager.RunningInWorkload(h.workload) +
@@ -87,7 +103,7 @@ void AutonomicController::Escalate(WorkloadManager& manager) {
   for (const ExecutionProgress& p : manager.engine()->Snapshot()) {
     const Request* request = manager.Find(p.id);
     if (request == nullptr) continue;
-    if (request->priority >= config_.protected_min) continue;
+    if (request->priority >= kProtectedMin) continue;
     if (p.suspending) continue;
 
     // Decide from the engine's actual duty (a resubmitted victim restarts
@@ -103,15 +119,15 @@ void AutonomicController::Escalate(WorkloadManager& manager) {
       continue;
     }
     // Throttle saturated: free the resources entirely.
-    if (request->suspend_count < config_.max_suspends &&
-        p.fraction_done < config_.suspend_progress_cut) {
+    if (request->suspend_count < kMaxSuspends &&
+        p.fraction_done < kSuspendProgressCut) {
       if (manager.SuspendRequest(p.id, SuspendStrategy::kDumpState).ok()) {
         log_.push_back(
             {now, AutonomicAction::Type::kSuspend, p.id, "DumpState"});
       }
       continue;
     }
-    if (p.fraction_done < config_.kill_progress_cut &&
+    if (p.fraction_done < kKillProgressCut &&
         request->resubmits == 0) {
       // One shot only: re-killing a resubmitted victim into the same
       // incident is pure churn — after that it waits at min duty.
@@ -135,7 +151,7 @@ void AutonomicController::Relax(WorkloadManager& manager) {
       continue;
     }
     if (duty < 1.0) {
-      duty = std::min(1.0, duty + config_.relax_step);
+      duty = std::min(1.0, duty + kRelaxStep);
       (void)manager.ThrottleRequest(id, duty);
       log_.push_back({now, AutonomicAction::Type::kRelax, id,
                       "duty=" + std::to_string(duty)});

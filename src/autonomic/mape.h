@@ -41,24 +41,9 @@ struct AutonomicAction {
 class AutonomicController : public ExecutionController {
  public:
   struct Config {
-    /// Workloads at or above this priority are protected.
-    BusinessPriority protected_min = BusinessPriority::kHigh;
-    /// Need at least this many completions before trusting SLO stats.
-    int64_t min_observations = 5;
     /// Multiplicative throttle escalation per interval.
     double throttle_factor = 0.5;
     double min_duty = 0.1;
-    /// Additive duty restoration per interval when goals are met.
-    double relax_step = 0.15;
-    /// Victims below this progress may be killed-and-resubmitted once
-    /// throttling and suspension are exhausted.
-    double kill_progress_cut = 0.25;
-    double suspend_progress_cut = 0.8;
-    int max_suspends = 1;
-    /// Evaluate response/velocity SLOs against the smoothed *recent*
-    /// signal instead of lifetime statistics, so the loop reacts to the
-    /// current state and releases pressure once the incident passes.
-    bool use_recent_signal = true;
   };
 
   AutonomicController();

@@ -6,16 +6,6 @@
 
 namespace wlm {
 
-const char* WorkloadTypeToString(WorkloadType t) {
-  switch (t) {
-    case WorkloadType::kOltp:
-      return "OLTP";
-    case WorkloadType::kOlap:
-      return "OLAP";
-  }
-  return "?";
-}
-
 void WorkloadTypeClassifier::AddTrainingWindow(
     const WorkloadWindowFeatures& features, WorkloadType label) {
   training_.Add(features.ToVector(), static_cast<double>(label));
@@ -91,11 +81,12 @@ Status LearnedRequestClassifier::Train() {
 
 std::string LearnedRequestClassifier::Classify(const Request& request,
                                                const WorkloadManager& manager) {
-  if (!tree_.fitted()) return manager.config().default_workload;
+  (void)manager;
+  if (!tree_.fitted()) return kDefaultWorkload;
   int label = static_cast<int>(
       tree_.Predict(PreExecutionFeatures(request.spec, request.plan)));
   if (label < 0 || label >= static_cast<int>(label_names_.size())) {
-    return manager.config().default_workload;
+    return kDefaultWorkload;
   }
   return label_names_[static_cast<size_t>(label)];
 }

@@ -16,8 +16,6 @@ namespace wlm {
 /// Coarse workload types the dynamic classifier recognizes.
 enum class WorkloadType { kOltp = 0, kOlap = 1 };
 
-const char* WorkloadTypeToString(WorkloadType t);
-
 /// Dynamic workload characterization (Elnaffar et al. [19], Tran et al.
 /// [73]): learns the signature of known workload types from sample
 /// windows and identifies what type of workload is currently present on

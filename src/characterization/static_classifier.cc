@@ -30,6 +30,7 @@ void StaticClassifier::AddCriteriaFunction(CriteriaFunction fn) {
 
 std::string StaticClassifier::Classify(const Request& request,
                                        const WorkloadManager& manager) {
+  (void)manager;
   for (const CriteriaFunction& fn : criteria_) {
     std::optional<std::string> result = fn(request);
     if (result) return *result;
@@ -37,7 +38,7 @@ std::string StaticClassifier::Classify(const Request& request,
   for (const ClassificationRule& rule : rules_) {
     if (rule.Matches(request)) return rule.workload;
   }
-  return manager.config().default_workload;
+  return kDefaultWorkload;
 }
 
 TechniqueInfo StaticClassifier::info() const {

@@ -1,5 +1,6 @@
 #include "cluster/cluster.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <utility>
@@ -246,6 +247,15 @@ void ClusterDispatcher::Snapshots(const std::vector<int>& eligible,
   }
 }
 
+int ClusterDispatcher::LeastOutstanding(
+    const std::vector<int>& candidates) const {
+  // min_element keeps the first of equal elements: ties to the lowest index.
+  return *std::ranges::min_element(candidates, {}, [this](int index) {
+    const WorkloadManager& wlm = shards_[static_cast<size_t>(index)]->wlm();
+    return wlm.queue_depth() + wlm.running_count();
+  });
+}
+
 Status ClusterDispatcher::SubmitToShards(QuerySpec spec, bool is_redispatch,
                                          const std::set<int>& exclude,
                                          RouteCause cause, int parent_life) {
@@ -337,13 +347,7 @@ void ClusterDispatcher::MaybeHedge(const QuerySpec& spec, int primary) {
     candidates.push_back(shard->index());
   }
   if (candidates.empty()) return;
-  std::vector<ShardSnapshot> snaps;
-  Snapshots(candidates, &snaps);
-  const ShardSnapshot* best = &snaps.front();
-  for (const ShardSnapshot& snap : snaps) {
-    if (snap.outstanding() < best->outstanding()) best = &snap;
-  }
-  const int alt = best->shard;
+  const int alt = LeastOutstanding(candidates);
   ClusterShard& shard = *shards_[static_cast<size_t>(alt)];
   route_log_.push_back(
       {sim_->Now(), spec.id, alt, 0, false, RouteCause::kHedge});
@@ -515,14 +519,8 @@ void ClusterDispatcher::MaybeRedispatch(int from_shard,
                    if (eligible.empty()) return;
                    // "Healthier" target: fewest outstanding among the
                    // eligible shards, ties to the lowest index.
-                   std::vector<ShardSnapshot> snaps;
-                   Snapshots(eligible, &snaps);
-                   const ShardSnapshot* best = &snaps.front();
-                   for (const ShardSnapshot& snap : snaps) {
-                     if (snap.outstanding() < best->outstanding()) best = &snap;
-                   }
-                   ClusterShard& target =
-                       *shards_[static_cast<size_t>(best->shard)];
+                   const int best = LeastOutstanding(eligible);
+                   ClusterShard& target = *shards_[static_cast<size_t>(best)];
                    OverloadController* overload = target.wlm().overload();
                    if (overload != nullptr &&
                        !overload->AllowRetry(workload, sim_->Now())) {
@@ -530,9 +528,7 @@ void ClusterDispatcher::MaybeRedispatch(int from_shard,
                    }
                    std::set<int> exclude;
                    for (const auto& shard : shards_) {
-                     if (shard->index() != best->shard) {
-                       exclude.insert(shard->index());
-                     }
+                     if (shard->index() != best) exclude.insert(shard->index());
                    }
                    (void)SubmitToShards(spec, /*is_redispatch=*/true, exclude,
                                         cause, parent_life);
@@ -737,13 +733,8 @@ void ClusterDispatcher::DrainOrphans(int shard_index) {
       source.lost_->Increment();
       continue;
     }
-    std::vector<ShardSnapshot> snaps;
-    Snapshots(eligible, &snaps);
-    const ShardSnapshot* best = &snaps.front();
-    for (const ShardSnapshot& snap : snaps) {
-      if (snap.outstanding() < best->outstanding()) best = &snap;
-    }
-    ClusterShard& target = *shards_[static_cast<size_t>(best->shard)];
+    const int best = LeastOutstanding(eligible);
+    ClusterShard& target = *shards_[static_cast<size_t>(best)];
     if (!orphan.workload.empty()) {
       // Crash-drained victims charge the target's retry budget exactly
       // like shed re-dispatches: losing a query beats a restart storm.
@@ -757,7 +748,7 @@ void ClusterDispatcher::DrainOrphans(int shard_index) {
     }
     std::set<int> submit_exclude;
     for (const auto& other : shards_) {
-      if (other->index() != best->shard) submit_exclude.insert(other->index());
+      if (other->index() != best) submit_exclude.insert(other->index());
     }
     const Status status = SubmitToShards(
         orphan.spec, /*is_redispatch=*/true, submit_exclude,

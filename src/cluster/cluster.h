@@ -326,6 +326,10 @@ class ClusterDispatcher {
   /// Fills `snapshots` with those of `eligible` (shard indexes, ascending).
   void Snapshots(const std::vector<int>& eligible,
                  std::vector<ShardSnapshot>* snapshots) const;
+  /// The shard of `candidates` (shard indexes, ascending; not empty) with
+  /// the fewest outstanding requests, queued plus running; ties to the
+  /// lowest index.
+  int LeastOutstanding(const std::vector<int>& candidates) const;
   /// Shards `query` was handed to: submitted to or black-holed on. A
   /// re-dispatch or drain routes around them.
   std::set<int> ShardsTried(QueryId query) const;

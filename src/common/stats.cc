@@ -126,12 +126,6 @@ void Histogram::Add(double x) {
   sum_ += x;
 }
 
-void Histogram::Reset() {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  count_ = 0;
-  sum_ = 0.0;
-}
-
 double Histogram::mean() const {
   return count_ > 0 ? sum_ / static_cast<double>(count_) : 0.0;
 }
@@ -161,11 +155,6 @@ void Ewma::Add(double x) {
   } else {
     value_ = alpha_ * x + (1.0 - alpha_) * value_;
   }
-}
-
-void Ewma::Reset() {
-  value_ = 0.0;
-  initialized_ = false;
 }
 
 }  // namespace wlm

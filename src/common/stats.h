@@ -70,7 +70,6 @@ class Histogram {
   Histogram(double max_value, int num_buckets);
 
   void Add(double x);
-  void Reset();
 
   int64_t count() const { return count_; }
   double mean() const;
@@ -95,7 +94,6 @@ class Ewma {
   explicit Ewma(double alpha) : alpha_(alpha) {}
 
   void Add(double x);
-  void Reset();
 
   bool empty() const { return !initialized_; }
   double value() const { return value_; }

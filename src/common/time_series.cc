@@ -9,11 +9,6 @@ void TimeSeries::Record(double time, double value) {
   stats_.Add(value);
 }
 
-void TimeSeries::Clear() {
-  points_.clear();
-  stats_.Reset();
-}
-
 double TimeSeries::MeanInWindow(double t_begin, double t_end) const {
   OnlineStats window;
   for (const TimePoint& p : points_) {

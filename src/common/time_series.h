@@ -23,7 +23,6 @@ class TimeSeries {
   explicit TimeSeries(std::string name) : name_(std::move(name)) {}
 
   void Record(double time, double value);
-  void Clear();
 
   const std::string& name() const { return name_; }
   const std::vector<TimePoint>& points() const { return points_; }

@@ -32,8 +32,7 @@ DiminishingStepController::DiminishingStepController(double initial_step,
                                                      double out_min,
                                                      double out_max,
                                                      double min_step)
-    : initial_step_(initial_step),
-      step_(initial_step),
+    : step_(initial_step),
       out_min_(out_min),
       out_max_(out_max),
       min_step_(min_step) {
@@ -50,16 +49,6 @@ double DiminishingStepController::Update(double error, double deadband) {
   last_direction_ = direction;
   output_ = std::clamp(output_ + direction * step_, out_min_, out_max_);
   return output_;
-}
-
-void DiminishingStepController::Reset() {
-  step_ = initial_step_;
-  output_ = out_min_;
-  last_direction_ = 0;
-}
-
-void DiminishingStepController::set_output(double v) {
-  output_ = std::clamp(v, out_min_, out_max_);
 }
 
 BlackBoxLinearController::BlackBoxLinearController(double out_min,
@@ -110,13 +99,6 @@ double BlackBoxLinearController::Update(double measurement, double goal) {
     output_ = std::clamp(next, out_min_, out_max_);
   }
   return output_;
-}
-
-void BlackBoxLinearController::Reset() {
-  observations_.clear();
-  output_ = out_min_;
-  ready_ = false;
-  probe_direction_ = 1;
 }
 
 }  // namespace wlm

@@ -44,13 +44,10 @@ class DiminishingStepController {
   /// Positive error pushes the output up, negative pushes it down; a small
   /// deadband (|error| below `deadband`) leaves the output unchanged.
   double Update(double error, double deadband = 0.0);
-  void Reset();
   double output() const { return output_; }
   double step() const { return step_; }
-  void set_output(double v);
 
  private:
-  double initial_step_;
   double step_;
   double out_min_;
   double out_max_;
@@ -72,7 +69,6 @@ class BlackBoxLinearController {
   /// Records (current_output, measurement) then returns the next output
   /// aimed at `goal`.
   double Update(double measurement, double goal);
-  void Reset();
   double output() const { return output_; }
   /// Model parameters (valid once `model_ready()`).
   bool model_ready() const { return ready_; }

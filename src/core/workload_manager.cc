@@ -55,7 +55,7 @@ WorkloadManager::WorkloadManager(Simulation* sim, DatabaseEngine* engine,
         });
   }
   WorkloadDefinition fallback;
-  fallback.name = config_.default_workload;
+  fallback.name = kDefaultWorkload;
   DefineWorkload(std::move(fallback));
   monitor_->AddSampleListener(
       [this](const SystemIndicators& ind) { OnSample(ind); });
@@ -508,7 +508,7 @@ void WorkloadManager::DispatchRequest(Request* request) {
   const ResilienceOptions& res = config_.resilience;
   if (degraded() && res.degraded_throttle_duty < 1.0 &&
       static_cast<int>(request->priority) <=
-          static_cast<int>(res.degraded_throttle_max_priority)) {
+          static_cast<int>(kDegradedThrottleMaxPriority)) {
     if (ThrottleRequest(id, res.degraded_throttle_duty).ok()) {
       degraded_throttled_.insert(id);
     }
@@ -932,7 +932,7 @@ void WorkloadManager::EnterDegraded() {
   if (res.degraded_throttle_duty >= 1.0) return;
   for (const Request* request : Running()) {
     if (static_cast<int>(request->priority) >
-        static_cast<int>(res.degraded_throttle_max_priority)) {
+        static_cast<int>(kDegradedThrottleMaxPriority)) {
       continue;
     }
     if (ThrottleRequest(request->spec.id, res.degraded_throttle_duty).ok()) {

@@ -55,14 +55,18 @@ struct ResilienceOptions {
   /// over-admitted.
   double degraded_mpl_factor = 0.5;
   /// Duty imposed on running requests at or below
-  /// `degraded_throttle_max_priority` while degraded; 1.0 disables.
+  /// kDegradedThrottleMaxPriority while degraded; 1.0 disables.
   double degraded_throttle_duty = 1.0;
-  BusinessPriority degraded_throttle_max_priority = BusinessPriority::kLow;
 };
 
+/// Highest business priority degraded_throttle_duty slows.
+inline constexpr BusinessPriority kDegradedThrottleMaxPriority =
+    BusinessPriority::kLow;
+
+/// Workload used when no classifier matches.
+inline constexpr char kDefaultWorkload[] = "default";
+
 struct WlmConfig {
-  /// Workload used when no classifier matches.
-  std::string default_workload = "default";
   /// Requeue deadlock victims automatically (kill-and-resubmit policy).
   bool resubmit_deadlock_victims = true;
   /// Max automatic resubmissions (deadlock or kill-and-resubmit) before a

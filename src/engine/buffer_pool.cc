@@ -45,10 +45,7 @@ double BufferPool::Register(QueryId id, const std::string& tag,
   Unregister(id);  // idempotence
   members_[id] = Member{tag, working_pages};
   group_working_[tag] += working_pages;
-  double ratio = HitRatioFor(tag, working_pages);
-  double avoided = working_pages * ratio;
-  avoided_ops_ += avoided;
-  return ratio;
+  return HitRatioFor(tag, working_pages);
 }
 
 void BufferPool::Unregister(QueryId id) {

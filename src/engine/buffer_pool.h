@@ -42,11 +42,6 @@ class BufferPool {
 
   size_t registered_count() const { return members_.size(); }
 
-  // --- attribution counters (telemetry / profiling) ------------------------
-  /// Cumulative device I/O ops avoided by pool hits, by registration-time
-  /// accounting: each Register contributes working_pages * hit_ratio.
-  double avoided_ops() const { return avoided_ops_; }
-
  private:
   struct Member {
     std::string tag;
@@ -58,7 +53,6 @@ class BufferPool {
   std::unordered_map<QueryId, Member> members_;
   std::unordered_map<std::string, double> group_priority_;
   std::unordered_map<std::string, double> group_working_;  // sum of members
-  double avoided_ops_ = 0.0;
 };
 
 }  // namespace wlm

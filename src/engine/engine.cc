@@ -400,7 +400,7 @@ Status DatabaseEngine::Suspend(QueryId id, SuspendStrategy strategy) {
   if (it == active_.end()) return Status::NotFound("query not active");
   SuspendedQuery bundle;
   WLM_RETURN_IF_ERROR(it->second.BeginSuspend(
-      strategy, sim_->Now(), config_.io_ops_per_mb, &bundle));
+      strategy, sim_->Now(), kIoOpsPerMb, &bundle));
   pending_suspend_[id] = std::move(bundle);
   return Status::OK();
 }

@@ -20,6 +20,9 @@
 
 namespace wlm {
 
+/// I/O ops needed to write/read one MB of suspended-query state.
+inline constexpr double kIoOpsPerMb = 10.0;
+
 /// Capacity and behaviour of the simulated database server.
 struct EngineConfig {
   /// Number of CPUs (CPU-seconds of service per second).
@@ -32,8 +35,6 @@ struct EngineConfig {
   double spill_penalty = 3.0;
   /// Resource-distribution quantum, simulated seconds.
   double tick_seconds = 0.05;
-  /// I/O ops needed to write/read one MB of suspended-query state.
-  double io_ops_per_mb = 10.0;
   /// Buffer-pool size in pages; 0 disables buffer-pool modeling (every
   /// read goes to the device). When enabled, service-class buffer
   /// priorities (BufferPool::SetGroupPriority) shift hit ratios.

@@ -1,7 +1,6 @@
 #ifndef WLM_ENGINE_MEMORY_GOVERNOR_H_
 #define WLM_ENGINE_MEMORY_GOVERNOR_H_
 
-#include <cstdint>
 #include <limits>
 #include <string>
 #include <unordered_map>
@@ -72,14 +71,6 @@ class MemoryGovernor {
   /// Memory currently used by a quota group.
   double GroupUsed(const std::string& group) const;
 
-  // --- attribution counters (telemetry / profiling) ------------------------
-  /// High-water mark of pool usage since construction.
-  double peak_used_mb() const { return peak_used_mb_; }
-  /// Grants issued below the requested size (the queries paying a spill
-  /// penalty) and all grants issued.
-  uint64_t short_grants() const { return short_grants_; }
-  uint64_t grants_issued() const { return grants_issued_; }
-
  private:
   const std::string& GroupFor(const std::string& tag) const;
   /// MB available to `group`: pool free space minus the unfilled MIN
@@ -91,9 +82,6 @@ class MemoryGovernor {
   double spill_penalty_;
   double used_mb_ = 0.0;
   double pressure_mb_ = 0.0;
-  double peak_used_mb_ = 0.0;
-  uint64_t short_grants_ = 0;
-  uint64_t grants_issued_ = 0;
   std::unordered_map<std::string, MemoryQuota> quotas_;
   std::unordered_map<std::string, std::string> aliases_;
   std::unordered_map<std::string, double> group_used_;

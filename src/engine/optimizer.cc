@@ -8,6 +8,9 @@
 namespace wlm {
 namespace {
 
+/// Nominal device rate used for estimating stand-alone elapsed time.
+constexpr double kNominalIoOpsPerSecond = 2000.0;
+
 // Fractional split of (cpu, io, state share) across operator slots for each
 // query kind. The shapes are stylized versions of typical plans: OLTP =
 // a couple of index lookups plus a small write; BI = big scan feeding a
@@ -116,8 +119,7 @@ void Optimizer::AttachEstimates(const QuerySpec& spec, Plan* plan) const {
   double elapsed = 0.0;
   for (const PlanOperator& op : plan->operators) {
     elapsed += std::max(op.cpu_seconds * cpu_noise / std::max(1, spec.dop),
-                        op.io_ops * io_noise /
-                            config_.nominal_io_ops_per_second);
+                        op.io_ops * io_noise / kNominalIoOpsPerSecond);
   }
   plan->est_elapsed_seconds = elapsed;
 

@@ -17,8 +17,6 @@ struct OptimizerConfig {
   /// Timeron cost weights (abstract cost units per CPU-second / IO op).
   double timerons_per_cpu_second = 1000.0;
   double timerons_per_io_op = 1.0;
-  /// Nominal device rate used for estimating stand-alone elapsed time.
-  double nominal_io_ops_per_second = 2000.0;
   /// Rows-estimate relative error sigma.
   double rows_error_sigma = 0.5;
 };

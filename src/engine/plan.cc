@@ -2,30 +2,6 @@
 
 namespace wlm {
 
-const char* OperatorTypeToString(OperatorType type) {
-  switch (type) {
-    case OperatorType::kTableScan:
-      return "TableScan";
-    case OperatorType::kIndexScan:
-      return "IndexScan";
-    case OperatorType::kFilter:
-      return "Filter";
-    case OperatorType::kHashJoin:
-      return "HashJoin";
-    case OperatorType::kSort:
-      return "Sort";
-    case OperatorType::kAggregate:
-      return "Aggregate";
-    case OperatorType::kInsert:
-      return "Insert";
-    case OperatorType::kUpdate:
-      return "Update";
-    case OperatorType::kUtilityOp:
-      return "UtilityOp";
-  }
-  return "?";
-}
-
 double Plan::TotalCpu() const {
   double total = 0.0;
   for (const PlanOperator& op : operators) total += op.cpu_seconds;

@@ -14,24 +14,6 @@ const char* QueryKindToString(QueryKind kind) {
   return "?";
 }
 
-const char* StatementTypeToString(StatementType type) {
-  switch (type) {
-    case StatementType::kRead:
-      return "READ";
-    case StatementType::kWrite:
-      return "WRITE";
-    case StatementType::kDml:
-      return "DML";
-    case StatementType::kDdl:
-      return "DDL";
-    case StatementType::kLoad:
-      return "LOAD";
-    case StatementType::kCall:
-      return "CALL";
-  }
-  return "?";
-}
-
 const char* OutcomeKindToString(OutcomeKind kind) {
   switch (kind) {
     case OutcomeKind::kCompleted:

@@ -36,8 +36,6 @@ enum class StatementType {
   kCall,
 };
 
-const char* StatementTypeToString(StatementType type);
-
 /// Connection / session attributes: the "who" of a request ("origin" in the
 /// paper's workload-definition discussion). Commercial facilities map
 /// requests to workloads by these attributes.

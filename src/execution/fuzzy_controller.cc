@@ -6,6 +6,13 @@
 #include "core/workload_manager.h"
 
 namespace wlm {
+namespace {
+
+/// Progress fuzzy-set breakpoints.
+constexpr double kProgressLow = 0.3;
+constexpr double kProgressHigh = 0.7;
+
+}  // namespace
 
 double RampUp(double x, double a, double b) {
   if (x <= a) return 0.0;
@@ -19,20 +26,6 @@ double Triangular(double x, double a, double b, double c) {
   if (x <= a || x >= c) return 0.0;
   if (x <= b) return (x - a) / (b - a);
   return (c - x) / (c - b);
-}
-
-const char* FuzzyActionToString(FuzzyAction a) {
-  switch (a) {
-    case FuzzyAction::kContinue:
-      return "continue";
-    case FuzzyAction::kReprioritize:
-      return "reprioritize";
-    case FuzzyAction::kKill:
-      return "kill";
-    case FuzzyAction::kKillResubmit:
-      return "kill-and-resubmit";
-  }
-  return "?";
 }
 
 FuzzyExecutionController::FuzzyExecutionController()
@@ -49,10 +42,8 @@ FuzzyAction FuzzyExecutionController::Decide(double overrun, double progress,
                                 config_.overrun_long, config_.overrun_huge);
   double huge =
       RampUp(overrun, config_.overrun_long, config_.overrun_huge);
-  double prog_low =
-      RampDown(progress, config_.progress_low, config_.progress_high);
-  double prog_high =
-      RampUp(progress, config_.progress_low, config_.progress_high);
+  double prog_low = RampDown(progress, kProgressLow, kProgressHigh);
+  double prog_high = RampUp(progress, kProgressLow, kProgressHigh);
   double pri_high = high_priority ? 1.0 : 0.0;
   double pri_low = 1.0 - pri_high;
 

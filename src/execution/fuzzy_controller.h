@@ -17,8 +17,6 @@ double Triangular(double x, double a, double b, double c);  // peak at b
 /// Actions the fuzzy execution controller can take on a running query.
 enum class FuzzyAction { kContinue, kReprioritize, kKill, kKillResubmit };
 
-const char* FuzzyActionToString(FuzzyAction a);
-
 /// Krompass et al.'s rule-based fuzzy execution controller for BI
 /// workloads on a data warehouse [39]: queries' execution times are not
 /// entirely predictable, so crisp thresholds misfire; instead fuzzy sets
@@ -33,9 +31,6 @@ class FuzzyExecutionController : public ExecutionController {
     double overrun_ok = 1.5;
     double overrun_long = 3.0;
     double overrun_huge = 6.0;
-    /// Progress fuzzy-set breakpoints.
-    double progress_low = 0.3;
-    double progress_high = 0.7;
     /// Priority at or above this counts as "high".
     BusinessPriority high_priority_cut = BusinessPriority::kHigh;
     /// Only control these workloads (empty = all).

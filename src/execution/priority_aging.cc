@@ -6,6 +6,12 @@
 #include "core/workload_manager.h"
 
 namespace wlm {
+namespace {
+
+/// Lowest level aging can reach.
+constexpr BusinessPriority kFloor = BusinessPriority::kBackground;
+
+}  // namespace
 
 PriorityAgingController::PriorityAgingController()
     : PriorityAgingController(Config()) {}
@@ -42,7 +48,7 @@ void PriorityAgingController::OnSample(const SystemIndicators& indicators,
     int target_level =
         static_cast<int>(request->priority) - (needed - applied);
     target_level =
-        std::max(target_level, static_cast<int>(config_.floor));
+        std::max(target_level, static_cast<int>(kFloor));
     if (target_level < static_cast<int>(request->priority) &&
         manager
             .SetRequestPriority(p.id,

@@ -13,7 +13,7 @@ namespace wlm {
 /// mechanism [9][30]): dynamically downgrades the resource-access priority
 /// of a request as it runs, triggered by threshold violations — running
 /// longer than allowed or returning more rows than estimated. Each
-/// violation moves the request one service level down (to the configured
+/// violation moves the request one service level down (to the kBackground
 /// floor), immediately shrinking its engine resource weights.
 class PriorityAgingController : public ExecutionController {
  public:
@@ -24,8 +24,6 @@ class PriorityAgingController : public ExecutionController {
     double repeat_every_seconds = 10.0;
     /// Demotion when the request emits more rows than this (0 disables).
     int64_t rows_threshold = 0;
-    /// Lowest level aging can reach.
-    BusinessPriority floor = BusinessPriority::kBackground;
     /// Only age requests of these workloads (empty = all).
     std::set<std::string> workloads;
   };

@@ -10,6 +10,12 @@ namespace wlm {
 namespace {
 
 constexpr double kControlStateMb = 0.5;
+/// Queued requests at or above this priority trigger suspension.
+constexpr BusinessPriority kTriggerPriority = BusinessPriority::kHigh;
+/// Only running queries at or below this priority are victims.
+constexpr BusinessPriority kVictimMaxPriority = BusinessPriority::kLow;
+/// Don't bother suspending nearly finished queries.
+constexpr double kMaxVictimFractionDone = 0.9;
 
 // Locates the currently executing operator and its progress fraction from
 // the total remaining work in the snapshot.
@@ -123,7 +129,7 @@ void SuspendResumeController::OnSample(const SystemIndicators& indicators,
   // Count high-priority demand waiting in the queue.
   int waiting_high = 0;
   for (const Request* r : manager.Queued()) {
-    if (r->priority >= config_.trigger_priority &&
+    if (r->priority >= kTriggerPriority &&
         r->state == RequestState::kQueued) {
       ++waiting_high;
     }
@@ -136,8 +142,8 @@ void SuspendResumeController::OnSample(const SystemIndicators& indicators,
     if (p.suspending) continue;
     const Request* request = manager.Find(p.id);
     if (request == nullptr) continue;
-    if (request->priority > config_.victim_max_priority) continue;
-    if (p.fraction_done > config_.max_victim_fraction_done) continue;
+    if (request->priority > kVictimMaxPriority) continue;
+    if (p.fraction_done > kMaxVictimFractionDone) continue;
     if (request->suspend_count >= config_.max_suspends_per_query) continue;
     victims.emplace_back(request, p);
   }
@@ -150,17 +156,9 @@ void SuspendResumeController::OnSample(const SystemIndicators& indicators,
             });
 
   int to_suspend = std::min<int>(waiting_high, static_cast<int>(victims.size()));
-  double io_per_mb = manager.engine()->config().io_ops_per_mb;
-  double io_rate = manager.engine()->config().io_ops_per_second;
   for (int i = 0; i < to_suspend; ++i) {
     const Request* request = victims[i].first;
-    SuspendStrategy strategy = config_.strategy;
-    if (config_.auto_choose) {
-      strategy = ChooseSuspendStrategy(request->plan, victims[i].second,
-                                       io_per_mb, io_rate,
-                                       config_.suspend_io_budget);
-    }
-    if (manager.SuspendRequest(request->spec.id, strategy).ok()) {
+    if (manager.SuspendRequest(request->spec.id, config_.strategy).ok()) {
       ++suspensions_;
     }
   }
@@ -174,7 +172,7 @@ SuspendedResumeGate::SuspendedResumeGate(Config config) : config_(config) {}
 bool SuspendedResumeGate::AllowDispatch(const Request& request,
                                         const WorkloadManager& manager) {
   if (request.state != RequestState::kSuspended) return true;
-  if (request.priority > config_.victim_max_priority) return true;
+  if (request.priority > kVictimMaxPriority) return true;
   double busy = std::max(manager.engine()->smoothed_cpu_utilization(),
                          manager.engine()->smoothed_io_utilization());
   if (busy < config_.min_cpu_utilization) return true;
@@ -183,14 +181,14 @@ bool SuspendedResumeGate::AllowDispatch(const Request& request,
   // monitor interval.
   bool high_present = false;
   for (const Request* r : manager.Running()) {
-    if (r->priority >= config_.trigger_priority) {
+    if (r->priority >= kTriggerPriority) {
       high_present = true;
       break;
     }
   }
   if (!high_present) {
     for (const Request* r : manager.Queued()) {
-      if (r->priority >= config_.trigger_priority &&
+      if (r->priority >= kTriggerPriority &&
           r->state == RequestState::kQueued) {
         high_present = true;
         break;
@@ -199,7 +197,7 @@ bool SuspendedResumeGate::AllowDispatch(const Request& request,
   }
   if (!high_present) {
     for (const auto& [name, def] : manager.workloads()) {
-      if (def.priority < config_.trigger_priority) continue;
+      if (def.priority < kTriggerPriority) continue;
       if (manager.monitor()->tag_stats(name).last_interval_throughput >
           0.0) {
         high_present = true;

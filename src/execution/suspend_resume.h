@@ -1,7 +1,6 @@
 #ifndef WLM_EXECUTION_SUSPEND_RESUME_H_
 #define WLM_EXECUTION_SUSPEND_RESUME_H_
 
-#include <limits>
 #include <string>
 #include <unordered_map>
 
@@ -52,17 +51,8 @@ SuspendStrategy ChooseSuspendStrategy(const Plan& plan,
 class SuspendResumeController : public ExecutionController {
  public:
   struct Config {
-    /// Queued requests at or above this priority trigger suspension.
-    BusinessPriority trigger_priority = BusinessPriority::kHigh;
-    /// Only running queries at or below this priority are victims.
-    BusinessPriority victim_max_priority = BusinessPriority::kLow;
-    /// Strategy; when `auto_choose` the controller runs the cost
-    /// optimization per victim instead.
+    /// How victims are suspended.
     SuspendStrategy strategy = SuspendStrategy::kDumpState;
-    bool auto_choose = false;
-    double suspend_io_budget = std::numeric_limits<double>::infinity();
-    /// Don't bother suspending nearly finished queries.
-    double max_victim_fraction_done = 0.9;
     /// Per-query suspension cap (avoid thrashing a query in and out).
     int max_suspends_per_query = 2;
     /// Engine must be at least this busy for suspension to trigger.
@@ -91,8 +81,6 @@ class SuspendResumeController : public ExecutionController {
 class SuspendedResumeGate : public AdmissionController {
  public:
   struct Config {
-    BusinessPriority trigger_priority = BusinessPriority::kHigh;
-    BusinessPriority victim_max_priority = BusinessPriority::kLow;
     /// Resume is only held while the engine is at least this busy.
     double min_cpu_utilization = 0.5;
   };

@@ -5,13 +5,23 @@
 #include "core/workload_manager.h"
 
 namespace wlm {
+namespace {
+
+/// Max throttle of both controllers (never stall the victims completely).
+constexpr double kMaxThrottle = 0.95;
+/// UtilityThrottleController's PI gains.
+constexpr double kKp = 1.5;
+constexpr double kKi = 0.8;
+/// QueryThrottleController's step controller initial step.
+constexpr double kInitialStep = 0.2;
+
+}  // namespace
 
 UtilityThrottleController::UtilityThrottleController()
     : UtilityThrottleController(Config()) {}
 
 UtilityThrottleController::UtilityThrottleController(Config config)
-    : config_(config),
-      pi_(config.kp, config.ki, 0.0, config.max_throttle) {}
+    : config_(config), pi_(kKp, kKi, 0.0, kMaxThrottle) {}
 
 void UtilityThrottleController::OnSample(const SystemIndicators& indicators,
                                          WorkloadManager& manager) {
@@ -53,8 +63,8 @@ QueryThrottleController::QueryThrottleController()
 
 QueryThrottleController::QueryThrottleController(Config config)
     : config_(config),
-      step_(config.initial_step, 0.0, config.max_throttle),
-      blackbox_(0.0, config.max_throttle, config.initial_step) {}
+      step_(kInitialStep, 0.0, kMaxThrottle),
+      blackbox_(0.0, kMaxThrottle, kInitialStep) {}
 
 void QueryThrottleController::OnSample(const SystemIndicators& indicators,
                                        WorkloadManager& manager) {

@@ -26,10 +26,6 @@ class UtilityThrottleController : public ExecutionController {
     /// Acceptable degradation: production velocity must stay at or above
     /// this fraction of the (idle-system) baseline of 1.0.
     double degradation_limit = 0.9;
-    double kp = 1.5;
-    double ki = 0.8;
-    /// Max throttle (never stall utilities completely).
-    double max_throttle = 0.95;
   };
 
   UtilityThrottleController();
@@ -39,7 +35,7 @@ class UtilityThrottleController : public ExecutionController {
                 WorkloadManager& manager) override;
   TechniqueInfo info() const override;
 
-  /// Current throttling level in [0, max_throttle].
+  /// Current throttling level in [0, 0.95].
   double throttle_level() const { return throttle_; }
 
  private:
@@ -66,12 +62,9 @@ class QueryThrottleController : public ExecutionController {
     double target_response_seconds = 1.0;
     ControllerKind controller = ControllerKind::kStep;
     Method method = Method::kConstant;
-    /// Step controller initial step.
-    double initial_step = 0.2;
     /// Interrupt method: pause length = throttle * horizon, applied once
     /// per victim query.
     double interrupt_horizon_seconds = 20.0;
-    double max_throttle = 0.95;
   };
 
   QueryThrottleController();

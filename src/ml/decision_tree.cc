@@ -9,6 +9,9 @@
 namespace wlm {
 namespace {
 
+/// Candidate split thresholds evaluated per feature (quantile grid).
+constexpr size_t kMaxThresholdsPerFeature = 32;
+
 // Gini impurity of a label multiset.
 double Gini(const std::map<double, int>& counts, int total) {
   if (total == 0) return 0.0;
@@ -100,9 +103,8 @@ int DecisionTree::Build(const Dataset& data, std::vector<size_t>& indices,
     values.erase(std::unique(values.begin(), values.end()), values.end());
     if (values.size() < 2) continue;
     // Quantile grid of candidate thresholds (midpoints).
-    size_t step = std::max<size_t>(
-        1, values.size() / static_cast<size_t>(
-                               config_.max_thresholds_per_feature));
+    size_t step =
+        std::max<size_t>(1, values.size() / kMaxThresholdsPerFeature);
     for (size_t v = 0; v + 1 < values.size(); v += step) {
       double threshold = 0.5 * (values[v] + values[v + 1]);
       std::vector<size_t> left, right;

@@ -11,8 +11,6 @@ namespace wlm {
 struct DecisionTreeConfig {
   int max_depth = 8;
   int min_samples_leaf = 4;
-  /// Candidate split thresholds evaluated per feature (quantile grid).
-  int max_thresholds_per_feature = 32;
   /// false: classification (Gini impurity, majority-vote leaves);
   /// true: regression (variance reduction, mean leaves). The PQR-style
   /// execution-time-range predictor [23] uses classification over time

@@ -19,7 +19,6 @@ class KnnRegressor {
 
   void Fit(const Dataset& data);
   bool fitted() const { return !train_.empty(); }
-  size_t training_size() const { return train_.size(); }
 
   double Predict(const std::vector<double>& features) const;
 

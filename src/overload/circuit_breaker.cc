@@ -4,18 +4,6 @@
 
 namespace wlm {
 
-const char* CircuitStateToString(CircuitBreaker::State state) {
-  switch (state) {
-    case CircuitBreaker::State::kClosed:
-      return "closed";
-    case CircuitBreaker::State::kHalfOpen:
-      return "half_open";
-    case CircuitBreaker::State::kOpen:
-      return "open";
-  }
-  return "unknown";
-}
-
 CircuitBreaker::CircuitBreaker(CircuitBreakerOptions options)
     : options_(options) {}
 
@@ -33,32 +21,8 @@ void CircuitBreaker::Transition(State next, double now,
     probes_finished_ = 0;
     probes_violated_ = 0;
   }
-  if (next == State::kClosed) {
-    window_.clear();
-    window_violated_ = 0;
-  }
+  if (next == State::kClosed) window_.Clear();
   if (listener_) listener_(previous, next, why);
-}
-
-void CircuitBreaker::PopOldest() {
-  if (window_.front().violated) --window_violated_;
-  window_.pop_front();
-}
-
-void CircuitBreaker::Expire(double now) {
-  while (!window_.empty() &&
-         window_.front().time < now - options_.window_seconds) {
-    PopOldest();
-  }
-  while (static_cast<int>(window_.size()) > options_.window_sample_capacity) {
-    PopOldest();
-  }
-}
-
-double CircuitBreaker::ViolationRate() const {
-  if (window_.empty()) return 0.0;
-  return static_cast<double>(window_violated_) /
-         static_cast<double>(window_.size());
 }
 
 void CircuitBreaker::RecordOutcome(double now, bool violated) {
@@ -76,9 +40,9 @@ void CircuitBreaker::RecordOutcome(double now, bool violated) {
     }
     return;
   }
-  window_.push_back({now, violated});
-  if (violated) ++window_violated_;
-  Expire(now);
+  window_.Push(now, violated);
+  window_.Expire(now, options_.window_seconds);
+  window_.Cap(kBreakerWindowSampleCapacity);
   if (state_ == State::kClosed &&
       static_cast<int>(window_.size()) >= options_.min_samples &&
       ViolationRate() >= options_.trip_rate) {

@@ -1,12 +1,17 @@
 #ifndef WLM_OVERLOAD_CIRCUIT_BREAKER_H_
 #define WLM_OVERLOAD_CIRCUIT_BREAKER_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 
+#include "overload/violation_window.h"
+
 namespace wlm {
+
+/// Bounded sample count a breaker's outcome window keeps.
+inline constexpr size_t kBreakerWindowSampleCapacity = 256;
 
 /// Per-service-class circuit breaker driven by the SLO-violation rate of
 /// recently finished requests. Hysteresis comes from three places: the
@@ -17,8 +22,6 @@ namespace wlm {
 struct CircuitBreakerOptions {
   /// Sliding outcome window length (seconds of sim time).
   double window_seconds = 5.0;
-  /// Bounded sample count kept in the window (Q1 capacity for the deque).
-  int window_sample_capacity = 256;
   /// Minimum finished requests in the window before the breaker may trip.
   int min_samples = 8;
   /// Violation rate at or above which a closed breaker trips open.
@@ -53,26 +56,18 @@ class CircuitBreaker {
 
   State state() const { return state_; }
   /// Violated share of the samples in the window; 0 when it is empty.
-  double ViolationRate() const;
+  double ViolationRate() const { return window_.Rate(); }
   int64_t trips() const { return trips_; }
   void set_transition_listener(TransitionListener listener) {
     listener_ = std::move(listener);
   }
 
  private:
-  struct Sample {
-    double time = 0.0;
-    bool violated = false;
-  };
-
   void Transition(State next, double now, const std::string& why);
-  void Expire(double now);
-  void PopOldest();
 
   CircuitBreakerOptions options_;
   State state_ = State::kClosed;
-  std::deque<Sample> window_;  // bounded by window_sample_capacity
-  int window_violated_ = 0;    // samples in window_ that violated
+  ViolationWindow window_;  // bounded by kBreakerWindowSampleCapacity
   double opened_at_ = 0.0;
   int probes_issued_ = 0;
   int probes_finished_ = 0;
@@ -80,8 +75,6 @@ class CircuitBreaker {
   int64_t trips_ = 0;
   TransitionListener listener_;
 };
-
-const char* CircuitStateToString(CircuitBreaker::State state);
 
 }  // namespace wlm
 

@@ -4,28 +4,17 @@
 #include <utility>
 
 namespace wlm {
+namespace {
 
-const char* TransitionKindToString(OverloadController::TransitionKind kind) {
-  switch (kind) {
-    case OverloadController::TransitionKind::kBreakerTripped:
-      return "breaker_tripped";
-    case OverloadController::TransitionKind::kBreakerHalfOpen:
-      return "breaker_half_open";
-    case OverloadController::TransitionKind::kBreakerClosed:
-      return "breaker_closed";
-    case OverloadController::TransitionKind::kBrownoutStepped:
-      return "brownout_stepped";
-  }
-  return "unknown";
-}
+/// Bounded sample count of the global outcome window.
+constexpr size_t kOutcomeWindowCapacity = 512;
+
+}  // namespace
 
 OverloadController::OverloadController(OverloadOptions options)
-    : options_(std::move(options)) {
+    : options_(std::move(options)), retry_budgets_(options_.retry_budget) {
   if (options_.shedding) {
     codel_ = std::make_unique<CodelQueuePolicy>(options_.codel);
-  }
-  if (options_.retry_budgets) {
-    retry_budgets_ = std::make_unique<RetryBudgetPool>(options_.retry_budget);
   }
   if (options_.brownout) {
     brownout_ = std::make_unique<BrownoutController>(options_.brownout_options);
@@ -88,14 +77,12 @@ CodelQueuePolicy::Decision OverloadController::ObserveQueue(
 }
 
 bool OverloadController::AllowRetry(const std::string& workload, double now) {
-  if (!options_.retry_budgets || !retry_budgets_) return true;
-  return retry_budgets_->TryAcquire(workload, now);
+  return retry_budgets_.TryAcquire(workload, now);
 }
 
 double OverloadController::RetryTokens(const std::string& workload,
                                        double now) {
-  if (!retry_budgets_) return 0.0;
-  return retry_budgets_->Tokens(workload, now);
+  return retry_budgets_.Tokens(workload, now);
 }
 
 void OverloadController::RecordOutcome(const std::string& workload, double now,
@@ -103,28 +90,9 @@ void OverloadController::RecordOutcome(const std::string& workload, double now,
   if (options_.breaker) {
     BreakerFor(workload).RecordOutcome(now, violated);
   }
-  outcomes_.push_back({now, violated});
-  ExpireOutcomes(now);
-  while (static_cast<int>(outcomes_.size()) > options_.outcome_window_capacity) {
-    outcomes_.pop_front();
-  }
-}
-
-void OverloadController::ExpireOutcomes(double now) {
-  while (!outcomes_.empty() &&
-         outcomes_.front().time < now - options_.outcome_window_seconds) {
-    outcomes_.pop_front();
-  }
-}
-
-double OverloadController::GlobalViolationRate() const {
-  if (outcomes_.empty()) return 0.0;
-  int violated = 0;
-  for (const Outcome& outcome : outcomes_) {
-    if (outcome.violated) ++violated;
-  }
-  return static_cast<double>(violated) /
-         static_cast<double>(outcomes_.size());
+  outcomes_.Push(now, violated);
+  outcomes_.Expire(now, options_.outcome_window_seconds);
+  outcomes_.Cap(kOutcomeWindowCapacity);
 }
 
 void OverloadController::OnSample(double now, int queue_depth) {
@@ -133,7 +101,7 @@ void OverloadController::OnSample(double now, int queue_depth) {
   // outcomes flow in, and a violation rate frozen above the exit
   // threshold would latch the shed level forever — the same metastable
   // loop the subsystem exists to break.
-  ExpireOutcomes(now);
+  outcomes_.Expire(now, options_.outcome_window_seconds);
   bool overloaded =
       options_.shedding && queue_depth >= options_.codel.queue_capacity / 2;
   int before = brownout_->level();

@@ -2,7 +2,6 @@
 #define WLM_OVERLOAD_OVERLOAD_CONTROLLER_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -12,6 +11,7 @@
 #include "overload/circuit_breaker.h"
 #include "overload/codel_queue.h"
 #include "overload/retry_budget.h"
+#include "overload/violation_window.h"
 
 namespace wlm {
 
@@ -36,7 +36,6 @@ struct OverloadOptions {
   double deadline_slack = 2.0;
 
   /// Token-bucket retry budgets gating the resilience retry policy.
-  bool retry_budgets = true;
   RetryBudgetOptions retry_budget;
 
   /// Per-service-class circuit breakers on the SLO-violation rate.
@@ -47,9 +46,9 @@ struct OverloadOptions {
   bool brownout = true;
   BrownoutOptions brownout_options;
 
-  /// Global outcome window used to compute the brownout violation rate.
+  /// Global outcome window used to compute the brownout violation rate
+  /// (at most kOutcomeWindowCapacity samples).
   double outcome_window_seconds = 5.0;
-  int outcome_window_capacity = 512;
 };
 
 /// Facade the WorkloadManager talks to. Keyed by workload name via
@@ -113,34 +112,24 @@ class OverloadController {
   /// shard-health signal the cluster dispatcher routes around. O(1): the
   /// breakers' transitions keep the count of open ones.
   [[nodiscard]] bool AnyBreakerOpen() const;
-  RetryBudgetPool* retry_budgets() { return retry_budgets_.get(); }
-  double GlobalViolationRate() const;
+  double GlobalViolationRate() const { return outcomes_.Rate(); }
   int64_t shed_total() const { return shed_total_; }
   void CountShed() { ++shed_total_; }
 
  private:
-  struct Outcome {
-    double time = 0.0;
-    bool violated = false;
-  };
-
   CircuitBreaker& BreakerFor(const std::string& workload);
-  /// Drops outcome-window entries older than outcome_window_seconds.
-  void ExpireOutcomes(double now);
 
   OverloadOptions options_;
   std::map<std::string, std::unique_ptr<CircuitBreaker>> breakers_;
   int open_breakers_ = 0;  // breakers_ whose state is kOpen
   std::unique_ptr<CodelQueuePolicy> codel_;
-  std::unique_ptr<RetryBudgetPool> retry_budgets_;
+  RetryBudgetPool retry_budgets_;
   std::unique_ptr<BrownoutController> brownout_;
-  std::deque<Outcome> outcomes_;  // bounded by outcome_window_capacity
+  ViolationWindow outcomes_;  // bounded by kOutcomeWindowCapacity
   bool lifo_ = false;
   int64_t shed_total_ = 0;
   TransitionListener listener_;
 };
-
-const char* TransitionKindToString(OverloadController::TransitionKind kind);
 
 }  // namespace wlm
 

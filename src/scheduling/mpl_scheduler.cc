@@ -5,6 +5,12 @@
 #include "core/workload_manager.h"
 
 namespace wlm {
+namespace {
+
+/// Hysteresis band around the response-time target (fractional).
+constexpr double kBand = 0.15;
+
+}  // namespace
 
 FeedbackMplScheduler::FeedbackMplScheduler()
     : FeedbackMplScheduler(Config()) {}
@@ -28,8 +34,8 @@ void FeedbackMplScheduler::OnSample(const SystemIndicators& indicators,
     }
     if (n == 0) return;
     double response = sum / n;
-    double hi = config_.target_response_seconds * (1.0 + config_.band);
-    double lo = config_.target_response_seconds * (1.0 - config_.band);
+    double hi = config_.target_response_seconds * (1.0 + kBand);
+    double lo = config_.target_response_seconds * (1.0 - kBand);
     if (response > hi) {
       set_mpl(std::max(config_.min_mpl, mpl() - 1));
     } else if (response < lo) {

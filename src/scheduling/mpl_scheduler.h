@@ -20,8 +20,6 @@ class FeedbackMplScheduler : public PriorityScheduler {
     /// Target mean response time across workloads; <= 0 switches to pure
     /// throughput hill-climbing (Heiss-Wagner style at the scheduler).
     double target_response_seconds = 0.0;
-    /// Hysteresis band around the target (fractional).
-    double band = 0.15;
   };
 
   FeedbackMplScheduler();

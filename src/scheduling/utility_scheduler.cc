@@ -7,6 +7,12 @@
 #include "core/workload_manager.h"
 
 namespace wlm {
+namespace {
+
+/// Hill-climb transfer granularity.
+constexpr double kStep = 0.05;
+
+}  // namespace
 
 UtilityScheduler::UtilityScheduler(Config config)
     : config_(std::move(config)) {
@@ -79,14 +85,14 @@ void UtilityScheduler::Replan() {
     int best_from = -1;
     int best_to = -1;
     for (size_t from = 0; from < classes_.size(); ++from) {
-      if (fractions[from] - config_.step < config_.min_fraction) continue;
+      if (fractions[from] - kStep < config_.min_fraction) continue;
       for (size_t to = 0; to < classes_.size(); ++to) {
         if (to == from) continue;
-        fractions[from] -= config_.step;
-        fractions[to] += config_.step;
+        fractions[from] -= kStep;
+        fractions[to] += kStep;
         double u = PlanUtility(fractions);
-        fractions[from] += config_.step;
-        fractions[to] -= config_.step;
+        fractions[from] += kStep;
+        fractions[to] -= kStep;
         if (u - best > best_gain) {
           best_gain = u - best;
           best_from = static_cast<int>(from);
@@ -95,8 +101,8 @@ void UtilityScheduler::Replan() {
       }
     }
     if (best_from < 0) break;
-    fractions[best_from] -= config_.step;
-    fractions[best_to] += config_.step;
+    fractions[best_from] -= kStep;
+    fractions[best_to] += kStep;
     best += best_gain;
   }
   for (size_t i = 0; i < classes_.size(); ++i) {

@@ -36,8 +36,6 @@ class UtilityScheduler : public Scheduler {
     int replan_every_samples = 5;
     /// Floor on any class's capacity fraction.
     double min_fraction = 0.05;
-    /// Hill-climb transfer granularity.
-    double step = 0.05;
   };
 
   explicit UtilityScheduler(Config config);

@@ -10,6 +10,9 @@ namespace wlm {
 
 namespace {
 
+/// Event-log tail captured per dump.
+constexpr size_t kMaxEvents = 256;
+
 /// Fixed-precision float rendering so dumps are byte-stable across runs.
 std::string Num(double value) { return FormatFixed(value, 6); }
 
@@ -59,7 +62,7 @@ void FlightRecorder::Trigger(const std::string& reason,
   dump.state = state;
   dump.recent_profiles = profiles.RecentTerminal(options_.max_profiles);
   const auto events = log.events();
-  const size_t take = std::min(log.size(), options_.max_events);
+  const size_t take = std::min(log.size(), kMaxEvents);
   dump.recent_events.reserve(take);
   for (size_t i = log.size() - take; i < log.size(); ++i) {
     dump.recent_events.push_back(events[i]);

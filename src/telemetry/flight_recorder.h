@@ -52,8 +52,6 @@ class FlightRecorder {
   struct Options {
     /// Newest terminal profiles captured per dump.
     size_t max_profiles = 128;
-    /// Event-log tail captured per dump.
-    size_t max_events = 256;
     /// Dumps retained; once full further triggers only count.
     size_t max_postmortems = 8;
     /// Minimum sim-seconds between dumps (dedups trigger storms: one

@@ -39,7 +39,6 @@ class SloWatchdog {
   };
   /// Transitions into violation, oldest first (bounded alongside the log).
   const std::vector<Violation>& violations() const { return violations_; }
-  size_t watched_count() const { return watched_.size(); }
 
  private:
   struct Watched {

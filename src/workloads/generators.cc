@@ -6,6 +6,15 @@
 #include <unordered_set>
 
 namespace wlm {
+namespace {
+
+/// OLTP lock keys are drawn Zipf(kKeySpace, kZipfTheta).
+constexpr int64_t kKeySpace = 2000;
+constexpr double kZipfTheta = 0.8;
+/// BI result rows per CPU-second of demand.
+constexpr double kRowsPerCpuSecond = 20000.0;
+
+}  // namespace
 
 WorkloadGenerator::WorkloadGenerator(uint64_t seed, QueryId first_id)
     : rng_(seed), next_id_(first_id) {}
@@ -32,7 +41,7 @@ QuerySpec WorkloadGenerator::NextOltp(const OltpWorkloadConfig& config) {
   std::unordered_set<LockKey> keys;
   while (static_cast<int>(keys.size()) < config.locks_per_txn) {
     keys.insert(static_cast<LockKey>(
-        rng_.Zipf(config.key_space, config.zipf_theta)));
+        rng_.Zipf(kKeySpace, kZipfTheta)));
   }
   // Draw the write/read flags in sorted key order, not hash order: the
   // Bernoulli draws consume RNG state, so iterating the raw set would let
@@ -57,8 +66,7 @@ QuerySpec WorkloadGenerator::NextBi(const BiWorkloadConfig& config) {
   spec.memory_mb = std::max(config.min_memory_mb,
                             spec.cpu_seconds * config.memory_mb_per_cpu_second);
   spec.result_rows = std::max<int64_t>(
-      1, static_cast<int64_t>(spec.cpu_seconds *
-                              static_cast<double>(config.rows_per_cpu_second)));
+      1, static_cast<int64_t>(spec.cpu_seconds * kRowsPerCpuSecond));
   spec.session.application = config.application;
   spec.session.user = config.user;
   spec.session.client_ip = config.client_ip;

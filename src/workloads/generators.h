@@ -22,8 +22,6 @@ struct OltpWorkloadConfig {
   double mean_io_ops = 8.0;
   double memory_mb = 2.0;
   int locks_per_txn = 3;
-  int64_t key_space = 2000;
-  double zipf_theta = 0.8;
   /// Fraction of lock requests taken exclusive.
   double write_fraction = 0.7;
 };
@@ -43,7 +41,6 @@ struct BiWorkloadConfig {
   /// Working memory scales with cpu demand.
   double memory_mb_per_cpu_second = 64.0;
   double min_memory_mb = 32.0;
-  int64_t rows_per_cpu_second = 20000;
 };
 
 /// Online administrative utilities (backup / reorg / runstats): long,

@@ -38,10 +38,6 @@ class AnalyticalWorkload {
   /// shipping-mode wide join, small lookup report).
   static std::vector<AnalyticalTemplate> DefaultTemplates();
 
-  void set_templates(std::vector<AnalyticalTemplate> templates) {
-    templates_ = std::move(templates);
-  }
-
   /// Instantiates a random template.
   QuerySpec Next();
   /// Instantiates a specific template.

@@ -251,7 +251,7 @@ class BreakerModel {
     while (window.front().first < now - options.window_seconds) {
       window.pop_front();
     }
-    while (static_cast<int>(window.size()) > options.window_sample_capacity) {
+    while (window.size() > kBreakerWindowSampleCapacity) {
       window.pop_front();
     }
   }
@@ -290,7 +290,7 @@ TEST(CircuitBreakerTest, RunningCountsMatchARecountThroughEveryTransition) {
   options.breaker_options.open_seconds = 2.0;
   options.breaker_options.half_open_probes = 2;
   options.breaker_options.close_rate = 0.0;
-  ASSERT_EQ(options.breaker_options.window_sample_capacity, 256);
+  ASSERT_EQ(kBreakerWindowSampleCapacity, 256u);
   OverloadController controller(options);
   BreakerModel model(&controller);
   using State = CircuitBreaker::State;
