@@ -85,11 +85,18 @@ QueryRecord* ProfiledRecord(Tracer* tracer, QueryId id) {
   return record != nullptr && record->profiled ? record : nullptr;
 }
 
-/// Settles the record's open wait segment (if any) into its bucket.
-void Settle(QueryRecord* record, double now) {
+/// Settles the record's open wait segment (if any) into its bucket, and
+/// tiles it on the record's trace as a kPhase span: every wait that ends,
+/// however it ends, is tiled.
+void Settle(Tracer* tracer, QueryRecord* record, double now) {
   if (record->wait.phase < 0) return;
-  record->profile.phase_seconds[static_cast<size_t>(record->wait.phase)] +=
+  const Phase phase = static_cast<Phase>(record->wait.phase);
+  record->profile.phase_seconds[static_cast<size_t>(phase)] +=
       std::max(0.0, now - record->wait.start);
+  if (now > record->wait.start) {
+    tracer->AddClosedSpan(record->id, SpanKind::kPhase, record->wait.start,
+                          now, PhaseText(phase));
+  }
   record->wait.phase = -1;
 }
 
@@ -123,7 +130,7 @@ void ProfileStore::Begin(QueryId id, uint64_t journey) {
 void ProfileStore::OpenWait(QueryId id, Phase phase, double now) {
   QueryRecord* record = ProfiledRecord(tracer_, id);
   if (record == nullptr) return;
-  Settle(record, now);
+  Settle(tracer_, record, now);
   record->wait = {static_cast<int>(phase), now};
 }
 
@@ -142,7 +149,7 @@ void ProfileStore::SetQueueDiscipline(bool lifo, double now) {
         (record.wait.phase != admission && record.wait.phase != overload)) {
       return;
     }
-    Settle(&record, now);
+    Settle(tracer_, &record, now);
     record.wait = {lifo ? overload : admission, now};
   });
 }
@@ -176,7 +183,7 @@ void ProfileStore::AccumulateSegment(QueryId id, const QueryOutcome& outcome) {
 void ProfileStore::MarkDispatched(QueryId id, double now) {
   QueryRecord* record = ProfiledRecord(tracer_, id);
   if (record == nullptr) return;
-  Settle(record, now);
+  Settle(tracer_, record, now);
   if (record->profile.first_dispatch_time < 0.0) {
     record->profile.first_dispatch_time = now;
   }
@@ -198,7 +205,7 @@ const QueryProfile* ProfileStore::Finalize(QueryId id, WorkloadId workload_id,
                                            std::string_view detail) {
   QueryRecord* record = ProfiledRecord(tracer_, id);
   if (record == nullptr || record->profile.terminal()) return nullptr;
-  Settle(record, now);
+  Settle(tracer_, record, now);
   QueryProfile& p = record->profile;
   p.finish_time = now;
   p.outcome.assign(outcome);

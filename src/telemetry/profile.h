@@ -113,7 +113,9 @@ std::string ExplainOutcome(const QueryProfile& profile);
 /// A view of the profiles in the tracer's records, driven by the Telemetry
 /// facade's hooks: a profile is retained and evicted with its trace. The
 /// store keeps only the per-workload rollups and the queue discipline.
-/// Every listing (Profiles(), rollups()) is explicitly ordered.
+/// Every listing (Profiles(), rollups()) is explicitly ordered. Settling a
+/// wait segment, by whatever ends it, also tiles it on the trace as a
+/// kPhase span.
 class ProfileStore {
  public:
   /// A wait segment (admission/overload queue, suspended wait, retry
@@ -135,8 +137,9 @@ class ProfileStore {
   /// Opens the queue wait segment, choosing kAdmissionQueue or
   /// kOverloadQueue from the current queue discipline.
   void OpenQueueWait(QueryId id, double now);
-  /// The wait queue flipped FIFO<->LIFO: re-buckets every open queue
-  /// segment at `now` so time is split exactly at the flip.
+  /// The wait queue flipped FIFO<->LIFO: settles (and so tiles) every open
+  /// queue segment at `now` and reopens it in the other bucket, so time is
+  /// split exactly at the flip.
   void SetQueueDiscipline(bool lifo, double now);
   /// One engine run segment ended (any OutcomeKind): folds its phase
   /// decomposition and resource usage into the profile.
@@ -154,8 +157,7 @@ class ProfileStore {
                                std::string_view detail);
 
   const QueryProfile* Find(QueryId id) const;
-  /// Open wait segment of `id`; phase -1 when none is open. Lets the
-  /// facade emit a trace tile before settling.
+  /// Open wait segment of `id`; phase -1 when none is open.
   WaitSegment OpenSegment(QueryId id) const;
   /// All retained profiles, in their traces' creation (tid) order.
   std::vector<const QueryProfile*> Profiles() const;

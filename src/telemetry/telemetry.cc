@@ -7,16 +7,6 @@
 
 namespace wlm {
 
-namespace {
-
-/// A phase tile's name.
-TraceText PhaseText(Phase phase) {
-  return static_cast<TraceText>(static_cast<size_t>(TraceText::kPhase) +
-                                static_cast<size_t>(phase));
-}
-
-}  // namespace
-
 const char* SyntheticTrackName(SyntheticTrack track) {
   switch (track) {
     case SyntheticTrack::kFaults:
@@ -149,14 +139,6 @@ QueryId Telemetry::Track(SyntheticTrack track, double now) {
   return id;
 }
 
-void Telemetry::TileOpenWait(QueryId id, double now) {
-  const ProfileStore::WaitSegment segment = profiles_.OpenSegment(id);
-  if (segment.phase >= 0 && now > segment.start) {
-    tracer_.AddClosedSpan(id, SpanKind::kPhase, segment.start, now,
-                          PhaseText(static_cast<Phase>(segment.phase)));
-  }
-}
-
 void Telemetry::WatchSlos(const std::string& workload,
                           const std::vector<ServiceLevelObjective>& slos) {
   if (!enabled_) return;
@@ -217,8 +199,6 @@ void Telemetry::OnRequeued(QueryId id, WorkloadId workload_id,
   tracer_.CloseExecutionSegment(id, now, TraceText::kOutcomeResubmitted);
   tracer_.OpenSpan(id, SpanKind::kQueue, now, TraceText::kResubmit);
   if (profiling_) {
-    // A fault retry arrives here from backoff limbo: tile that wait.
-    TileOpenWait(id, now);
     profiles_.CountRequeue(id);
     profiles_.OpenQueueWait(id, now);
   }
@@ -255,12 +235,7 @@ void Telemetry::OnDispatch(QueryId id, WorkloadId workload_id,
                     now);
   tracer_.OpenSpan(id, SpanKind::kExecute, now,
                    resumed ? TraceText::kResumed : TraceText::kNone);
-  if (profiling_) {
-    // Tile the wait that just ended (admission/overload queue or
-    // suspended wait), then settle it into the profile.
-    TileOpenWait(id, now);
-    profiles_.MarkDispatched(id, now);
-  }
+  if (profiling_) profiles_.MarkDispatched(id, now);
   Counter*& dispatches = Handles(workload_id).dispatches[resumed ? 1 : 0];
   if (dispatches == nullptr) {
     dispatches = &metrics_.GetCounter(
@@ -485,7 +460,6 @@ void Telemetry::OnShed(QueryId id, WorkloadId workload_id,
   tracer_.CloseSpan(id, SpanKind::kQueue, now, " shed=" + reason);
   tracer_.Instant(id, TraceText::kShed, now, reason);
   tracer_.FinishTrace(id, now);
-  if (profiling_) TileOpenWait(id, now);
   FinalizeProfile(id, workload_id, workload, "shed", reason);
   Counter*& shed = Handles(workload_id).shed.For(reason);
   if (shed == nullptr) {

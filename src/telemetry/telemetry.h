@@ -267,9 +267,6 @@ class Telemetry {
                 std::string_view detail);
   /// The synthetic track's id, its trace created on first use.
   QueryId Track(SyntheticTrack track, double now);
-  /// Tiles the request's open wait segment (queue, suspended wait, retry
-  /// backoff) up to `now` as a kPhase span, before the profile settles it.
-  void TileOpenWait(QueryId id, double now);
   /// Finalizes a profile: phase metrics and class rollups.
   void FinalizeProfile(QueryId id, WorkloadId workload_id,
                        const std::string& workload, std::string_view outcome,

@@ -30,8 +30,9 @@ enum class SpanKind : uint8_t {
   kOverload,       // overload episode (breaker open window, brownout
                    // level) on the synthetic overload track
   kPhase,          // latency-decomposition tile (detail = phase name);
-                   // tiles partition a queue or execute segment and render
-                   // on their own pid so they never straddle inner spans
+                   // tiles partition a query's wait and execute segments
+                   // and render on their own pid so they never straddle
+                   // inner spans
 };
 
 const char* SpanKindToString(SpanKind kind);
@@ -72,6 +73,12 @@ enum class TraceText : uint8_t {
 };
 
 const char* TraceTextToString(TraceText text);
+
+/// A phase tile's name.
+inline TraceText PhaseText(Phase phase) {
+  return static_cast<TraceText>(static_cast<size_t>(TraceText::kPhase) +
+                                static_cast<size_t>(phase));
+}
 
 /// A span's or an instant's text, as a small integer: empty (0), a
 /// TraceText code, the trace's terminal outcome (kOutcomeText), or an entry

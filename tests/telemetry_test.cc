@@ -1139,6 +1139,84 @@ TEST(TelemetryEndToEnd, PhaseDecompositionConservesWallTime) {
               1e-9);
 }
 
+/// Checks that every retained terminal trace's phase tiles sum to its
+/// profile's PhaseSum(), and returns how many it checked.
+size_t ExpectTilesSumToPhases(const Telemetry& telemetry) {
+  size_t checked = 0;
+  for (const QueryProfile* p : telemetry.profiles().Profiles()) {
+    if (!p->terminal()) continue;
+    const QueryTrace* trace = telemetry.tracer().Find(p->id);
+    if (trace == nullptr) {
+      ADD_FAILURE() << "query " << p->id << " has a profile but no trace";
+      continue;
+    }
+    double tiles = 0.0;
+    for (const Span& span : trace->spans) {
+      if (span.kind == SpanKind::kPhase) tiles += span.duration();
+    }
+    EXPECT_NEAR(tiles, p->PhaseSum(), 1e-6)
+        << "query " << p->id << " (" << p->outcome << ")";
+    ++checked;
+  }
+  return checked;
+}
+
+TEST(TelemetryEndToEnd, PhaseTilesCoverWaitsEndedByAKill) {
+  TestRig rig;
+  rig.wlm.set_scheduler(std::make_unique<FifoScheduler>(/*mpl=*/1));
+  ASSERT_TRUE(rig.wlm.Submit(BiSpec(1, /*cpu=*/4.0)).ok());   // runs
+  ASSERT_TRUE(rig.wlm.Submit(BiSpec(2, /*cpu=*/4.0)).ok());   // waits
+  ASSERT_TRUE(rig.wlm.Submit(BiSpec(3, /*cpu=*/20.0)).ok());  // waits
+  // Kill 2 while it waits in the queue; suspend 1, which lets 3 run, and
+  // kill 1 while it waits suspended.
+  rig.sim.Schedule(1.0, [&rig] {
+    ASSERT_TRUE(rig.wlm.KillRequest(2, /*resubmit=*/false).ok());
+  });
+  rig.sim.Schedule(2.0, [&rig] {
+    ASSERT_TRUE(
+        rig.wlm.SuspendRequest(1, SuspendStrategy::kDumpState).ok());
+  });
+  rig.sim.Schedule(6.0, [&rig] {
+    ASSERT_TRUE(rig.wlm.KillRequest(1, /*resubmit=*/false).ok());
+  });
+  rig.sim.RunUntil(100.0);
+
+  ASSERT_EQ(rig.Find(1)->state, RequestState::kKilled);
+  ASSERT_EQ(rig.Find(2)->state, RequestState::kKilled);
+  const ProfileStore& profiles = rig.wlm.telemetry().profiles();
+  ASSERT_GT(profiles.Find(1)->seconds(Phase::kSuspendedWait), 0.0);
+  ASSERT_GT(profiles.Find(2)->seconds(Phase::kAdmissionQueue), 0.0);
+  EXPECT_EQ(ExpectTilesSumToPhases(rig.wlm.telemetry()), 3u);
+}
+
+TEST(TelemetryEndToEnd, PhaseTilesCoverWaitsSplitByADisciplineFlip) {
+  WlmConfig config;
+  config.overload.enabled = true;
+  config.overload.codel.queue_capacity = 64;
+  config.overload.codel.target_seconds = 0.2;
+  config.overload.codel.interval_seconds = 0.5;
+  config.overload.codel.lifo_after_sheds = 2;
+  TestRig rig(TestEngineConfig(), 0.1, config);
+  rig.wlm.set_scheduler(std::make_unique<FifoScheduler>(/*mpl=*/1));
+  // One runner holds the engine while a backlog's sojourn passes the
+  // CoDel target: CoDel sheds, turns the queue LIFO, and turns it back
+  // once the queue drains.
+  ASSERT_TRUE(rig.wlm.Submit(BiSpec(1, /*cpu=*/5.0)).ok());
+  for (QueryId id = 2; id <= 10; ++id) {
+    ASSERT_TRUE(rig.wlm.Submit(BiSpec(id, /*cpu=*/1.0)).ok());
+  }
+  rig.sim.RunUntil(200.0);
+
+  // Some request waited on both sides of a flip.
+  bool split = false;
+  for (const QueryProfile* p : rig.wlm.telemetry().profiles().Profiles()) {
+    split |= p->seconds(Phase::kAdmissionQueue) > 0.0 &&
+             p->seconds(Phase::kOverloadQueue) > 0.0;
+  }
+  ASSERT_TRUE(split);
+  EXPECT_EQ(ExpectTilesSumToPhases(rig.wlm.telemetry()), 10u);
+}
+
 TEST(TelemetryEndToEnd, SloViolationTripsFlightRecorder) {
   MixedRun run(/*telemetry_enabled=*/true);
   Telemetry& telemetry = run.rig->wlm.telemetry();
