@@ -130,8 +130,7 @@ int main() {
     if (progress.ok()) {
       for (double budget : {50.0, 500.0, 5000.0, 1e12}) {
         SuspendStrategy choice = ChooseSuspendStrategy(
-            plan, *progress, kIoOpsPerMb,
-            config.io_ops_per_second, budget);
+            plan, *progress, kIoOpsPerMb, config.io_ops_per_second, budget);
         chooser.AddRow({budget >= 1e12 ? "unlimited"
                                        : TablePrinter::Num(budget, 0),
                         SuspendStrategyToString(choice)});

@@ -50,8 +50,7 @@ std::vector<WorkloadHealth> AutonomicController::Analyze(
         eval.actual = stats.recent_response.value();
         eval.met = eval.actual <= slo.target;
         eval.attainment = eval.actual > 0.0 ? slo.target / eval.actual : 1.0;
-      } else if (slo.metric ==
-                     ServiceLevelObjective::Metric::kMinVelocity &&
+      } else if (slo.metric == ServiceLevelObjective::Metric::kMinVelocity &&
                  !stats.recent_velocity.empty()) {
         eval.actual = stats.recent_velocity.value();
         eval.met = eval.actual >= slo.target;
