@@ -231,9 +231,8 @@ TechniqueInfo SuspendResumeController::info() const {
   info.subclass = TechniqueSubclass::kSuspendResume;
   info.description =
       "Quickly suspends running low-priority queries when high-priority "
-      "work is waiting, persisting enough state to resume them later; "
-      "strategy chosen to minimize suspend+resume overhead within a "
-      "suspend-cost budget.";
+      "work is waiting, persisting enough state to resume them later "
+      "with the configured strategy (DumpState or GoBack).";
   info.source = "Chandramouli et al. [10], Chaudhuri et al. [12]";
   return info;
 }

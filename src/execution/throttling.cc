@@ -12,7 +12,8 @@ constexpr double kMaxThrottle = 0.95;
 /// UtilityThrottleController's PI gains.
 constexpr double kKp = 1.5;
 constexpr double kKi = 0.8;
-/// QueryThrottleController's step controller initial step.
+/// QueryThrottleController's first step: the step controller's initial
+/// step and the black-box controller's probe step.
 constexpr double kInitialStep = 0.2;
 
 }  // namespace
